@@ -27,10 +27,8 @@ from .extreal import (
 )
 from .spaces import (
     Coupling,
-    DualFunction,
     FiniteSet,
     Lagrangian,
-    PrimalFunction,
     Rockafellian,
     SetFunction,
     bilinear_coupling,
@@ -85,7 +83,6 @@ __all__ = [
     "Coupling",
     "DEFAULT_TOL",
     "DomainMismatchError",
-    "DualFunction",
     "ExtReal",
     "FiniteSet",
     "GendualError",
@@ -93,7 +90,6 @@ __all__ = [
     "MissingTableError",
     "NEG_INF",
     "POS_INF",
-    "PrimalFunction",
     "Problem",
     "ProblemFormatError",
     "Rockafellian",

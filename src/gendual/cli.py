@@ -30,6 +30,7 @@ from .couple import DEFAULT_DELTAS, audit
 from .problems import (
     Problem,
     extreal_to_jsonable,
+    finite_number,
     load_problem,
     save_problem,
 )
@@ -229,7 +230,7 @@ def _load_function(spec: str, domain, what: str) -> SetFunction:
                     f"{what} entry {i}: expected a number or 'inf'/'-inf'"
                 )
             else:
-                values.append(ExtReal(float(item)))
+                values.append(ExtReal(finite_number(item, f"{what} entry {i}")))
     else:
         values = []
         for i, tok in enumerate(t.strip() for t in spec.split(",")):

@@ -8,13 +8,14 @@ and the reverse conjugate of g: Y -> [-inf,+inf] swaps the roles of the two
 sides through the reversed coupling.  Biconjugation composes the two and
 yields the largest c-convex function below the input; a function equal to
 its biconjugate is called c-convex (respectively c'-convex on the dual
-side).  All suprema are direct enumerations over the finite sets.
+side).  Both conjugates are one-row products of the Moreau product kernel in
+``extreal``, which enumerates the finite sets exactly.
 """
 
 from __future__ import annotations
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, NEG_INF, low_add, neg, upp_add
+from .extreal import DEFAULT_TOL, sup_product, upp_add
 from .spaces import Coupling, SetFunction
 
 __all__ = [
@@ -27,28 +28,14 @@ __all__ = [
     "young_check",
 ]
 
-_POS = 1
-
-
 def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
     """f^c(y) = sup_x [c(x,y) lower-add -f(x)], a function on the dual set."""
     if f.domain != c.primal:
         raise DomainMismatchError(
             "conjugate: function domain differs from the coupling's primal set"
         )
-    neg_f = [neg(v) for v in f.values]
-    rows = c.rows
-    out = []
-    for iy in range(len(c.dual)):
-        best = NEG_INF
-        for ix, nf in enumerate(neg_f):
-            cand = low_add(rows[ix][iy], nf)
-            if best < cand:
-                best = cand
-                if best.kind == _POS:
-                    break
-        out.append(best)
-    return SetFunction(c.dual, out)
+    neg_f = [-v.to_float() for v in f.values]
+    return SetFunction(c.dual, sup_product([neg_f], c.ieee_cols)[0])
 
 
 def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
@@ -57,18 +44,8 @@ def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
         raise DomainMismatchError(
             "reverse_conjugate: function domain differs from the coupling's dual set"
         )
-    neg_g = [neg(v) for v in g.values]
-    out = []
-    for row in c.rows:
-        best = NEG_INF
-        for iy, ng in enumerate(neg_g):
-            cand = low_add(row[iy], ng)
-            if best < cand:
-                best = cand
-                if best.kind == _POS:
-                    break
-        out.append(best)
-    return SetFunction(c.primal, out)
+    neg_g = [-v.to_float() for v in g.values]
+    return SetFunction(c.primal, sup_product([neg_g], c.ieee_rows)[0])
 
 
 def biconjugate(f: SetFunction, c: Coupling) -> SetFunction:

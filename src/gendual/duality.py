@@ -19,6 +19,9 @@ turns an infimum into a supremum but not vice versa.
 The weak-duality report evaluates, at a chosen perturbation point, the primal
 value phi(x) against the dual value sup_y [c(x, y) lower-add psi(y)]; the
 dual value never exceeds the primal one.
+
+Both transforms and the dual value are products of the Moreau product kernel
+in ``extreal``; phi and psi are column minima.
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ from dataclasses import dataclass
 from .errors import DomainMismatchError
 from .extreal import (
     DEFAULT_TOL,
-    NEG_INF,
-    POS_INF,
     ExtReal,
     approx_eq,
     approx_le,
-    low_add,
-    neg,
-    upp_add,
+    ieee,
+    inf_product,
+    sup_product,
 )
 from .spaces import Coupling, Lagrangian, Rockafellian, SetFunction
 
@@ -48,31 +49,15 @@ __all__ = [
     "weak_duality_report",
 ]
 
-_NEG, _POS = -1, 1
-
-
 def lagrangian_of(r: Rockafellian, c: Coupling) -> Lagrangian:
     """Lagrangian of a Rockafellian: L(u,y) = inf_x [R(u,x) upper-add -c(x,y)]."""
     if r.primal != c.primal:
         raise DomainMismatchError(
             "lagrangian_of: Rockafellian primal set differs from the coupling's"
         )
-    neg_c = [[neg(v) for v in row] for row in c.rows]
-    ny = len(c.dual)
-    out_rows = []
-    for r_row in r.rows:
-        row = []
-        for iy in range(ny):
-            best = POS_INF
-            for ix, rv in enumerate(r_row):
-                cand = upp_add(rv, neg_c[ix][iy])
-                if cand < best:
-                    best = cand
-                    if best.kind == _NEG:
-                        break
-            row.append(best)
-        out_rows.append(row)
-    return Lagrangian(r.decisions, c.dual, out_rows)
+    neg_cols = [[-v for v in col] for col in c.ieee_cols]
+    rows = inf_product(map(ieee, r.rows), neg_cols)
+    return Lagrangian(r.decisions, c.dual, rows)
 
 
 def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
@@ -81,39 +66,18 @@ def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
         raise DomainMismatchError(
             "rockafellian_of: Lagrangian dual set differs from the coupling's"
         )
-    out_rows = []
-    for l_row in lag.rows:
-        row = []
-        for c_row in c.rows:
-            best = NEG_INF
-            for iy, lv in enumerate(l_row):
-                cand = low_add(lv, c_row[iy])
-                if best < cand:
-                    best = cand
-                    if best.kind == _POS:
-                        break
-            row.append(best)
-        out_rows.append(row)
-    return Rockafellian(lag.decisions, c.primal, out_rows)
+    rows = sup_product(map(ieee, lag.rows), c.ieee_rows)
+    return Rockafellian(lag.decisions, c.primal, rows)
 
 
 def perturbation_function(r: Rockafellian) -> SetFunction:
     """phi(x) = inf over decisions of R(u, x)."""
-    return _column_minima(r.rows, r.primal)
+    return SetFunction(r.primal, [min(col) for col in zip(*r.rows)])
 
 
 def dual_function(lag: Lagrangian) -> SetFunction:
     """psi(y) = inf over decisions of L(u, y)."""
-    return _column_minima(lag.rows, lag.dual)
-
-
-def _column_minima(rows, col_set) -> SetFunction:
-    out = list(rows[0])
-    for row in rows[1:]:
-        for j, v in enumerate(row):
-            if v < out[j]:
-                out[j] = v
-    return SetFunction(col_set, out)
+    return SetFunction(lag.dual, [min(col) for col in zip(*lag.rows)])
 
 
 @dataclass(frozen=True)
@@ -151,12 +115,7 @@ def weak_duality_report(
     ix = c.primal.index(base_point)
     phi = perturbation_function(r)
     psi = dual_function(lagrangian_of(r, c))
-    c_row = c.rows[ix]
-    dual = NEG_INF
-    for iy, pv in enumerate(psi.values):
-        cand = low_add(c_row[iy], pv)
-        if dual < cand:
-            dual = cand
+    dual = sup_product([ieee(psi.values)], [c.ieee_rows[ix]])[0][0]
     primal = phi.values[ix]
     if not approx_le(dual, primal, tol):
         raise ArithmeticError(

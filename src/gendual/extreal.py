@@ -7,6 +7,15 @@ used throughout this package resolve that pair explicitly: the lower addition
 sends it to -inf, the upper addition to +inf.  Keeping the tags out of the
 float payload makes those rules exact by construction.
 
+The conjugates, the transforms and the dual value all go through one
+kernel: ``sup_product``, the max-plus matrix product under the lower
+addition, and its min-plus mirror ``inf_product`` under the upper one.  It
+runs on IEEE images of the tables (the tags become +/-inf) and is exact
+there.  An IEEE sum is NaN only for the opposite-infinity pair, which a
+strict ``>`` (``<``) never selects, just as the -inf (+inf) that the lower
+(upper) addition gives it never wins a sup (inf).  A finite sum that
+overflows lands on the infinity of its sign, as ``_finite_sum`` does.
+
 Comparisons against an infinity are always exact; tolerances apply only
 between two finite values.
 """
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import add
 from typing import Iterable
 
 __all__ = [
@@ -25,12 +35,15 @@ __all__ = [
     "approx_eq",
     "approx_le",
     "as_extreal",
+    "ieee",
     "inf_over",
+    "inf_product",
     "low_add",
     "neg",
     "parse_extreal",
     "render_extreal",
     "sup_over",
+    "sup_product",
     "upp_add",
 ]
 
@@ -184,24 +197,56 @@ def neg(a: ExtReal) -> ExtReal:
 
 def sup_over(values: Iterable[ExtReal]) -> ExtReal:
     """Largest element under the total order; the sequence must be nonempty."""
-    best = None
-    for v in values:
-        if best is None or best < v:
-            best = v
-    if best is None:
-        raise ValueError("sup_over: empty sequence")
-    return best
+    return max(values)
 
 
 def inf_over(values: Iterable[ExtReal]) -> ExtReal:
     """Smallest element under the total order; the sequence must be nonempty."""
-    best = None
-    for v in values:
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise ValueError("inf_over: empty sequence")
+    return min(values)
+
+
+def ieee(values: Iterable[ExtReal]) -> list[float]:
+    """IEEE images of a sequence of extended reals."""
+    return [v.to_float() for v in values]
+
+
+def _from_ieee(v: float) -> ExtReal:
+    # inverse of to_float on the non-NaN doubles the kernel produces
+    if v == math.inf:
+        return POS_INF
+    return NEG_INF if v == -math.inf else _finite(v)
+
+
+def _sup(a, b) -> float:
+    best = -math.inf
+    for s in map(add, a, b):
+        if s > best:
+            best = s
+            if s == math.inf:
+                break
     return best
+
+
+def _inf(a, b) -> float:
+    best = math.inf
+    for s in map(add, a, b):
+        if s < best:
+            best = s
+            if s == -math.inf:
+                break
+    return best
+
+
+def sup_product(a_rows, b_rows) -> list[list[ExtReal]]:
+    """P[i][j] = sup_k a_rows[i][k] (lower-add) b_rows[j][k] on IEEE images.
+    The scan over k stops at +inf; ties keep the first maximizer."""
+    return [[_from_ieee(_sup(a, b)) for b in b_rows] for a in a_rows]
+
+
+def inf_product(a_rows, b_rows) -> list[list[ExtReal]]:
+    """P[i][j] = inf_k a_rows[i][k] (upper-add) b_rows[j][k] on IEEE images,
+    written out rather than as -sup(-.) so that signed zeros match the sums."""
+    return [[_from_ieee(_inf(a, b)) for b in b_rows] for a in a_rows]
 
 
 def approx_eq(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:

@@ -12,6 +12,7 @@ written by this module round-trip byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .spaces import Coupling, FiniteSet, Lagrangian, Rockafellian, bilinear_coup
 __all__ = [
     "Problem",
     "extreal_to_jsonable",
+    "finite_number",
     "load_problem",
     "parse_problem",
     "save_problem",
@@ -77,6 +79,18 @@ def _reject_constant(token: str):
     )
 
 
+def finite_number(raw, where: str) -> float:
+    """A JSON number as a double; one beyond the double range is rejected
+    rather than read as an infinity."""
+    try:
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # an integer literal too large for a double
+        pass
+    raise ProblemFormatError(f"{where}: number outside the double range")
+
+
 def _entry(raw, where: str) -> ExtReal:
     if isinstance(raw, str):
         if raw == "inf":
@@ -90,10 +104,7 @@ def _entry(raw, where: str) -> ExtReal:
         raise ProblemFormatError(
             f"{where}: invalid entry {raw!r} (only numbers or \"inf\"/\"-inf\")"
         )
-    try:
-        return ExtReal(float(raw))
-    except OverflowError:
-        raise ProblemFormatError(f"{where}: entry {raw!r} exceeds double range") from None
+    return ExtReal(finite_number(raw, where))
 
 
 def _table(raw, name: str, n_rows: int, n_cols: int) -> list[list[ExtReal]]:
@@ -138,7 +149,7 @@ def _points(raw, name: str, expected: int) -> list[tuple[float, ...]]:
                 raise ProblemFormatError(
                     f"embedding.{name} point {i}: coordinates must be numbers"
                 )
-            out.append(float(coord))
+            out.append(finite_number(coord, f"embedding.{name} point {i}"))
         if not out:
             raise ProblemFormatError(f"embedding.{name} point {i}: empty point")
         points.append(tuple(out))
@@ -191,7 +202,10 @@ def parse_problem(
             raise ProblemFormatError(
                 f"{source}: embedding X and Y point dimensions differ"
             )
-        coupling = bilinear_coupling(xs, ys, primal.labels, dual.labels)
+        try:
+            coupling = bilinear_coupling(xs, ys, primal.labels, dual.labels)
+        except ValueError as exc:
+            raise ProblemFormatError(f"{source}: embedding: {exc}") from None
         embedding = {"X": [list(p) for p in xs], "Y": [list(p) for p in ys]}
     else:
         coupling = Coupling(

@@ -9,17 +9,16 @@ domains are compared by label sequence, never coerced.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, UnknownLabelError
-from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, neg
+from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, ieee, neg
 
 __all__ = [
     "Coupling",
-    "DualFunction",
     "FiniteSet",
     "Lagrangian",
-    "PrimalFunction",
     "Rockafellian",
     "SetFunction",
     "bilinear_coupling",
@@ -138,12 +137,6 @@ class SetFunction:
         return f"{type(self).__name__}({{{body}}})"
 
 
-# The primal/dual distinction is bookkeeping, not structure; both sides use
-# the same table type.
-PrimalFunction = SetFunction
-DualFunction = SetFunction
-
-
 def pointwise_min(f: SetFunction, g: SetFunction) -> SetFunction:
     """Entrywise minimum of two functions on the same domain."""
     if f.domain != g.domain:
@@ -218,10 +211,13 @@ class _Table:
 
 
 class Coupling(_Table):
-    """Pairing table c over primal x dual; entries may be +/-inf."""
+    """Pairing table c over primal x dual; entries may be +/-inf.  The IEEE
+    images of its rows and columns are built once, for the product kernel."""
 
     def __init__(self, primal, dual, entries):
         super().__init__(primal, dual, entries)
+        self.ieee_rows = tuple(tuple(ieee(row)) for row in self.rows)
+        self.ieee_cols = tuple(zip(*self.ieee_rows))
 
     @property
     def primal(self) -> FiniteSet:
@@ -276,8 +272,9 @@ def bilinear_coupling(
 ) -> Coupling:
     """Coupling given by dot products of embedded real vectors.
 
-    Points may be scalars (treated as 1-D) or same-length vectors; all
-    entries are finite.  Labels default to the rendered coordinates.
+    Points may be scalars (treated as 1-D) or same-length vectors.  A dot
+    product that overflows becomes an infinity; one that meets inf + (-inf)
+    is a ValueError.  Labels default to the rendered coordinates.
     """
     xs = [_as_vector(p) for p in primal_points]
     ys = [_as_vector(p) for p in dual_points]
@@ -296,6 +293,13 @@ def bilinear_coupling(
     if dual_labels is None:
         dual_labels = [_point_label(p) for p in ys]
     entries = [[sum(a * b for a, b in zip(x, y)) for y in ys] for x in xs]
+    for i, row in enumerate(entries):
+        for j, v in enumerate(row):
+            if math.isnan(v):
+                raise ValueError(
+                    f"the dot product of X point {primal_labels[i]!r} and Y point "
+                    f"{dual_labels[j]!r} is inf + (-inf)"
+                )
     return Coupling(FiniteSet(primal_labels), FiniteSet(dual_labels), entries)
 
 

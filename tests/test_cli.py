@@ -54,6 +54,17 @@ def test_conjugate_function_from_file(problems_dir, tmp_path, capsys):
     assert out.splitlines() == ["y0  -2.0", "y1  -1.0"]
 
 
+def test_conjugate_function_file_beyond_double_range_exits_2(
+    problems_dir, tmp_path, capsys
+):
+    fn = tmp_path / "f.json"
+    fn.write_text("[1e400, 3]")
+    code, _, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
+                           "--function", str(fn))
+    assert code == 2
+    assert "function entry 0" in err
+
+
 def test_conjugate_wrong_length_exits_3(problems_dir, capsys):
     code, _, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
                            "--function", "1,2,3")
@@ -263,3 +274,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "weak-duality", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+SETS_1X1 = '"sets": {"U": ["u0"], "X": ["a"], "Y": ["b"]}, "rockafellian": [[0.0]]'
+
+
+@pytest.mark.parametrize("body, where", [
+    # json reads 1e400 as float inf and a 400-digit integer as an int that
+    # no double can hold; neither may pass for an infinity
+    ('"coupling": [[1e400]]', "coupling row 0 column 0"),
+    ('"coupling": [[-1' + "0" * 400 + ']]', "coupling row 0 column 0"),
+    ('"embedding": {"X": [[1e400]], "Y": [[1.0]]}', "embedding.X point 0"),
+    # a dot product that meets inf + (-inf) has no value
+    ('"embedding": {"X": [[1e300, 1e300]], "Y": [[1e300, -1e300]]}',
+     "X point 'a' and Y point 'b'"),
+], ids=["float", "integer", "embedding-point", "embedding-dot-product"])
+def test_unrepresentable_numbers_exit_2(tmp_path, capsys, body, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{" + SETS_1X1 + ", " + body + "}")
+    code, _, err = run_cli(capsys, "to-lagrangian", str(bad))
+    assert code == 2
+    assert where in err
+    assert len(err.splitlines()) == 1

@@ -9,6 +9,8 @@ from gendual import (
     Coupling,
     DomainMismatchError,
     FiniteSet,
+    Lagrangian,
+    Rockafellian,
     SetFunction,
     approx_le,
     biconjugate,
@@ -16,11 +18,14 @@ from gendual import (
     conjugate,
     is_c_convex,
     is_cprime_convex,
+    lagrangian_of,
     pointwise_min,
     pointwise_max,
     reverse_biconjugate,
     reverse_conjugate,
     reverse_coupling,
+    rockafellian_of,
+    weak_duality_report,
     young_check,
 )
 
@@ -139,24 +144,31 @@ entry = st.one_of(
 )
 
 
+# zeros of both signs tell a direct Moreau sum from one negated twice
+signed_entry = st.sampled_from([-INF, INF, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5])
+
+
 @st.composite
-def coupling_and_functions(draw):
-    nx = draw(st.integers(min_value=1, max_value=4))
-    ny = draw(st.integers(min_value=1, max_value=4))
-    c_rows = draw(
-        st.lists(
-            st.lists(entry, min_size=ny, max_size=ny), min_size=nx, max_size=nx
+def coupling_and_functions(draw, values=entry):
+    """Coupling over X x Y, two functions on X, and tables over U x X, U x Y."""
+    nu, nx, ny = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+
+    def table(n, m):
+        return draw(
+            st.lists(
+                st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n
+            )
         )
-    )
-    f_vals = draw(st.lists(entry, min_size=nx, max_size=nx))
-    g_vals = draw(st.lists(entry, min_size=nx, max_size=nx))
-    return c_rows, f_vals, g_vals
+
+    c_rows = table(nx, ny)
+    f_vals, g_vals = table(2, nx)
+    return c_rows, f_vals, g_vals, table(nu, nx), table(nu, ny)
 
 
 @given(coupling_and_functions())
 @settings(max_examples=150)
 def test_conjugate_matches_oracle(data):
-    c_rows, f_vals, _ = data
+    c_rows, f_vals = data[:2]
     X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
     Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
     c = Coupling(X, Y, c_rows)
@@ -168,7 +180,7 @@ def test_conjugate_matches_oracle(data):
 @given(coupling_and_functions())
 @settings(max_examples=150)
 def test_conjugacy_laws(data):
-    c_rows, f_vals, g_vals = data
+    c_rows, f_vals, g_vals = data[:3]
     X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
     Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
     c = Coupling(X, Y, c_rows)
@@ -194,6 +206,36 @@ def test_conjugacy_laws(data):
     assert is_c_convex(reverse_conjugate(conjugate(f, c), c), c)
     # Young holds always
     assert young_check(f, c)
+
+
+@given(coupling_and_functions(values=signed_entry))
+@settings(max_examples=300)
+def test_signed_zeros_match_oracle(data):
+    # repr tells -0.0 from 0.0, which == does not
+    c_rows, f_vals, _, r_rows, l_rows = data
+    U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
+    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
+    Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
+    c = Coupling(X, Y, c_rows)
+    r = Rockafellian(U, X, r_rows)
+
+    def same(values, want):
+        assert [repr(v.to_float()) for v in values] == [repr(w) for w in want]
+
+    same(conjugate(SetFunction(X, f_vals), c).values, bf.conjugate(c_rows, f_vals))
+    g_vals = l_rows[0]
+    same(
+        reverse_conjugate(SetFunction(Y, g_vals), c).values,
+        bf.reverse_conjugate(c_rows, g_vals),
+    )
+    for have, want in zip(lagrangian_of(r, c).rows, bf.lagrangian(c_rows, r_rows)):
+        same(have, want)
+    lag = Lagrangian(U, Y, l_rows)
+    for have, want in zip(rockafellian_of(lag, c).rows, bf.rockafellian(c_rows, l_rows)):
+        same(have, want)
+    for ix, x in enumerate(X):
+        rep = weak_duality_report(r, c, x)
+        same((rep.primal_value, rep.dual_value), bf.weak_duality(c_rows, r_rows, ix))
 
 
 def test_infinity_exactness_in_identities():
