@@ -32,6 +32,7 @@ from .problems import (
     extreal_to_jsonable,
     finite_number,
     load_problem,
+    read_json,
     save_problem,
 )
 from .fuzz import DEFAULT_GRID, DEFAULT_INF_PROB, run_fuzz
@@ -64,18 +65,35 @@ def _grid(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be finite and nonnegative")
+    return value
+
+
 def _deltas(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(t) for t in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated numbers") from None
-    if not values or any(d <= 0.0 for d in values):
+    if not values or not all(d > 0.0 for d in values):
         raise argparse.ArgumentTypeError("deltas must be positive")
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one diagnostic line, like every other error."""
+
+    def error(self, message):
+        self.exit(EXIT_FORMAT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gendual",
         description=(
             "Generalized conjugate duality on finite sets: conjugates, "
@@ -85,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, output=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="tolerance for finite comparisons (default 1e-9)")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="finite nonnegative tolerance for finite comparisons "
+                            "(default 1e-9)")
         p.add_argument("--format", choices=FORMATS, default="text",
                        help="output rendering (default text)")
         if output:
@@ -210,34 +229,24 @@ def _yesno(flag: bool) -> str:
 def _load_function(spec: str, domain, what: str) -> SetFunction:
     path = Path(spec)
     if path.is_file():
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(
-                f"{spec}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-        if not isinstance(raw, list):
+        items = read_json(path.read_text(encoding="utf-8"), spec)
+        if not isinstance(items, list):
             raise ProblemFormatError(f"{spec}: expected a JSON array of entries")
-        values = []
-        for i, item in enumerate(raw):
-            if isinstance(item, str):
-                try:
-                    values.append(parse_extreal(item))
-                except ValueError as exc:
-                    raise ProblemFormatError(f"{what} entry {i}: {exc}") from None
-            elif isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ProblemFormatError(
-                    f"{what} entry {i}: expected a number or 'inf'/'-inf'"
-                )
-            else:
-                values.append(ExtReal(finite_number(item, f"{what} entry {i}")))
     else:
-        values = []
-        for i, tok in enumerate(t.strip() for t in spec.split(",")):
+        items = [t.strip() for t in spec.split(",")]
+    values = []
+    for i, item in enumerate(items):
+        if isinstance(item, str):
             try:
-                values.append(parse_extreal(tok))
+                values.append(parse_extreal(item))
             except ValueError as exc:
                 raise ProblemFormatError(f"{what} entry {i}: {exc}") from None
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ProblemFormatError(
+                f"{what} entry {i}: expected a number or 'inf'/'-inf'"
+            )
+        else:
+            values.append(ExtReal(finite_number(item, f"{what} entry {i}")))
     if len(values) != len(domain):
         raise DomainMismatchError(
             f"{what} has {len(values)} entries but the set has {len(domain)} labels"

@@ -15,7 +15,7 @@ side).  Both conjugates are one-row products of the Moreau product kernel in
 from __future__ import annotations
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, sup_product, upp_add
+from .extreal import DEFAULT_TOL, ieee, sup_product
 from .spaces import Coupling, SetFunction
 
 __all__ = [
@@ -71,11 +71,11 @@ def is_cprime_convex(g: SetFunction, c: Coupling, tol: float = DEFAULT_TOL) -> b
 def young_check(f: SetFunction, c: Coupling) -> bool:
     """Generalized Young inequality: f(x) upper-add f^c(y) >= c(x,y) for all
     pairs.  Holds for every input; exposed as a self-test of the sign and
-    infinity conventions."""
-    fc = conjugate(f, c)
-    for ix, fx in enumerate(f.values):
-        row = c.rows[ix]
-        for iy, gy in enumerate(fc.values):
-            if upp_add(fx, gy) < row[iy]:
+    infinity conventions.  Exact as ``c > f + f^c`` on IEEE images: the
+    opposite-infinity sum is NaN there, and NaN, like +inf, is never below c."""
+    fc = ieee(conjugate(f, c).values)
+    for fx, c_row in zip(ieee(f.values), c.ieee_rows):
+        for gy, cv in zip(fc, c_row):
+            if cv > fx + gy:
                 return False
     return True

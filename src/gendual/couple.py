@@ -20,6 +20,12 @@ agreement is itself a checkable claim:
 
 Items (ii) through (v) are exactly equivalent; the audit flags an internal
 alarm if their verdicts ever disagree.
+
+Item (i) does not use the product kernel of items (ii)-(v): it compares
+IEEE images once per triple.  For a finite tol >= 0, ``c <= a upper-add b``
+within tol fails exactly when ``c - (a + b) > tol``, because the two cases
+that give NaN never compare greater: the opposite-infinity sum, which the
+upper addition sends to +inf, and the difference of equal infinities.
 """
 
 from __future__ import annotations
@@ -29,11 +35,10 @@ from dataclasses import dataclass
 from .errors import DomainMismatchError
 from .extreal import (
     DEFAULT_TOL,
-    NEG_INF,
-    POS_INF,
     ExtReal,
     approx_eq,
     approx_le,
+    ieee,
     neg,
     upp_add,
 )
@@ -64,6 +69,7 @@ __all__ = [
 DEFAULT_DELTAS = (1e-3, 1.0)
 
 _NEG, _FIN, _POS = -1, 0, 1
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,7 @@ class CoupleAudit:
         return self.item_ii and self.items_agree
 
 
-def _require_consistent(lag: Lagrangian, r: Rockafellian, c: Coupling) -> None:
+def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
     if lag.decisions != r.decisions:
         raise DomainMismatchError(
             "couple check: Lagrangian and Rockafellian decision sets differ"
@@ -108,27 +114,31 @@ def _require_consistent(lag: Lagrangian, r: Rockafellian, c: Coupling) -> None:
         raise DomainMismatchError(
             "couple check: Lagrangian dual set differs from the coupling's"
         )
+    # the IEEE scans of item (i) equal approx_le only for a finite tol >= 0
+    if not 0.0 <= tol < _INF:
+        raise ValueError("tolerance must be finite and nonnegative")
+    if not all(d > 0.0 for d in deltas):
+        raise ValueError("probe deltas must be positive")
 
 
 def _inequality_witness(lag, r, c, tol) -> Witness | None:
-    neg_l = [[neg(v) for v in row] for row in lag.rows]
-    for iu, u in enumerate(r.decisions.labels):
-        r_row = r.rows[iu]
-        nl_row = neg_l[iu]
-        for ix, x in enumerate(r.primal.labels):
-            rv = r_row[ix]
-            c_row = c.rows[ix]
-            for iy, y in enumerate(lag.dual.labels):
-                lhs = upp_add(nl_row[iy], rv)
-                if not approx_le(c_row[iy], lhs, tol):
+    neg_l = [[-v for v in ieee(row)] for row in lag.rows]
+    for iu, (u, nl_row) in enumerate(zip(r.decisions.labels, neg_l)):
+        for ix, (x, rv) in enumerate(zip(r.primal.labels, ieee(r.rows[iu]))):
+            for cv, nl in zip(c.ieee_rows[ix], nl_row):
+                if cv - (nl + rv) > tol:
+                    break
+            else:
+                continue
+            # name the first failing y in ExtReal terms
+            for y, lv, cv in zip(lag.dual.labels, lag.rows[iu], c.rows[ix]):
+                lhs = upp_add(neg(lv), r.rows[iu][ix])
+                if not approx_le(cv, lhs, tol):
                     return Witness(
-                        item="i-inequality",
-                        u=u,
-                        x=x,
-                        y=y,
+                        item="i-inequality", u=u, x=x, y=y,
                         description=(
                             f"-L({u},{y}) upper-add R({u},{x}) = {lhs} "
-                            f"< c({x},{y}) = {c_row[iy]}"
+                            f"< c({x},{y}) = {cv}"
                         ),
                     )
     return None
@@ -138,7 +148,7 @@ def inequality_holds(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """-L(u,y) upper-add R(u,x) >= c(x,y) everywhere (tol slack on finites)."""
-    _require_consistent(lag, r, c)
+    _require_valid(lag, r, c, tol)
     return _inequality_witness(lag, r, c, tol) is None
 
 
@@ -174,7 +184,7 @@ def check_item_ii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """L equals the Lagrangian of R and R equals the Rockafellian of L."""
-    _require_consistent(lag, r, c)
+    _require_valid(lag, r, c, tol)
     return _item_ii_witness(lag, r, c, tol) is None
 
 
@@ -210,7 +220,7 @@ def check_item_iii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """Row-wise conjugate dual pair: -L_u = (R_u)^c and R_u = (-L_u)^{c'}."""
-    _require_consistent(lag, r, c)
+    _require_valid(lag, r, c, tol)
     return _item_iii_witness(lag, r, c, tol) is None
 
 
@@ -239,7 +249,7 @@ def check_item_iv(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """-L_u = (R_u)^c and every row of R is c-convex."""
-    _require_consistent(lag, r, c)
+    _require_valid(lag, r, c, tol)
     return _item_iv_witness(lag, r, c, tol) is None
 
 
@@ -271,7 +281,7 @@ def check_item_v(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """R_u = (-L_u)^{c'} and every -L_u is c'-convex."""
-    _require_consistent(lag, r, c)
+    _require_valid(lag, r, c, tol)
     return _item_v_witness(lag, r, c, tol) is None
 
 
@@ -287,20 +297,20 @@ def _probe_magnitude(lag, r, c) -> float:
     return max(10.0 * biggest, 1e6)
 
 
-def _lower_candidates(v: ExtReal, deltas, big: float) -> list[ExtReal]:
+def _lower_candidates(v: ExtReal, deltas, big: float) -> list[float]:
     if v.kind == _NEG:
         return []
     if v.kind == _POS:
-        return [ExtReal(big)]
-    return [ExtReal(v.value - d) for d in deltas] + [NEG_INF]
+        return [big]
+    return [v.value - d for d in deltas] + [-_INF]
 
 
-def _raise_candidates(v: ExtReal, deltas, big: float) -> list[ExtReal]:
+def _raise_candidates(v: ExtReal, deltas, big: float) -> list[float]:
     if v.kind == _POS:
         return []
     if v.kind == _NEG:
-        return [ExtReal(-big)]
-    return [ExtReal(v.value + d) for d in deltas] + [POS_INF]
+        return [-big]
+    return [v.value + d for d in deltas] + [_INF]
 
 
 def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
@@ -308,40 +318,39 @@ def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
     # entry's row/column slice; since the unperturbed inequality holds (the
     # caller checks it first), re-checking the slice is the full check.
     big = _probe_magnitude(lag, r, c)
-    neg_l = [[neg(v) for v in row] for row in lag.rows]
+    neg_l = [[-v for v in ieee(row)] for row in lag.rows]
     for iu, u in enumerate(r.decisions.labels):
         nl_row = neg_l[iu]
         for ix, x in enumerate(r.primal.labels):
             rv = r.rows[iu][ix]
-            c_row = c.rows[ix]
+            c_row = c.ieee_rows[ix]
             for cand in _lower_candidates(rv, deltas, big):
-                survives = all(
-                    approx_le(c_row[iy], upp_add(nl, cand), tol)
-                    for iy, nl in enumerate(nl_row)
-                )
-                if survives:
+                for cv, nl in zip(c_row, nl_row):
+                    if cv - (nl + cand) > tol:
+                        break
+                else:
                     return Witness(
                         item="i-minimality", u=u, x=x, y=None,
                         description=(
-                            f"R({u},{x}) = {rv} can drop to {cand} "
+                            f"R({u},{x}) = {rv} can drop to {ExtReal(cand)} "
                             f"with the inequality intact"
                         ),
                     )
     for iu, u in enumerate(lag.decisions.labels):
-        r_row = r.rows[iu]
+        r_row = ieee(r.rows[iu])
         for iy, y in enumerate(lag.dual.labels):
             lv = lag.rows[iu][iy]
+            c_col = c.ieee_cols[iy]
             for cand in _raise_candidates(lv, deltas, big):
-                ncand = neg(cand)
-                survives = all(
-                    approx_le(c.rows[ix][iy], upp_add(ncand, rv), tol)
-                    for ix, rv in enumerate(r_row)
-                )
-                if survives:
+                ncand = -cand
+                for cv, rv in zip(c_col, r_row):
+                    if cv - (ncand + rv) > tol:
+                        break
+                else:
                     return Witness(
                         item="i-minimality", u=u, x=None, y=y,
                         description=(
-                            f"L({u},{y}) = {lv} can rise to {cand} "
+                            f"L({u},{y}) = {lv} can rise to {ExtReal(cand)} "
                             f"with the inequality intact"
                         ),
                     )
@@ -364,10 +373,7 @@ def minimality_probe(
     every attempt breaks the inequality.  A True verdict is finite evidence
     of minimality, not a proof over the whole function space.
     """
-    _require_consistent(lag, r, c)
-    for d in deltas:
-        if d <= 0.0:
-            raise ValueError("probe deltas must be positive")
+    _require_valid(lag, r, c, tol, deltas)
     if _inequality_witness(lag, r, c, tol) is not None:
         return False
     return _probe_witness(lag, r, c, deltas, tol) is None
@@ -386,10 +392,7 @@ def audit(
     through (v) returned one common verdict; False there means the checker
     itself is inconsistent, not merely that the input fails to be a couple.
     """
-    _require_consistent(lag, r, c)
-    for d in deltas:
-        if d <= 0.0:
-            raise ValueError("probe deltas must be positive")
+    _require_valid(lag, r, c, tol, deltas)
     witnesses = []
 
     w_ineq = _inequality_witness(lag, r, c, tol)

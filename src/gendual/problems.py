@@ -26,6 +26,7 @@ __all__ = [
     "finite_number",
     "load_problem",
     "parse_problem",
+    "read_json",
     "save_problem",
     "serialize_problem",
 ]
@@ -77,6 +78,31 @@ def _reject_constant(token: str):
         f"JSON token {token!r} is not allowed; spell infinities as the "
         "strings \"inf\" / \"-inf\""
     )
+
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProblemFormatError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(text: str, source: str):
+    """``json.loads`` for input files; every failure is a ProblemFormatError
+    naming the source, a key given twice in one object included."""
+    try:
+        return json.loads(
+            text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+        )
+    except json.JSONDecodeError as exc:
+        msg = f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except ProblemFormatError as exc:
+        msg = str(exc)
+    except ValueError:  # int() refuses a literal beyond its digit limit
+        msg = "integer literal outside the double range"
+    raise ProblemFormatError(f"{source}: {msg}") from None
 
 
 def finite_number(raw, where: str) -> float:
@@ -164,12 +190,7 @@ def parse_problem(
 ) -> Problem:
     """Parse problem-file text; ``allow_both`` admits combined couple files
     that carry a Rockafellian and a Lagrangian at once."""
-    try:
-        raw = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    raw = read_json(text, source)
     if not isinstance(raw, dict):
         raise ProblemFormatError(f"{source}: top level must be an object")
     unknown = set(raw) - set(_TOP_KEYS)

@@ -296,3 +296,43 @@ def test_unrepresentable_numbers_exit_2(tmp_path, capsys, body, where):
     assert code == 2
     assert where in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command, problem", [
+    ("check-couple", "e1_couple.json"),
+    ("weak-duality", "e1.json"),
+])
+def test_tol_must_be_finite_and_nonnegative(problems_dir, capsys, command, problem, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(problems_dir / problem), f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"gendual {command}: error: argument --tol: must be finite and nonnegative"
+    ]
+
+
+LONG_INT = "1" * 5000  # beyond the default int() digit limit of 4300
+
+
+@pytest.mark.parametrize("site, body, message", [
+    ("problem", "{" + SETS_1X1 + ', "coupling": [[1.0]], "coupling": [[2.0]]}',
+     "duplicate key 'coupling'"),
+    ("function", '[1.0, {"k": 1, "k": 2}]', "duplicate key 'k'"),
+    ("problem", "{" + SETS_1X1 + ', "coupling": [[' + LONG_INT + "]]}",
+     "integer literal outside the double range"),
+    ("function", "[" + LONG_INT + ", 3]", "integer literal outside the double range"),
+], ids=["duplicate-key-problem", "duplicate-key-function",
+        "long-integer-problem", "long-integer-function"])
+def test_unreadable_json_exits_2_naming_the_file(
+    problems_dir, tmp_path, capsys, site, body, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    if site == "problem":
+        code, _, err = run_cli(capsys, "to-lagrangian", str(bad))
+    else:
+        code, _, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
+                               "--function", str(bad))
+    assert code == 2
+    assert err.splitlines() == [f"error: {bad}: {message}"]

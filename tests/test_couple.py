@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gendual import (
     Coupling,
@@ -9,16 +11,22 @@ from gendual import (
     FiniteSet,
     Lagrangian,
     Rockafellian,
+    SetFunction,
+    approx_le,
     audit,
     check_item_ii,
     check_item_iii,
     check_item_iv,
     check_item_v,
+    conjugate,
     inequality_holds,
     lagrangian_of,
     make_couple,
     minimality_probe,
+    neg,
     rockafellian_of,
+    upp_add,
+    young_check,
 )
 from gendual.couple import DEFAULT_DELTAS, _probe_magnitude
 
@@ -118,25 +126,59 @@ def test_probe_rejects_nonpositive_deltas(e1):
         minimality_probe(e1["L"], e1["R2"], e1["c"], deltas=(0.0,))
 
 
+@pytest.mark.parametrize("c_rows, r_rows, l_rows", [
+    # R(u,x1) has slack 1 against c; dropping it by 2 misses by exactly tol
+    ([[0.0], [0.0]], [[0.0, 1.0]], [[0.0]]),
+    # L(u,y1) has slack 1 against c; raising it by 2 misses by exactly tol
+    ([[0.0, 0.0]], [[0.0]], [[0.0, -1.0]]),
+], ids=["lower-R", "raise-L"])
+def test_probe_candidate_missing_by_exactly_tol_survives(c_rows, r_rows, l_rows):
+    X = [f"x{i}" for i in range(len(c_rows))]
+    Y = [f"y{i}" for i in range(len(c_rows[0]))]
+    c = Coupling(X, Y, c_rows)
+    r = Rockafellian(["u"], X, r_rows)
+    lag = Lagrangian(["u"], Y, l_rows)
+    assert not minimality_probe(lag, r, c, deltas=(2.0,), tol=1.0)
+    assert minimality_probe(lag, r, c, deltas=(2.0,), tol=0.5)
+
+
+def _literal_inequality_witness(lag, r, c, tol=1e-9):
+    """Reference inequality check: upp_add and approx_le on ExtReals for
+    every triple.  Returns the first failing (u, x, y, description)."""
+    for iu, u in enumerate(r.decisions.labels):
+        for ix, x in enumerate(r.primal.labels):
+            for iy, y in enumerate(lag.dual.labels):
+                lhs = upp_add(neg(lag.rows[iu][iy]), r.rows[iu][ix])
+                cv = c.rows[ix][iy]
+                if not approx_le(cv, lhs, tol):
+                    return u, x, y, (
+                        f"-L({u},{y}) upper-add R({u},{x}) = {lhs} < c({x},{y}) = {cv}"
+                    )
+    return None
+
+
 def _literal_probe(lag, r, c, deltas, tol=1e-9):
     """Reference probe: rebuild the whole table per candidate and re-run the
-    full inequality check, no slice shortcut."""
+    literal inequality check, no slice shortcut."""
     from gendual.couple import _lower_candidates, _raise_candidates
 
-    if not inequality_holds(lag, r, c, tol):
+    def holds(lag, r):
+        return _literal_inequality_witness(lag, r, c, tol) is None
+
+    if not holds(lag, r):
         return False
     big = _probe_magnitude(lag, r, c)
     for iu in range(len(r.decisions)):
         for ix in range(len(r.primal)):
             for cand in _lower_candidates(r.rows[iu][ix], deltas, big):
                 r_mod = replace(Rockafellian, r, r.decisions, r.primal, iu, ix, cand)
-                if inequality_holds(lag, r_mod, c, tol):
+                if holds(lag, r_mod):
                     return False
     for iu in range(len(lag.decisions)):
         for iy in range(len(lag.dual)):
             for cand in _raise_candidates(lag.rows[iu][iy], deltas, big):
                 l_mod = replace(Lagrangian, lag, lag.decisions, lag.dual, iu, iy, cand)
-                if inequality_holds(l_mod, r, c, tol):
+                if holds(l_mod, r):
                     return False
     return True
 
@@ -156,6 +198,75 @@ def test_probe_agrees_with_literal_reference():
             got = minimality_probe(pair[0], pair[1], c, DEFAULT_DELTAS)
             want = _literal_probe(pair[0], pair[1], c, DEFAULT_DELTAS)
             assert got == want
+
+
+# values where IEEE and Moreau arithmetic part ways: opposite infinities,
+# signed zeros, rounding at 1e-9 and overflow at the double range
+extreme_entry = st.sampled_from([
+    -INF, INF, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-9, -1e-9,
+    sys.float_info.max, -sys.float_info.max,
+])
+
+
+@st.composite
+def item_i_instance(draw):
+    """(L, R, c, tol, deltas): random L, the canonical couple of R, or the
+    canonical L with R itself, so that the inequality both holds and fails.
+    A delta equal to tol puts probe candidates on the boundary."""
+    nu, nx, ny = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+
+    def table(n, m):
+        return draw(st.lists(
+            st.lists(extreme_entry, min_size=m, max_size=m), min_size=n, max_size=n
+        ))
+
+    U = FiniteSet([f"u{i}" for i in range(nu)])
+    X = FiniteSet([f"x{i}" for i in range(nx)])
+    Y = FiniteSet([f"y{i}" for i in range(ny)])
+    c = Coupling(X, Y, table(nx, ny))
+    r = Rockafellian(U, X, table(nu, nx))
+    kind = draw(st.sampled_from(["random", "couple", "dominating"]))
+    if kind == "random":
+        lag = Lagrangian(U, Y, table(nu, ny))
+    else:
+        lag, r2 = make_couple(r, c)
+        if kind == "couple":
+            r = r2
+    tol = draw(st.sampled_from([0.0, 1e-9, 1.0]))
+    return lag, r, c, tol, draw(st.sampled_from([DEFAULT_DELTAS, (1.0,), (2.5,)]))
+
+
+@given(item_i_instance())
+@settings(max_examples=300)
+def test_item_i_matches_literal_extreal_loops(data):
+    lag, r, c, tol, deltas = data
+    want = _literal_inequality_witness(lag, r, c, tol)
+    assert inequality_holds(lag, r, c, tol) == (want is None)
+    a = audit(lag, r, c, deltas, tol)
+    got = next((w for w in a.witnesses if w.item == "i-inequality"), None)
+    assert want == (got and (got.u, got.x, got.y, got.description))
+    probe = _literal_probe(lag, r, c, deltas, tol)
+    assert minimality_probe(lag, r, c, deltas, tol) == probe
+    assert a.item_i_minimality_probe == probe
+    for row in r.rows:
+        f = SetFunction(r.primal, row)
+        fc = conjugate(f, c)
+        literal = all(
+            not upp_add(fx, gy) < cv
+            for fx, c_row in zip(f.values, c.rows)
+            for gy, cv in zip(fc.values, c_row)
+        )
+        assert young_check(f, c) == literal
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, INF])
+@pytest.mark.parametrize("check", [
+    audit, inequality_holds, minimality_probe,
+    check_item_ii, check_item_iii, check_item_iv, check_item_v,
+])
+def test_couple_checks_reject_bad_tolerance(e1, check, tol):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        check(e1["L"], e1["R2"], e1["c"], tol=tol)
 
 
 # --- audit and make_couple ------------------------------------------------------
