@@ -15,7 +15,7 @@ side).  Both conjugates are one-row products of the Moreau product kernel in
 from __future__ import annotations
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, ieee, sup_product
+from .extreal import DEFAULT_TOL, sup_product
 from .spaces import Coupling, SetFunction
 
 __all__ = [
@@ -34,8 +34,8 @@ def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
         raise DomainMismatchError(
             "conjugate: function domain differs from the coupling's primal set"
         )
-    neg_f = [-v.to_float() for v in f.values]
-    return SetFunction(c.dual, sup_product([neg_f], c.ieee_cols)[0])
+    neg_f = [-v for v in f.values]
+    return SetFunction(c.dual, sup_product([neg_f], c.float_cols)[0])
 
 
 def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
@@ -44,8 +44,8 @@ def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
         raise DomainMismatchError(
             "reverse_conjugate: function domain differs from the coupling's dual set"
         )
-    neg_g = [-v.to_float() for v in g.values]
-    return SetFunction(c.primal, sup_product([neg_g], c.ieee_rows)[0])
+    neg_g = [-v for v in g.values]
+    return SetFunction(c.primal, sup_product([neg_g], c.float_rows)[0])
 
 
 def biconjugate(f: SetFunction, c: Coupling) -> SetFunction:
@@ -71,10 +71,10 @@ def is_cprime_convex(g: SetFunction, c: Coupling, tol: float = DEFAULT_TOL) -> b
 def young_check(f: SetFunction, c: Coupling) -> bool:
     """Generalized Young inequality: f(x) upper-add f^c(y) >= c(x,y) for all
     pairs.  Holds for every input; exposed as a self-test of the sign and
-    infinity conventions.  Exact as ``c > f + f^c`` on IEEE images: the
+    infinity conventions.  Exact as ``c > f + f^c`` on doubles: the
     opposite-infinity sum is NaN there, and NaN, like +inf, is never below c."""
-    fc = ieee(conjugate(f, c).values)
-    for fx, c_row in zip(ieee(f.values), c.ieee_rows):
+    fc = list(map(float, conjugate(f, c).values))
+    for fx, c_row in zip(map(float, f.values), c.float_rows):
         for gy, cv in zip(fc, c_row):
             if cv > fx + gy:
                 return False

@@ -22,7 +22,7 @@ Items (ii) through (v) are exactly equivalent; the audit flags an internal
 alarm if their verdicts ever disagree.
 
 Item (i) does not use the product kernel of items (ii)-(v): it compares
-IEEE images once per triple.  For a finite tol >= 0, ``c <= a upper-add b``
+doubles once per triple.  For a finite tol >= 0, ``c <= a upper-add b``
 within tol fails exactly when ``c - (a + b) > tol``, because the two cases
 that give NaN never compare greater: the opposite-infinity sum, which the
 upper addition sends to +inf, and the difference of equal infinities.
@@ -30,6 +30,7 @@ upper addition sends to +inf, and the difference of equal infinities.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError
@@ -38,7 +39,6 @@ from .extreal import (
     ExtReal,
     approx_eq,
     approx_le,
-    ieee,
     neg,
     upp_add,
 )
@@ -68,7 +68,6 @@ __all__ = [
 
 DEFAULT_DELTAS = (1e-3, 1.0)
 
-_NEG, _FIN, _POS = -1, 0, 1
 _INF = float("inf")
 
 
@@ -114,7 +113,7 @@ def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
         raise DomainMismatchError(
             "couple check: Lagrangian dual set differs from the coupling's"
         )
-    # the IEEE scans of item (i) equal approx_le only for a finite tol >= 0
+    # the float scans of item (i) equal approx_le only for a finite tol >= 0
     if not 0.0 <= tol < _INF:
         raise ValueError("tolerance must be finite and nonnegative")
     if not all(d > 0.0 for d in deltas):
@@ -122,10 +121,10 @@ def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
 
 
 def _inequality_witness(lag, r, c, tol) -> Witness | None:
-    neg_l = [[-v for v in ieee(row)] for row in lag.rows]
+    neg_l = [[-v for v in row] for row in lag.rows]
     for iu, (u, nl_row) in enumerate(zip(r.decisions.labels, neg_l)):
-        for ix, (x, rv) in enumerate(zip(r.primal.labels, ieee(r.rows[iu]))):
-            for cv, nl in zip(c.ieee_rows[ix], nl_row):
+        for ix, (x, rv) in enumerate(zip(r.primal.labels, map(float, r.rows[iu]))):
+            for cv, nl in zip(c.float_rows[ix], nl_row):
                 if cv - (nl + rv) > tol:
                     break
             else:
@@ -287,30 +286,31 @@ def check_item_v(
 
 def _probe_magnitude(lag, r, c) -> float:
     """Replacement magnitude for probing infinite entries: well beyond every
-    finite value present in the instance."""
+    finite value present in the instance, and capped at the largest double
+    so that it stays finite."""
     biggest = 0.0
     for table in (lag, r, c):
         for row in table.rows:
             for v in row:
-                if v.kind == _FIN and abs(v.value) > biggest:
-                    biggest = abs(v.value)
-    return max(10.0 * biggest, 1e6)
+                if biggest < abs(v) < _INF:
+                    biggest = abs(v)
+    return min(max(10.0 * biggest, 1e6), sys.float_info.max)
 
 
 def _lower_candidates(v: ExtReal, deltas, big: float) -> list[float]:
-    if v.kind == _NEG:
+    if v == -_INF:
         return []
-    if v.kind == _POS:
+    if v == _INF:
         return [big]
-    return [v.value - d for d in deltas] + [-_INF]
+    return [v - d for d in deltas] + [-_INF]
 
 
 def _raise_candidates(v: ExtReal, deltas, big: float) -> list[float]:
-    if v.kind == _POS:
+    if v == _INF:
         return []
-    if v.kind == _NEG:
+    if v == -_INF:
         return [-big]
-    return [v.value + d for d in deltas] + [_INF]
+    return [v + d for d in deltas] + [_INF]
 
 
 def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
@@ -318,12 +318,12 @@ def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
     # entry's row/column slice; since the unperturbed inequality holds (the
     # caller checks it first), re-checking the slice is the full check.
     big = _probe_magnitude(lag, r, c)
-    neg_l = [[-v for v in ieee(row)] for row in lag.rows]
+    neg_l = [[-v for v in row] for row in lag.rows]
     for iu, u in enumerate(r.decisions.labels):
         nl_row = neg_l[iu]
         for ix, x in enumerate(r.primal.labels):
             rv = r.rows[iu][ix]
-            c_row = c.ieee_rows[ix]
+            c_row = c.float_rows[ix]
             for cand in _lower_candidates(rv, deltas, big):
                 for cv, nl in zip(c_row, nl_row):
                     if cv - (nl + cand) > tol:
@@ -337,10 +337,10 @@ def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
                         ),
                     )
     for iu, u in enumerate(lag.decisions.labels):
-        r_row = ieee(r.rows[iu])
+        r_row = list(map(float, r.rows[iu]))
         for iy, y in enumerate(lag.dual.labels):
             lv = lag.rows[iu][iy]
-            c_col = c.ieee_cols[iy]
+            c_col = c.float_cols[iy]
             for cand in _raise_candidates(lv, deltas, big):
                 ncand = -cand
                 for cv, rv in zip(c_col, r_row):

@@ -34,7 +34,6 @@ from .extreal import (
     ExtReal,
     approx_eq,
     approx_le,
-    ieee,
     inf_product,
     sup_product,
 )
@@ -55,8 +54,8 @@ def lagrangian_of(r: Rockafellian, c: Coupling) -> Lagrangian:
         raise DomainMismatchError(
             "lagrangian_of: Rockafellian primal set differs from the coupling's"
         )
-    neg_cols = [[-v for v in col] for col in c.ieee_cols]
-    rows = inf_product(map(ieee, r.rows), neg_cols)
+    neg_cols = [[-v for v in col] for col in c.float_cols]
+    rows = inf_product(r.rows, neg_cols)
     return Lagrangian(r.decisions, c.dual, rows)
 
 
@@ -66,7 +65,7 @@ def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
         raise DomainMismatchError(
             "rockafellian_of: Lagrangian dual set differs from the coupling's"
         )
-    rows = sup_product(map(ieee, lag.rows), c.ieee_rows)
+    rows = sup_product(lag.rows, c.float_rows)
     return Rockafellian(lag.decisions, c.primal, rows)
 
 
@@ -115,7 +114,7 @@ def weak_duality_report(
     ix = c.primal.index(base_point)
     phi = perturbation_function(r)
     psi = dual_function(lagrangian_of(r, c))
-    dual = sup_product([ieee(psi.values)], [c.ieee_rows[ix]])[0][0]
+    dual = sup_product([psi.values], [c.float_rows[ix]])[0][0]
     primal = phi.values[ix]
     if not approx_le(dual, primal, tol):
         raise ArithmeticError(
@@ -124,7 +123,7 @@ def weak_duality_report(
     tight = approx_eq(dual, primal, tol)
     gap = None
     if primal.is_finite and dual.is_finite:
-        gap = ExtReal(max(primal.value - dual.value, 0.0))
+        gap = ExtReal(max(primal - dual, 0.0))
     return WeakDualityReport(
         base_point=base_point,
         primal_value=primal,

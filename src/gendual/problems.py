@@ -117,7 +117,7 @@ def finite_number(raw, where: str) -> float:
     raise ProblemFormatError(f"{where}: number outside the double range")
 
 
-def _entry(raw, where: str) -> ExtReal:
+def _entry(raw, where: str) -> float:
     if isinstance(raw, str):
         if raw == "inf":
             return POS_INF
@@ -130,10 +130,10 @@ def _entry(raw, where: str) -> ExtReal:
         raise ProblemFormatError(
             f"{where}: invalid entry {raw!r} (only numbers or \"inf\"/\"-inf\")"
         )
-    return ExtReal(finite_number(raw, where))
+    return finite_number(raw, where)
 
 
-def _table(raw, name: str, n_rows: int, n_cols: int) -> list[list[ExtReal]]:
+def _table(raw, name: str, n_rows: int, n_cols: int) -> list[list[float]]:
     if not isinstance(raw, list) or len(raw) != n_rows:
         raise ProblemFormatError(f"{name}: expected {n_rows} rows")
     rows = []
@@ -288,7 +288,7 @@ def load_problem(path, allow_both: bool = False) -> Problem:
 
 def extreal_to_jsonable(v: ExtReal):
     """JSON image of one entry: a float, or the strings "inf"/"-inf"."""
-    return v.value if v.is_finite else render_extreal(v)
+    return float(v) if math.isfinite(v) else render_extreal(v)
 
 
 def _table_to_jsonable(table) -> list[list]:

@@ -13,7 +13,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, UnknownLabelError
-from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, ieee, neg
+from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, neg
 
 __all__ = [
     "Coupling",
@@ -71,10 +71,6 @@ class FiniteSet:
             return NotImplemented
         return self.labels == other.labels
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(self.labels)
 
@@ -93,7 +89,7 @@ class SetFunction:
 
     def __init__(self, domain, values: Sequence):
         domain = _as_set(domain)
-        values = tuple(as_extreal(v) for v in values)
+        values = tuple(map(as_extreal, values))
         if len(values) != len(domain):
             raise ValueError(
                 f"expected {len(domain)} values for domain "
@@ -125,10 +121,6 @@ class SetFunction:
             return NotImplemented
         return self.domain == other.domain and self.values == other.values
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.domain, self.values))
 
@@ -159,7 +151,7 @@ class _Table:
     def __init__(self, row_set, col_set, entries: Sequence[Sequence]):
         row_set = _as_set(row_set)
         col_set = _as_set(col_set)
-        rows = tuple(tuple(as_extreal(v) for v in row) for row in entries)
+        rows = tuple(tuple(map(as_extreal, row)) for row in entries)
         if len(rows) != len(row_set):
             raise ValueError(
                 f"expected {len(row_set)} rows, got {len(rows)}"
@@ -196,10 +188,6 @@ class _Table:
             and self.rows == other.rows
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((type(self).__name__, self.row_set, self.col_set, self.rows))
 
@@ -211,13 +199,15 @@ class _Table:
 
 
 class Coupling(_Table):
-    """Pairing table c over primal x dual; entries may be +/-inf.  The IEEE
-    images of its rows and columns are built once, for the product kernel."""
+    """Pairing table c over primal x dual; entries may be +/-inf.  Its rows
+    and columns are also kept as plain floats, built once: the product
+    kernel and the triple scans of the audit read them, and CPython's fast
+    paths for float arithmetic and comparison apply only to exact floats."""
 
     def __init__(self, primal, dual, entries):
         super().__init__(primal, dual, entries)
-        self.ieee_rows = tuple(tuple(ieee(row)) for row in self.rows)
-        self.ieee_cols = tuple(zip(*self.ieee_rows))
+        self.float_rows = tuple(tuple(map(float, row)) for row in self.rows)
+        self.float_cols = tuple(zip(*self.float_rows))
 
     @property
     def primal(self) -> FiniteSet:

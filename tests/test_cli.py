@@ -65,6 +65,13 @@ def test_conjugate_function_file_beyond_double_range_exits_2(
     assert "function entry 0" in err
 
 
+def test_conjugate_inline_beyond_double_range_exits_2(problems_dir, capsys):
+    code, _, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
+                           "--function", "1e400,0")
+    assert code == 2
+    assert "function entry 0" in err
+
+
 def test_conjugate_wrong_length_exits_3(problems_dir, capsys):
     code, _, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
                            "--function", "1,2,3")

@@ -259,6 +259,18 @@ def test_item_i_matches_literal_extreal_loops(data):
         assert young_check(f, c) == literal
 
 
+def test_probe_magnitude_stays_finite_near_the_double_range():
+    # 10 x DBL_MAX would overflow, and +inf "dropping to" +inf changes nothing
+    X, Y = FiniteSet(["x0"]), FiniteSet(["y0"])
+    c = Coupling(X, Y, [[sys.float_info.max]])
+    lag, r = make_couple(Rockafellian(["u0"], X, [[INF]]), c)
+    assert _probe_magnitude(lag, r, c) == sys.float_info.max
+    assert minimality_probe(lag, r, c)
+    a = audit(lag, r, c)
+    assert a.is_couple and a.item_i_minimality_probe
+    assert not any(w.item == "i-minimality" for w in a.witnesses)
+
+
 @pytest.mark.parametrize("tol", [-1.0, math.nan, INF])
 @pytest.mark.parametrize("check", [
     audit, inequality_holds, minimality_probe,

@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gendual.extreal import (
     ExtReal,
@@ -48,12 +49,17 @@ UPP_TABLE = [
 ]
 
 
-@pytest.mark.parametrize("a,b,want", LOW_TABLE)
+# ExtReal is a float, so pytest would name cases by their values; these
+# keep the index-based names the cases have always had.
+TABLE_IDS = [f"a{i}-b{i}-want{i}" for i in range(9)]
+
+
+@pytest.mark.parametrize("a,b,want", LOW_TABLE, ids=TABLE_IDS)
 def test_low_add_table(a, b, want):
     assert low_add(a, b) == want
 
 
-@pytest.mark.parametrize("a,b,want", UPP_TABLE)
+@pytest.mark.parametrize("a,b,want", UPP_TABLE, ids=TABLE_IDS)
 def test_upp_add_table(a, b, want):
     assert upp_add(a, b) == want
 
@@ -131,22 +137,27 @@ def test_as_extreal():
         as_extreal("3")
 
 
+PARSE_CASES = [
+    ("inf", POS_INF),
+    ("-inf", NEG_INF),
+    ("0", ExtReal(0.0)),
+    ("-4.5", ExtReal(-4.5)),
+    ("1e3", ExtReal(1000.0)),
+    ("+.5", ExtReal(0.5)),
+]
+
+
 @pytest.mark.parametrize(
-    "text,want",
-    [
-        ("inf", POS_INF),
-        ("-inf", NEG_INF),
-        ("0", ExtReal(0.0)),
-        ("-4.5", ExtReal(-4.5)),
-        ("1e3", ExtReal(1000.0)),
-        ("+.5", ExtReal(0.5)),
-    ],
+    "text,want", PARSE_CASES,
+    ids=[f"{text}-want{i}" for i, (text, _) in enumerate(PARSE_CASES)],
 )
 def test_parse_accepts(text, want):
     assert parse_extreal(text) == want
 
 
-@pytest.mark.parametrize("text", ["Inf", "INF", "+inf", "nan", "NaN", "1_000", "0x1p3", "", " 1"])
+@pytest.mark.parametrize(
+    "text", ["Inf", "INF", "+inf", "nan", "NaN", "1_000", "0x1p3", "", " 1", "1e400", "-1e400"]
+)
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_extreal(text)
@@ -205,3 +216,91 @@ def test_low_add_below_upp_add(a, b):
     assert lo <= up
     opposite = {a.kind, b.kind} == {-1, 1}
     assert (lo != up) == opposite
+
+
+# --- reference: the (kind, value) tag rules -----------------------------------
+#
+# An extended real as a tag kind in {-1, 0, 1} (for -inf, finite, +inf) and a
+# value that is meaningful only when the kind is finite.  The scalar layer
+# must agree with these rules whatever its representation.
+
+def _tag(x: float):
+    if x == math.inf:
+        return 1, 0.0
+    if x == -math.inf:
+        return -1, 0.0
+    return 0, x
+
+
+def _ref_add(a, b, clash):
+    (ka, va), (kb, vb) = a, b
+    if ka == 0 and kb == 0:
+        return _tag(va + vb)  # an overflowing finite sum lands on the tag
+    if ka == 0:
+        return b
+    if kb == 0 or ka == kb:
+        return a
+    return clash, 0.0
+
+
+def _ref_neg(a):
+    k, v = a
+    return (0, -v) if k == 0 else (-k, 0.0)
+
+
+def _ref_lt(a, b):
+    return a[0] < b[0] or (a[0] == b[0] and a[1] < b[1])
+
+
+def _ref_eq(a, b):
+    return a[0] == b[0] and a[1] == b[1]
+
+
+def _ref_approx_eq(a, b, tol):
+    if a[0] != b[0]:
+        return False
+    return a[0] != 0 or abs(a[1] - b[1]) <= tol
+
+
+def _ref_approx_le(a, b, tol):
+    if a[0] == 0 and b[0] == 0:
+        return a[1] - b[1] <= tol
+    return a[0] <= b[0]
+
+
+def _ref_render(a):
+    return {1: "inf", -1: "-inf"}.get(a[0]) or repr(a[1])
+
+
+def _as_tag(r):
+    """The tag of a result, with the sign of a zero kept visible."""
+    assert isinstance(r, ExtReal)
+    return r.kind, repr(r.value)
+
+
+def _shown(t):
+    return t[0], repr(t[1])
+
+
+DBL_MAX = sys.float_info.max
+scalar = st.sampled_from([
+    s * v for v in (math.inf, 0.0, 5e-324, 1.0, 2.5, 1e308, DBL_MAX) for s in (1, -1)
+])
+
+
+@given(scalar, scalar, st.sampled_from([0.0, 1e-9, 1.0, math.inf]))
+@example(math.inf, 1.0, math.inf)
+@example(math.inf, math.inf, 0.0)
+@example(DBL_MAX, -DBL_MAX, math.inf)
+@settings(max_examples=500)
+def test_scalar_layer_matches_tag_reference(x, y, tol):
+    a, b = ExtReal(x), ExtReal(y)
+    ta, tb = _tag(x), _tag(y)
+    assert _as_tag(low_add(a, b)) == _shown(_ref_add(ta, tb, -1))
+    assert _as_tag(upp_add(a, b)) == _shown(_ref_add(ta, tb, 1))
+    assert _as_tag(neg(a)) == _shown(_ref_neg(ta))
+    assert (a < b) == _ref_lt(ta, tb)
+    assert (a == b) == _ref_eq(ta, tb)
+    assert approx_eq(a, b, tol) == _ref_approx_eq(ta, tb, tol)
+    assert approx_le(a, b, tol) == _ref_approx_le(ta, tb, tol)
+    assert render_extreal(a) == _ref_render(ta)

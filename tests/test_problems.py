@@ -1,3 +1,4 @@
+import importlib.util
 import json
 
 import pytest
@@ -169,3 +170,16 @@ def test_require_helpers(problems_dir):
     assert p.require_rockafellian() is p.rockafellian
     with pytest.raises(MissingTableError):
         p.require_lagrangian()
+
+
+def test_make_gallery_reproduces_problems_dir(problems_dir, tmp_path, monkeypatch):
+    script = problems_dir.parent / "tools" / "make_gallery.py"
+    spec = importlib.util.spec_from_file_location("make_gallery", script)
+    make_gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_gallery)
+    monkeypatch.setattr(make_gallery, "OUT", tmp_path)
+    make_gallery.main()
+    want = sorted(p.name for p in problems_dir.glob("*.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == want
+    for name in want:
+        assert (tmp_path / name).read_bytes() == (problems_dir / name).read_bytes(), name
