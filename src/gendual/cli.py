@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import (
@@ -28,7 +30,6 @@ from .conjugacy import conjugate, reverse_conjugate
 from .duality import lagrangian_of, rockafellian_of, weak_duality_report
 from .couple import DEFAULT_DELTAS, audit
 from .problems import (
-    Problem,
     extreal_to_jsonable,
     finite_number,
     load_problem,
@@ -210,13 +211,11 @@ def _render_matrix(row_labels, col_labels, rows, fmt: str) -> str:
 
 
 def _render_pairs(pairs, fmt: str) -> str:
-    """pairs: (clean key, display text, machine value) triples."""
+    """pairs: (key, display text) for the text and csv formats."""
     if fmt == "csv":
-        return "\n".join(f"{k},{v}" for k, v, _ in pairs) + "\n"
-    if fmt == "structured":
-        return json.dumps({k: raw for k, _, raw in pairs}, indent=2) + "\n"
-    width = max(len(k) for k, _, _ in pairs) + 1
-    return "".join(f"{k + ':':<{width}}  {v}\n" for k, v, _ in pairs)
+        return "\n".join(f"{k},{v}" for k, v in pairs) + "\n"
+    width = max(len(k) for k, _ in pairs) + 1
+    return "".join(f"{k + ':':<{width}}  {v}\n" for k, v in pairs)
 
 
 def _yesno(flag: bool) -> str:
@@ -227,9 +226,10 @@ def _yesno(flag: bool) -> str:
 # commands
 
 def _load_function(spec: str, domain, what: str) -> SetFunction:
-    path = Path(spec)
-    if path.is_file():
-        items = read_json(path.read_text(encoding="utf-8"), spec)
+    # os.path.isfile is False, not an error, for an inline list too long
+    # to be a file name
+    if os.path.isfile(spec):
+        items = read_json(Path(spec).read_text(encoding="utf-8"), spec)
         if not isinstance(items, list):
             raise ProblemFormatError(f"{spec}: expected a JSON array of entries")
     else:
@@ -277,7 +277,7 @@ def cmd_to_lagrangian(args) -> int:
         _render_matrix(lag.decisions.labels, lag.dual.labels, lag.rows, args.format)
     )
     if args.output:
-        save_problem(_derived_problem(problem, lagrangian=lag), args.output)
+        save_problem(replace(problem, rockafellian=None, lagrangian=lag), args.output)
     return EXIT_OK
 
 
@@ -289,22 +289,8 @@ def cmd_to_rockafellian(args) -> int:
         _render_matrix(r.decisions.labels, r.primal.labels, r.rows, args.format)
     )
     if args.output:
-        save_problem(_derived_problem(problem, rockafellian=r), args.output)
+        save_problem(replace(problem, rockafellian=r, lagrangian=None), args.output)
     return EXIT_OK
-
-
-def _derived_problem(problem: Problem, rockafellian=None, lagrangian=None) -> Problem:
-    return Problem(
-        decisions=problem.decisions,
-        primal=problem.primal,
-        dual=problem.dual,
-        coupling=problem.coupling,
-        rockafellian=rockafellian,
-        lagrangian=lagrangian,
-        base_point=problem.base_point,
-        comment=problem.comment,
-        embedding=problem.embedding,
-    )
 
 
 def cmd_check_couple(args) -> int:
@@ -329,38 +315,22 @@ def cmd_check_couple(args) -> int:
             raise DomainMismatchError("the two problem files carry different couplings")
 
     result = audit(lag, r, c, deltas=args.deltas, tol=args.tol)
-    verdict = "couple" if result.is_couple else "not a couple"
-    pairs = [
-        ("inequality (-L upper-add R >= c)", _yesno(result.item_i_inequality),
-         result.item_i_inequality),
-        ("minimality probe", _yesno(result.item_i_minimality_probe),
-         result.item_i_minimality_probe),
-        ("item (ii) transform equations", _yesno(result.item_ii), result.item_ii),
-        ("item (iii) conjugate dual pair", _yesno(result.item_iii), result.item_iii),
-        ("item (iv) rows of R c-convex", _yesno(result.item_iv), result.item_iv),
-        ("item (v) rows of -L c'-convex", _yesno(result.item_v), result.item_v),
-        ("items (ii)-(v) agree", _yesno(result.items_agree), result.items_agree),
-        ("verdict", verdict, verdict),
-    ]
     if args.format == "structured":
-        payload = {
-            "item_i_inequality": result.item_i_inequality,
-            "item_i_minimality_probe": result.item_i_minimality_probe,
-            "item_ii": result.item_ii,
-            "item_iii": result.item_iii,
-            "item_iv": result.item_iv,
-            "item_v": result.item_v,
-            "items_agree": result.items_agree,
-            "is_couple": result.is_couple,
-            "witnesses": [
-                {"item": w.item, "u": w.u, "x": w.x, "y": w.y,
-                 "description": w.description}
-                for w in result.witnesses
-            ],
-        }
+        payload = asdict(result)
+        payload["is_couple"] = result.is_couple
+        payload["witnesses"] = payload.pop("witnesses")  # after is_couple
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(_render_pairs(pairs, args.format))
+        sys.stdout.write(_render_pairs([
+            ("inequality (-L upper-add R >= c)", _yesno(result.item_i_inequality)),
+            ("minimality probe", _yesno(result.item_i_minimality_probe)),
+            ("item (ii) transform equations", _yesno(result.item_ii)),
+            ("item (iii) conjugate dual pair", _yesno(result.item_iii)),
+            ("item (iv) rows of R c-convex", _yesno(result.item_iv)),
+            ("item (v) rows of -L c'-convex", _yesno(result.item_v)),
+            ("items (ii)-(v) agree", _yesno(result.items_agree)),
+            ("verdict", "couple" if result.is_couple else "not a couple"),
+        ], args.format))
         for w in result.witnesses:
             sys.stdout.write(f"witness [{w.item}] {w.description}\n")
     if not result.items_agree:
@@ -373,23 +343,21 @@ def cmd_weak_duality(args) -> int:
     r = problem.require_rockafellian()
     base = args.base_point or problem.base_point or problem.primal.labels[0]
     report = weak_duality_report(r, problem.coupling, base, tol=args.tol)
-    pairs = [
-        ("base point", report.base_point, report.base_point),
-        ("primal value", render_extreal(report.primal_value),
-         extreal_to_jsonable(report.primal_value)),
-        ("dual value", render_extreal(report.dual_value),
-         extreal_to_jsonable(report.dual_value)),
-        ("tight", _yesno(report.tight), report.tight),
-        ("gap",
-         render_extreal(report.gap) if report.gap is not None else "n/a",
-         extreal_to_jsonable(report.gap) if report.gap is not None else None),
-    ]
     if args.format == "structured":
-        keys = ("base_point", "primal_value", "dual_value", "tight", "gap")
-        payload = {k: raw for k, (_, _, raw) in zip(keys, pairs)}
+        payload = {
+            k: extreal_to_jsonable(v) if isinstance(v, float) else v
+            for k, v in asdict(report).items()
+        }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(_render_pairs(pairs, args.format))
+        gap = report.gap
+        sys.stdout.write(_render_pairs([
+            ("base point", report.base_point),
+            ("primal value", render_extreal(report.primal_value)),
+            ("dual value", render_extreal(report.dual_value)),
+            ("tight", _yesno(report.tight)),
+            ("gap", render_extreal(gap) if gap is not None else "n/a"),
+        ], args.format))
     return EXIT_OK
 
 

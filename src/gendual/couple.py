@@ -6,20 +6,26 @@ the pairs satisfying the generalized Young inequality
     -L(u, y)  upper-add  R(u, x)  >=  c(x, y)      for all (u, x, y).
 
 Minimality over the full function space cannot be enumerated, so the audit
-approaches it from five sides, each implemented independently so their
-agreement is itself a checkable claim:
+approaches it from five sides.  Each item computes its own transforms and
+conjugates, so that their agreement is itself a checkable claim:
 
   (i)   the inequality above, plus a finite falsification probe that lowers
         single entries of R (and raises single entries of L) and verifies
         the inequality breaks every time;
   (ii)  L is the Lagrangian of R and R is the Rockafellian of L (the two
         inf/sup transform equations);
-  (iii) row-wise conjugate duality: -L_u = (R_u)^c and R_u = (-L_u)^{c'};
-  (iv)  -L_u = (R_u)^c and every row R_u is c-convex;
-  (v)   R_u = (-L_u)^{c'} and every -L_u is c'-convex.
+  (iii) row-wise conjugate duality: E1 and E2 below;
+  (iv)  E1, and every row R_u is c-convex (E3);
+  (v)   E2, and every -L_u is c'-convex (E4);
 
-Items (ii) through (v) are exactly equivalent; the audit flags an internal
-alarm if their verdicts ever disagree.
+where, for every decision u,
+
+  E1: -L_u = (R_u)^c             E2: R_u = (-L_u)^{c'}
+  E3:  R_u = (R_u)^{cc'}         E4: -L_u = (-L_u)^{c'c}.
+
+Items (ii) through (v) share one mismatch scan, which names the first entry
+where two rows differ.  They are exactly equivalent; the audit flags an
+internal alarm if their verdicts ever disagree.
 
 Item (i) does not use the product kernel of items (ii)-(v): it compares
 doubles once per triple.  For a finite tol >= 0, ``c <= a upper-add b``
@@ -151,137 +157,102 @@ def inequality_holds(
     return _inequality_witness(lag, r, c, tol) is None
 
 
-def _item_ii_witness(lag, r, c, tol) -> Witness | None:
-    from_r = lagrangian_of(r, c)
-    for iu, u in enumerate(lag.decisions.labels):
-        for iy, y in enumerate(lag.dual.labels):
-            have, want = lag.rows[iu][iy], from_r.rows[iu][iy]
-            if not approx_eq(have, want, tol):
-                return Witness(
-                    item="ii",
-                    u=u,
-                    x=None,
-                    y=y,
-                    description=f"L({u},{y}) = {have} but the inf-transform gives {want}",
-                )
-    from_l = rockafellian_of(lag, c)
-    for iu, u in enumerate(r.decisions.labels):
-        for ix, x in enumerate(r.primal.labels):
-            have, want = r.rows[iu][ix], from_l.rows[iu][ix]
-            if not approx_eq(have, want, tol):
-                return Witness(
-                    item="ii",
-                    u=u,
-                    x=x,
-                    y=None,
-                    description=f"R({u},{x}) = {have} but the sup-transform gives {want}",
-                )
+def _witness(item, u, side, lab, description) -> Witness:
+    """Witness naming ``lab`` as a label of X (side "x") or of Y (side "y");
+    the side is given, not inferred, because X and Y may share labels."""
+    if side == "x":
+        return Witness(item, u, lab, None, description)
+    return Witness(item, u, None, lab, description)
+
+
+def _mismatch(item, u, side, labels, have, want, tol, text) -> Witness | None:
+    """Witness at the first label where the row ``have`` differs from the row
+    ``want``, or None."""
+    for lab, a, b in zip(labels, have, want):
+        if not approx_eq(a, b, tol):
+            return _witness(item, u, side, lab, text.format(u=u, lab=lab, a=a, b=b))
     return None
+
+
+def _item_ii_witness(lag, r, c, tol) -> Witness | None:
+    # all of L against the inf-transform of R, then all of R against the
+    # sup-transform of L, which is computed only once L has passed
+    for side, have, make_want, text in (
+        ("y", lag, lambda: lagrangian_of(r, c),
+         "L({u},{lab}) = {a} but the inf-transform gives {b}"),
+        ("x", r, lambda: rockafellian_of(lag, c),
+         "R({u},{lab}) = {a} but the sup-transform gives {b}"),
+    ):
+        want = make_want()
+        for u, have_row, want_row in zip(have.decisions.labels, have.rows, want.rows):
+            w = _mismatch("ii", u, side, have.col_set.labels, have_row, want_row, tol, text)
+            if w is not None:
+                return w
+    return None
+
+
+# The row equations E1-E4 of items (iii)-(v), each stated once: the side of
+# the row's labels, the row and the row it must equal (from -L_u, R_u and
+# c), and the witness text.
+_E1 = ("y", lambda nl, r, c: (nl, conjugate(r, c)),
+       "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
+_E2 = ("x", lambda nl, r, c: (r, reverse_conjugate(nl, c)),
+       "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
+_E3 = ("x", lambda nl, r, c: (r, biconjugate(r, c)),
+       "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}")
+_E4 = ("y", lambda nl, r, c: (nl, reverse_biconjugate(nl, c)),
+       "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}")
+_ROW_EQUATIONS = {"iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
+
+
+def _item_witness(item, lag, r, c, tol) -> Witness | None:
+    """First witness against item (ii), (iii), (iv) or (v).  Each item
+    computes its own conjugates: their agreement is the check."""
+    if item == "ii":
+        return _item_ii_witness(lag, r, c, tol)
+    for u in lag.decisions.labels:
+        neg_lu = partial_lagrangian(lag, u).negated()
+        r_u = partial_rockafellian(r, u)
+        for side, rows, text in _ROW_EQUATIONS[item]:
+            have, want = rows(neg_lu, r_u, c)
+            w = _mismatch(item, u, side, have.domain.labels, have.values, want.values,
+                          tol, text)
+            if w is not None:
+                return w
+    return None
+
+
+def _holds(item, lag, r, c, tol) -> bool:
+    _require_valid(lag, r, c, tol)
+    return _item_witness(item, lag, r, c, tol) is None
 
 
 def check_item_ii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """L equals the Lagrangian of R and R equals the Rockafellian of L."""
-    _require_valid(lag, r, c, tol)
-    return _item_ii_witness(lag, r, c, tol) is None
-
-
-def _first_mismatch(f, g, tol):
-    for lab, a, b in zip(f.domain.labels, f.values, g.values):
-        if not approx_eq(a, b, tol):
-            return lab, a, b
-    return None
-
-
-def _item_iii_witness(lag, r, c, tol) -> Witness | None:
-    for u in lag.decisions.labels:
-        neg_lu = partial_lagrangian(lag, u).negated()
-        r_u = partial_rockafellian(r, u)
-        bad = _first_mismatch(neg_lu, conjugate(r_u, c), tol)
-        if bad is not None:
-            y, a, b = bad
-            return Witness(
-                item="iii", u=u, x=None, y=y,
-                description=f"-L({u},{y}) = {a} but (R_u)^c({y}) = {b}",
-            )
-        bad = _first_mismatch(r_u, reverse_conjugate(neg_lu, c), tol)
-        if bad is not None:
-            x, a, b = bad
-            return Witness(
-                item="iii", u=u, x=x, y=None,
-                description=f"R({u},{x}) = {a} but (-L_u)^c'({x}) = {b}",
-            )
-    return None
+    return _holds("ii", lag, r, c, tol)
 
 
 def check_item_iii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """Row-wise conjugate dual pair: -L_u = (R_u)^c and R_u = (-L_u)^{c'}."""
-    _require_valid(lag, r, c, tol)
-    return _item_iii_witness(lag, r, c, tol) is None
-
-
-def _item_iv_witness(lag, r, c, tol) -> Witness | None:
-    for u in lag.decisions.labels:
-        neg_lu = partial_lagrangian(lag, u).negated()
-        r_u = partial_rockafellian(r, u)
-        bad = _first_mismatch(neg_lu, conjugate(r_u, c), tol)
-        if bad is not None:
-            y, a, b = bad
-            return Witness(
-                item="iv", u=u, x=None, y=y,
-                description=f"-L({u},{y}) = {a} but (R_u)^c({y}) = {b}",
-            )
-        bad = _first_mismatch(r_u, biconjugate(r_u, c), tol)
-        if bad is not None:
-            x, a, b = bad
-            return Witness(
-                item="iv", u=u, x=x, y=None,
-                description=f"R({u},{x}) = {a} is not c-convex: biconjugate gives {b}",
-            )
-    return None
+    return _holds("iii", lag, r, c, tol)
 
 
 def check_item_iv(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """-L_u = (R_u)^c and every row of R is c-convex."""
-    _require_valid(lag, r, c, tol)
-    return _item_iv_witness(lag, r, c, tol) is None
-
-
-def _item_v_witness(lag, r, c, tol) -> Witness | None:
-    for u in lag.decisions.labels:
-        neg_lu = partial_lagrangian(lag, u).negated()
-        r_u = partial_rockafellian(r, u)
-        bad = _first_mismatch(r_u, reverse_conjugate(neg_lu, c), tol)
-        if bad is not None:
-            x, a, b = bad
-            return Witness(
-                item="v", u=u, x=x, y=None,
-                description=f"R({u},{x}) = {a} but (-L_u)^c'({x}) = {b}",
-            )
-        bad = _first_mismatch(neg_lu, reverse_biconjugate(neg_lu, c), tol)
-        if bad is not None:
-            y, a, b = bad
-            return Witness(
-                item="v", u=u, x=None, y=y,
-                description=(
-                    f"-L({u},{y}) = {a} is not c'-convex: "
-                    f"reverse biconjugate gives {b}"
-                ),
-            )
-    return None
+    return _holds("iv", lag, r, c, tol)
 
 
 def check_item_v(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """R_u = (-L_u)^{c'} and every -L_u is c'-convex."""
-    _require_valid(lag, r, c, tol)
-    return _item_v_witness(lag, r, c, tol) is None
+    return _holds("v", lag, r, c, tol)
 
 
 def _probe_magnitude(lag, r, c) -> float:
@@ -316,44 +287,29 @@ def _raise_candidates(v: ExtReal, deltas, big: float) -> list[float]:
 def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
     # Single-entry changes only touch the inequality triples through that
     # entry's row/column slice; since the unperturbed inequality holds (the
-    # caller checks it first), re-checking the slice is the full check.
+    # caller checks it first), re-checking the slice is the full check.  An
+    # entry of R meets the row of -L through a row of c; an entry of L meets
+    # the row of R through a column of c, with its sign flipped (exactly, as
+    # -1.0 * v is -v for every double, signed zeros included).
     big = _probe_magnitude(lag, r, c)
-    neg_l = [[-v for v in row] for row in lag.rows]
-    for iu, u in enumerate(r.decisions.labels):
-        nl_row = neg_l[iu]
-        for ix, x in enumerate(r.primal.labels):
-            rv = r.rows[iu][ix]
-            c_row = c.float_rows[ix]
-            for cand in _lower_candidates(rv, deltas, big):
-                for cv, nl in zip(c_row, nl_row):
-                    if cv - (nl + cand) > tol:
-                        break
-                else:
-                    return Witness(
-                        item="i-minimality", u=u, x=x, y=None,
-                        description=(
-                            f"R({u},{x}) = {rv} can drop to {ExtReal(cand)} "
-                            f"with the inequality intact"
-                        ),
-                    )
-    for iu, u in enumerate(lag.decisions.labels):
-        r_row = list(map(float, r.rows[iu]))
-        for iy, y in enumerate(lag.dual.labels):
-            lv = lag.rows[iu][iy]
-            c_col = c.float_cols[iy]
-            for cand in _raise_candidates(lv, deltas, big):
-                ncand = -cand
-                for cv, rv in zip(c_col, r_row):
-                    if cv - (ncand + rv) > tol:
-                        break
-                else:
-                    return Witness(
-                        item="i-minimality", u=u, x=None, y=y,
-                        description=(
-                            f"L({u},{y}) = {lv} can rise to {ExtReal(cand)} "
-                            f"with the inequality intact"
-                        ),
-                    )
+    for table, side, others, slices, sign, candidates, text in (
+        (r, "x", ([-v for v in row] for row in lag.rows), c.float_rows, 1.0,
+         _lower_candidates,
+         "R({u},{lab}) = {v} can drop to {cand} with the inequality intact"),
+        (lag, "y", (list(map(float, row)) for row in r.rows), c.float_cols, -1.0,
+         _raise_candidates,
+         "L({u},{lab}) = {v} can rise to {cand} with the inequality intact"),
+    ):
+        for u, row, other in zip(table.decisions.labels, table.rows, others):
+            for lab, v, c_slice in zip(table.col_set.labels, row, slices):
+                for cand in candidates(v, deltas, big):
+                    s = sign * cand
+                    for cv, o in zip(c_slice, other):
+                        if cv - (o + s) > tol:
+                            break
+                    else:
+                        return _witness("i-minimality", u, side, lab, text.format(
+                            u=u, lab=lab, v=v, cand=ExtReal(cand)))
     return None
 
 
@@ -393,42 +349,25 @@ def audit(
     itself is inconsistent, not merely that the input fails to be a couple.
     """
     _require_valid(lag, r, c, tol, deltas)
-    witnesses = []
-
     w_ineq = _inequality_witness(lag, r, c, tol)
-    if w_ineq is not None:
-        witnesses.append(w_ineq)
-        probe_ok = False
-        witnesses.append(
-            Witness(
-                item="i-minimality", u=None, x=None, y=None,
-                description="not probed: the inequality itself fails",
-            )
-        )
-    else:
+    if w_ineq is None:
         w_probe = _probe_witness(lag, r, c, deltas, tol)
-        probe_ok = w_probe is None
-        if w_probe is not None:
-            witnesses.append(w_probe)
-
-    w_ii = _item_ii_witness(lag, r, c, tol)
-    w_iii = _item_iii_witness(lag, r, c, tol)
-    w_iv = _item_iv_witness(lag, r, c, tol)
-    w_v = _item_v_witness(lag, r, c, tol)
-    for w in (w_ii, w_iii, w_iv, w_v):
-        if w is not None:
-            witnesses.append(w)
-
-    verdicts = tuple(w is None for w in (w_ii, w_iii, w_iv, w_v))
+    else:
+        w_probe = Witness(
+            item="i-minimality", u=None, x=None, y=None,
+            description="not probed: the inequality itself fails",
+        )
+    found = [_item_witness(item, lag, r, c, tol) for item in ("ii", "iii", "iv", "v")]
+    ii, iii, iv, v = (w is None for w in found)
     return CoupleAudit(
         item_i_inequality=w_ineq is None,
-        item_i_minimality_probe=probe_ok,
-        item_ii=verdicts[0],
-        item_iii=verdicts[1],
-        item_iv=verdicts[2],
-        item_v=verdicts[3],
-        items_agree=len(set(verdicts)) == 1,
-        witnesses=tuple(witnesses),
+        item_i_minimality_probe=w_probe is None,
+        item_ii=ii,
+        item_iii=iii,
+        item_iv=iv,
+        item_v=v,
+        items_agree=ii == iii == iv == v,
+        witnesses=tuple(w for w in (w_ineq, w_probe, *found) if w is not None),
     )
 
 

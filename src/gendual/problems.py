@@ -105,32 +105,43 @@ def read_json(text: str, source: str):
     raise ProblemFormatError(f"{source}: {msg}") from None
 
 
+def _double(raw) -> float | None:
+    """A JSON number as a double, or None beyond the double range."""
+    try:
+        value = float(raw)
+    except OverflowError:  # an integer literal too large for a double
+        return None
+    return value if math.isfinite(value) else None
+
+
 def finite_number(raw, where: str) -> float:
     """A JSON number as a double; one beyond the double range is rejected
     rather than read as an infinity."""
-    try:
-        value = float(raw)
-        if math.isfinite(value):
-            return value
-    except OverflowError:  # an integer literal too large for a double
-        pass
-    raise ProblemFormatError(f"{where}: number outside the double range")
+    value = _double(raw)
+    if value is None:
+        raise ProblemFormatError(f"{where}: number outside the double range")
+    return value
 
 
-def _entry(raw, where: str) -> float:
+def _entry(raw, name: str, i: int, j: int) -> float:
+    """Entry (i, j) of table ``name``; the location is formatted only when
+    the entry is rejected."""
     if isinstance(raw, str):
         if raw == "inf":
             return POS_INF
         if raw == "-inf":
             return NEG_INF
+    elif not isinstance(raw, bool) and isinstance(raw, (int, float)):
+        value = _double(raw)
+        if value is not None:
+            return value
         raise ProblemFormatError(
-            f"{where}: invalid entry {raw!r} (only numbers or \"inf\"/\"-inf\")"
+            f"{name} row {i} column {j}: number outside the double range"
         )
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ProblemFormatError(
-            f"{where}: invalid entry {raw!r} (only numbers or \"inf\"/\"-inf\")"
-        )
-    return finite_number(raw, where)
+    raise ProblemFormatError(
+        f"{name} row {i} column {j}: invalid entry {raw!r} "
+        "(only numbers or \"inf\"/\"-inf\")"
+    )
 
 
 def _table(raw, name: str, n_rows: int, n_cols: int) -> list[list[float]]:
@@ -142,9 +153,7 @@ def _table(raw, name: str, n_rows: int, n_cols: int) -> list[list[float]]:
             raise ProblemFormatError(
                 f"{name} row {i}: expected {n_cols} entries"
             )
-        rows.append(
-            [_entry(v, f"{name} row {i} column {j}") for j, v in enumerate(raw_row)]
-        )
+        rows.append([_entry(v, name, i, j) for j, v in enumerate(raw_row)])
     return rows
 
 

@@ -72,6 +72,27 @@ def test_conjugate_inline_beyond_double_range_exits_2(problems_dir, capsys):
     assert "function entry 0" in err
 
 
+def test_conjugate_inline_longer_than_a_file_name(tmp_path, capsys):
+    # 64 entries make an inline list of 319 bytes, beyond the 255-byte limit
+    # on a file name; it must still be read as values
+    n = 64
+    problem = {
+        "sets": {"U": ["u0"], "X": [f"x{i}" for i in range(n)], "Y": ["y0", "y1"]},
+        "coupling": [[float(i), float(-i)] for i in range(n)],
+        "rockafellian": [[0.0] * n],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(problem))
+    inline = ",".join(["1.25"] * n)
+    assert len(inline) > 255
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps([1.25] * n))
+    code, out, err = run_cli(capsys, "conjugate", str(path), "--function", inline)
+    assert (code, err) == (0, "")
+    assert out == "y0  61.75\ny1  -1.25\n"
+    assert run_cli(capsys, "conjugate", str(path), "--function", str(fn)) == (0, out, "")
+
+
 def test_conjugate_wrong_length_exits_3(problems_dir, capsys):
     code, _, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
                            "--function", "1,2,3")
@@ -303,6 +324,29 @@ def test_unrepresentable_numbers_exit_2(tmp_path, capsys, body, where):
     assert code == 2
     assert where in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("table, i, j, raw, message", [
+    ("coupling", 1, 1, "1e400", "number outside the double range"),
+    ("rockafellian", 0, 1, "-1e400", "number outside the double range"),
+    ("coupling", 0, 1, "true",
+     'invalid entry True (only numbers or "inf"/"-inf")'),
+    ("rockafellian", 1, 0, '"nan"',
+     'invalid entry \'nan\' (only numbers or "inf"/"-inf")'),
+])
+def test_bad_table_entry_is_located(tmp_path, capsys, table, i, j, raw, message):
+    tables = {name: [["0", "0"], ["0", "0"]] for name in ("coupling", "rockafellian")}
+    tables[table][i][j] = raw
+    body = ", ".join(
+        f'"{name}": [' + ", ".join(f"[{', '.join(row)}]" for row in rows) + "]"
+        for name, rows in tables.items()
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sets": {"U": ["u0", "u1"], "X": ["a", "b"], "Y": ["c", "d"]}, '
+                   + body + "}")
+    code, _, err = run_cli(capsys, "to-lagrangian", str(bad))
+    assert code == 2
+    assert err == f"error: {table} row {i} column {j}: {message}\n"
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

@@ -317,6 +317,47 @@ def test_audit_witness_points_at_first_violation(e1):
     assert (w.u, w.x, w.y) == ("u0", "x0", "y0")
 
 
+# Between them the three instances give every witness template of the audit.
+@pytest.mark.parametrize("l_entry, r_key, expected", [
+    # E1 with its original R: the R forms of items (ii)-(v)
+    (None, "R", [
+        ("i-minimality", "u0", "x0", None,
+         "R(u0,x0) = 5.0 can drop to 4.999 with the inequality intact"),
+        ("ii", "u0", "x0", None, "R(u0,x0) = 5.0 but the sup-transform gives 2.0"),
+        ("iii", "u0", "x0", None, "R(u0,x0) = 5.0 but (-L_u)^c'(x0) = 2.0"),
+        ("iv", "u0", "x0", None,
+         "R(u0,x0) = 5.0 is not c-convex: biconjugate gives 2.0"),
+        ("v", "u0", "x0", None, "R(u0,x0) = 5.0 but (-L_u)^c'(x0) = 2.0"),
+    ]),
+    # the E1 couple with L(u0,y0) raised past the inequality
+    ((0, 0, 3.0), "R2", [
+        ("i-inequality", "u0", "x0", "y0",
+         "-L(u0,y0) upper-add R(u0,x0) = -1.0 < c(x0,y0) = 0.0"),
+        ("i-minimality", None, None, None, "not probed: the inequality itself fails"),
+        ("ii", "u0", None, "y0", "L(u0,y0) = 3.0 but the inf-transform gives 2.0"),
+        ("iii", "u0", None, "y0", "-L(u0,y0) = -3.0 but (R_u)^c(y0) = -2.0"),
+        ("iv", "u0", None, "y0", "-L(u0,y0) = -3.0 but (R_u)^c(y0) = -2.0"),
+        ("v", "u0", "x0", None, "R(u0,x0) = 2.0 but (-L_u)^c'(x0) = 3.0"),
+    ]),
+    # the E1 couple with L(u0,y1) lowered, so that it can rise again
+    ((0, 1, -0.5), "R2", [
+        ("i-minimality", "u0", None, "y1",
+         "L(u0,y1) = -0.5 can rise to -0.499 with the inequality intact"),
+        ("ii", "u0", None, "y1", "L(u0,y1) = -0.5 but the inf-transform gives 1.0"),
+        ("iii", "u0", None, "y1", "-L(u0,y1) = 0.5 but (R_u)^c(y1) = -1.0"),
+        ("iv", "u0", None, "y1", "-L(u0,y1) = 0.5 but (R_u)^c(y1) = -1.0"),
+        ("v", "u0", None, "y1",
+         "-L(u0,y1) = 0.5 is not c'-convex: reverse biconjugate gives -1.0"),
+    ]),
+], ids=["original-R", "L-raised", "L-lowered"])
+def test_audit_witnesses_are_pinned(e1, l_entry, r_key, expected):
+    lag = e1["L"]
+    if l_entry is not None:
+        lag = replace(Lagrangian, lag, e1["U"], e1["Y"], *l_entry)
+    a = audit(lag, e1[r_key], e1["c"])
+    assert [(w.item, w.u, w.x, w.y, w.description) for w in a.witnesses] == expected
+
+
 def test_audit_random_round_trip_always_couple(e1):
     rng = random.Random(5)
     pick = lambda: rng.choice([-INF, INF] + [float(k) for k in range(-6, 7)])
