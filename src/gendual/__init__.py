@@ -6,7 +6,8 @@ the extended reals, Fenchel-Moreau conjugates and biconjugates for an
 arbitrary coupling, the two transforms between Rockafellians and
 Lagrangians with their perturbation and dual functions, weak-duality
 reports, and an audit of Lagrangian-Rockafellian couples through five
-independently implemented equivalent characterizations.
+equivalent characterizations, each computing its own transforms and
+conjugates.
 """
 
 from .extreal import (
@@ -17,12 +18,10 @@ from .extreal import (
     approx_eq,
     approx_le,
     as_extreal,
-    inf_over,
     low_add,
     neg,
     parse_extreal,
     render_extreal,
-    sup_over,
     upp_add,
 )
 from .spaces import (
@@ -110,7 +109,6 @@ __all__ = [
     "conjugate",
     "dual_function",
     "inequality_holds",
-    "inf_over",
     "is_c_convex",
     "is_cprime_convex",
     "lagrangian_of",
@@ -133,7 +131,6 @@ __all__ = [
     "rockafellian_of",
     "save_problem",
     "serialize_problem",
-    "sup_over",
     "upp_add",
     "weak_duality_report",
     "young_check",

@@ -5,7 +5,9 @@ weak-duality, fuzz.  Exit codes: 0 success (check-couple: the pair is a
 couple), 1 check-couple verdict "not a couple" or fuzz failures, 2 parse or
 argument errors, 3 domain/label mismatches, 4 required table missing from
 the problem file, 5 internal consistency alarm (equivalent audit items
-disagreed, which indicates a bug in this package, not in the input).
+disagreed, or weak-duality found the dual value above the primal one, which
+indicates a bug in this package or rounding at large magnitudes, not a fault
+in the input).
 """
 
 from __future__ import annotations
@@ -103,10 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=False):
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                       help="finite nonnegative tolerance for finite comparisons "
-                            "(default 1e-9)")
+    def common(p, output=False, tol=False):
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                           help="finite nonnegative tolerance for finite comparisons "
+                                "(default 1e-9)")
         p.add_argument("--format", choices=FORMATS, default="text",
                        help="output rendering (default text)")
         if output:
@@ -139,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", type=_deltas,
                    default=tuple(DEFAULT_DELTAS),
                    help="probe decrements/increments (default 0.001,1.0)")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_check_couple)
 
     p = sub.add_parser("weak-duality", help="primal vs dual value at a base point")
     p.add_argument("problem")
     p.add_argument("--base-point",
                    help="label in X (default: the file's base_point, else the first label)")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_weak_duality)
 
     p = sub.add_parser("fuzz", help="run the randomized invariant suite")
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability of each infinity per entry (default 0.1)")
     p.add_argument("--output", default=".",
                    help="directory for reproduction files (default .)")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_fuzz)
 
     return parser
@@ -342,7 +345,11 @@ def cmd_weak_duality(args) -> int:
     problem = load_problem(args.problem)
     r = problem.require_rockafellian()
     base = args.base_point or problem.base_point or problem.primal.labels[0]
-    report = weak_duality_report(r, problem.coupling, base, tol=args.tol)
+    try:
+        report = weak_duality_report(r, problem.coupling, base, tol=args.tol)
+    except ArithmeticError as exc:  # dual above primal
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ALARM
     if args.format == "structured":
         payload = {
             k: extreal_to_jsonable(v) if isinstance(v, float) else v

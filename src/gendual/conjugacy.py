@@ -15,7 +15,7 @@ side).  Both conjugates are one-row products of the Moreau product kernel in
 from __future__ import annotations
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, sup_product
+from .extreal import DEFAULT_TOL, exceeds, sup_product
 from .spaces import Coupling, SetFunction
 
 __all__ = [
@@ -70,12 +70,8 @@ def is_cprime_convex(g: SetFunction, c: Coupling, tol: float = DEFAULT_TOL) -> b
 
 def young_check(f: SetFunction, c: Coupling) -> bool:
     """Generalized Young inequality: f(x) upper-add f^c(y) >= c(x,y) for all
-    pairs.  Holds for every input; exposed as a self-test of the sign and
-    infinity conventions.  Exact as ``c > f + f^c`` on doubles: the
-    opposite-infinity sum is NaN there, and NaN, like +inf, is never below c."""
+    pairs, tested exactly by ``extreal.exceeds`` at tol 0.  Holds for every
+    input; exposed as a self-test of the sign and infinity conventions."""
     fc = list(map(float, conjugate(f, c).values))
-    for fx, c_row in zip(map(float, f.values), c.float_rows):
-        for gy, cv in zip(fc, c_row):
-            if cv > fx + gy:
-                return False
-    return True
+    pairs = zip(map(float, f.values), c.float_rows)
+    return not any(exceeds(c_row, fc, fx, 0.0) for fx, c_row in pairs)

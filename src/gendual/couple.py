@@ -27,11 +27,9 @@ Items (ii) through (v) share one mismatch scan, which names the first entry
 where two rows differ.  They are exactly equivalent; the audit flags an
 internal alarm if their verdicts ever disagree.
 
-Item (i) does not use the product kernel of items (ii)-(v): it compares
-doubles once per triple.  For a finite tol >= 0, ``c <= a upper-add b``
-within tol fails exactly when ``c - (a + b) > tol``, because the two cases
-that give NaN never compare greater: the opposite-infinity sum, which the
-upper addition sends to +inf, and the difference of equal infinities.
+Item (i) does not use the product kernel of items (ii)-(v): both the
+inequality and the probe scan rows of doubles with ``extreal.exceeds``,
+which is exact for a finite tol >= 0.
 """
 
 from __future__ import annotations
@@ -40,14 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError
-from .extreal import (
-    DEFAULT_TOL,
-    ExtReal,
-    approx_eq,
-    approx_le,
-    neg,
-    upp_add,
-)
+from .extreal import DEFAULT_TOL, ExtReal, approx_eq, exceeds, upp_add
 from .spaces import (
     Coupling,
     Lagrangian,
@@ -119,7 +110,7 @@ def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
         raise DomainMismatchError(
             "couple check: Lagrangian dual set differs from the coupling's"
         )
-    # the float scans of item (i) equal approx_le only for a finite tol >= 0
+    # extreal.exceeds, the scan of item (i), needs a finite tol >= 0
     if not 0.0 <= tol < _INF:
         raise ValueError("tolerance must be finite and nonnegative")
     if not all(d > 0.0 for d in deltas):
@@ -127,22 +118,18 @@ def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
 
 
 def _inequality_witness(lag, r, c, tol) -> Witness | None:
-    neg_l = [[-v for v in row] for row in lag.rows]
-    for iu, (u, nl_row) in enumerate(zip(r.decisions.labels, neg_l)):
-        for ix, (x, rv) in enumerate(zip(r.primal.labels, map(float, r.rows[iu]))):
-            for cv, nl in zip(c.float_rows[ix], nl_row):
-                if cv - (nl + rv) > tol:
-                    break
-            else:
+    for u, l_row, r_row in zip(r.decisions.labels, lag.rows, r.rows):
+        nl_row = [-v for v in l_row]
+        for x, rv, c_row in zip(r.primal.labels, map(float, r_row), c.float_rows):
+            if not exceeds(c_row, nl_row, rv, tol):
                 continue
-            # name the first failing y in ExtReal terms
-            for y, lv, cv in zip(lag.dual.labels, lag.rows[iu], c.rows[ix]):
-                lhs = upp_add(neg(lv), r.rows[iu][ix])
-                if not approx_le(cv, lhs, tol):
+            # name the first failing y
+            for y, cv, nl in zip(lag.dual.labels, c_row, nl_row):
+                if exceeds((cv,), (nl,), rv, tol):
                     return Witness(
                         item="i-inequality", u=u, x=x, y=y,
                         description=(
-                            f"-L({u},{y}) upper-add R({u},{x}) = {lhs} "
+                            f"-L({u},{y}) upper-add R({u},{x}) = {upp_add(nl, rv)} "
                             f"< c({x},{y}) = {cv}"
                         ),
                     )
@@ -268,12 +255,14 @@ def _probe_magnitude(lag, r, c) -> float:
     return min(max(10.0 * biggest, 1e6), sys.float_info.max)
 
 
+# Both drop a step that rounds back to v (one below half an ulp of v): it
+# is no change to the entry, so it cannot be evidence against minimality.
 def _lower_candidates(v: ExtReal, deltas, big: float) -> list[float]:
     if v == -_INF:
         return []
     if v == _INF:
         return [big]
-    return [v - d for d in deltas] + [-_INF]
+    return [v - d for d in deltas if v - d != v] + [-_INF]
 
 
 def _raise_candidates(v: ExtReal, deltas, big: float) -> list[float]:
@@ -281,7 +270,7 @@ def _raise_candidates(v: ExtReal, deltas, big: float) -> list[float]:
         return []
     if v == -_INF:
         return [-big]
-    return [v + d for d in deltas] + [_INF]
+    return [v + d for d in deltas if v + d != v] + [_INF]
 
 
 def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
@@ -303,11 +292,7 @@ def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
         for u, row, other in zip(table.decisions.labels, table.rows, others):
             for lab, v, c_slice in zip(table.col_set.labels, row, slices):
                 for cand in candidates(v, deltas, big):
-                    s = sign * cand
-                    for cv, o in zip(c_slice, other):
-                        if cv - (o + s) > tol:
-                            break
-                    else:
+                    if not exceeds(c_slice, other, sign * cand, tol):
                         return _witness("i-minimality", u, side, lab, text.format(
                             u=u, lab=lab, v=v, cand=ExtReal(cand)))
     return None

@@ -26,6 +26,7 @@ in ``extreal``; phi and psi are column minima.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError
@@ -104,8 +105,9 @@ def weak_duality_report(
     """Evaluate weak duality at ``base_point``.
 
     primal = phi(base_point); dual = sup_y [c(base_point, y) lower-add psi(y)].
-    The dual value can never exceed the primal one; a violation would mean a
-    broken arithmetic kernel and raises instead of reporting.
+    The dual value can never exceed the primal one; a violation means a
+    broken arithmetic kernel or rounding at large magnitudes, and raises
+    ArithmeticError instead of reporting.
     """
     if r.primal != c.primal:
         raise DomainMismatchError(
@@ -122,7 +124,7 @@ def weak_duality_report(
         )
     tight = approx_eq(dual, primal, tol)
     gap = None
-    if primal.is_finite and dual.is_finite:
+    if math.isfinite(primal) and math.isfinite(dual):
         gap = ExtReal(max(primal - dual, 0.0))
     return WeakDualityReport(
         base_point=base_point,

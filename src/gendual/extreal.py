@@ -16,6 +16,10 @@ only for the opposite-infinity pair, which a strict ``>`` (``<``) never
 selects, just as the -inf (+inf) that the lower (upper) addition gives it
 never wins a sup (inf).
 
+Every test of an upper Moreau sum against a coupling value (the couple
+inequality, its minimality probe and the Young check) is one scan,
+``exceeds``.
+
 Comparisons against an infinity are always exact; tolerances apply only
 between two finite values.
 """
@@ -25,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 from operator import add
-from typing import Iterable
 
 __all__ = [
     "DEFAULT_TOL",
@@ -35,13 +38,12 @@ __all__ = [
     "approx_eq",
     "approx_le",
     "as_extreal",
-    "inf_over",
+    "exceeds",
     "inf_product",
     "low_add",
     "neg",
     "parse_extreal",
     "render_extreal",
-    "sup_over",
     "sup_product",
     "upp_add",
 ]
@@ -68,26 +70,6 @@ class ExtReal(float):
         if self != self:
             raise ValueError("extended real cannot hold NaN")
         return self
-
-    @property
-    def kind(self) -> int:
-        """-1 for -inf, 0 for a finite value, 1 for +inf."""
-        if self == _INF:
-            return 1
-        return -1 if self == -_INF else 0
-
-    @property
-    def value(self) -> float:
-        """The finite value as a float; 0.0 for either infinity."""
-        return float(self) if math.isfinite(self) else 0.0
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self)
-
-    def to_float(self) -> float:
-        """The value as a plain float."""
-        return float(self)
 
     def __repr__(self):
         return f"ExtReal({render_extreal(self)})"
@@ -137,16 +119,6 @@ def neg(a: ExtReal) -> ExtReal:
     return _ext(-a)
 
 
-def sup_over(values: Iterable[ExtReal]) -> ExtReal:
-    """Largest element under the total order; the sequence must be nonempty."""
-    return max(values)
-
-
-def inf_over(values: Iterable[ExtReal]) -> ExtReal:
-    """Smallest element under the total order; the sequence must be nonempty."""
-    return min(values)
-
-
 def _sup(a, b) -> float:
     best = -math.inf
     for s in map(add, a, b):
@@ -177,6 +149,23 @@ def inf_product(a_rows, b_rows) -> list[list[ExtReal]]:
     """P[i][j] = inf_k a_rows[i][k] (upper-add) b_rows[j][k], written out
     rather than as -sup(-.) so that signed zeros match the sums."""
     return [[_ext(_inf(a, b)) for b in b_rows] for a in a_rows]
+
+
+def exceeds(c_row, a_row, b, tol: float) -> bool:
+    """True iff some k has c_row[k] > a_row[k] upper-add b beyond tol, that
+    is, the inequality ``a upper-add b >= c`` fails somewhere along the rows.
+
+    This is ``approx_le`` of the Moreau sum, tested on doubles as
+    ``c - (a + b) > tol``, and exact for any finite tol >= 0: the two cases
+    that give NaN never compare greater.  They are the opposite-infinity
+    sum, which the upper addition sends to +inf, and the difference of two
+    equal infinities; neither can fail the inequality.  With tol = 0.0 the
+    test is ``c > a + b`` for every pair of doubles, NaN included.
+    """
+    for cv, a in zip(c_row, a_row):
+        if cv - (a + b) > tol:
+            return True
+    return False
 
 
 def approx_eq(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
@@ -213,7 +202,7 @@ def parse_extreal(text: str) -> ExtReal:
         return NEG_INF
     if _DECIMAL.match(text):
         value = ExtReal(text)
-        if value.is_finite:
+        if math.isfinite(value):
             return value
         raise ValueError(f"number outside the double range: {text!r}")
     raise ValueError(f"invalid extended-real literal: {text!r}")

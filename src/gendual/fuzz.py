@@ -14,6 +14,7 @@ can swap a deliberately broken operation in and watch the harness catch it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -262,7 +263,7 @@ def check_weak_duality(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str
             continue
         if rep.tight != approx_eq(rep.dual_value, rep.primal_value, tol):
             fails.append(f"tightness flag inconsistent at {x}")
-        both_finite = rep.primal_value.is_finite and rep.dual_value.is_finite
+        both_finite = math.isfinite(rep.primal_value) and math.isfinite(rep.dual_value)
         if (rep.gap is not None) != both_finite:
             fails.append(f"gap presence inconsistent at {x}")
         elif rep.gap is not None and rep.gap < ExtReal(0.0):

@@ -47,26 +47,22 @@ def report(number, name, ok):
 
 def test_criterion_1_moreau_addition_tables():
     pats = (NEG_INF, ExtReal(2.0), POS_INF)
-    low_want = {
-        (-1, -1): -1, (-1, 0): -1, (-1, 1): -1,
-        (0, -1): -1, (0, 0): 0, (0, 1): 1,
-        (1, -1): -1, (1, 0): 1, (1, 1): 1,
-    }
-    upp_want = dict(low_want)
-    upp_want[(-1, 1)] = 1
-    upp_want[(1, -1)] = 1
+    low_want = [
+        [-INF, -INF, -INF],
+        [-INF, 4.0, INF],
+        [-INF, INF, INF],
+    ]
+    upp_want = [
+        [-INF, -INF, INF],
+        [-INF, 4.0, INF],
+        [INF, INF, INF],
+    ]
     started = time.perf_counter()
     ok = True
-    for a in pats:
-        for b in pats:
-            got = low_add(a, b)
-            ok &= got.kind == low_want[(a.kind, b.kind)]
-            if a.is_finite and b.is_finite:
-                ok &= got == ExtReal(4.0)
-            got = upp_add(a, b)
-            ok &= got.kind == upp_want[(a.kind, b.kind)]
-            if a.is_finite and b.is_finite:
-                ok &= got == ExtReal(4.0)
+    for i, a in enumerate(pats):
+        for j, b in enumerate(pats):
+            ok &= low_add(a, b) == low_want[i][j]
+            ok &= upp_add(a, b) == upp_want[i][j]
     elapsed = time.perf_counter() - started
     ok &= elapsed < 1e-3
     report(1, f"Moreau addition tables ({elapsed * 1e6:.0f}us)", ok)
@@ -131,13 +127,13 @@ def test_criterion_6_e1_regression(e1):
     ok &= bf.weak_duality(c_rows, r_rows, 1) == (3.0, 2.0)
 
     lag = lagrangian_of(e1["R"], e1["c"])
-    ok &= [[v.to_float() for v in row] for row in lag.rows] == [[2.0, 1.0], [0.0, 0.0]]
+    ok &= [[float(v) for v in row] for row in lag.rows] == [[2.0, 1.0], [0.0, 0.0]]
     r2 = rockafellian_of(lag, e1["c"])
-    ok &= [[v.to_float() for v in row] for row in r2.rows] == [[2.0, 3.0], [0.0, 2.0]]
+    ok &= [[float(v) for v in row] for row in r2.rows] == [[2.0, 3.0], [0.0, 2.0]]
     phi = perturbation_function(e1["R"])
     psi = dual_function(lag)
-    ok &= [v.to_float() for v in phi.values] == [0.0, 3.0]
-    ok &= [v.to_float() for v in psi.values] == [0.0, 0.0]
+    ok &= [float(v) for v in phi.values] == [0.0, 3.0]
+    ok &= [float(v) for v in psi.values] == [0.0, 0.0]
     rep0 = weak_duality_report(e1["R"], e1["c"], "x0")
     ok &= (rep0.primal_value, rep0.dual_value, rep0.tight) == (
         ExtReal(0.0), ExtReal(0.0), True,
@@ -156,16 +152,16 @@ def test_criterion_7_fenchel_special_case():
     c = bilinear_coupling(grid, grid)
     f = SetFunction(c.primal, [k * k / 2.0 for k in grid])
     fc = conjugate(f, c)
-    ok = [v.to_float() for v in fc.values] == [k * k / 2.0 for k in grid]
+    ok = [float(v) for v in fc.values] == [k * k / 2.0 for k in grid]
     oracle = bf.conjugate([[x * y for y in grid] for x in grid],
                           [k * k / 2.0 for k in grid])
-    ok &= [v.to_float() for v in fc.values] == oracle
+    ok &= [float(v) for v in fc.values] == oracle
     ok &= is_c_convex(f, c, TOL)
 
     spike_c = bilinear_coupling([0.0, 1.0, 2.0], [-1.0, 0.0, 1.0])
     spike = SetFunction(spike_c.primal, [0.0, 10.0, 0.0])
     bi = biconjugate(spike, spike_c)
-    ok &= [v.to_float() for v in bi.values] == [0.0, 0.0, 0.0]
+    ok &= [float(v) for v in bi.values] == [0.0, 0.0, 0.0]
     ok &= bf.biconjugate([[x * y for y in (-1.0, 0.0, 1.0)] for x in (0.0, 1.0, 2.0)],
                          [0.0, 10.0, 0.0]) == [0.0, 0.0, 0.0]
     ok &= not is_c_convex(spike, spike_c, TOL)

@@ -234,6 +234,21 @@ def test_weak_duality_unknown_base_point_exits_3(problems_dir, capsys):
     assert code == 3
 
 
+def test_weak_duality_violated_by_rounding_exits_5(tmp_path, capsys):
+    # L = R - c and then c + L each round up by 1/16, so the dual value lands
+    # one ulp (0.125) above the primal one
+    problem = tmp_path / "p.json"
+    problem.write_text('{"sets": {"U": ["u0"], "X": ["x0"], "Y": ["y0"]}, '
+                       '"coupling": [[-504686855817390.8]], '
+                       '"rockafellian": [[583798657415576.1]]}')
+    code, out, err = run_cli(capsys, "weak-duality", str(problem))
+    assert (code, out) == (5, "")
+    assert err.splitlines() == [
+        "error: weak duality violated at 'x0': "
+        "dual 583798657415576.2 > primal 583798657415576.1"
+    ]
+
+
 # --- fuzz --------------------------------------------------------------------------
 
 def test_fuzz_small_run_passes(capsys, tmp_path):
@@ -360,6 +375,21 @@ def test_tol_must_be_finite_and_nonnegative(problems_dir, capsys, command, probl
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"gendual {command}: error: argument --tol: must be finite and nonnegative"
+    ]
+
+
+@pytest.mark.parametrize("command, problem, extra", [
+    ("conjugate", "e1.json", ["--function", "5,3"]),
+    ("to-lagrangian", "e1.json", []),
+    ("to-rockafellian", "e1_lagrangian.json", []),
+])
+def test_tol_only_where_a_comparison_reads_it(problems_dir, capsys, command, problem,
+                                              extra):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(problems_dir / problem), *extra, "--tol=1e-9"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "gendual: error: unrecognized arguments: --tol=1e-9"
     ]
 
 

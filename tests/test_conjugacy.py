@@ -33,7 +33,7 @@ INF = math.inf
 
 
 def as_floats(fn):
-    return [v.to_float() for v in fn.values]
+    return [float(v) for v in fn.values]
 
 
 # --- worked examples --------------------------------------------------------
@@ -220,7 +220,7 @@ def test_signed_zeros_match_oracle(data):
     r = Rockafellian(U, X, r_rows)
 
     def same(values, want):
-        assert [repr(v.to_float()) for v in values] == [repr(w) for w in want]
+        assert [repr(float(v)) for v in values] == [repr(w) for w in want]
 
     same(conjugate(SetFunction(X, f_vals), c).values, bf.conjugate(c_rows, f_vals))
     g_vals = l_rows[0]
@@ -252,5 +252,4 @@ def test_infinity_exactness_in_identities():
         f = SetFunction(X, f_vals)
         lhs = conjugate(biconjugate(f, c), c)
         rhs = conjugate(f, c)
-        assert [v.kind for v in lhs.values] == [v.kind for v in rhs.values]
         assert as_floats(lhs) == as_floats(rhs)

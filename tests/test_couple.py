@@ -260,15 +260,19 @@ def test_item_i_matches_literal_extreal_loops(data):
 
 
 def test_probe_magnitude_stays_finite_near_the_double_range():
-    # 10 x DBL_MAX would overflow, and +inf "dropping to" +inf changes nothing
+    # 10 x DBL_MAX would overflow, and +inf "dropping to" +inf changes nothing.
+    # Near 6e14 the default delta 1e-3 is below half an ulp, so R - 1e-3 and
+    # L + 1e-3 round back to the entry and are no change either.
     X, Y = FiniteSet(["x0"]), FiniteSet(["y0"])
-    c = Coupling(X, Y, [[sys.float_info.max]])
-    lag, r = make_couple(Rockafellian(["u0"], X, [[INF]]), c)
-    assert _probe_magnitude(lag, r, c) == sys.float_info.max
-    assert minimality_probe(lag, r, c)
-    a = audit(lag, r, c)
-    assert a.is_couple and a.item_i_minimality_probe
-    assert not any(w.item == "i-minimality" for w in a.witnesses)
+    for c_entry, r_entry in ((sys.float_info.max, INF), (0.0, -634864309678605.6)):
+        c = Coupling(X, Y, [[c_entry]])
+        lag, r = make_couple(Rockafellian(["u0"], X, [[r_entry]]), c)
+        if r_entry == INF:
+            assert _probe_magnitude(lag, r, c) == sys.float_info.max
+        assert minimality_probe(lag, r, c)
+        a = audit(lag, r, c)
+        assert a.is_couple and a.item_i_minimality_probe
+        assert not any(w.item == "i-minimality" for w in a.witnesses)
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, INF])
@@ -392,5 +396,5 @@ def test_make_couple_fixed_point_on_convex_rows(e1):
 def test_make_couple_bottom(e1):
     r = Rockafellian(e1["U"], e1["X"], [[-INF, -INF], [-INF, -INF]])
     lag, r2 = make_couple(r, e1["c"])
-    assert all(v.kind == -1 for row in lag.rows for v in row)
-    assert all(v.kind == -1 for row in r2.rows for v in row)
+    assert all(v == -INF for row in lag.rows for v in row)
+    assert all(v == -INF for row in r2.rows for v in row)

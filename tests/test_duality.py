@@ -31,11 +31,11 @@ INF = math.inf
 
 
 def rows_as_floats(table):
-    return [[v.to_float() for v in row] for row in table.rows]
+    return [[float(v) for v in row] for row in table.rows]
 
 
 def vals_as_floats(fn):
-    return [v.to_float() for v in fn.values]
+    return [float(v) for v in fn.values]
 
 
 def random_instance(rng, max_n=4):
@@ -68,7 +68,7 @@ def test_lagrangian_of_e1(e1):
 def test_lagrangian_of_all_plus_inf(e1):
     r = Rockafellian(e1["U"], e1["X"], [[INF, INF], [INF, INF]])
     lag = lagrangian_of(r, e1["c"])
-    assert all(v.kind == 1 for row in lag.rows for v in row)
+    assert all(v == INF for row in lag.rows for v in row)
 
 
 def test_lagrangian_single_point_zero_coupling():
@@ -103,7 +103,7 @@ def test_rockafellian_of_e1(e1):
 def test_rockafellian_of_all_minus_inf(e1):
     lag = Lagrangian(e1["U"], e1["Y"], [[-INF, -INF], [-INF, -INF]])
     r = rockafellian_of(lag, e1["c"])
-    assert all(v.kind == -1 for row in r.rows for v in row)
+    assert all(v == -INF for row in r.rows for v in row)
 
 
 def test_rockafellian_of_checks_domains(e1):
@@ -158,14 +158,14 @@ def test_neg_psi_equals_phi_conjugate(e1):
 def test_weak_duality_e1_tight(e1):
     rep = weak_duality_report(e1["R"], e1["c"], "x0")
     primal, dual = bf.weak_duality([[0.0, 0.0], [1.0, 2.0]], [[5.0, 3.0], [0.0, INF]], 0)
-    assert (rep.primal_value.to_float(), rep.dual_value.to_float()) == (primal, dual) == (0.0, 0.0)
+    assert (float(rep.primal_value), float(rep.dual_value)) == (primal, dual) == (0.0, 0.0)
     assert rep.tight and rep.gap == ExtReal(0.0)
 
 
 def test_weak_duality_e1_gap(e1):
     rep = weak_duality_report(e1["R"], e1["c"], "x1")
     primal, dual = bf.weak_duality([[0.0, 0.0], [1.0, 2.0]], [[5.0, 3.0], [0.0, INF]], 1)
-    assert (rep.primal_value.to_float(), rep.dual_value.to_float()) == (primal, dual) == (3.0, 2.0)
+    assert (float(rep.primal_value), float(rep.dual_value)) == (primal, dual) == (3.0, 2.0)
     assert not rep.tight and rep.gap == ExtReal(1.0)
 
 
@@ -174,8 +174,8 @@ def test_weak_duality_all_plus_inf(e1):
     # coupling the dual value is +inf as well: tight, no finite gap
     r = Rockafellian(e1["U"], e1["X"], [[INF, INF], [INF, INF]])
     rep = weak_duality_report(r, e1["c"], "x0")
-    assert rep.primal_value.kind == 1
-    assert rep.dual_value.kind == 1
+    assert rep.primal_value == INF
+    assert rep.dual_value == INF
     assert rep.tight
     assert rep.gap is None
 
@@ -197,8 +197,8 @@ def test_transforms_match_oracle_randomized():
         for i in range(len(c.primal)):
             primal, dual = bf.weak_duality(c_rows, r_rows, i)
             rep = weak_duality_report(r, c, c.primal.labels[i])
-            assert rep.primal_value.to_float() == primal
-            assert rep.dual_value.to_float() == dual
+            assert float(rep.primal_value) == primal
+            assert float(rep.dual_value) == dual
 
 
 def test_proposition_identities_randomized():

@@ -1,9 +1,9 @@
 """Gallery CLI output, byte for byte.
 
-Runs ``gendual.cli.main`` in-process on the files in ``problems/`` and
-compares each command's exit code and stdout with ``golden_cli.json``.  A
-change meant to alter this output regenerates that file from the repository
-root with
+Runs ``gendual.cli.main`` in-process on the files in ``problems/`` and on
+two fixed-seed fuzz runs, and compares each command's exit code and stdout
+with ``golden_cli.json``.  A change meant to alter this output regenerates
+that file from the repository root with
 
     PYTHONPATH=src:tests python -c "import json, test_golden_cli as g; open('tests/golden_cli.json', 'w').write(json.dumps(g.record(), indent=1) + '\\n')"
 
@@ -40,6 +40,8 @@ COMMANDS = [
      "--function", "4.5,2,0.5,0,0.5,2,inf"],
     ["conjugate", "spike.json", "--function", "1,inf,-inf"],
     ["conjugate", "spike.json", "--side", "dual", "--function=-1,0,2.5"],
+    ["fuzz", "--count", "100", "--max-set-size", "5", "--seed", "0"],
+    ["fuzz", "--count", "100", "--max-set-size", "5", "--seed", "1"],
 ]
 FORMATS = ("text", "csv", "structured")
 

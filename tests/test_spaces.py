@@ -46,7 +46,7 @@ def test_set_function_total_and_typed():
     s = FiniteSet(["a", "b"])
     f = SetFunction(s, [1, math.inf])
     assert f("a") == ExtReal(1.0)
-    assert f("b").kind == 1
+    assert f("b") == math.inf
     with pytest.raises(ValueError):
         SetFunction(s, [1.0])
     with pytest.raises(UnknownLabelError):
@@ -58,7 +58,7 @@ def test_set_function_negated_and_isclose():
     f = SetFunction(s, [2.0, -math.inf])
     g = f.negated()
     assert g("a") == ExtReal(-2.0)
-    assert g("b").kind == 1
+    assert g("b") == math.inf
     assert f.isclose(SetFunction(s, [2.0 + 1e-12, -math.inf]))
     assert not f.isclose(SetFunction(s, [2.0, math.inf]))
     assert not f.isclose(SetFunction(FiniteSet(["a", "z"]), [2.0, -math.inf]))
@@ -104,7 +104,7 @@ def test_bilinear_coupling_scalars():
     # the zero point couples to zero against everything
     for y in c.dual:
         assert c("0.0", y) == ExtReal(0.0)
-    assert all(v.is_finite for row in c.rows for v in row)
+    assert all(math.isfinite(v) for row in c.rows for v in row)
 
 
 def test_bilinear_coupling_vectors_and_reversal():
@@ -126,7 +126,7 @@ def test_partial_rockafellian(e1):
     assert row.values == (ExtReal(5.0), ExtReal(3.0))
     row1 = partial_rockafellian(e1["R"], "u1")
     assert row1("x0") == ExtReal(0.0)
-    assert row1("x1").kind == 1
+    assert row1("x1") == math.inf
     with pytest.raises(UnknownLabelError):
         partial_rockafellian(e1["R"], "u9")
 
