@@ -5,7 +5,8 @@ weak-duality, fuzz.  Exit codes: 0 success (check-couple: the pair is a
 couple), 1 check-couple verdict "not a couple" or fuzz failures, 2 parse or
 argument errors, 3 domain/label mismatches, 4 required table missing from
 the problem file, 5 internal consistency alarm (equivalent audit items
-disagreed, or weak-duality found the dual value above the primal one, which
+disagreed, weak-duality found the dual value above the primal one, or any
+other unexpected exception, reported as one line without a traceback; each
 indicates a bug in this package or rounding at large magnitudes, not a fault
 in the input).
 """
@@ -449,6 +450,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except Exception as exc:  # a fault in this package, not in the input
+        import traceback
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        text = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {text} (at {Path(where.filename).name}:{where.lineno})",
+              file=sys.stderr)
+        return EXIT_INTERNAL_ALARM
 
 
 def entry() -> None:

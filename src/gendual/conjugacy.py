@@ -35,7 +35,7 @@ def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
             "conjugate: function domain differs from the coupling's primal set"
         )
     neg_f = [-v for v in f.values]
-    return SetFunction(c.dual, sup_product([neg_f], c.float_cols)[0])
+    return SetFunction(c.dual, sup_product([neg_f], c.sorted_cols)[0])
 
 
 def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
@@ -45,7 +45,7 @@ def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
             "reverse_conjugate: function domain differs from the coupling's dual set"
         )
     neg_g = [-v for v in g.values]
-    return SetFunction(c.primal, sup_product([neg_g], c.float_rows)[0])
+    return SetFunction(c.primal, sup_product([neg_g], c.sorted_rows)[0])
 
 
 def biconjugate(f: SetFunction, c: Coupling) -> SetFunction:

@@ -29,13 +29,17 @@ internal alarm if their verdicts ever disagree.
 
 Item (i) does not use the product kernel of items (ii)-(v): both the
 inequality and the probe scan rows of doubles with ``extreal.exceeds``,
-which is exact for a finite tol >= 0.
+which is exact for a finite tol >= 0.  The inequality scans, for each u,
+only the y where L(u, y) > -inf, the domain of -L_u: elsewhere -L(u, y) is
++inf, so the upper sum is +inf and cannot fail.  A u whose L row is -inf
+everywhere costs no scan, and the first failing y is the same.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import DomainMismatchError
 from .extreal import DEFAULT_TOL, ExtReal, approx_eq, exceeds, upp_add
@@ -118,13 +122,22 @@ def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
 
 
 def _inequality_witness(lag, r, c, tol) -> Witness | None:
+    # each u scans only the domain of -L_u (see the module docstring)
     for u, l_row, r_row in zip(r.decisions.labels, lag.rows, r.rows):
-        nl_row = [-v for v in l_row]
-        for x, rv, c_row in zip(r.primal.labels, map(float, r_row), c.float_rows):
+        dom = [v > -_INF for v in l_row]
+        if all(dom):
+            ys, c_rows = lag.dual.labels, c.float_rows
+        elif any(dom):
+            ys = tuple(compress(lag.dual.labels, dom))
+            c_rows = (tuple(compress(c_row, dom)) for c_row in c.float_rows)
+        else:
+            continue
+        nl_row = [-v for v in compress(l_row, dom)]
+        for x, rv, c_row in zip(r.primal.labels, map(float, r_row), c_rows):
             if not exceeds(c_row, nl_row, rv, tol):
                 continue
             # name the first failing y
-            for y, cv, nl in zip(lag.dual.labels, c_row, nl_row):
+            for y, cv, nl in zip(ys, c_row, nl_row):
                 if exceeds((cv,), (nl,), rv, tol):
                     return Witness(
                         item="i-inequality", u=u, x=x, y=y,
@@ -360,8 +373,13 @@ def make_couple(r: Rockafellian, c: Coupling) -> tuple[Lagrangian, Rockafellian]
     """Canonical couple built from any Rockafellian.
 
     Returns (L, R') with L the Lagrangian of R and R' the Rockafellian
-    rebuilt from L; row-wise R' is the biconjugate of R, so the pair always
-    audits as a couple, and R' = R exactly when every row of R is c-convex.
+    rebuilt from L; row-wise R' is the biconjugate of R, and R' = R exactly
+    when every row of R is c-convex.  On the integer grid, where double
+    arithmetic does not round, the pair audits as a couple at every tol.
+    Off it the round trip L -> R' -> L can round, so the promise holds only
+    within ``tol``: a fractional pair can fail at tol 0, and at magnitudes
+    near 1e13 the rounding exceeds the default tol.  Exact arithmetic
+    (ROADMAP item 1, stage 2) is the planned fix.
     """
     lag = lagrangian_of(r, c)
     return lag, rockafellian_of(lag, c)

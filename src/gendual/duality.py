@@ -55,8 +55,7 @@ def lagrangian_of(r: Rockafellian, c: Coupling) -> Lagrangian:
         raise DomainMismatchError(
             "lagrangian_of: Rockafellian primal set differs from the coupling's"
         )
-    neg_cols = [[-v for v in col] for col in c.float_cols]
-    rows = inf_product(r.rows, neg_cols)
+    rows = inf_product(r.rows, c.sorted_cols)
     return Lagrangian(r.decisions, c.dual, rows)
 
 
@@ -66,7 +65,7 @@ def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
         raise DomainMismatchError(
             "rockafellian_of: Lagrangian dual set differs from the coupling's"
         )
-    rows = sup_product(lag.rows, c.float_rows)
+    rows = sup_product(lag.rows, c.sorted_rows)
     return Rockafellian(lag.decisions, c.primal, rows)
 
 
@@ -116,7 +115,7 @@ def weak_duality_report(
     ix = c.primal.index(base_point)
     phi = perturbation_function(r)
     psi = dual_function(lagrangian_of(r, c))
-    dual = sup_product([psi.values], [c.float_rows[ix]])[0][0]
+    dual = sup_product([psi.values], [c.sorted_rows[ix]])[0][0]
     primal = phi.values[ix]
     if not approx_le(dual, primal, tol):
         raise ArithmeticError(

@@ -10,11 +10,21 @@ a finite sum that overflows lands on the infinity of its sign.
 
 The conjugates, the transforms and the dual value all go through one
 kernel: ``sup_product``, the max-plus matrix product under the lower
-addition, and its min-plus mirror ``inf_product`` under the upper one.  It
-reads rows of doubles or extended reals and is exact: an IEEE sum is NaN
-only for the opposite-infinity pair, which a strict ``>`` (``<``) never
-selects, just as the -inf (+inf) that the lower (upper) addition gives it
-never wins a sup (inf).
+addition, and its min-plus mirror ``inf_product`` under the upper one,
+which subtracts the coupling's entries instead of adding them.  One side
+of the product is always a coupling, read through its ``descending`` view:
+per line, the indices of the entries above -inf, largest entry first.  A
+scan visits k in that order and stops once max(a) + c[k] (min(a) - c[k])
+cannot beat the best sum so far, so a row of -inf (+inf), an empty
+domain, costs no scan at all, and the coupling's -inf entries are never
+visited.  The kernel is exact, signed zeros included:
+  - an IEEE sum is NaN only for the opposite-infinity pair, which the
+    comparisons never select, just as the -inf (+inf) that the lower
+    (upper) addition gives it never wins a sup (inf);
+  - IEEE rounding is monotone, so no sum after the stop could even tie;
+  - a tie replaces the best sum only from a lower index, so the result is
+    the sum at the first optimizer in index order, the value an
+    index-order scan returns.
 
 Every test of an upper Moreau sum against a coupling value (the couple
 inequality, its minimality probe and the Young check) is one scan,
@@ -28,7 +38,6 @@ from __future__ import annotations
 
 import math
 import re
-from operator import add
 
 __all__ = [
     "DEFAULT_TOL",
@@ -38,6 +47,7 @@ __all__ = [
     "approx_eq",
     "approx_le",
     "as_extreal",
+    "descending",
     "exceeds",
     "inf_product",
     "low_add",
@@ -119,36 +129,88 @@ def neg(a: ExtReal) -> ExtReal:
     return _ext(-a)
 
 
-def _sup(a, b) -> float:
-    best = -math.inf
-    for s in map(add, a, b):
-        if s > best:
-            best = s
-            if s == math.inf:
-                break
-    return best
+def descending(lines) -> tuple:
+    """The kernel's view of a coupling's rows or columns: for each line b,
+    the pair (b, order), where order lists the k with b[k] > -inf by
+    descending b[k], ties in index order.  It holds indices and the line
+    itself, no copied values; the -inf entries are left out because their
+    terms can never win a sup (inf) of ``sup_product`` (``inf_product``)."""
+    view = []
+    for b in lines:
+        order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
+        while order and b[order[-1]] == -_INF:
+            order.pop()
+        view.append((b, tuple(order)))
+    return tuple(view)
 
 
-def _inf(a, b) -> float:
-    best = math.inf
-    for s in map(add, a, b):
-        if s < best:
-            best = s
-            if s == -math.inf:
-                break
-    return best
+def sup_product(a_rows, view) -> list[list[ExtReal]]:
+    """P[i][j] = sup_k a_rows[i][k] (lower-add) b_j[k], over the lines
+    (b_j, order) of a ``descending`` view.
+
+    Each scan visits k in the view's order and stops once the bound
+    max(a) + b_j[k] is below the best sum so far, or at +inf; a row a that
+    is -inf everywhere gives -inf without a scan.  An equal sum replaces
+    the best one only from a lower k, so ties keep the first maximizer in
+    index order.  The module docstring says why the result is exact."""
+    out = []
+    for a in a_rows:
+        top = max(a)
+        if top == -_INF:
+            out.append([NEG_INF] * len(view))
+            continue
+        row = []
+        for b, order in view:
+            best = -_INF
+            first = -1
+            for k in order:
+                v = b[k]
+                if top + v < best:
+                    break
+                s = a[k] + v
+                if s >= best and (s > best or k < first):
+                    best = s
+                    first = k
+                    if s == _INF:
+                        break
+            row.append(_ext(best))
+        out.append(row)
+    return out
 
 
-def sup_product(a_rows, b_rows) -> list[list[ExtReal]]:
-    """P[i][j] = sup_k a_rows[i][k] (lower-add) b_rows[j][k].
-    The scan over k stops at +inf; ties keep the first maximizer."""
-    return [[_ext(_sup(a, b)) for b in b_rows] for a in a_rows]
+def inf_product(a_rows, view) -> list[list[ExtReal]]:
+    """P[i][j] = inf_k a_rows[i][k] (upper-add) -b_j[k], over the lines
+    (b_j, order) of a ``descending`` view: the mirror of ``sup_product``.
 
-
-def inf_product(a_rows, b_rows) -> list[list[ExtReal]]:
-    """P[i][j] = inf_k a_rows[i][k] (upper-add) b_rows[j][k], written out
-    rather than as -sup(-.) so that signed zeros match the sums."""
-    return [[_ext(_inf(a, b)) for b in b_rows] for a in a_rows]
+    Each sum is computed as a[k] - b_j[k], which IEEE arithmetic defines as
+    a[k] + (-b_j[k]), signed zeros included.  Each scan visits k in the
+    view's order, where -b_j[k] ascends, and stops once the bound
+    min(a) - b_j[k] is above the best sum so far, or at -inf; a row a that
+    is +inf everywhere gives +inf without a scan.  Ties keep the first
+    minimizer in index order."""
+    out = []
+    for a in a_rows:
+        low = min(a)
+        if low == _INF:
+            out.append([POS_INF] * len(view))
+            continue
+        row = []
+        for b, order in view:
+            best = _INF
+            first = -1
+            for k in order:
+                v = b[k]
+                if low - v > best:
+                    break
+                s = a[k] - v
+                if s <= best and (s < best or k < first):
+                    best = s
+                    first = k
+                    if s == -_INF:
+                        break
+            row.append(_ext(best))
+        out.append(row)
+    return out
 
 
 def exceeds(c_row, a_row, b, tol: float) -> bool:

@@ -10,10 +10,11 @@ domains are compared by label sequence, never coerced.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, UnknownLabelError
-from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, neg
+from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending, neg
 
 __all__ = [
     "Coupling",
@@ -200,14 +201,27 @@ class _Table:
 
 class Coupling(_Table):
     """Pairing table c over primal x dual; entries may be +/-inf.  Its rows
-    and columns are also kept as plain floats, built once: the product
-    kernel and the triple scans of the audit read them, and CPython's fast
-    paths for float arithmetic and comparison apply only to exact floats."""
+    and columns are also kept as plain floats, built once: the triple scans
+    of the audit read them, and CPython's fast paths for float arithmetic
+    and comparison apply only to exact floats.  The product kernel reads
+    them through ``sorted_rows`` and ``sorted_cols``, each built on first
+    use and then kept: the audit runs a conjugate once per row of a table,
+    and sorting the coupling on each call would cost more than the scan."""
 
     def __init__(self, primal, dual, entries):
         super().__init__(primal, dual, entries)
         self.float_rows = tuple(tuple(map(float, row)) for row in self.rows)
         self.float_cols = tuple(zip(*self.float_rows))
+
+    @cached_property
+    def sorted_rows(self) -> tuple:
+        """``extreal.descending`` view of the rows, one line per x."""
+        return descending(self.float_rows)
+
+    @cached_property
+    def sorted_cols(self) -> tuple:
+        """``extreal.descending`` view of the columns, one line per y."""
+        return descending(self.float_cols)
 
     @property
     def primal(self) -> FiniteSet:

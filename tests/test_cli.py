@@ -249,6 +249,20 @@ def test_weak_duality_violated_by_rounding_exits_5(tmp_path, capsys):
     ]
 
 
+def test_unexpected_exception_exits_5_on_one_line(problems_dir, capsys, monkeypatch):
+    from gendual import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel fault\nsecond line")
+
+    monkeypatch.setattr(cli, "audit", broken)
+    code, out, err = run_cli(capsys, "check-couple", str(problems_dir / "e1_couple.json"))
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: internal: RuntimeError: kernel fault second line (at ")
+    assert "Traceback" not in err
+
+
 # --- fuzz --------------------------------------------------------------------------
 
 def test_fuzz_small_run_passes(capsys, tmp_path):

@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gendual import (
     Coupling,
@@ -236,6 +236,20 @@ def item_i_instance(draw):
     return lag, r, c, tol, draw(st.sampled_from([DEFAULT_DELTAS, (1.0,), (2.5,)]))
 
 
+def _sparse_l_instance(r_u1):
+    """L row u0 is -inf everywhere and L row u1 has one finite entry, the
+    shape of a rejected couple, so that item (i) skips u0 and scans u1 only
+    at y1.  R row u1 is ``r_u1``."""
+    U, X, Y = FiniteSet(["u0", "u1"]), FiniteSet(["x0", "x1"]), FiniteSet(["y0", "y1", "y2"])
+    c = Coupling(X, Y, [[0.0, 0.0, 1.0], [2.0, -1.0, INF]])
+    r = Rockafellian(U, X, [[-INF, 3.0], r_u1])
+    lag = Lagrangian(U, Y, [[-INF, -INF, -INF], [-INF, 2.5, -INF]])
+    return lag, r, c, 0.0, DEFAULT_DELTAS
+
+
+# the first fails at (u1, x0, y1): -2.5 upper-add 1.0 < 0.0; the second holds
+@example(_sparse_l_instance([1.0, -INF]))
+@example(_sparse_l_instance([3.0, 2.0]))
 @given(item_i_instance())
 @settings(max_examples=300)
 def test_item_i_matches_literal_extreal_loops(data):

@@ -2,8 +2,9 @@
 
 Runs ``gendual.cli.main`` in-process on the files in ``problems/`` and on
 two fixed-seed fuzz runs, and compares each command's exit code and stdout
-with ``golden_cli.json``.  A change meant to alter this output regenerates
-that file from the repository root with
+with ``golden_cli.json``.  Each case runs in a temporary directory, so a
+failing fuzz case leaves its repro files there.  A change meant to alter
+this output regenerates that file from the repository root with
 
     PYTHONPATH=src:tests python -c "import json, test_golden_cli as g; open('tests/golden_cli.json', 'w').write(json.dumps(g.record(), indent=1) + '\\n')"
 
@@ -64,6 +65,7 @@ def record():
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("command", COMMANDS, ids="-".join)
-def test_gallery_output_is_unchanged(command, fmt):
+def test_gallery_output_is_unchanged(command, fmt, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert run(command, fmt) == golden[_key(command, fmt)]
