@@ -37,6 +37,7 @@ from .problems import (
     finite_number,
     load_problem,
     read_json,
+    read_text,
     save_problem,
 )
 from .fuzz import DEFAULT_GRID, DEFAULT_INF_PROB, run_fuzz
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 # rendering helpers
 
 def _render_function(labels, values, fmt: str) -> str:
-    rendered = [render_extreal(v) for v in values]
+    rendered = list(map(float.__repr__, values))
     if fmt == "csv":
         lines = ["label,value"]
         lines += [f"{lab},{val}" for lab, val in zip(labels, rendered)]
@@ -189,7 +190,10 @@ def _render_function(labels, values, fmt: str) -> str:
 
 
 def _render_matrix(row_labels, col_labels, rows, fmt: str) -> str:
-    rendered = [[render_extreal(v) for v in row] for row in rows]
+    """``rows`` of plain doubles, each entry rendered once, as
+    ``float.__repr__`` (which is ``render_extreal`` on every double that is
+    not NaN)."""
+    rendered = [list(map(float.__repr__, row)) for row in rows]
     if fmt == "csv":
         lines = ["," + ",".join(col_labels)]
         lines += [
@@ -203,14 +207,13 @@ def _render_matrix(row_labels, col_labels, rows, fmt: str) -> str:
             "entries": [[extreal_to_jsonable(v) for v in row] for row in rows],
         }
         return json.dumps(payload, indent=2) + "\n"
-    w_lab = max(len(lab) for lab in row_labels)
-    widths = [
-        max(len(col_labels[j]), max(len(row[j]) for row in rendered))
-        for j in range(len(col_labels))
+    w_lab = max(map(len, row_labels))
+    widths = [max(map(len, col)) for col in zip(col_labels, *rendered)]
+    out = [" " * w_lab + "  " + "  ".join(map(str.rjust, col_labels, widths))]
+    out += [
+        lab.ljust(w_lab) + "  " + "  ".join(map(str.rjust, row, widths))
+        for lab, row in zip(row_labels, rendered)
     ]
-    out = [" " * w_lab + "".join(f"  {c:>{w}}" for c, w in zip(col_labels, widths))]
-    for lab, row in zip(row_labels, rendered):
-        out.append(f"{lab:<{w_lab}}" + "".join(f"  {v:>{w}}" for v, w in zip(row, widths)))
     return "\n".join(out) + "\n"
 
 
@@ -233,7 +236,7 @@ def _load_function(spec: str, domain, what: str) -> SetFunction:
     # os.path.isfile is False, not an error, for an inline list too long
     # to be a file name
     if os.path.isfile(spec):
-        items = read_json(Path(spec).read_text(encoding="utf-8"), spec)
+        items = read_json(read_text(spec), spec)
         if not isinstance(items, list):
             raise ProblemFormatError(f"{spec}: expected a JSON array of entries")
     else:

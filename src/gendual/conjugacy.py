@@ -72,6 +72,5 @@ def young_check(f: SetFunction, c: Coupling) -> bool:
     """Generalized Young inequality: f(x) upper-add f^c(y) >= c(x,y) for all
     pairs, tested exactly by ``extreal.exceeds`` at tol 0.  Holds for every
     input; exposed as a self-test of the sign and infinity conventions."""
-    fc = list(map(float, conjugate(f, c).values))
-    pairs = zip(map(float, f.values), c.float_rows)
-    return not any(exceeds(c_row, fc, fx, 0.0) for fx, c_row in pairs)
+    fc = conjugate(f, c).values
+    return not any(exceeds(c_row, fc, fx, 0.0) for fx, c_row in zip(f.values, c.rows))

@@ -126,14 +126,14 @@ def _inequality_witness(lag, r, c, tol) -> Witness | None:
     for u, l_row, r_row in zip(r.decisions.labels, lag.rows, r.rows):
         dom = [v > -_INF for v in l_row]
         if all(dom):
-            ys, c_rows = lag.dual.labels, c.float_rows
+            ys, c_rows = lag.dual.labels, c.rows
         elif any(dom):
             ys = tuple(compress(lag.dual.labels, dom))
-            c_rows = (tuple(compress(c_row, dom)) for c_row in c.float_rows)
+            c_rows = (tuple(compress(c_row, dom)) for c_row in c.rows)
         else:
             continue
         nl_row = [-v for v in compress(l_row, dom)]
-        for x, rv, c_row in zip(r.primal.labels, map(float, r_row), c_rows):
+        for x, rv, c_row in zip(r.primal.labels, r_row, c_rows):
             if not exceeds(c_row, nl_row, rv, tol):
                 continue
             # name the first failing y
@@ -295,10 +295,10 @@ def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
     # -1.0 * v is -v for every double, signed zeros included).
     big = _probe_magnitude(lag, r, c)
     for table, side, others, slices, sign, candidates, text in (
-        (r, "x", ([-v for v in row] for row in lag.rows), c.float_rows, 1.0,
+        (r, "x", ([-v for v in row] for row in lag.rows), c.rows, 1.0,
          _lower_candidates,
          "R({u},{lab}) = {v} can drop to {cand} with the inequality intact"),
-        (lag, "y", (list(map(float, row)) for row in r.rows), c.float_cols, -1.0,
+        (lag, "y", r.rows, c.cols, -1.0,
          _raise_candidates,
          "L({u},{lab}) = {v} can rise to {cand} with the inequality intact"),
     ):

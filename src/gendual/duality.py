@@ -115,8 +115,8 @@ def weak_duality_report(
     ix = c.primal.index(base_point)
     phi = perturbation_function(r)
     psi = dual_function(lagrangian_of(r, c))
-    dual = sup_product([psi.values], [c.sorted_rows[ix]])[0][0]
-    primal = phi.values[ix]
+    dual = ExtReal(sup_product([psi.values], [c.sorted_rows[ix]])[0][0])
+    primal = ExtReal(phi.values[ix])
     if not approx_le(dual, primal, tol):
         raise ArithmeticError(
             f"weak duality violated at {base_point!r}: dual {dual} > primal {primal}"

@@ -1,12 +1,16 @@
 """Exact arithmetic on the extended real line [-inf, +inf].
 
-An extended real is an IEEE double that is never NaN: ``ExtReal`` is a
-``float`` subclass whose constructor rejects NaN, and the two infinities
-are the IEEE ones.  IEEE addition already agrees with both Moreau additions
-everywhere except at (+inf) + (-inf), where it yields NaN; the lower
-addition sends that pair to -inf, the upper addition to +inf.  So each
-Moreau addition is one IEEE ``+`` with that NaN mapped to its infinity, and
-a finite sum that overflows lands on the infinity of its sign.
+An extended real is an IEEE double that is never NaN, and the two
+infinities are the IEEE ones.  Tables and function values hold them as
+plain ``float``s, checked once when the table is built (see ``spaces``);
+``ExtReal``, a ``float`` subclass whose constructor rejects NaN, is the
+type of scalar results: the Moreau additions, ``neg``, ``parse_extreal``
+and the weak-duality report.  IEEE addition already agrees with both Moreau
+additions everywhere except at (+inf) + (-inf), where it yields NaN; the
+lower addition sends that pair to -inf, the upper addition to +inf.  So
+each Moreau addition is one IEEE ``+`` with that NaN mapped to its
+infinity, and a finite sum that overflows lands on the infinity of its
+sign.
 
 The conjugates, the transforms and the dual value all go through one
 kernel: ``sup_product``, the max-plus matrix product under the lower
@@ -17,7 +21,8 @@ per line, the indices of the entries above -inf, largest entry first.  A
 scan visits k in that order and stops once max(a) + c[k] (min(a) - c[k])
 cannot beat the best sum so far, so a row of -inf (+inf), an empty
 domain, costs no scan at all, and the coupling's -inf entries are never
-visited.  The kernel is exact, signed zeros included:
+visited.  The kernel is exact, signed zeros included, and returns plain
+doubles that are never NaN:
   - an IEEE sum is NaN only for the opposite-infinity pair, which the
     comparisons never select, just as the -inf (+inf) that the lower
     (upper) addition gives it never wins a sup (inf);
@@ -144,7 +149,7 @@ def descending(lines) -> tuple:
     return tuple(view)
 
 
-def sup_product(a_rows, view) -> list[list[ExtReal]]:
+def sup_product(a_rows, view) -> list[list[float]]:
     """P[i][j] = sup_k a_rows[i][k] (lower-add) b_j[k], over the lines
     (b_j, order) of a ``descending`` view.
 
@@ -157,7 +162,7 @@ def sup_product(a_rows, view) -> list[list[ExtReal]]:
     for a in a_rows:
         top = max(a)
         if top == -_INF:
-            out.append([NEG_INF] * len(view))
+            out.append([-_INF] * len(view))
             continue
         row = []
         for b, order in view:
@@ -173,12 +178,12 @@ def sup_product(a_rows, view) -> list[list[ExtReal]]:
                     first = k
                     if s == _INF:
                         break
-            row.append(_ext(best))
+            row.append(best)
         out.append(row)
     return out
 
 
-def inf_product(a_rows, view) -> list[list[ExtReal]]:
+def inf_product(a_rows, view) -> list[list[float]]:
     """P[i][j] = inf_k a_rows[i][k] (upper-add) -b_j[k], over the lines
     (b_j, order) of a ``descending`` view: the mirror of ``sup_product``.
 
@@ -192,7 +197,7 @@ def inf_product(a_rows, view) -> list[list[ExtReal]]:
     for a in a_rows:
         low = min(a)
         if low == _INF:
-            out.append([POS_INF] * len(view))
+            out.append([_INF] * len(view))
             continue
         row = []
         for b, order in view:
@@ -208,7 +213,7 @@ def inf_product(a_rows, view) -> list[list[ExtReal]]:
                     first = k
                     if s == -_INF:
                         break
-            row.append(_ext(best))
+            row.append(best)
         out.append(row)
     return out
 
@@ -271,7 +276,6 @@ def parse_extreal(text: str) -> ExtReal:
 
 
 def render_extreal(a: ExtReal) -> str:
-    """Render as 'inf', '-inf', or the shortest round-tripping decimal."""
-    if a == _INF:
-        return "inf"
-    return "-inf" if a == -_INF else float.__repr__(a)
+    """Render as 'inf', '-inf', or the shortest round-tripping decimal:
+    ``float.__repr__`` of a, for every double that is not NaN."""
+    return float.__repr__(a)

@@ -7,6 +7,10 @@ point and a free-text comment.  Infinities are spelled as the strings "inf"
 and "-inf"; every other entry must be a plain JSON number.  Serialization is
 canonical (fixed key order, two-space indent, floats everywhere), so files
 written by this module round-trip byte-identically.
+
+Table rows are read and written whole, in C-level passes: ``json.dumps``
+with an indent would encode entry by entry in pure Python.  A row that
+fails the fast read is read again entry by entry, to name the bad entry.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from json.encoder import encode_basestring_ascii as _string
+
 from .errors import MissingTableError, ProblemFormatError
-from .extreal import NEG_INF, POS_INF, ExtReal, render_extreal
+from .extreal import ExtReal, render_extreal
 from .spaces import Coupling, FiniteSet, Lagrangian, Rockafellian, bilinear_coupling
 
 __all__ = [
@@ -27,6 +33,7 @@ __all__ = [
     "load_problem",
     "parse_problem",
     "read_json",
+    "read_text",
     "save_problem",
     "serialize_problem",
 ]
@@ -102,7 +109,18 @@ def read_json(text: str, source: str):
         msg = str(exc)
     except ValueError:  # int() refuses a literal beyond its digit limit
         msg = "integer literal outside the double range"
+    except RecursionError:
+        msg = "invalid JSON: nesting too deep"
     raise ProblemFormatError(f"{source}: {msg}") from None
+
+
+def read_text(path) -> str:
+    """The text of an input file; one that is not UTF-8 is a
+    ProblemFormatError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ProblemFormatError(f"{path}: not UTF-8 text") from None
 
 
 def _double(raw) -> float | None:
@@ -123,14 +141,38 @@ def finite_number(raw, where: str) -> float:
     return value
 
 
+_INF = math.inf
+_WORDS = {"inf": _INF, "-inf": -_INF}
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _row(raw_row: list) -> tuple[float, ...] | None:
+    """A JSON row as doubles, or None if some entry is neither a number
+    within the double range nor "inf"/"-inf"."""
+    try:
+        values = list(map(_WORDS.get, raw_row, raw_row))
+    except TypeError:  # a nested array or object, which cannot be a key
+        return None
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        return None
+    try:
+        values = tuple(map(float, values))
+    except OverflowError:  # an integer literal beyond the double range
+        return None
+    # json reads a literal such as 1e400 as an infinity: the row is valid
+    # only if each of its infinities was spelled as a word
+    words = raw_row.count("inf") + raw_row.count("-inf")
+    if values.count(_INF) + values.count(-_INF) != words:
+        return None
+    return values
+
+
 def _entry(raw, name: str, i: int, j: int) -> float:
     """Entry (i, j) of table ``name``; the location is formatted only when
     the entry is rejected."""
     if isinstance(raw, str):
-        if raw == "inf":
-            return POS_INF
-        if raw == "-inf":
-            return NEG_INF
+        if raw in _WORDS:
+            return _WORDS[raw]
     elif not isinstance(raw, bool) and isinstance(raw, (int, float)):
         value = _double(raw)
         if value is not None:
@@ -144,7 +186,7 @@ def _entry(raw, name: str, i: int, j: int) -> float:
     )
 
 
-def _table(raw, name: str, n_rows: int, n_cols: int) -> list[list[float]]:
+def _table(raw, name: str, n_rows: int, n_cols: int) -> list[tuple[float, ...]]:
     if not isinstance(raw, list) or len(raw) != n_rows:
         raise ProblemFormatError(f"{name}: expected {n_rows} rows")
     rows = []
@@ -153,7 +195,10 @@ def _table(raw, name: str, n_rows: int, n_cols: int) -> list[list[float]]:
             raise ProblemFormatError(
                 f"{name} row {i}: expected {n_cols} entries"
             )
-        rows.append([_entry(v, name, i, j) for j, v in enumerate(raw_row)])
+        row = _row(raw_row)
+        if row is None:
+            row = tuple(_entry(v, name, i, j) for j, v in enumerate(raw_row))
+        rows.append(row)
     return rows
 
 
@@ -291,8 +336,7 @@ def parse_problem(
 
 
 def load_problem(path, allow_both: bool = False) -> Problem:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_problem(text, source=str(path), allow_both=allow_both)
+    return parse_problem(read_text(path), source=str(path), allow_both=allow_both)
 
 
 def extreal_to_jsonable(v: ExtReal):
@@ -300,38 +344,60 @@ def extreal_to_jsonable(v: ExtReal):
     return float(v) if math.isfinite(v) else render_extreal(v)
 
 
-def _table_to_jsonable(table) -> list[list]:
-    return [[extreal_to_jsonable(v) for v in row] for row in table.rows]
+_JSON_INF = {"inf": '"inf"', "-inf": '"-inf"'}
 
 
-def problem_to_jsonable(problem: Problem) -> dict:
-    out: dict = {}
-    if problem.comment is not None:
-        out["comment"] = problem.comment
-    out["sets"] = {
-        "U": list(problem.decisions.labels),
-        "X": list(problem.primal.labels),
-        "Y": list(problem.dual.labels),
-    }
-    if problem.embedding is not None:
-        out["embedding"] = {
-            "X": [list(p) for p in problem.embedding["X"]],
-            "Y": [list(p) for p in problem.embedding["Y"]],
-        }
-    else:
-        out["coupling"] = _table_to_jsonable(problem.coupling)
-    if problem.rockafellian is not None:
-        out["rockafellian"] = _table_to_jsonable(problem.rockafellian)
-    if problem.lagrangian is not None:
-        out["lagrangian"] = _table_to_jsonable(problem.lagrangian)
-    if problem.base_point is not None:
-        out["base_point"] = problem.base_point
-    return out
+def _array(items, depth: int) -> str:
+    """JSON array of already encoded items, laid out as ``json.dumps`` with
+    ``indent=2`` lays out an array whose closing bracket is indented by
+    ``depth`` levels."""
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]"
+
+
+def _object(members, depth: int) -> str:
+    """JSON object of (key, encoded value) pairs, laid out like ``_array``."""
+    pad = "\n" + "  " * depth
+    return f"{{{pad}  " + f",{pad}  ".join(
+        f"{_string(key)}: {value}" for key, value in members
+    ) + f"{pad}}}"
+
+
+def _row_block(row) -> str:
+    tokens = list(map(float.__repr__, row))
+    return _array(map(_JSON_INF.get, tokens, tokens), 2)
+
+
+def _table_block(table) -> str:
+    return _array(map(_row_block, table.rows), 1)
 
 
 def serialize_problem(problem: Problem) -> str:
-    """Canonical text form; stable under parse -> serialize round trips."""
-    return json.dumps(problem_to_jsonable(problem), indent=2) + "\n"
+    """Canonical text form; stable under parse -> serialize round trips.
+    It is ``json.dumps(..., indent=2)`` of the file's JSON image, keys in
+    ``_TOP_KEYS`` order, and a newline."""
+    sets = (("U", problem.decisions), ("X", problem.primal), ("Y", problem.dual))
+    blocks = {
+        "sets": _object([(key, _array(map(_string, s.labels), 2)) for key, s in sets], 1)
+    }
+    for key in ("comment", "base_point"):
+        text = getattr(problem, key)
+        if text is not None:
+            blocks[key] = _string(text)
+    if problem.embedding is not None:
+        emb = {"X": problem.embedding["X"], "Y": problem.embedding["Y"]}
+        # json escapes every newline inside a string, so each one in the
+        # text starts a line, which moves one level in
+        blocks["embedding"] = json.dumps(emb, indent=2).replace("\n", "\n  ")
+    else:
+        blocks["coupling"] = _table_block(problem.coupling)
+    for key, table in (("rockafellian", problem.rockafellian),
+                       ("lagrangian", problem.lagrangian)):
+        if table is not None:
+            blocks[key] = _table_block(table)
+    return _object(
+        [(key, blocks[key]) for key in _TOP_KEYS if key in blocks], 0
+    ) + "\n"
 
 
 def save_problem(problem: Problem, path) -> None:

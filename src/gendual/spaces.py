@@ -5,6 +5,10 @@ finite set (used for both primal- and dual-side functions), couplings over
 primal x dual, Rockafellians over decisions x primal, and Lagrangians over
 decisions x dual.  Tables are total and immutable after construction, and
 domains are compared by label sequence, never coerced.
+
+Every entry of a table or function is a plain ``float`` that is never NaN,
+so CPython's float fast paths apply wherever entries are compared or added.
+Each row is checked once, on construction, in C-level passes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, UnknownLabelError
-from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending, neg
+from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending
 
 __all__ = [
     "Coupling",
@@ -83,14 +87,36 @@ def _as_set(obj) -> FiniteSet:
     return obj if isinstance(obj, FiniteSet) else FiniteSet(obj)
 
 
+_FLOAT = frozenset((float,))
+_DOUBLE_TYPES = frozenset((float, int, ExtReal))
+_isnan = math.isnan
+
+
+def _doubles(values) -> tuple[float, ...]:
+    """``values`` as a tuple of plain doubles, none of them NaN.  A row of
+    ints, floats and ExtReals is checked in C-level passes: its set of
+    types, the conversion to float (none if all are floats) and a NaN scan.
+    Any other row goes through ``as_extreal`` entry by entry, which converts
+    the int and float subclasses and raises its TypeError or ValueError on
+    the rest."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if types <= _DOUBLE_TYPES:
+        doubles = values if types == _FLOAT else tuple(map(float, values))
+        if not any(map(_isnan, doubles)):
+            return doubles
+    return tuple(map(float, map(as_extreal, values)))
+
+
 class SetFunction:
-    """Total map from a finite set to extended reals, stored in domain order."""
+    """Total map from a finite set to extended reals, stored in domain order
+    as plain doubles."""
 
     __slots__ = ("domain", "values")
 
     def __init__(self, domain, values: Sequence):
         domain = _as_set(domain)
-        values = tuple(map(as_extreal, values))
+        values = _doubles(values)
         if len(values) != len(domain):
             raise ValueError(
                 f"expected {len(domain)} values for domain "
@@ -99,7 +125,7 @@ class SetFunction:
         self.domain = domain
         self.values = values
 
-    def __call__(self, label: str) -> ExtReal:
+    def __call__(self, label: str) -> float:
         return self.values[self.domain.index(label)]
 
     def items(self):
@@ -107,7 +133,7 @@ class SetFunction:
 
     def negated(self) -> "SetFunction":
         """Pointwise negation, same domain."""
-        return SetFunction(self.domain, [neg(v) for v in self.values])
+        return SetFunction(self.domain, [-v for v in self.values])
 
     def isclose(self, other: "SetFunction", tol: float = DEFAULT_TOL) -> bool:
         """Same domain, infinities matching exactly, finite entries within tol."""
@@ -152,7 +178,7 @@ class _Table:
     def __init__(self, row_set, col_set, entries: Sequence[Sequence]):
         row_set = _as_set(row_set)
         col_set = _as_set(col_set)
-        rows = tuple(tuple(map(as_extreal, row)) for row in entries)
+        rows = tuple(map(_doubles, entries))
         if len(rows) != len(row_set):
             raise ValueError(
                 f"expected {len(row_set)} rows, got {len(rows)}"
@@ -166,7 +192,7 @@ class _Table:
         self.col_set = col_set
         self.rows = rows
 
-    def __call__(self, row_label: str, col_label: str) -> ExtReal:
+    def __call__(self, row_label: str, col_label: str) -> float:
         return self.rows[self.row_set.index(row_label)][self.col_set.index(col_label)]
 
     def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
@@ -200,28 +226,29 @@ class _Table:
 
 
 class Coupling(_Table):
-    """Pairing table c over primal x dual; entries may be +/-inf.  Its rows
-    and columns are also kept as plain floats, built once: the triple scans
-    of the audit read them, and CPython's fast paths for float arithmetic
-    and comparison apply only to exact floats.  The product kernel reads
-    them through ``sorted_rows`` and ``sorted_cols``, each built on first
-    use and then kept: the audit runs a conjugate once per row of a table,
-    and sorting the coupling on each call would cost more than the scan."""
+    """Pairing table c over primal x dual; entries may be +/-inf.  Its
+    columns, and the product kernel's views ``sorted_rows`` and
+    ``sorted_cols``, are each built on first use and then kept: the audit
+    runs a conjugate once per row of a table, and sorting the coupling on
+    each call would cost more than the scan."""
 
     def __init__(self, primal, dual, entries):
         super().__init__(primal, dual, entries)
-        self.float_rows = tuple(tuple(map(float, row)) for row in self.rows)
-        self.float_cols = tuple(zip(*self.float_rows))
+
+    @cached_property
+    def cols(self) -> tuple:
+        """The columns, one tuple per y."""
+        return tuple(zip(*self.rows))
 
     @cached_property
     def sorted_rows(self) -> tuple:
         """``extreal.descending`` view of the rows, one line per x."""
-        return descending(self.float_rows)
+        return descending(self.rows)
 
     @cached_property
     def sorted_cols(self) -> tuple:
         """``extreal.descending`` view of the columns, one line per y."""
-        return descending(self.float_cols)
+        return descending(self.cols)
 
     @property
     def primal(self) -> FiniteSet:
@@ -264,8 +291,7 @@ class Lagrangian(_Table):
 
 def reverse_coupling(c: Coupling) -> Coupling:
     """Swap the two arguments: c'(y, x) = c(x, y).  Involutive."""
-    transposed = list(zip(*c.rows))
-    return Coupling(c.dual, c.primal, transposed)
+    return Coupling(c.dual, c.primal, c.cols)
 
 
 def bilinear_coupling(

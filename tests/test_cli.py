@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gendual.cli import main
 from gendual.problems import load_problem, parse_problem
@@ -431,3 +439,155 @@ def test_unreadable_json_exits_2_naming_the_file(
                                "--function", str(bad))
     assert code == 2
     assert err.splitlines() == [f"error: {bad}: {message}"]
+
+
+@pytest.mark.parametrize("site", ["problem", "function"])
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 200000, "invalid JSON: nesting too deep"),
+    (b'{"comment": "\xff"}', "not UTF-8 text"),
+], ids=["deep-nesting", "not-utf8"])
+def test_input_faults_exit_2_naming_the_file(
+    problems_dir, tmp_path, capsys, site, content, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if site == "problem":
+        code, _, err = run_cli(capsys, "to-lagrangian", str(bad))
+    else:
+        code, _, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
+                               "--function", str(bad))
+    assert code == 2
+    assert err.splitlines() == [f"error: {bad}: {message}"]
+
+
+
+# --- malformed input: one diagnostic line, never a traceback ------------------
+
+GALLERY = Path(__file__).resolve().parent.parent / "problems"
+GALLERY_FILES = sorted(p.name for p in GALLERY.glob("*.json"))
+BAD_TOKENS = ("true", "null", '"nan"', '"Inf"', "1e400", "-1e400", "1" + "0" * 400,
+              "[]", "{}", '"x"', "-0", "0")
+# a JSON string or number in the text
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?')
+TABLES = ("coupling", "rockafellian", "lagrangian")
+
+
+@st.composite
+def mutated_files(draw):
+    """A gallery file with one fault: truncated, a token swapped for a bad
+    one, a key dropped, or a table row lengthened or shortened."""
+    text = (GALLERY / draw(st.sampled_from(GALLERY_FILES))).read_text(encoding="utf-8")
+    kind = draw(st.sampled_from(["truncate", "swap", "drop_key", "row_length"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "swap":
+        token = draw(st.sampled_from(list(JSON_TOKEN.finditer(text))))
+        return text[:token.start()] + draw(st.sampled_from(BAD_TOKENS)) + text[token.end():]
+    doc = json.loads(text)
+    if kind == "drop_key":
+        owners = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+        owner = draw(st.sampled_from(owners))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    else:
+        table = doc[draw(st.sampled_from([k for k in TABLES if k in doc]))]
+        row = table[draw(st.integers(0, len(table) - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(st.sampled_from([1.0, "inf", 2])))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def run_in_fresh_dir(argv, files=None):
+    """Exit code, stdout and stderr of ``main(argv)``, run in a temporary
+    directory holding copies of the gallery files and ``files``."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in GALLERY_FILES:
+            shutil.copy(GALLERY / name, tmp)
+        for name, text in (files or {}).items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        os.chdir(tmp)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_diagnostic(code, out, err):
+    assert code in range(6)
+    assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in out + err
+    assert "error: internal:" not in err, err
+
+
+FILE_COMMANDS = [
+    ["to-lagrangian", "m.json"],
+    ["to-rockafellian", "m.json"],
+    ["to-lagrangian", "m.json", "--output", "out.json"],
+    ["weak-duality", "m.json"],
+    ["check-couple", "m.json"],
+    ["check-couple", "e1.json", "m.json"],
+    ["conjugate", "m.json", "--function", "1,inf"],
+    ["conjugate", "m.json", "--side", "dual", "--function=-1,0,2.5"],
+    ["conjugate", "e1.json", "--function", "m.json"],
+]
+
+
+@given(mutated_files(), st.sampled_from(FILE_COMMANDS),
+       st.sampled_from(["text", "csv", "structured"]))
+@settings(max_examples=300, deadline=None)
+def test_mutated_gallery_file_gives_one_line_and_no_internal_error(text, argv, fmt):
+    code, out, err = run_in_fresh_dir(argv + ["--format", fmt], {"m.json": text})
+    assert_one_line_diagnostic(code, out, err)
+
+
+COMMAND_NAMES = ("conjugate", "to-lagrangian", "to-rockafellian", "check-couple",
+                 "weak-duality", "fuzz")
+FLAG_VALUES = {
+    "--function": ("1,2", "inf,-inf", "1e400,0", "Inf,3", "x", "e1.json", "1,2,3"),
+    "--side": ("primal", "dual", "sideways"),
+    "--format": ("text", "csv", "structured", "yaml"),
+    "--tol": ("1e-9", "0", "-1", "nan"),
+    "--deltas": ("0.5", "0,1", "1e-3,1", "x"),
+    "--base-point": ("x0", "x1", "zz"),
+    "--output": ("out.json", "no/such/dir/out.json", "."),
+    "--count": ("0", "1", "2"),
+    "--max-set-size": ("1", "3"),
+    "--seed": ("7", "x"),
+    "--grid": ("-2:2", "3:1", "x"),
+    "--inf-prob": ("0.5", "0.1", "nan"),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command, zero to two files, some flags with values, and now and
+    then a stray word."""
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    # fuzz runs 1000 instances by default; a later --count still wins
+    argv = [command] + (["--count", "2"] if command == "fuzz" else [])
+    argv += draw(st.lists(st.sampled_from(GALLERY_FILES + ["missing.json", "."]),
+                          max_size=2))
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3)):
+        argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["-h", "", "x", "--nope", "-1"])))
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_random_argv_gives_one_line_and_no_internal_error(argv):
+    code, out, err = run_in_fresh_dir(argv)
+    if argv[0] == "fuzz" and code in (0, 1):
+        err = "".join(line for line in err.splitlines(True)
+                      if not line.startswith("elapsed: "))
+    assert_one_line_diagnostic(code, out, err)

@@ -2,9 +2,11 @@
 
 Runs ``gendual.cli.main`` in-process on the files in ``problems/`` and on
 two fixed-seed fuzz runs, and compares each command's exit code and stdout
-with ``golden_cli.json``.  Each case runs in a temporary directory, so a
-failing fuzz case leaves its repro files there.  A change meant to alter
-this output regenerates that file from the repository root with
+with ``golden_cli.json``.  The transform commands also run with
+``--output``, and the file they write is compared too.  Each case runs in a
+temporary directory, so a failing fuzz case leaves its repro files there.
+A change meant to alter this output regenerates that file from the
+repository root with
 
     PYTHONPATH=src:tests python -c "import json, test_golden_cli as g; open('tests/golden_cli.json', 'w').write(json.dumps(g.record(), indent=1) + '\\n')"
 
@@ -14,6 +16,8 @@ and says why the output changed.
 import contextlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -45,6 +49,10 @@ COMMANDS = [
     ["fuzz", "--count", "100", "--max-set-size", "5", "--seed", "1"],
 ]
 FORMATS = ("text", "csv", "structured")
+# the transform commands, run again with --output: the file is pinned too
+OUTPUT_COMMANDS = [
+    cmd + ["--output", "out.json"] for cmd in COMMANDS if cmd[0].startswith("to-")
+]
 
 
 def _key(command, fmt):
@@ -52,15 +60,33 @@ def _key(command, fmt):
 
 
 def run(command, fmt):
-    argv = [str(PROBLEMS / a) if a.endswith(".json") else a for a in command]
+    """Exit code and stdout, plus the text of ``out.json`` for a command
+    that writes it; an --output path is taken relative to the current
+    directory."""
+    argv = [
+        str(PROBLEMS / a) if a.endswith(".json") and a != "out.json" else a
+        for a in command
+    ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv + ["--format", fmt])
-    return {"exit": code, "stdout": out.getvalue()}
+    result = {"exit": code, "stdout": out.getvalue()}
+    if "out.json" in command:
+        result["output"] = Path("out.json").read_text(encoding="utf-8")
+    return result
 
 
 def record():
-    return {_key(cmd, fmt): run(cmd, fmt) for cmd in COMMANDS for fmt in FORMATS}
+    """The golden entries, run in a temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            golden = {_key(cmd, fmt): run(cmd, fmt) for cmd in COMMANDS for fmt in FORMATS}
+            golden.update((_key(cmd, "text"), run(cmd, "text")) for cmd in OUTPUT_COMMANDS)
+        finally:
+            os.chdir(cwd)
+    return golden
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -69,3 +95,10 @@ def test_gallery_output_is_unchanged(command, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert run(command, fmt) == golden[_key(command, fmt)]
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS, ids="-".join)
+def test_transform_output_file_is_unchanged(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run(command, "text") == golden[_key(command, "text")]

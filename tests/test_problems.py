@@ -1,10 +1,20 @@
 import importlib.util
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gendual import ExtReal, ProblemFormatError
+from gendual import (
+    Coupling,
+    ExtReal,
+    FiniteSet,
+    Lagrangian,
+    ProblemFormatError,
+    Rockafellian,
+    bilinear_coupling,
+)
 from gendual.problems import (
     Problem,
     load_problem,
@@ -184,3 +194,162 @@ def test_make_gallery_reproduces_problems_dir(problems_dir, tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == want
     for name in want:
         assert (tmp_path / name).read_bytes() == (problems_dir / name).read_bytes(), name
+
+
+# --- parsing: the row-at-a-time fast path against a per-entry reference ------
+
+def reference_table(raw, name, n_rows, n_cols):
+    """Table ``name`` read entry by entry, as the file format defines it."""
+    if not isinstance(raw, list) or len(raw) != n_rows:
+        raise ProblemFormatError(f"{name}: expected {n_rows} rows")
+    rows = []
+    for i, raw_row in enumerate(raw):
+        if not isinstance(raw_row, list) or len(raw_row) != n_cols:
+            raise ProblemFormatError(f"{name} row {i}: expected {n_cols} entries")
+        row = []
+        for j, v in enumerate(raw_row):
+            if v == "inf" or v == "-inf":
+                row.append(float(v))
+                continue
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                try:
+                    value = float(v)
+                except OverflowError:
+                    value = math.inf
+                if math.isfinite(value):
+                    row.append(value)
+                    continue
+                raise ProblemFormatError(
+                    f"{name} row {i} column {j}: number outside the double range"
+                )
+            raise ProblemFormatError(
+                f"{name} row {i} column {j}: invalid entry {v!r} "
+                '(only numbers or "inf"/"-inf")'
+            )
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# JSON source text of one table entry: valid and invalid ones alike
+entry_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from([
+        "0.0", "-0.0", "0", "-0", "5e-324", "-5e-324", "1.7976931348623157e308",
+        "1" + "0" * 400, "-1" + "0" * 400, "1e400", "-1e400", "1E400",
+        '"inf"', '"-inf"', '"inf"', '"-inf"', '"Inf"', '"nan"', '"x"', '""',
+        "true", "false", "null", "[1.0]", "[]", '{"a": 1}',
+    ]),
+)
+
+
+@st.composite
+def table_texts(draw, n_rows, n_cols):
+    """Rows mostly of the right length, now and then one short or long."""
+    rows = []
+    for _ in range(n_rows):
+        k = n_cols + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        rows.append("[" + ", ".join(draw(st.lists(entry_tokens, min_size=k,
+                                                  max_size=k))) + "]")
+    return "[" + ", ".join(rows) + "]"
+
+
+@st.composite
+def problem_texts(draw):
+    n_u, n_x, n_y = (draw(st.integers(1, 3)) for _ in range(3))
+    sets = {"U": [f"u{i}" for i in range(n_u)], "X": [f"x{i}" for i in range(n_x)],
+            "Y": [f"y{i}" for i in range(n_y)]}
+    return (
+        '{"sets": ' + json.dumps(sets)
+        + ', "coupling": ' + draw(table_texts(n_x, n_y))
+        + ', "rockafellian": ' + draw(table_texts(n_u, n_x)) + "}"
+    )
+
+
+@given(problem_texts())
+@settings(max_examples=400)
+def test_parse_matches_per_entry_reference(text):
+    raw = json.loads(text)
+    n_u, n_x, n_y = (len(raw["sets"][k]) for k in "UXY")
+    try:
+        want = (reference_table(raw["coupling"], "coupling", n_x, n_y),
+                reference_table(raw["rockafellian"], "rockafellian", n_u, n_x))
+    except ProblemFormatError as exc:
+        with pytest.raises(ProblemFormatError) as got:
+            parse_problem(text)
+        assert str(got.value) == str(exc)
+        return
+    p = parse_problem(text)
+    assert repr((p.coupling.rows, p.rockafellian.rows)) == repr(want)
+
+
+# --- serializing: the row-at-a-time writer against json.dumps ----------------
+
+DBL_MAX = sys.float_info.max
+special_entries = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, -1e16, DBL_MAX, -DBL_MAX,
+    math.inf, -math.inf, 0.1 + 0.2, -2.5,
+])
+entries = st.one_of(special_entries, st.floats(allow_nan=False))
+# quotes, backslashes, control and non-ASCII characters, NUL included
+texts = st.text(alphabet=st.sampled_from('ab"\\/\x00\n\t\x7fé漢😀 '), max_size=6)
+
+
+def jsonable(v):
+    return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
+
+
+@st.composite
+def problems_and_images(draw):
+    """A Problem and the dict whose ``json.dumps`` is its file text."""
+    labels = [draw(st.lists(texts, min_size=1, max_size=3, unique=True))
+              for _ in range(3)]
+    U, X, Y = (FiniteSet(lab) for lab in labels)
+
+    def table(n_rows, n_cols):
+        return [draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+                for _ in range(n_rows)]
+
+    image = {}
+    comment = draw(st.none() | texts)
+    if comment is not None:
+        image["comment"] = comment
+    image["sets"] = dict(zip("UXY", labels))
+    embedding = None
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 2))
+        coords = st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-7, 3.0]),
+                          min_size=dim, max_size=dim)
+        xs = [draw(coords) for _ in X]
+        ys = [draw(coords) for _ in Y]
+        embedding = {"X": xs, "Y": ys}
+        image["embedding"] = {"X": xs, "Y": ys}
+        coupling = bilinear_coupling(xs, ys, X.labels, Y.labels)
+    else:
+        c_rows = table(len(X), len(Y))
+        image["coupling"] = [[jsonable(v) for v in row] for row in c_rows]
+        coupling = Coupling(X, Y, c_rows)
+    kinds = draw(st.sampled_from([("rockafellian",), ("lagrangian",),
+                                  ("rockafellian", "lagrangian")]))
+    tables = {}
+    for kind in kinds:
+        cls, cols = (Rockafellian, X) if kind == "rockafellian" else (Lagrangian, Y)
+        rows = table(len(U), len(cols))
+        image[kind] = [[jsonable(v) for v in row] for row in rows]
+        tables[kind] = cls(U, cols, rows)
+    base_point = draw(st.none() | st.sampled_from(X.labels))
+    if base_point is not None:
+        image["base_point"] = base_point
+    problem = Problem(
+        decisions=U, primal=X, dual=Y, coupling=coupling,
+        rockafellian=tables.get("rockafellian"), lagrangian=tables.get("lagrangian"),
+        base_point=base_point, comment=comment, embedding=embedding,
+    )
+    return problem, image
+
+
+@given(problems_and_images())
+@settings(max_examples=300)
+def test_serialize_is_json_dumps_with_indent_2(case):
+    problem, image = case
+    assert serialize_problem(problem) == json.dumps(image, indent=2) + "\n"

@@ -1,0 +1,258 @@
+#!/usr/bin/env python3
+"""Check that two source trees of gendual behave byte for byte alike.
+
+    python3 tools/same_output.py PARENT_SRC CHANGE_SRC
+
+Each argument is a ``src`` directory holding a ``gendual`` package.  The
+script writes one set of input files, then runs the same command list
+against each tree, in a fresh interpreter with that tree first on
+``sys.path``, calling ``gendual.cli.main`` in-process for each command:
+
+  - every command in the text, csv and structured formats on the gallery
+    under problems/ and on seeded random R, L and couple files at
+    n = 4, 16, 64 and 256, with integer literals, fractional, signed-zero
+    and wide entries, each family with 10% of each infinity;
+  - the transforms again with ``--output``, and a canonical couple built
+    from their output files;
+  - malformed variants of a gallery file, one fault each;
+  - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9;
+  - ``tools/make_gallery.py``, writing into the work directory.
+
+It compares, command by command, the exit code, stdout, stderr (minus the
+``elapsed:`` line that fuzz prints) and the bytes of every file the command
+wrote, prints the first difference and the number of differing commands,
+and exits 1 if there is any, else 0.  Needs no numpy.
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+GALLERY = TOOLS.parent / "problems"
+FORMATS = ("text", "csv", "structured")
+SIZES = (4, 16, 64, 256)
+INF_SHARE = 0.1
+FUZZ_SEEDS = range(10)
+
+
+def _value(rng, family):
+    roll = rng.random()
+    if roll < INF_SHARE:
+        return "-inf"
+    if roll < 2 * INF_SHARE:
+        return "inf"
+    if family == "integer":
+        return rng.randint(-10, 10)  # written as a JSON integer literal
+    if family == "fractional":
+        return rng.randint(-100, 100) / 10 + rng.random()
+    if family == "signed_zero":
+        return rng.choice((0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.25, -2.5))
+    return rng.choice((-1.0, 1.0)) * rng.uniform(1e10, 1e15)  # wide
+
+
+def _table(rng, family, n):
+    return [[_value(rng, family) for _ in range(n)] for _ in range(n)]
+
+
+def _problem(n, coupling, rockafellian=None, lagrangian=None):
+    doc = {
+        "comment": "same_output input",
+        "sets": {key: [f"{key.lower()}{i}" for i in range(n)] for key in "UXY"},
+        "coupling": coupling,
+    }
+    if rockafellian is not None:
+        doc["rockafellian"] = rockafellian
+    if lagrangian is not None:
+        doc["lagrangian"] = lagrangian
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _function(rng, family, n):
+    return ",".join(str(_value(rng, family)) for _ in range(n))
+
+
+def _malformed(text):
+    """Variants of a gallery file with one fault each."""
+    out = {}
+    for bad in ("true", "null", '"nan"', '"Inf"', "1e400", "-1e400",
+                "1" + "0" * 400, "[1]", "{}", '"x"'):
+        out[f"entry {bad[:8]}"] = text.replace("5.0", bad, 1)
+    out["short row"] = text.replace("5.0,\n      3.0", "5.0", 1)
+    out["long row"] = text.replace("5.0,", "5.0, 5.0,", 1)
+    out["label number"] = text.replace('"x1"', "1", 1)
+    out["no sets"] = text.replace('"sets"', '"sots"', 1)
+    for cut in (1, 40, 200, len(text) // 2, len(text) - 3):
+        out[f"truncated at {cut}"] = text[:cut]
+    return out
+
+
+def write_inputs(root):
+    """Write the input files under ``root``; return the command list.  Both
+    are fixed: the random files come from a constant seed."""
+    commands = []
+    gallery = root / "gallery"
+    shutil.copytree(GALLERY, gallery)
+    for path in sorted(gallery.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        n_x, n_y = len(doc["sets"]["X"]), len(doc["sets"]["Y"])
+        name = f"gallery/{path.name}"
+        base = [
+            ["to-lagrangian", name], ["to-rockafellian", name],
+            ["weak-duality", name], ["check-couple", name],
+            ["conjugate", name, "--function", ",".join((["1", "inf", "-2.5"] * n_x)[:n_x])],
+            ["conjugate", name, "--side", "dual", "--function", ",".join(["0"] * n_y)],
+        ]
+        commands += [cmd + ["--format", fmt] for cmd in base for fmt in FORMATS]
+        commands += [[c, name, "--output", f"out/{c}-{path.name}"]
+                     for c in ("to-lagrangian", "to-rockafellian")]
+    e1 = (GALLERY / "e1.json").read_text(encoding="utf-8")
+    for label, text in _malformed(e1).items():
+        bad = root / f"bad/{label.replace(' ', '_').replace('/', '_')}.json"
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_text(text, encoding="utf-8")
+        commands.append(["to-lagrangian", str(bad.relative_to(root))])
+
+    rng = random.Random(20260101)
+    for n in SIZES:
+        for family in ("integer", "fractional", "signed_zero", "wide"):
+            tag = f"rand/{family}{n}"
+            (root / "rand").mkdir(exist_ok=True)
+            c, r, lag = (_table(rng, family, n) for _ in range(3))
+            for suffix, text in (("r", _problem(n, c, rockafellian=r)),
+                                 ("l", _problem(n, c, lagrangian=lag)),
+                                 ("both", _problem(n, c, r, lag))):
+                (root / f"{tag}{suffix}.json").write_text(text, encoding="utf-8")
+            f_x, g_y = _function(rng, family, n), _function(rng, family, n)
+            base = [
+                ["to-lagrangian", f"{tag}r.json"],
+                ["to-rockafellian", f"{tag}l.json"],
+                ["weak-duality", f"{tag}r.json"],
+                ["check-couple", f"{tag}both.json"],
+                ["conjugate", f"{tag}r.json", "--function", f_x],
+                ["conjugate", f"{tag}l.json", "--side", "dual", "--function", g_y],
+            ]
+            commands += [cmd + ["--format", fmt] for cmd in base for fmt in FORMATS]
+            # a canonical couple, built from the transforms' own output files
+            commands += [
+                ["to-lagrangian", f"{tag}r.json", "--output", f"out/{family}{n}l1.json"],
+                ["to-rockafellian", f"out/{family}{n}l1.json",
+                 "--output", f"out/{family}{n}r1.json"],
+                ["to-rockafellian", f"{tag}l.json", "--output", f"out/{family}{n}r2.json"],
+            ]
+            commands += [["check-couple", f"out/{family}{n}r1.json",
+                          f"out/{family}{n}l1.json", "--format", fmt] for fmt in FORMATS]
+    for seed in FUZZ_SEEDS:
+        fmts = FORMATS if seed < 2 else ("text",)
+        commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
+                      str(seed), "--output", "repro", "--format", fmt] for fmt in fmts]
+    return commands
+
+
+def _snapshot(root):
+    return {
+        str(p.relative_to(root)): p.stat().st_mtime_ns
+        for p in root.rglob("*") if p.is_file()
+    }
+
+
+def worker(src, work, commands_path, result_path):
+    """Run every command against the tree at ``src``; write the records."""
+    sys.path.insert(0, src)
+    from gendual.cli import main
+
+    os.chdir(work)
+    (Path(work) / "out").mkdir(exist_ok=True)
+    records = []
+    for argv in json.loads(Path(commands_path).read_text(encoding="utf-8")):
+        before = _snapshot(Path(work))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        after = _snapshot(Path(work))
+        written = sorted(k for k, t in after.items() if before.get(k) != t)
+        stderr = "".join(line for line in err.getvalue().splitlines(True)
+                         if not line.startswith("elapsed: "))
+        records.append({
+            "argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": stderr,
+            "files": {k: (Path(work) / k).read_text(encoding="utf-8") for k in written},
+        })
+    sys.path.insert(0, str(TOOLS))
+    import make_gallery
+
+    make_gallery.OUT = Path(work) / "made_gallery"
+    make_gallery.main()
+    records.append({"argv": ["tools/make_gallery.py"], "files": {
+        p.name: p.read_text(encoding="utf-8")
+        for p in sorted(make_gallery.OUT.glob("*.json"))
+    }})
+    Path(result_path).write_text(json.dumps(records), encoding="utf-8")
+
+
+def run_tree(src, inputs, scratch, commands_path, tag):
+    work = scratch / f"work_{tag}"
+    shutil.copytree(inputs, work)
+    result = scratch / f"result_{tag}.json"
+    subprocess.run(
+        [sys.executable, __file__, "--worker", str(Path(src).resolve()), str(work),
+         str(commands_path), str(result)],
+        check=True, env={**os.environ, "PYTHONHASHSEED": "0"},
+    )
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+def _first_difference(a, b):
+    for key in ("exit", "stdout", "stderr"):
+        if a.get(key) != b.get(key):
+            return f"{key}: {a.get(key)!r:.300} != {b.get(key)!r:.300}"
+    if a["files"].keys() != b["files"].keys():
+        return f"files written: {sorted(a['files'])} != {sorted(b['files'])}"
+    for name in a["files"]:
+        if a["files"][name] != b["files"][name]:
+            return f"file {name} differs"
+    return None
+
+
+def main(argv):
+    if argv[:1] == ["--worker"]:
+        worker(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        inputs = scratch / "inputs"
+        inputs.mkdir()
+        commands = write_inputs(inputs)
+        commands_path = scratch / "commands.json"
+        commands_path.write_text(json.dumps(commands), encoding="utf-8")
+        old = run_tree(argv[0], inputs, scratch, commands_path, "parent")
+        new = run_tree(argv[1], inputs, scratch, commands_path, "change")
+    differing = []
+    for a, b in zip(old, new):
+        diff = _first_difference(a, b)
+        if diff is not None:
+            differing.append((a["argv"], diff))
+    files = sum(len(r["files"]) for r in old)
+    print(f"{len(old)} commands, {files} written files compared")
+    if differing:
+        argv0, diff = differing[0]
+        print(f"{len(differing)} commands differ; first: {' '.join(argv0)[:200]}\n  {diff}")
+        return 1
+    print("identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
