@@ -40,7 +40,7 @@ from .problems import (
     read_text,
     save_problem,
 )
-from .fuzz import DEFAULT_GRID, DEFAULT_INF_PROB, run_fuzz
+from .fuzz import DEFAULT_GRID, DEFAULT_INF_PROB, VALUE_FAMILIES, run_fuzz, values_note
 
 EXIT_OK = 0
 EXIT_NOT_COUPLE = 1
@@ -162,6 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integer value grid LO:HI (default -10:10)")
     p.add_argument("--inf-prob", type=float, default=DEFAULT_INF_PROB,
                    help="probability of each infinity per entry (default 0.1)")
+    p.add_argument("--values", choices=tuple(VALUE_FAMILIES), default="integer",
+                   help="family of the finite entries (default integer, on the "
+                        "grid; fractional also reads the grid)")
     p.add_argument("--output", default=".",
                    help="directory for reproduction files (default .)")
     common(p, tol=True)
@@ -383,6 +386,7 @@ def cmd_fuzz(args) -> int:
         grid=args.grid,
         inf_prob=args.inf_prob,
         tol=args.tol,
+        values=args.values,
     )
     elapsed = time.perf_counter() - started
     repro_path = None
@@ -409,12 +413,14 @@ def cmd_fuzz(args) -> int:
             "passed": report.passed,
             "reproduction_file": str(repro_path) if repro_path else None,
         }
+        if values_note(report.values):
+            payload["values"] = report.values
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         lines = [
             f"fuzz count={report.count} max-set-size={report.max_set_size} "
             f"seed={report.seed} grid={report.grid[0]}:{report.grid[1]} "
-            f"inf-prob={report.inf_prob} tol={report.tol}"
+            f"inf-prob={report.inf_prob} tol={report.tol}{values_note(report.values)}"
         ]
         width = max(len(n) for n in report.failures_by_check)
         for name, bad in report.failures_by_check.items():

@@ -9,7 +9,8 @@ sides through the reversed coupling.  Biconjugation composes the two and
 yields the largest c-convex function below the input; a function equal to
 its biconjugate is called c-convex (respectively c'-convex on the dual
 side).  Both conjugates are one-row products of the Moreau product kernel in
-``extreal``, which enumerates the finite sets exactly.
+``extreal``, which enumerates the finite sets exactly: ``conjugate_row``
+is that product, and the couple audit calls it on raw table rows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .spaces import Coupling, SetFunction
 __all__ = [
     "biconjugate",
     "conjugate",
+    "conjugate_row",
     "is_c_convex",
     "is_cprime_convex",
     "reverse_biconjugate",
@@ -28,14 +30,23 @@ __all__ = [
     "young_check",
 ]
 
+
+def conjugate_row(neg_f, view) -> list[float]:
+    """The conjugate of f, given as the row ``neg_f`` of its negated values,
+    over the lines of a ``descending`` view of the coupling: its columns
+    (``c.sorted_cols``) for f on the primal set, its rows
+    (``c.sorted_rows``) for the reverse conjugate of f on the dual set.
+    Returns the plain list of values, in the order of the view's lines."""
+    return sup_product((neg_f,), view)[0]
+
+
 def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
     """f^c(y) = sup_x [c(x,y) lower-add -f(x)], a function on the dual set."""
     if f.domain != c.primal:
         raise DomainMismatchError(
             "conjugate: function domain differs from the coupling's primal set"
         )
-    neg_f = [-v for v in f.values]
-    return SetFunction(c.dual, sup_product([neg_f], c.sorted_cols)[0])
+    return SetFunction(c.dual, conjugate_row([-v for v in f.values], c.sorted_cols))
 
 
 def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
@@ -44,8 +55,7 @@ def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
         raise DomainMismatchError(
             "reverse_conjugate: function domain differs from the coupling's dual set"
         )
-    neg_g = [-v for v in g.values]
-    return SetFunction(c.primal, sup_product([neg_g], c.sorted_rows)[0])
+    return SetFunction(c.primal, conjugate_row([-v for v in g.values], c.sorted_rows))
 
 
 def biconjugate(f: SetFunction, c: Coupling) -> SetFunction:

@@ -24,8 +24,14 @@ where, for every decision u,
   E3:  R_u = (R_u)^{cc'}         E4: -L_u = (-L_u)^{c'c}.
 
 Items (ii) through (v) share one mismatch scan, which names the first entry
-where two rows differ.  They are exactly equivalent; the audit flags an
-internal alarm if their verdicts ever disagree.
+where two rows differ.  It first compares the two rows whole, at C speed,
+and scans entry by entry with ``approx_eq`` only a pair that is not equal
+entry for entry; equal doubles are approximately equal at every tol >= 0,
+so the witness does not depend on the shortcut.  Items (iii)-(v) pass raw
+table rows to the product kernel (``conjugacy.conjugate_row``, the one
+conjugate code path) instead of building a ``SetFunction`` per row.  The
+four items are exactly equivalent; the audit flags an internal alarm if
+their verdicts ever disagree.
 
 Item (i) does not use the product kernel of items (ii)-(v): both the
 inequality and the probe scan rows of doubles with ``extreal.exceeds``,
@@ -33,6 +39,18 @@ which is exact for a finite tol >= 0.  The inequality scans, for each u,
 only the y where L(u, y) > -inf, the domain of -L_u: elsewhere -L(u, y) is
 +inf, so the upper sum is +inf and cannot fail.  A u whose L row is -inf
 everywhere costs no scan, and the first failing y is the same.
+
+The probe tests each entry's weakest candidate first.  For fixed c and a,
+whether ``c - (a + b) > tol`` holds can only turn from true to false as b
+grows: IEEE ``+`` and ``-`` round monotonically, and the opposite-infinity
+cases that give NaN are b = +inf or a + b = +inf, at the top of the range,
+or a = +inf or c = -inf, where the test fails for every b.  So a candidate
+that breaks the inequality is matched by every candidate below it for R
+(where b is the candidate) and above it for L (where b is its negation).
+If the largest R candidate, or the smallest L candidate, breaks the
+inequality, so does every other candidate of the entry, which is done in
+one scan; otherwise its candidates are scanned in order and the first
+survivor is named, as a plain scan would.
 """
 
 from __future__ import annotations
@@ -43,14 +61,8 @@ from itertools import compress
 
 from .errors import DomainMismatchError
 from .extreal import DEFAULT_TOL, ExtReal, approx_eq, exceeds, upp_add
-from .spaces import (
-    Coupling,
-    Lagrangian,
-    Rockafellian,
-    partial_lagrangian,
-    partial_rockafellian,
-)
-from .conjugacy import biconjugate, conjugate, reverse_biconjugate, reverse_conjugate
+from .spaces import Coupling, Lagrangian, Rockafellian
+from .conjugacy import conjugate_row
 from .duality import lagrangian_of, rockafellian_of
 
 __all__ = [
@@ -167,7 +179,10 @@ def _witness(item, u, side, lab, description) -> Witness:
 
 def _mismatch(item, u, side, labels, have, want, tol, text) -> Witness | None:
     """Witness at the first label where the row ``have`` differs from the row
-    ``want``, or None."""
+    ``want``, or None.  Rows that compare equal entry for entry are done in
+    one C-level test; only the others are scanned with ``approx_eq``."""
+    if tuple(have) == tuple(want):
+        return None
     for lab, a, b in zip(labels, have, want):
         if not approx_eq(a, b, tol):
             return _witness(item, u, side, lab, text.format(u=u, lab=lab, a=a, b=b))
@@ -191,32 +206,50 @@ def _item_ii_witness(lag, r, c, tol) -> Witness | None:
     return None
 
 
+def _negated(row) -> list[float]:
+    return [-v for v in row]
+
+
 # The row equations E1-E4 of items (iii)-(v), each stated once: the side of
-# the row's labels, the row and the row it must equal (from -L_u, R_u and
-# c), and the witness text.
-_E1 = ("y", lambda nl, r, c: (nl, conjugate(r, c)),
+# the row's labels, the row and the row it must equal, and the witness text.
+# The rows come from L_u, -L_u, R_u and -R_u as raw rows of doubles, and the
+# conjugates from ``conjugate_row``, which takes the negated function: the
+# columns of c conjugate a function on X, its rows a function on Y.  So
+# (-L_u)^c' is conjugate_row(L_u), since -(-v) is v for every double.
+_E1 = ("y", lambda lu, nlu, ru, nru, c: (nlu, conjugate_row(nru, c.sorted_cols)),
        "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
-_E2 = ("x", lambda nl, r, c: (r, reverse_conjugate(nl, c)),
+_E2 = ("x", lambda lu, nlu, ru, nru, c: (ru, conjugate_row(lu, c.sorted_rows)),
        "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
-_E3 = ("x", lambda nl, r, c: (r, biconjugate(r, c)),
+_E3 = ("x", lambda lu, nlu, ru, nru, c: (ru, conjugate_row(
+           _negated(conjugate_row(nru, c.sorted_cols)), c.sorted_rows)),
        "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}")
-_E4 = ("y", lambda nl, r, c: (nl, reverse_biconjugate(nl, c)),
+_E4 = ("y", lambda lu, nlu, ru, nru, c: (nlu, conjugate_row(
+           _negated(conjugate_row(lu, c.sorted_rows)), c.sorted_cols)),
        "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}")
 _ROW_EQUATIONS = {"iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
 
 
 def _item_witness(item, lag, r, c, tol) -> Witness | None:
     """First witness against item (ii), (iii), (iv) or (v).  Each item
-    computes its own conjugates: their agreement is the check."""
+    computes its own conjugates: their agreement is the check.
+
+    Items (iii)-(v) work on raw rows: each u hands L_u, -L_u, R_u and -R_u
+    to the product kernel through ``conjugate_row`` and wraps no row in a
+    ``SetFunction``.  Their values are the ones ``conjugate`` and
+    ``reverse_conjugate`` give, bit for bit, since those two are
+    ``conjugate_row`` behind a domain check.  ``_mismatch`` then compares
+    each pair of rows at C speed first: exact equality implies ``approx_eq``
+    at every tol >= 0 (signed zeros compare equal and no entry is NaN), so
+    only a pair that differs somewhere is scanned entry by entry, and the
+    first witness is the same."""
     if item == "ii":
         return _item_ii_witness(lag, r, c, tol)
-    for u in lag.decisions.labels:
-        neg_lu = partial_lagrangian(lag, u).negated()
-        r_u = partial_rockafellian(r, u)
+    for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
+        nl_row, nr_row = _negated(l_row), _negated(r_row)
         for side, rows, text in _ROW_EQUATIONS[item]:
-            have, want = rows(neg_lu, r_u, c)
-            w = _mismatch(item, u, side, have.domain.labels, have.values, want.values,
-                          tol, text)
+            have, want = rows(l_row, nl_row, r_row, nr_row, c)
+            labels = c.primal.labels if side == "x" else c.dual.labels
+            w = _mismatch(item, u, side, labels, have, want, tol, text)
             if w is not None:
                 return w
     return None
@@ -292,19 +325,27 @@ def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
     # caller checks it first), re-checking the slice is the full check.  An
     # entry of R meets the row of -L through a row of c; an entry of L meets
     # the row of R through a column of c, with its sign flipped (exactly, as
-    # -1.0 * v is -v for every double, signed zeros included).
+    # -1.0 * v is -v for every double, signed zeros included).  Each entry
+    # first tests its weakest candidate, the one that ``weakest`` picks (see
+    # the module docstring): if even that one breaks the inequality, every
+    # candidate does.  Otherwise the candidates are scanned in list order,
+    # which names the same one as a plain scan.
     big = _probe_magnitude(lag, r, c)
-    for table, side, others, slices, sign, candidates, text in (
-        (r, "x", ([-v for v in row] for row in lag.rows), c.rows, 1.0,
-         _lower_candidates,
+    for table, side, others, slices, sign, candidates, weakest, text in (
+        (r, "x", (_negated(row) for row in lag.rows), c.rows, 1.0,
+         _lower_candidates, max,
          "R({u},{lab}) = {v} can drop to {cand} with the inequality intact"),
         (lag, "y", r.rows, c.cols, -1.0,
-         _raise_candidates,
+         _raise_candidates, min,
          "L({u},{lab}) = {v} can rise to {cand} with the inequality intact"),
     ):
         for u, row, other in zip(table.decisions.labels, table.rows, others):
             for lab, v, c_slice in zip(table.col_set.labels, row, slices):
-                for cand in candidates(v, deltas, big):
+                cands = candidates(v, deltas, big)
+                if len(cands) > 1 and exceeds(
+                        c_slice, other, sign * weakest(cands), tol):
+                    continue
+                for cand in cands:
                     if not exceeds(c_slice, other, sign * cand, tol):
                         return _witness("i-minimality", u, side, lab, text.format(
                             u=u, lab=lab, v=v, cand=ExtReal(cand)))

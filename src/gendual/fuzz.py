@@ -3,10 +3,14 @@
 Instances draw small label sets and tables whose entries come from an
 integer grid plus both infinities; small integers make sup/inf ties common
 and keep every comparison exact, so any reported failure is a genuine bug
-rather than float noise.  Each instance runs the conjugacy laws, both
-transform propositions, weak duality at every base point, and the couple
-theorem (a constructed couple must pass all items; a single-entry
-perturbation of it must keep items (ii) through (v) in agreement).
+rather than float noise.  The other value families of ``VALUE_FAMILIES``
+draw finite entries off that grid (fractional, tiny, wide and near the
+double range), where rounding can break an identity that holds exactly on
+the reals; they report how far the laws hold there.  Each instance runs
+the conjugacy laws, both transform propositions, weak duality at every base
+point, and the couple theorem (a constructed couple must pass all items; a
+single-entry perturbation of it must keep items (ii) through (v) in
+agreement).
 
 The transform modules are referenced through their module objects so a test
 can swap a deliberately broken operation in and watch the harness catch it.
@@ -40,6 +44,7 @@ __all__ = [
     "DEFAULT_INF_PROB",
     "FuzzInstance",
     "FuzzReport",
+    "VALUE_FAMILIES",
     "check_conjugacy_laws",
     "check_couple_theorem",
     "check_roundtrips",
@@ -49,6 +54,7 @@ __all__ = [
     "random_extreal",
     "random_instance",
     "run_fuzz",
+    "values_note",
 ]
 
 DEFAULT_GRID = (-10, 10)
@@ -89,10 +95,39 @@ def random_extreal(
     return ExtReal(float(rng.randint(grid[0], grid[1])))
 
 
-def _random_rows(rng, n, m, grid, inf_prob):
-    return [
-        [random_extreal(rng, grid, inf_prob) for _ in range(m)] for _ in range(n)
-    ]
+def _off_grid(finite: Callable[[random.Random, tuple[int, int]], float]):
+    """A draw like ``random_extreal`` whose finite values come from
+    ``finite(rng, grid)``."""
+    def draw(rng, grid=DEFAULT_GRID, inf_prob=DEFAULT_INF_PROB) -> ExtReal:
+        roll = rng.random()
+        if roll < inf_prob:
+            return NEG_INF
+        if roll < 2.0 * inf_prob:
+            return POS_INF
+        return ExtReal(finite(rng, grid))
+    return draw
+
+
+def _sign(rng):
+    return rng.choice((-1.0, 1.0))
+
+
+# The entry draw of each value family, by its name for ``fuzz --values``.
+# Only integer and fractional read the grid (lo, hi): fractional draws
+# k/10 + U[0, 1) for an integer k in [10 lo, 10 hi].
+VALUE_FAMILIES = {
+    "integer": random_extreal,
+    "fractional": _off_grid(
+        lambda rng, grid: rng.randint(10 * grid[0], 10 * grid[1]) / 10 + rng.random()),
+    "tiny": _off_grid(lambda rng, grid: rng.uniform(-1e-300, 1e-300)),
+    "wide": _off_grid(lambda rng, grid: _sign(rng) * rng.uniform(1e10, 1e15)),
+    "near-overflow": _off_grid(
+        lambda rng, grid: _sign(rng) * rng.uniform(0.85e308, 1.7e308)),
+}
+
+
+def _random_rows(rng, n, m, grid, inf_prob, draw):
+    return [[draw(rng, grid, inf_prob) for _ in range(m)] for _ in range(n)]
 
 
 def random_instance(
@@ -101,7 +136,10 @@ def random_instance(
     max_set_size: int = 5,
     grid: tuple[int, int] = DEFAULT_GRID,
     inf_prob: float = DEFAULT_INF_PROB,
+    values: str = "integer",
 ) -> FuzzInstance:
+    """One instance whose entries come from the value family ``values``."""
+    draw = VALUE_FAMILIES[values]
     nu = rng.randint(1, max_set_size)
     nx = rng.randint(1, max_set_size)
     ny = rng.randint(1, max_set_size)
@@ -110,18 +148,20 @@ def random_instance(
     dual = FiniteSet([f"y{i}" for i in range(ny)])
     return FuzzInstance(
         index=index,
-        coupling=Coupling(primal, dual, _random_rows(rng, nx, ny, grid, inf_prob)),
+        coupling=Coupling(
+            primal, dual, _random_rows(rng, nx, ny, grid, inf_prob, draw)
+        ),
         rockafellian=Rockafellian(
-            decisions, primal, _random_rows(rng, nu, nx, grid, inf_prob)
+            decisions, primal, _random_rows(rng, nu, nx, grid, inf_prob, draw)
         ),
         lagrangian=Lagrangian(
-            decisions, dual, _random_rows(rng, nu, ny, grid, inf_prob)
+            decisions, dual, _random_rows(rng, nu, ny, grid, inf_prob, draw)
         ),
         extra_primal=SetFunction(
-            primal, [random_extreal(rng, grid, inf_prob) for _ in range(nx)]
+            primal, [draw(rng, grid, inf_prob) for _ in range(nx)]
         ),
         extra_dual=SetFunction(
-            dual, [random_extreal(rng, grid, inf_prob) for _ in range(ny)]
+            dual, [draw(rng, grid, inf_prob) for _ in range(ny)]
         ),
     )
 
@@ -280,11 +320,13 @@ def _replace_entry(table_rows, iu, j, value):
 def check_couple_theorem(
     inst: FuzzInstance, rng: random.Random, tol: float = DEFAULT_TOL,
     grid: tuple[int, int] = DEFAULT_GRID, inf_prob: float = DEFAULT_INF_PROB,
+    values: str = "integer",
 ) -> list[str]:
     """A constructed couple audits true on every item; a single-entry
     perturbation and an unrelated random pair keep items (ii)-(v) in
     agreement and consistent with the inequality-plus-probe reading."""
     fails = []
+    draw = VALUE_FAMILIES[values]
     r, c = inst.rockafellian, inst.coupling
     lag1, r1 = couple.make_couple(r, c)
     a = couple.audit(lag1, r1, c, tol=tol)
@@ -304,11 +346,11 @@ def check_couple_theorem(
     iu = rng.randrange(len(decisions))
     if rng.random() < 0.5:
         ix = rng.randrange(len(c.primal))
-        rows = _replace_entry(r1.rows, iu, ix, random_extreal(rng, grid, inf_prob))
+        rows = _replace_entry(r1.rows, iu, ix, draw(rng, grid, inf_prob))
         lag2, r2 = lag1, Rockafellian(decisions, c.primal, rows)
     else:
         iy = rng.randrange(len(c.dual))
-        rows = _replace_entry(lag1.rows, iu, iy, random_extreal(rng, grid, inf_prob))
+        rows = _replace_entry(lag1.rows, iu, iy, draw(rng, grid, inf_prob))
         lag2, r2 = Lagrangian(decisions, c.dual, rows), r1
 
     for label, lg, rk in (
@@ -326,6 +368,12 @@ def check_couple_theorem(
     return fails
 
 
+def values_note(values: str) -> str:
+    """`` values=<family>``, or nothing for the default integer family, whose
+    reports predate the option."""
+    return "" if values == "integer" else f" values={values}"
+
+
 @dataclass
 class FuzzReport:
     """Aggregate outcome of one fuzz run; printable deterministically."""
@@ -335,6 +383,7 @@ class FuzzReport:
     seed: int
     grid: tuple[int, int]
     inf_prob: float
+    values: str
     tol: float
     failures_by_check: dict[str, int]
     failures: list[tuple[int, str, str]]
@@ -354,8 +403,10 @@ def run_fuzz(
     inf_prob: float = DEFAULT_INF_PROB,
     tol: float = DEFAULT_TOL,
     on_instance: Callable[[int], None] | None = None,
+    values: str = "integer",
 ) -> FuzzReport:
-    """Generate ``count`` instances and run the whole invariant suite."""
+    """Generate ``count`` instances, entries drawn from the value family
+    ``values``, and run the whole invariant suite."""
     if count < 1:
         raise ValueError("count must be at least 1")
     if max_set_size < 1:
@@ -364,6 +415,8 @@ def run_fuzz(
         raise ValueError("grid low end exceeds high end")
     if not 0.0 <= inf_prob <= 0.4:
         raise ValueError("inf_prob must lie in [0, 0.4]")
+    if values not in VALUE_FAMILIES:
+        raise ValueError(f"unknown value family {values!r}")
 
     rng = random.Random(seed)
     failures_by_check = {name: 0 for name in CHECK_NAMES}
@@ -372,7 +425,7 @@ def run_fuzz(
     first_failure: Problem | None = None
 
     for i in range(count):
-        inst = random_instance(rng, i, max_set_size, grid, inf_prob)
+        inst = random_instance(rng, i, max_set_size, grid, inf_prob, values)
         ineq_fails, strict = check_transform_inequality(inst, tol)
         if strict:
             strict_instances += 1
@@ -382,7 +435,8 @@ def run_fuzz(
             ("transform_inequality", ineq_fails),
             ("roundtrips", check_roundtrips(inst, tol)),
             ("weak_duality", check_weak_duality(inst, tol)),
-            ("couple_theorem", check_couple_theorem(inst, rng, tol, grid, inf_prob)),
+            ("couple_theorem",
+             check_couple_theorem(inst, rng, tol, grid, inf_prob, values)),
         ]
         for name, details in outcomes:
             if details:
@@ -399,7 +453,7 @@ def run_fuzz(
                         lagrangian=inst.lagrangian,
                         comment=(
                             f"fuzz reproduction: seed={seed} instance={i} "
-                            f"check={name}"
+                            f"check={name}{values_note(values)}"
                         ),
                     )
         if on_instance is not None:
@@ -411,6 +465,7 @@ def run_fuzz(
         seed=seed,
         grid=grid,
         inf_prob=inf_prob,
+        values=values,
         tol=tol,
         failures_by_check=failures_by_check,
         failures=failures,

@@ -320,6 +320,19 @@ def test_fuzz_sign_flip_writes_reproduction(capsys, tmp_path, monkeypatch):
     assert problem.rockafellian is not None and problem.lagrangian is not None
 
 
+def test_fuzz_off_grid_family_is_named_in_report_and_reproduction(capsys, tmp_path):
+    # wide entries break identities by rounding at seed 7 (ROADMAP item 1)
+    args = ("fuzz", "--count", "20", "--seed", "7", "--values", "wide",
+            "--output", str(tmp_path))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1
+    assert out.splitlines()[0].endswith(" tol=1e-09 values=wide")
+    (repro,) = tmp_path.glob("fuzz-repro-*.json")
+    assert load_problem(repro, allow_both=True).comment.endswith(" values=wide")
+    _, out, _ = run_cli(capsys, *args, "--format", "structured")
+    assert json.loads(out)["values"] == "wide"
+
+
 # --- entry point -------------------------------------------------------------------
 
 def test_module_entry_point(problems_dir):
@@ -563,6 +576,7 @@ FLAG_VALUES = {
     "--seed": ("7", "x"),
     "--grid": ("-2:2", "3:1", "x"),
     "--inf-prob": ("0.5", "0.1", "nan"),
+    "--values": ("integer", "fractional", "tiny", "wide", "near-overflow", "decimal"),
 }
 
 

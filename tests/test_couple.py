@@ -12,8 +12,10 @@ from gendual import (
     Lagrangian,
     Rockafellian,
     SetFunction,
+    approx_eq,
     approx_le,
     audit,
+    biconjugate,
     check_item_ii,
     check_item_iii,
     check_item_iv,
@@ -24,6 +26,10 @@ from gendual import (
     make_couple,
     minimality_probe,
     neg,
+    partial_lagrangian,
+    partial_rockafellian,
+    reverse_biconjugate,
+    reverse_conjugate,
     rockafellian_of,
     upp_add,
     young_check,
@@ -157,30 +163,47 @@ def _literal_inequality_witness(lag, r, c, tol=1e-9):
     return None
 
 
+INEQUALITY_FAILS = "inequality fails"
+
+
 def _literal_probe(lag, r, c, deltas, tol=1e-9):
     """Reference probe: rebuild the whole table per candidate and re-run the
-    literal inequality check, no slice shortcut."""
+    literal inequality check, no slice shortcut, every candidate in list
+    order.  Returns None if the probe passes, INEQUALITY_FAILS if it is not
+    run, else the first surviving (u, side, label, candidate)."""
     from gendual.couple import _lower_candidates, _raise_candidates
 
     def holds(lag, r):
         return _literal_inequality_witness(lag, r, c, tol) is None
 
     if not holds(lag, r):
-        return False
+        return INEQUALITY_FAILS
     big = _probe_magnitude(lag, r, c)
-    for iu in range(len(r.decisions)):
-        for ix in range(len(r.primal)):
+    for iu, u in enumerate(r.decisions.labels):
+        for ix, x in enumerate(r.primal.labels):
             for cand in _lower_candidates(r.rows[iu][ix], deltas, big):
                 r_mod = replace(Rockafellian, r, r.decisions, r.primal, iu, ix, cand)
                 if holds(lag, r_mod):
-                    return False
-    for iu in range(len(lag.decisions)):
-        for iy in range(len(lag.dual)):
+                    return u, "x", x, cand
+    for iu, u in enumerate(lag.decisions.labels):
+        for iy, y in enumerate(lag.dual.labels):
             for cand in _raise_candidates(lag.rows[iu][iy], deltas, big):
                 l_mod = replace(Lagrangian, lag, lag.decisions, lag.dual, iu, iy, cand)
                 if holds(l_mod, r):
-                    return False
-    return True
+                    return u, "y", y, cand
+    return None
+
+
+def _probe_witness_of(a):
+    """The audit's i-minimality witness in the shape ``_literal_probe``
+    returns, the candidate read back from the witness text."""
+    w = next((w for w in a.witnesses if w.item == "i-minimality"), None)
+    if w is None:
+        return None
+    if w.u is None:
+        return INEQUALITY_FAILS
+    cand = float(w.description.split(" to ")[1].split(" with ")[0])
+    return (w.u, "x", w.x, cand) if w.y is None else (w.u, "y", w.y, cand)
 
 
 def test_probe_agrees_with_literal_reference():
@@ -195,9 +218,9 @@ def test_probe_agrees_with_literal_reference():
         r = Rockafellian(U, X, [[pick() for _ in range(nx)] for _ in range(nu)])
         lag, r2 = make_couple(r, c)
         for pair in ((lag, r2), (lag, r)):
-            got = minimality_probe(pair[0], pair[1], c, DEFAULT_DELTAS)
             want = _literal_probe(pair[0], pair[1], c, DEFAULT_DELTAS)
-            assert got == want
+            assert minimality_probe(pair[0], pair[1], c, DEFAULT_DELTAS) == (want is None)
+            assert _probe_witness_of(audit(pair[0], pair[1], c, DEFAULT_DELTAS)) == want
 
 
 # values where IEEE and Moreau arithmetic part ways: opposite infinities,
@@ -212,7 +235,8 @@ extreme_entry = st.sampled_from([
 def item_i_instance(draw):
     """(L, R, c, tol, deltas): random L, the canonical couple of R, or the
     canonical L with R itself, so that the inequality both holds and fails.
-    A delta equal to tol puts probe candidates on the boundary."""
+    A delta equal to tol puts probe candidates on the boundary, and deltas
+    out of order put the weakest candidate elsewhere than first."""
     nu, nx, ny = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
 
     def table(n, m):
@@ -233,7 +257,9 @@ def item_i_instance(draw):
         if kind == "couple":
             r = r2
     tol = draw(st.sampled_from([0.0, 1e-9, 1.0]))
-    return lag, r, c, tol, draw(st.sampled_from([DEFAULT_DELTAS, (1.0,), (2.5,)]))
+    return lag, r, c, tol, draw(st.sampled_from([
+        DEFAULT_DELTAS, (1.0,), (2.5,), (2.5, 1e-3, 1.0), (1.0, 2.5, 1e-3),
+    ]))
 
 
 def _sparse_l_instance(r_u1):
@@ -260,8 +286,9 @@ def test_item_i_matches_literal_extreal_loops(data):
     got = next((w for w in a.witnesses if w.item == "i-inequality"), None)
     assert want == (got and (got.u, got.x, got.y, got.description))
     probe = _literal_probe(lag, r, c, deltas, tol)
-    assert minimality_probe(lag, r, c, deltas, tol) == probe
-    assert a.item_i_minimality_probe == probe
+    assert minimality_probe(lag, r, c, deltas, tol) == (probe is None)
+    assert a.item_i_minimality_probe == (probe is None)
+    assert _probe_witness_of(a) == probe
     for row in r.rows:
         f = SetFunction(r.primal, row)
         fc = conjugate(f, c)
@@ -374,6 +401,117 @@ def test_audit_witnesses_are_pinned(e1, l_entry, r_key, expected):
         lag = replace(Lagrangian, lag, e1["U"], e1["Y"], *l_entry)
     a = audit(lag, e1[r_key], e1["c"])
     assert [(w.item, w.u, w.x, w.y, w.description) for w in a.witnesses] == expected
+
+
+def _reference_item_witnesses(lag, r, c, tol):
+    """Reference for items (ii)-(v): the public SetFunction conjugates and
+    biconjugates, the two transforms, and approx_eq entry by entry.
+    Returns the first witness of each failing item as (item, u, x, y,
+    description), in audit order."""
+    def first(item, u, side, labels, have, want, text):
+        for lab, a, b in zip(labels, have, want):
+            if not approx_eq(a, b, tol):
+                x, y = (lab, None) if side == "x" else (None, lab)
+                return item, u, x, y, text.format(u=u, lab=lab, a=a, b=b)
+        return None
+
+    def item_ii():
+        for side, have, want, text in (
+            ("y", lag, lagrangian_of(r, c),
+             "L({u},{lab}) = {a} but the inf-transform gives {b}"),
+            ("x", r, rockafellian_of(lag, c),
+             "R({u},{lab}) = {a} but the sup-transform gives {b}"),
+        ):
+            for u, have_row, want_row in zip(have.decisions.labels, have.rows, want.rows):
+                w = first("ii", u, side, have.col_set.labels, have_row, want_row, text)
+                if w:
+                    return w
+        return None
+
+    def rows(u):
+        neg_lu = partial_lagrangian(lag, u).negated()
+        r_u = partial_rockafellian(r, u)
+        return {
+            "E1": ("y", neg_lu, conjugate(r_u, c),
+                   "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}"),
+            "E2": ("x", r_u, reverse_conjugate(neg_lu, c),
+                   "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}"),
+            "E3": ("x", r_u, biconjugate(r_u, c),
+                   "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}"),
+            "E4": ("y", neg_lu, reverse_biconjugate(neg_lu, c),
+                   "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}"),
+        }
+
+    def row_item(item, equations):
+        for u in lag.decisions.labels:
+            eq = rows(u)
+            for name in equations:
+                side, have, want, text = eq[name]
+                w = first(item, u, side, have.domain.labels, have.values, want.values, text)
+                if w:
+                    return w
+        return None
+
+    found = [item_ii(), row_item("iii", ("E1", "E2")), row_item("iv", ("E1", "E3")),
+             row_item("v", ("E2", "E4"))]
+    return [w for w in found if w]
+
+
+# fractional values, both signed zeros and both infinities
+fractional_entry = st.one_of(
+    st.sampled_from([-INF, INF, 0.0, -0.0]),
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+
+
+@st.composite
+def items_instance(draw):
+    """(L, R, c, tol) up to 12 a side: a random pair, a canonical couple, or
+    a canonical couple with a few entries nudged within tol (a signed zero
+    flipped, or a finite entry moved by less than tol, or by 1e-12 at tol 0),
+    so that rows agree within tol without being equal."""
+    nu, nx, ny = (draw(st.integers(min_value=1, max_value=12)) for _ in range(3))
+
+    def table(n, m):
+        return draw(st.lists(
+            st.lists(fractional_entry, min_size=m, max_size=m), min_size=n, max_size=n
+        ))
+
+    U = FiniteSet([f"u{i}" for i in range(nu)])
+    X = FiniteSet([f"x{i}" for i in range(nx)])
+    Y = FiniteSet([f"y{i}" for i in range(ny)])
+    c = Coupling(X, Y, table(nx, ny))
+    r = Rockafellian(U, X, table(nu, nx))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1.0]))
+    kind = draw(st.sampled_from(["random", "couple", "nudged"]))
+    if kind == "random":
+        return Lagrangian(U, Y, table(nu, ny)), r, c, tol
+    lag, r = make_couple(r, c)
+    if kind == "nudged":
+        step = draw(st.sampled_from([1e-12, -1e-12, tol / 2, -tol / 2]))
+        tables = {"L": [list(row) for row in lag.rows], "R": [list(row) for row in r.rows]}
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            rows = tables[draw(st.sampled_from(["L", "R"]))]
+            i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            j = draw(st.integers(min_value=0, max_value=len(rows[0]) - 1))
+            v = rows[i][j]
+            rows[i][j] = -v if v == 0.0 else v + step if math.isfinite(v) else v
+        lag, r = Lagrangian(U, Y, tables["L"]), Rockafellian(U, X, tables["R"])
+    return lag, r, c, tol
+
+
+@given(items_instance())
+@settings(max_examples=150, deadline=None)
+def test_items_ii_to_v_match_reference(data):
+    lag, r, c, tol = data
+    want = _reference_item_witnesses(lag, r, c, tol)
+    a = audit(lag, r, c, tol=tol)
+    got = [(w.item, w.u, w.x, w.y, w.description) for w in a.witnesses
+           if w.item in ("ii", "iii", "iv", "v")]
+    assert got == want
+    failing = {w[0] for w in want}
+    assert (a.item_ii, a.item_iii, a.item_iv, a.item_v) == tuple(
+        item not in failing for item in ("ii", "iii", "iv", "v"))
 
 
 def test_audit_random_round_trip_always_couple(e1):

@@ -6,6 +6,7 @@ import pytest
 from gendual import NEG_INF, POS_INF
 from gendual.fuzz import (
     CHECK_NAMES,
+    VALUE_FAMILIES,
     check_conjugacy_laws,
     check_couple_theorem,
     check_roundtrips,
@@ -26,6 +27,29 @@ def test_random_extreal_distribution():
     finite = [v for v in draws if math.isfinite(v)]
     assert 250 < n_neg < 550 and 250 < n_pos < 550
     assert all(float(v).is_integer() and -10 <= v <= 10 for v in finite)
+
+
+@pytest.mark.parametrize("values, low, high", [
+    ("fractional", 0.0, 11.0),
+    ("tiny", 0.0, 1e-300),
+    ("wide", 1e10, 1e15),
+    ("near-overflow", 0.85e308, 1.7e308),
+])
+def test_off_grid_families_draw_their_magnitudes(values, low, high):
+    rng = random.Random(0)
+    draws = [VALUE_FAMILIES[values](rng) for _ in range(4000)]
+    assert 250 < draws.count(NEG_INF) < 550 and 250 < draws.count(POS_INF) < 550
+    finite = [v for v in draws if math.isfinite(v)]
+    assert all(low <= abs(v) <= high for v in finite)
+    assert min(finite) < 0.0 < max(finite)
+    if high < 2.0**53:  # every double beyond 2**53 is an integer
+        assert not all(float(v).is_integer() for v in finite)
+
+
+def test_run_fuzz_integer_family_is_the_default():
+    assert run_fuzz(20, 4, 3, values="integer") == run_fuzz(20, 4, 3)
+    with pytest.raises(ValueError, match="unknown value family"):
+        run_fuzz(1, 4, 3, values="decimal")
 
 
 def test_random_instance_shapes():

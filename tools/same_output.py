@@ -14,6 +14,10 @@ against each tree, in a fresh interpreter with that tree first on
     and wide entries, each family with 10% of each infinity;
   - the transforms again with ``--output``, and a canonical couple built
     from their output files;
+  - ``check-couple`` at ``--tol 0`` and with the unsorted
+    ``--deltas 2.5,0.001,1`` on the random couple files and the built
+    couples, so that audit witnesses found off the exact row compare and
+    in probe candidate order are compared too;
   - malformed variants of a gallery file, one fault each;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9;
   - ``tools/make_gallery.py``, writing into the work directory.
@@ -149,6 +153,10 @@ def write_inputs(root):
             ]
             commands += [["check-couple", f"out/{family}{n}r1.json",
                           f"out/{family}{n}l1.json", "--format", fmt] for fmt in FORMATS]
+            commands += [["check-couple", *files, *flags]
+                         for files in ([f"{tag}both.json"],
+                                       [f"out/{family}{n}r1.json", f"out/{family}{n}l1.json"])
+                         for flags in (["--tol", "0"], ["--deltas", "2.5,0.001,1"])]
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
