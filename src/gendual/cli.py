@@ -33,12 +33,18 @@ from .conjugacy import conjugate, reverse_conjugate
 from .duality import lagrangian_of, rockafellian_of, weak_duality_report
 from .couple import DEFAULT_DELTAS, audit
 from .problems import (
+    _array,
+    _object,
+    _row_block,
+    _string,
     extreal_to_jsonable,
     finite_number,
     load_problem,
     read_json,
     read_text,
     save_problem,
+    table_block,
+    table_tokens,
 )
 from .fuzz import DEFAULT_GRID, DEFAULT_INF_PROB, VALUE_FAMILIES, run_fuzz, values_note
 
@@ -183,8 +189,10 @@ def _render_function(labels, values, fmt: str) -> str:
         lines += [f"{lab},{val}" for lab, val in zip(labels, rendered)]
         return "\n".join(lines) + "\n"
     if fmt == "structured":
-        payload = {"labels": list(labels), "values": [extreal_to_jsonable(v) for v in values]}
-        return json.dumps(payload, indent=2) + "\n"
+        return _object([
+            ("labels", _array(map(_string, labels), 1)),
+            ("values", _row_block(rendered, 1)),
+        ], 0) + "\n"
     w_lab = max(len(lab) for lab in labels)
     w_val = max(len(v) for v in rendered)
     return "".join(
@@ -192,11 +200,10 @@ def _render_function(labels, values, fmt: str) -> str:
     )
 
 
-def _render_matrix(row_labels, col_labels, rows, fmt: str) -> str:
-    """``rows`` of plain doubles, each entry rendered once, as
-    ``float.__repr__`` (which is ``render_extreal`` on every double that is
-    not NaN)."""
-    rendered = [list(map(float.__repr__, row)) for row in rows]
+def _render_matrix(row_labels, col_labels, rendered, fmt: str) -> str:
+    """A table given as its ``table_tokens``.  The structured format is the
+    ``json.dumps(..., indent=2)`` layout, written row by row as problem
+    files are."""
     if fmt == "csv":
         lines = ["," + ",".join(col_labels)]
         lines += [
@@ -204,12 +211,11 @@ def _render_matrix(row_labels, col_labels, rows, fmt: str) -> str:
         ]
         return "\n".join(lines) + "\n"
     if fmt == "structured":
-        payload = {
-            "row_labels": list(row_labels),
-            "col_labels": list(col_labels),
-            "entries": [[extreal_to_jsonable(v) for v in row] for row in rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _object([
+            ("row_labels", _array(map(_string, row_labels), 1)),
+            ("col_labels", _array(map(_string, col_labels), 1)),
+            ("entries", table_block(rendered)),
+        ], 0) + "\n"
     w_lab = max(map(len, row_labels))
     widths = [max(map(len, col)) for col in zip(col_labels, *rendered)]
     out = [" " * w_lab + "  " + "  ".join(map(str.rjust, col_labels, widths))]
@@ -279,15 +285,27 @@ def cmd_conjugate(args) -> int:
     return EXIT_OK
 
 
+def _write_table(args, table, problem, key) -> None:
+    """Render the result table of a transform to stdout and, with
+    ``--output``, save ``problem`` with it.  One formatting pass serves
+    both: the file's table block is built from the same tokens, which are
+    dropped before the file is assembled."""
+    tokens = table_tokens(table.rows)
+    sys.stdout.write(
+        _render_matrix(table.row_set.labels, table.col_set.labels, tokens, args.format)
+    )
+    if args.output:
+        block = table_block(tokens)
+        del tokens
+        save_problem(problem, args.output, blocks={key: block})
+
+
 def cmd_to_lagrangian(args) -> int:
     problem = load_problem(args.problem)
     r = problem.require_rockafellian()
     lag = lagrangian_of(r, problem.coupling)
-    sys.stdout.write(
-        _render_matrix(lag.decisions.labels, lag.dual.labels, lag.rows, args.format)
-    )
-    if args.output:
-        save_problem(replace(problem, rockafellian=None, lagrangian=lag), args.output)
+    _write_table(args, lag, replace(problem, rockafellian=None, lagrangian=lag),
+                 "lagrangian")
     return EXIT_OK
 
 
@@ -295,11 +313,8 @@ def cmd_to_rockafellian(args) -> int:
     problem = load_problem(args.problem)
     lag = problem.require_lagrangian()
     r = rockafellian_of(lag, problem.coupling)
-    sys.stdout.write(
-        _render_matrix(r.decisions.labels, r.primal.labels, r.rows, args.format)
-    )
-    if args.output:
-        save_problem(replace(problem, rockafellian=r, lagrangian=None), args.output)
+    _write_table(args, r, replace(problem, rockafellian=r, lagrangian=None),
+                 "rockafellian")
     return EXIT_OK
 
 

@@ -10,7 +10,9 @@ yields the largest c-convex function below the input; a function equal to
 its biconjugate is called c-convex (respectively c'-convex on the dual
 side).  Both conjugates are one-row products of the Moreau product kernel in
 ``extreal``, which enumerates the finite sets exactly: ``conjugate_row``
-is that product, and the couple audit calls it on raw table rows.
+is that product, and the couple audit calls it on raw table rows.  Its
+values are plain doubles that are never NaN, so the conjugates are built
+without a second check (see ``spaces``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
         raise DomainMismatchError(
             "conjugate: function domain differs from the coupling's primal set"
         )
-    return SetFunction(c.dual, conjugate_row([-v for v in f.values], c.sorted_cols))
+    return SetFunction._unchecked(
+        c.dual, tuple(conjugate_row([-v for v in f.values], c.sorted_cols))
+    )
 
 
 def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
@@ -55,7 +59,9 @@ def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
         raise DomainMismatchError(
             "reverse_conjugate: function domain differs from the coupling's dual set"
         )
-    return SetFunction(c.primal, conjugate_row([-v for v in g.values], c.sorted_rows))
+    return SetFunction._unchecked(
+        c.primal, tuple(conjugate_row([-v for v in g.values], c.sorted_rows))
+    )
 
 
 def biconjugate(f: SetFunction, c: Coupling) -> SetFunction:

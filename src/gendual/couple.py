@@ -25,13 +25,14 @@ where, for every decision u,
 
 Items (ii) through (v) share one mismatch scan, which names the first entry
 where two rows differ.  It first compares the two rows whole, at C speed,
-and scans entry by entry with ``approx_eq`` only a pair that is not equal
-entry for entry; equal doubles are approximately equal at every tol >= 0,
-so the witness does not depend on the shortcut.  Items (iii)-(v) pass raw
-table rows to the product kernel (``conjugacy.conjugate_row``, the one
-conjugate code path) instead of building a ``SetFunction`` per row.  The
-four items are exactly equivalent; the audit flags an internal alarm if
-their verdicts ever disagree.
+and of a pair that is not equal entry for entry it scans with
+``approx_eq`` only the entries that differ; equal doubles are approximately
+equal at every tol >= 0, so the witness does not depend on the shortcut.
+Items (iii)-(v) pass raw table rows to the product kernel
+(``conjugacy.conjugate_row``, the one conjugate code path) instead of
+building a ``SetFunction`` per row.  The four items are exactly
+equivalent; the audit flags an internal alarm if their verdicts ever
+disagree.
 
 Item (i) does not use the product kernel of items (ii)-(v): both the
 inequality and the probe scan rows of doubles with ``extreal.exceeds``,
@@ -58,6 +59,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import compress
+from operator import ne
 
 from .errors import DomainMismatchError
 from .extreal import DEFAULT_TOL, ExtReal, approx_eq, exceeds, upp_add
@@ -180,10 +182,11 @@ def _witness(item, u, side, lab, description) -> Witness:
 def _mismatch(item, u, side, labels, have, want, tol, text) -> Witness | None:
     """Witness at the first label where the row ``have`` differs from the row
     ``want``, or None.  Rows that compare equal entry for entry are done in
-    one C-level test; only the others are scanned with ``approx_eq``."""
+    one C-level test; of the others, only the entries that differ are
+    scanned with ``approx_eq``."""
     if tuple(have) == tuple(want):
         return None
-    for lab, a, b in zip(labels, have, want):
+    for lab, a, b in compress(zip(labels, have, want), map(ne, have, want)):
         if not approx_eq(a, b, tol):
             return _witness(item, u, side, lab, text.format(u=u, lab=lab, a=a, b=b))
     return None
@@ -240,8 +243,8 @@ def _item_witness(item, lag, r, c, tol) -> Witness | None:
     ``conjugate_row`` behind a domain check.  ``_mismatch`` then compares
     each pair of rows at C speed first: exact equality implies ``approx_eq``
     at every tol >= 0 (signed zeros compare equal and no entry is NaN), so
-    only a pair that differs somewhere is scanned entry by entry, and the
-    first witness is the same."""
+    only the entries that differ are scanned, and the first witness is the
+    same."""
     if item == "ii":
         return _item_ii_witness(lag, r, c, tol)
     for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):

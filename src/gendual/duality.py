@@ -21,7 +21,8 @@ value phi(x) against the dual value sup_y [c(x, y) lower-add psi(y)]; the
 dual value never exceeds the primal one.
 
 Both transforms and the dual value are products of the Moreau product kernel
-in ``extreal``; phi and psi are column minima.
+in ``extreal``; phi and psi are column minima.  All of them are plain
+non-NaN doubles, built without a second check (see ``spaces``).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def lagrangian_of(r: Rockafellian, c: Coupling) -> Lagrangian:
             "lagrangian_of: Rockafellian primal set differs from the coupling's"
         )
     rows = inf_product(r.rows, c.sorted_cols)
-    return Lagrangian(r.decisions, c.dual, rows)
+    return Lagrangian._unchecked(r.decisions, c.dual, tuple(map(tuple, rows)))
 
 
 def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
@@ -66,17 +67,17 @@ def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
             "rockafellian_of: Lagrangian dual set differs from the coupling's"
         )
     rows = sup_product(lag.rows, c.sorted_rows)
-    return Rockafellian(lag.decisions, c.primal, rows)
+    return Rockafellian._unchecked(lag.decisions, c.primal, tuple(map(tuple, rows)))
 
 
 def perturbation_function(r: Rockafellian) -> SetFunction:
     """phi(x) = inf over decisions of R(u, x)."""
-    return SetFunction(r.primal, [min(col) for col in zip(*r.rows)])
+    return SetFunction._unchecked(r.primal, tuple(map(min, zip(*r.rows))))
 
 
 def dual_function(lag: Lagrangian) -> SetFunction:
     """psi(y) = inf over decisions of L(u, y)."""
-    return SetFunction(lag.dual, [min(col) for col in zip(*lag.rows)])
+    return SetFunction._unchecked(lag.dual, tuple(map(min, zip(*lag.rows))))
 
 
 @dataclass(frozen=True)

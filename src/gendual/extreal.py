@@ -2,7 +2,7 @@
 
 An extended real is an IEEE double that is never NaN, and the two
 infinities are the IEEE ones.  Tables and function values hold them as
-plain ``float``s, checked once when the table is built (see ``spaces``);
+plain ``float``s, checked once where they enter the package (see ``spaces``);
 ``ExtReal``, a ``float`` subclass whose constructor rejects NaN, is the
 type of scalar results: the Moreau additions, ``neg``, ``parse_extreal``
 and the weak-duality report.  IEEE addition already agrees with both Moreau

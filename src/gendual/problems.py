@@ -9,8 +9,10 @@ canonical (fixed key order, two-space indent, floats everywhere), so files
 written by this module round-trip byte-identically.
 
 Table rows are read and written whole, in C-level passes: ``json.dumps``
-with an indent would encode entry by entry in pure Python.  A row that
-fails the fast read is read again entry by entry, to name the bad entry.
+with an indent would encode entry by entry in pure Python.  Each row read
+is checked once, in ``_row``, and the tables are built from the checked
+rows without a second check (see ``spaces``).  A row that fails the fast
+read is read again entry by entry, to name the bad entry.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "read_text",
     "save_problem",
     "serialize_problem",
+    "table_block",
+    "table_tokens",
 ]
 
 _TOP_KEYS = (
@@ -143,26 +147,33 @@ def finite_number(raw, where: str) -> float:
 
 _INF = math.inf
 _WORDS = {"inf": _INF, "-inf": -_INF}
+_FLOAT = frozenset((float,))
 _NUMBER_TYPES = frozenset((int, float))
 
 
 def _row(raw_row: list) -> tuple[float, ...] | None:
     """A JSON row as doubles, or None if some entry is neither a number
-    within the double range nor "inf"/"-inf"."""
+    within the double range nor "inf"/"-inf".  One C-level pass each: the
+    words to their infinities, the types, the conversion (none if all are
+    floats), and a scan for infinities that were not words.  Each word maps
+    to one shared float, so a parsed infinity costs no object of its own."""
     try:
         values = list(map(_WORDS.get, raw_row, raw_row))
     except TypeError:  # a nested array or object, which cannot be a key
         return None
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
+    types = set(map(type, values))
+    if types == _FLOAT:
+        values = tuple(values)
+    elif types <= _NUMBER_TYPES:  # not a bool, null or other string
+        try:
+            values = tuple(map(float, values))
+        except OverflowError:  # an integer literal beyond the double range
+            return None
+    else:
         return None
-    try:
-        values = tuple(map(float, values))
-    except OverflowError:  # an integer literal beyond the double range
-        return None
-    # json reads a literal such as 1e400 as an infinity: the row is valid
-    # only if each of its infinities was spelled as a word
-    words = raw_row.count("inf") + raw_row.count("-inf")
-    if values.count(_INF) + values.count(-_INF) != words:
+    # json reads a literal such as 1e400 as an infinity, which is valid
+    # only if spelled as a word; no word equals a float
+    if _INF in raw_row or -_INF in raw_row:
         return None
     return values
 
@@ -186,7 +197,9 @@ def _entry(raw, name: str, i: int, j: int) -> float:
     )
 
 
-def _table(raw, name: str, n_rows: int, n_cols: int) -> list[tuple[float, ...]]:
+def _table(raw, name: str, n_rows: int, n_cols: int) -> tuple[tuple[float, ...], ...]:
+    """The rows of table ``name``, each checked once: by ``_row``, or entry
+    by entry to name the first bad entry."""
     if not isinstance(raw, list) or len(raw) != n_rows:
         raise ProblemFormatError(f"{name}: expected {n_rows} rows")
     rows = []
@@ -199,7 +212,7 @@ def _table(raw, name: str, n_rows: int, n_cols: int) -> list[tuple[float, ...]]:
         if row is None:
             row = tuple(_entry(v, name, i, j) for j, v in enumerate(raw_row))
         rows.append(row)
-    return rows
+    return tuple(rows)
 
 
 def _labels(raw, name: str) -> FiniteSet:
@@ -283,7 +296,7 @@ def parse_problem(
             raise ProblemFormatError(f"{source}: embedding: {exc}") from None
         embedding = {"X": [list(p) for p in xs], "Y": [list(p) for p in ys]}
     else:
-        coupling = Coupling(
+        coupling = Coupling._unchecked(
             primal, dual, _table(raw["coupling"], "coupling", len(primal), len(dual))
         )
 
@@ -300,13 +313,13 @@ def parse_problem(
     rockafellian = None
     lagrangian = None
     if has_r:
-        rockafellian = Rockafellian(
+        rockafellian = Rockafellian._unchecked(
             decisions,
             primal,
             _table(raw["rockafellian"], "rockafellian", len(decisions), len(primal)),
         )
     if has_l:
-        lagrangian = Lagrangian(
+        lagrangian = Lagrangian._unchecked(
             decisions,
             dual,
             _table(raw["lagrangian"], "lagrangian", len(decisions), len(dual)),
@@ -344,9 +357,6 @@ def extreal_to_jsonable(v: ExtReal):
     return float(v) if math.isfinite(v) else render_extreal(v)
 
 
-_JSON_INF = {"inf": '"inf"', "-inf": '"-inf"'}
-
-
 def _array(items, depth: int) -> str:
     """JSON array of already encoded items, laid out as ``json.dumps`` with
     ``indent=2`` lays out an array whose closing bracket is indented by
@@ -363,42 +373,61 @@ def _object(members, depth: int) -> str:
     ) + f"{pad}}}"
 
 
-def _row_block(row) -> str:
-    tokens = list(map(float.__repr__, row))
-    return _array(map(_JSON_INF.get, tokens, tokens), 2)
+def table_tokens(rows) -> list[list[str]]:
+    """The rows of a table as text, one ``float.__repr__`` per entry (which
+    is ``render_extreal`` on every double that is not NaN).  The CLI makes
+    this one pass per result table and builds both its stdout rendering and
+    the table's ``table_block`` from it."""
+    return list(map(_tokens, rows))
 
 
-def _table_block(table) -> str:
-    return _array(map(_row_block, table.rows), 1)
+def _tokens(row) -> list[str]:
+    return list(map(float.__repr__, row))
 
 
-def serialize_problem(problem: Problem) -> str:
+def _row_block(tokens, depth: int = 2) -> str:
+    """JSON array of one row's tokens, the infinities quoted: the
+    ``float.__repr__`` of a double that is not NaN holds "inf" only as a
+    whole token, "inf" or "-inf", so two replaces on the joined row do it."""
+    return _array(tokens, depth).replace("inf", '"inf"').replace('-"inf"', '"-inf"')
+
+
+def table_block(token_rows) -> str:
+    """The JSON text of a table in a problem file, from its rows of tokens."""
+    return _array(map(_row_block, token_rows), 1)
+
+
+def serialize_problem(problem: Problem, *, blocks=None) -> str:
     """Canonical text form; stable under parse -> serialize round trips.
     It is ``json.dumps(..., indent=2)`` of the file's JSON image, keys in
-    ``_TOP_KEYS`` order, and a newline."""
+    ``_TOP_KEYS`` order, and a newline.  ``blocks`` may map a table's key
+    ("coupling", "rockafellian" or "lagrangian") to its ``table_block``,
+    if that was made already; other tables are formatted row by row."""
+    made = blocks or {}
     sets = (("U", problem.decisions), ("X", problem.primal), ("Y", problem.dual))
-    blocks = {
+    parts = {
         "sets": _object([(key, _array(map(_string, s.labels), 2)) for key, s in sets], 1)
     }
     for key in ("comment", "base_point"):
         text = getattr(problem, key)
         if text is not None:
-            blocks[key] = _string(text)
+            parts[key] = _string(text)
+    tables = [("rockafellian", problem.rockafellian), ("lagrangian", problem.lagrangian)]
     if problem.embedding is not None:
         emb = {"X": problem.embedding["X"], "Y": problem.embedding["Y"]}
         # json escapes every newline inside a string, so each one in the
         # text starts a line, which moves one level in
-        blocks["embedding"] = json.dumps(emb, indent=2).replace("\n", "\n  ")
+        parts["embedding"] = json.dumps(emb, indent=2).replace("\n", "\n  ")
     else:
-        blocks["coupling"] = _table_block(problem.coupling)
-    for key, table in (("rockafellian", problem.rockafellian),
-                       ("lagrangian", problem.lagrangian)):
+        tables.append(("coupling", problem.coupling))
+    for key, table in tables:
         if table is not None:
-            blocks[key] = _table_block(table)
+            parts[key] = made.get(key) or table_block(map(_tokens, table.rows))
     return _object(
-        [(key, blocks[key]) for key in _TOP_KEYS if key in blocks], 0
+        [(key, parts[key]) for key in _TOP_KEYS if key in parts], 0
     ) + "\n"
 
 
-def save_problem(problem: Problem, path) -> None:
-    Path(path).write_text(serialize_problem(problem), encoding="utf-8")
+def save_problem(problem: Problem, path, *, blocks=None) -> None:
+    """Write ``serialize_problem(problem, blocks=blocks)`` to ``path``."""
+    Path(path).write_text(serialize_problem(problem, blocks=blocks), encoding="utf-8")

@@ -8,13 +8,25 @@ domains are compared by label sequence, never coerced.
 
 Every entry of a table or function is a plain ``float`` that is never NaN,
 so CPython's float fast paths apply wherever entries are compared or added.
-Each row is checked once, on construction, in C-level passes.
+An entry is checked where it enters the package, and nowhere else:
+
+  - the public constructors check every row they are given, in C-level
+    passes (``_doubles``);
+  - the problem-file parser checks each row once as it reads it, then
+    builds its tables through ``_unchecked``;
+  - the package's own producers build their results through ``_unchecked``
+    too, since their output is plain non-NaN doubles by construction: the
+    conjugates and transforms are products of the ``extreal`` kernel, which
+    never returns NaN, and the rest negate, take the min or max of, or
+    slice entries that were checked already.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import compress, repeat
+from operator import ne
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, UnknownLabelError
@@ -72,6 +84,8 @@ class FiniteSet:
         return len(self.labels)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FiniteSet):
             return NotImplemented
         return self.labels == other.labels
@@ -88,17 +102,19 @@ def _as_set(obj) -> FiniteSet:
 
 
 _FLOAT = frozenset((float,))
+_neg = float.__neg__
 _DOUBLE_TYPES = frozenset((float, int, ExtReal))
 _isnan = math.isnan
 
 
 def _doubles(values) -> tuple[float, ...]:
-    """``values`` as a tuple of plain doubles, none of them NaN.  A row of
-    ints, floats and ExtReals is checked in C-level passes: its set of
-    types, the conversion to float (none if all are floats) and a NaN scan.
-    Any other row goes through ``as_extreal`` entry by entry, which converts
-    the int and float subclasses and raises its TypeError or ValueError on
-    the rest."""
+    """``values`` as a tuple of plain doubles, none of them NaN: the check
+    of the public constructors, on every row given from outside the
+    package.  A row of ints, floats and ExtReals is checked in C-level
+    passes: its set of types, the conversion to float (none if all are
+    floats) and a NaN scan.  Any other row goes through ``as_extreal`` entry
+    by entry, which converts the int and float subclasses and raises its
+    TypeError or ValueError on the rest."""
     values = tuple(values)
     types = set(map(type, values))
     if types <= _DOUBLE_TYPES:
@@ -125,6 +141,15 @@ class SetFunction:
         self.domain = domain
         self.values = values
 
+    @classmethod
+    def _unchecked(cls, domain: FiniteSet, values: tuple) -> "SetFunction":
+        """A function on ``domain`` holding ``values`` as given: a tuple of
+        plain non-NaN doubles, one per label, that the package produced."""
+        self = object.__new__(cls)
+        self.domain = domain
+        self.values = values
+        return self
+
     def __call__(self, label: str) -> float:
         return self.values[self.domain.index(label)]
 
@@ -133,15 +158,15 @@ class SetFunction:
 
     def negated(self) -> "SetFunction":
         """Pointwise negation, same domain."""
-        return SetFunction(self.domain, [-v for v in self.values])
+        return SetFunction._unchecked(self.domain, tuple(map(_neg, self.values)))
 
     def isclose(self, other: "SetFunction", tol: float = DEFAULT_TOL) -> bool:
-        """Same domain, infinities matching exactly, finite entries within tol."""
+        """Same domain, infinities matching exactly, finite entries within tol.
+        Equal values are done in one C-level test (see ``_close_rows``)."""
         if self.domain != other.domain:
             return False
-        return all(
-            approx_eq(a, b, tol) for a, b in zip(self.values, other.values)
-        )
+        _check_tol(tol)
+        return _close_rows(self.values, other.values, tol)
 
     def __eq__(self, other):
         if not isinstance(other, SetFunction):
@@ -160,14 +185,36 @@ def pointwise_min(f: SetFunction, g: SetFunction) -> SetFunction:
     """Entrywise minimum of two functions on the same domain."""
     if f.domain != g.domain:
         raise DomainMismatchError("pointwise_min: domains differ")
-    return SetFunction(f.domain, [a if a < b else b for a, b in zip(f.values, g.values)])
+    return SetFunction._unchecked(
+        f.domain, tuple([a if a < b else b for a, b in zip(f.values, g.values)])
+    )
 
 
 def pointwise_max(f: SetFunction, g: SetFunction) -> SetFunction:
     """Entrywise maximum of two functions on the same domain."""
     if f.domain != g.domain:
         raise DomainMismatchError("pointwise_max: domains differ")
-    return SetFunction(f.domain, [a if a > b else b for a, b in zip(f.values, g.values)])
+    return SetFunction._unchecked(
+        f.domain, tuple([a if a > b else b for a, b in zip(f.values, g.values)])
+    )
+
+
+def _check_tol(tol: float) -> None:
+    """The tol check of ``isclose``, made before any entry is compared;
+    a NaN tol is rejected too."""
+    if not tol >= 0.0:
+        raise ValueError("tolerance must be nonnegative")
+
+
+def _close_rows(a: tuple, b: tuple, tol: float) -> bool:
+    """``approx_eq`` entry by entry, for a tol checked by ``_check_tol``.
+    Equal rows are done in one C-level test, since equal doubles are
+    approximately equal at every tol >= 0 (signed zeros compare equal and
+    no entry is NaN); of other rows, only the entries that differ are
+    scanned."""
+    if a == b:
+        return True
+    return all(approx_eq(x, y, tol) for x, y in compress(zip(a, b), map(ne, a, b)))
 
 
 class _Table:
@@ -192,6 +239,17 @@ class _Table:
         self.col_set = col_set
         self.rows = rows
 
+    @classmethod
+    def _unchecked(cls, row_set: FiniteSet, col_set: FiniteSet, rows: tuple):
+        """A table over ``row_set`` x ``col_set`` holding ``rows`` as given: a
+        tuple of rows, each a tuple of plain non-NaN doubles of the right
+        length, that the package produced or the parser checked."""
+        self = object.__new__(cls)
+        self.row_set = row_set
+        self.col_set = col_set
+        self.rows = rows
+        return self
+
     def __call__(self, row_label: str, col_label: str) -> float:
         return self.rows[self.row_set.index(row_label)][self.col_set.index(col_label)]
 
@@ -200,10 +258,9 @@ class _Table:
             return False
         if self.row_set != other.row_set or self.col_set != other.col_set:
             return False
-        return all(
-            approx_eq(a, b, tol)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
+        _check_tol(tol)
+        return self.rows == other.rows or all(
+            map(_close_rows, self.rows, other.rows, repeat(tol))
         )
 
     def __eq__(self, other):
@@ -291,7 +348,7 @@ class Lagrangian(_Table):
 
 def reverse_coupling(c: Coupling) -> Coupling:
     """Swap the two arguments: c'(y, x) = c(x, y).  Involutive."""
-    return Coupling(c.dual, c.primal, c.cols)
+    return Coupling._unchecked(c.dual, c.primal, c.cols)
 
 
 def bilinear_coupling(
@@ -346,10 +403,10 @@ def _point_label(point: tuple[float, ...]) -> str:
 def partial_rockafellian(r: Rockafellian, decision: str) -> SetFunction:
     """Row of the Rockafellian at a frozen decision: x -> R(u, x)."""
     iu = r.decisions.index(decision)
-    return SetFunction(r.primal, r.rows[iu])
+    return SetFunction._unchecked(r.primal, r.rows[iu])
 
 
 def partial_lagrangian(lag: Lagrangian, decision: str) -> SetFunction:
     """Row of the Lagrangian at a frozen decision: y -> L(u, y)."""
     iu = lag.decisions.index(decision)
-    return SetFunction(lag.dual, lag.rows[iu])
+    return SetFunction._unchecked(lag.dual, lag.rows[iu])

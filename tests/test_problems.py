@@ -21,7 +21,10 @@ from gendual.problems import (
     parse_problem,
     save_problem,
     serialize_problem,
+    table_block,
+    table_tokens,
 )
+from gendual.cli import _render_function, _render_matrix
 
 MINIMAL = {
     "sets": {"U": ["u0"], "X": ["x0", "x1"], "Y": ["y0"]},
@@ -239,6 +242,9 @@ entry_tokens = st.one_of(
         "1" + "0" * 400, "-1" + "0" * 400, "1e400", "-1e400", "1E400",
         '"inf"', '"-inf"', '"inf"', '"-inf"', '"Inf"', '"nan"', '"x"', '""',
         "true", "false", "null", "[1.0]", "[]", '{"a": 1}',
+        # strings that float() reads but the format does not
+        '"1"', '"1e5"', '"Infinity"', '"+inf"', '" inf"', '"-Inf"', '"NaN"',
+        '"infinity"',
     ]),
 )
 
@@ -281,6 +287,10 @@ def test_parse_matches_per_entry_reference(text):
         return
     p = parse_problem(text)
     assert repr((p.coupling.rows, p.rockafellian.rows)) == repr(want)
+    # the parser builds its tables unchecked: it must give plain doubles
+    for rows in (p.coupling.rows, p.rockafellian.rows):
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert all(type(v) is float for row in rows for v in row)
 
 
 # --- serializing: the row-at-a-time writer against json.dumps ----------------
@@ -352,4 +362,28 @@ def problems_and_images(draw):
 @settings(max_examples=300)
 def test_serialize_is_json_dumps_with_indent_2(case):
     problem, image = case
-    assert serialize_problem(problem) == json.dumps(image, indent=2) + "\n"
+    want = json.dumps(image, indent=2) + "\n"
+    assert serialize_problem(problem) == want
+    # a table block made beforehand, as the CLI hands it over, gives the same
+    # text; one for a table the problem does not carry is not written
+    for key in ("coupling", "rockafellian", "lagrangian"):
+        table = getattr(problem, key)
+        block = table_block(table_tokens(table.rows)) if table is not None else "[]"
+        if key == "coupling" and problem.embedding is not None:
+            block = "[]"
+        assert serialize_problem(problem, blocks={key: block}) == want
+
+
+@given(st.lists(texts, min_size=1, max_size=3, unique=True),
+       st.lists(texts, min_size=1, max_size=3, unique=True), st.data())
+@settings(max_examples=200)
+def test_structured_output_is_json_dumps_with_indent_2(row_labels, col_labels, data):
+    rows = [data.draw(st.lists(entries, min_size=len(col_labels),
+                               max_size=len(col_labels))) for _ in row_labels]
+    payload = {"row_labels": row_labels, "col_labels": col_labels,
+               "entries": [[jsonable(v) for v in row] for row in rows]}
+    got = _render_matrix(row_labels, col_labels, table_tokens(rows), "structured")
+    assert got == json.dumps(payload, indent=2) + "\n"
+    payload = {"labels": col_labels, "values": payload["entries"][0]}
+    got = _render_function(col_labels, rows[0], "structured")
+    assert got == json.dumps(payload, indent=2) + "\n"

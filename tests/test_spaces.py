@@ -1,24 +1,31 @@
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gendual import (
     Coupling,
     DomainMismatchError,
     ExtReal,
     FiniteSet,
+    Lagrangian,
     NEG_INF,
     Rockafellian,
     SetFunction,
     UnknownLabelError,
     bilinear_coupling,
+    conjugate,
+    dual_function,
     partial_lagrangian,
     partial_rockafellian,
+    perturbation_function,
     pointwise_max,
     pointwise_min,
+    reverse_conjugate,
     reverse_coupling,
 )
-from gendual.duality import lagrangian_of
+from gendual.duality import lagrangian_of, rockafellian_of
 
 
 def test_finite_set_basics():
@@ -30,7 +37,9 @@ def test_finite_set_basics():
     with pytest.raises(UnknownLabelError):
         s.index("z")
     assert s == FiniteSet(["a", "b", "c"])
+    assert s == s
     assert s != FiniteSet(["b", "a", "c"])  # order is part of identity
+    assert s != ("a", "b", "c")
 
 
 def test_finite_set_rejects_bad_labels():
@@ -159,3 +168,73 @@ def test_tables_are_total(e1):
     for x in e1["X"]:
         for y in e1["Y"]:
             e1["c"](x, y)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, -math.inf, math.nan])
+def test_isclose_rejects_a_negative_tol(e1, tol):
+    # equal values are compared whole first, which must not skip the check
+    f = SetFunction(e1["X"], [1.0, -math.inf])
+    for a, b in ((f, f), (f, f.negated()), (e1["R"], e1["R"]), (e1["R"], e1["R2"])):
+        with pytest.raises(ValueError):
+            a.isclose(b, tol)
+
+
+def test_isclose_compares_whole_and_entry_by_entry(e1):
+    f = SetFunction(e1["X"], [0.0, math.inf])
+    assert f.isclose(SetFunction(e1["X"], [-0.0, math.inf]), 0.0)
+    assert f.isclose(SetFunction(e1["X"], [1e-10, math.inf]))
+    assert not f.isclose(SetFunction(e1["X"], [1e-10, math.inf]), 0.0)
+    r = e1["R"]
+    near = Rockafellian(r.decisions, r.primal, [[5.0, 3.0 + 1e-12], [0.0, math.inf]])
+    assert r.isclose(near) and not r.isclose(near, 0.0)
+    assert not r.isclose(e1["R2"])
+
+
+# Entries where the package's producers round, overflow or meet an
+# opposite-infinity pair: their results are built without a second check.
+DBL_MAX = sys.float_info.max
+entries = st.one_of(
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1.7e308, -1.7e308,
+                     DBL_MAX, -DBL_MAX, 0.1, -2.5, 1e-300]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def instances(draw):
+    n_u, n_x, n_y = (draw(st.integers(1, 4)) for _ in range(3))
+    U, X, Y = (FiniteSet(f"{k}{i}" for i in range(n)) for k, n in
+               (("u", n_u), ("x", n_x), ("y", n_y)))
+
+    def rows(n_rows, n_cols):
+        return [draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+                for _ in range(n_rows)]
+
+    return (Coupling(X, Y, rows(n_x, n_y)), Rockafellian(U, X, rows(n_u, n_x)),
+            Lagrangian(U, Y, rows(n_u, n_y)), SetFunction(X, rows(1, n_x)[0]),
+            SetFunction(X, rows(1, n_x)[0]), SetFunction(Y, rows(1, n_y)[0]))
+
+
+def _plain(values):
+    return type(values) is tuple and all(
+        type(v) is float and not math.isnan(v) for v in values
+    )
+
+
+@given(instances())
+@settings(max_examples=300)
+def test_producers_give_what_the_public_constructors_would(case):
+    c, r, lag, f, f2, g = case
+    u = r.decisions.labels[-1]
+    functions = [
+        conjugate(f, c), reverse_conjugate(g, c), f.negated(),
+        pointwise_min(f, f2), pointwise_max(f, f2),
+        partial_rockafellian(r, u), partial_lagrangian(lag, u),
+        perturbation_function(r), dual_function(lag),
+    ]
+    for h in functions:
+        assert _plain(h.values)
+        assert h == SetFunction(h.domain, list(h.values))
+    for t in (lagrangian_of(r, c), rockafellian_of(lag, c), reverse_coupling(c)):
+        assert type(t.rows) is tuple and all(map(_plain, t.rows))
+        assert t == type(t)(t.row_set, t.col_set, [list(row) for row in t.rows])

@@ -19,7 +19,9 @@ against each tree, in a fresh interpreter with that tree first on
     couples, so that audit witnesses found off the exact row compare and
     in probe candidate order are compared too;
   - malformed variants of a gallery file, one fault each;
-  - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9;
+  - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
+    ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
+    off-grid value families F;
   - ``tools/make_gallery.py``, writing into the work directory.
 
 It compares, command by command, the exit code, stdout, stderr (minus the
@@ -45,6 +47,7 @@ FORMATS = ("text", "csv", "structured")
 SIZES = (4, 16, 64, 256)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
+OFF_GRID_FAMILIES = ("fractional", "tiny", "wide", "near-overflow")
 
 
 def _value(rng, family):
@@ -161,6 +164,11 @@ def write_inputs(root):
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
                       str(seed), "--output", "repro", "--format", fmt] for fmt in fmts]
+    # the off-grid families fail where sums round and overflow, so their
+    # failing reports and reproduction files compare those results too
+    commands += [["fuzz", "--count", "300", "--max-set-size", "4", "--seed", "7",
+                  "--values", family, "--output", f"repro/{family}"]
+                 for family in OFF_GRID_FAMILIES]
     return commands
 
 
