@@ -31,7 +31,7 @@ from .extreal import DEFAULT_TOL, ExtReal, parse_extreal, render_extreal
 from .spaces import SetFunction
 from .conjugacy import conjugate, reverse_conjugate
 from .duality import lagrangian_of, rockafellian_of, weak_duality_report
-from .couple import DEFAULT_DELTAS, audit
+from .couple import audit
 from .problems import (
     _array,
     _object,
@@ -86,16 +86,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _deltas(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(t) for t in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated numbers") from None
-    if not values or not all(d > 0.0 for d in values):
-        raise argparse.ArgumentTypeError("deltas must be positive")
-    return values
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 2 with one diagnostic line, like every other error."""
 
@@ -147,9 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem_r", help="file with the Rockafellian (or both tables)")
     p.add_argument("problem_l", nargs="?",
                    help="file with the Lagrangian; omit if the first file has both")
-    p.add_argument("--deltas", type=_deltas,
-                   default=tuple(DEFAULT_DELTAS),
-                   help="probe decrements/increments (default 0.001,1.0)")
     common(p, tol=True)
     p.set_defaults(func=cmd_check_couple)
 
@@ -339,7 +326,7 @@ def cmd_check_couple(args) -> int:
         if not problem_l.coupling.isclose(c, args.tol):
             raise DomainMismatchError("the two problem files carry different couplings")
 
-    result = audit(lag, r, c, deltas=args.deltas, tol=args.tol)
+    result = audit(lag, r, c, tol=args.tol)
     if args.format == "structured":
         payload = asdict(result)
         payload["is_couple"] = result.is_couple

@@ -5,13 +5,12 @@ the pairs satisfying the generalized Young inequality
 
     -L(u, y)  upper-add  R(u, x)  >=  c(x, y)      for all (u, x, y).
 
-Minimality over the full function space cannot be enumerated, so the audit
-approaches it from five sides.  Each item computes its own transforms and
-conjugates, so that their agreement is itself a checkable claim:
+The audit tests this from five sides.  Each item computes its own
+transforms and conjugates, so that their agreement is itself a checkable
+claim:
 
-  (i)   the inequality above, plus a finite falsification probe that lowers
-        single entries of R (and raises single entries of L) and verifies
-        the inequality breaks every time;
+  (i)   the inequality above, and minimality: no entry of R or of -L lies
+        above its least feasible value given the other table;
   (ii)  L is the Lagrangian of R and R is the Rockafellian of L (the two
         inf/sup transform equations);
   (iii) row-wise conjugate duality: E1 and E2 below;
@@ -23,53 +22,53 @@ where, for every decision u,
   E1: -L_u = (R_u)^c             E2: R_u = (-L_u)^{c'}
   E3:  R_u = (R_u)^{cc'}         E4: -L_u = (-L_u)^{c'c}.
 
-Items (ii) through (v) share one mismatch scan, which names the first entry
-where two rows differ.  It first compares the two rows whole, at C speed,
-and of a pair that is not equal entry for entry it scans with
-``approx_eq`` only the entries that differ; equal doubles are approximately
-equal at every tol >= 0, so the witness does not depend on the shortcut.
-Items (iii)-(v) pass raw table rows to the product kernel
-(``conjugacy.conjugate_row``, the one conjugate code path) instead of
-building a ``SetFunction`` per row.  The four items are exactly
-equivalent; the audit flags an internal alarm if their verdicts ever
-disagree.
+Items (ii) through (v) and the minimality of item (i) share one mismatch
+scan, which names the first entry where a row fails its comparison with
+another.  It first compares the two rows whole, at C speed, and of a pair
+that is not equal entry for entry it scans with ``approx_eq`` (or
+``approx_le``) only the entries that differ; equal doubles pass both at
+every tol >= 0, so the witness does not depend on the shortcut.  The row
+tests pass raw table rows to the product kernel (``conjugacy.conjugate_row``,
+the one conjugate code path) instead of building a ``SetFunction`` per
+row.  Items (ii)-(v) are exactly equivalent; the audit flags an internal
+alarm if their verdicts ever disagree.
 
-Item (i) does not use the product kernel of items (ii)-(v): both the
-inequality and the probe scan rows of doubles with ``extreal.exceeds``,
-which is exact for a finite tol >= 0.  The inequality scans, for each u,
-only the y where L(u, y) > -inf, the domain of -L_u: elsewhere -L(u, y) is
-+inf, so the upper sum is +inf and cannot fail.  A u whose L row is -inf
-everywhere costs no scan, and the first failing y is the same.
+Minimality is decided exactly, from least feasible values.  Given L, the
+least value R(u, x) may take with the inequality intact is
 
-The probe tests each entry's weakest candidate first.  For fixed c and a,
-whether ``c - (a + b) > tol`` holds can only turn from true to false as b
-grows: IEEE ``+`` and ``-`` round monotonically, and the opposite-infinity
-cases that give NaN are b = +inf or a + b = +inf, at the top of the range,
-or a = +inf or c = -inf, where the test fails for every b.  So a candidate
-that breaks the inequality is matched by every candidate below it for R
-(where b is the candidate) and above it for L (where b is its negation).
-If the largest R candidate, or the smallest L candidate, breaks the
-inequality, so does every other candidate of the entry, which is done in
-one scan; otherwise its candidates are scanned in order and the first
-survivor is named, as a plain scan would.
+    rho(u, x) = sup_y [L(u, y) lower-add c(x, y)] = (-L_u)^{c'}(x),
+
+the Rockafellian of L in Rockafellar's perturbation scheme, and given R
+the least value of -L(u, y) is sigma(u, y) = (R_u)^c(y).  Lowering an entry
+of -L only raises rho, and lowering an entry of R only raises sigma, so a
+pair below (-L, R) that keeps the inequality exists only if a single entry
+can drop alone: (-L, R) is minimal iff R_u <= rho_u and -L_u <= sigma_u for
+every u.  These are the rows of E2 and E1 compared with ``approx_le``
+instead of ``approx_eq``.  Where the inequality holds, R >= rho and
+-L >= sigma, so minimality there is R = rho and -L = sigma: item (ii).
+
+The inequality itself does not use the product kernel: it scans rows of
+doubles with ``extreal.exceeds``, which is exact for a finite tol >= 0.
+It scans, for each u, only the y where L(u, y) > -inf, the domain of -L_u:
+elsewhere -L(u, y) is +inf, so the upper sum is +inf and cannot fail.  A u
+whose L row is -inf everywhere costs no scan, and the first failing y is
+the same.  Minimality is not tested when the inequality fails.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, ExtReal, approx_eq, exceeds, upp_add
+from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, upp_add
 from .spaces import Coupling, Lagrangian, Rockafellian
 from .conjugacy import conjugate_row
 from .duality import lagrangian_of, rockafellian_of
 
 __all__ = [
     "CoupleAudit",
-    "DEFAULT_DELTAS",
     "Witness",
     "audit",
     "check_item_ii",
@@ -80,8 +79,6 @@ __all__ = [
     "make_couple",
     "minimality_probe",
 ]
-
-DEFAULT_DELTAS = (1e-3, 1.0)
 
 _INF = float("inf")
 
@@ -115,7 +112,7 @@ class CoupleAudit:
         return self.item_ii and self.items_agree
 
 
-def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
+def _require_valid(lag, r, c, tol: float) -> None:
     if lag.decisions != r.decisions:
         raise DomainMismatchError(
             "couple check: Lagrangian and Rockafellian decision sets differ"
@@ -128,11 +125,9 @@ def _require_valid(lag, r, c, tol: float, deltas=()) -> None:
         raise DomainMismatchError(
             "couple check: Lagrangian dual set differs from the coupling's"
         )
-    # extreal.exceeds, the scan of item (i), needs a finite tol >= 0
+    # extreal.exceeds, the inequality scan of item (i), needs a finite tol >= 0
     if not 0.0 <= tol < _INF:
         raise ValueError("tolerance must be finite and nonnegative")
-    if not all(d > 0.0 for d in deltas):
-        raise ValueError("probe deltas must be positive")
 
 
 def _inequality_witness(lag, r, c, tol) -> Witness | None:
@@ -179,15 +174,16 @@ def _witness(item, u, side, lab, description) -> Witness:
     return Witness(item, u, None, lab, description)
 
 
-def _mismatch(item, u, side, labels, have, want, tol, text) -> Witness | None:
-    """Witness at the first label where the row ``have`` differs from the row
-    ``want``, or None.  Rows that compare equal entry for entry are done in
-    one C-level test; of the others, only the entries that differ are
-    scanned with ``approx_eq``."""
+def _mismatch(item, u, side, labels, have, want, tol, text,
+              holds=approx_eq) -> Witness | None:
+    """Witness at the first label where ``holds(have[k], want[k], tol)``
+    fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``.  Rows that
+    compare equal entry for entry pass both and are done in one C-level
+    test; of the others, only the entries that differ are scanned."""
     if tuple(have) == tuple(want):
         return None
     for lab, a, b in compress(zip(labels, have, want), map(ne, have, want)):
-        if not approx_eq(a, b, tol):
+        if not holds(a, b, tol):
             return _witness(item, u, side, lab, text.format(u=u, lab=lab, a=a, b=b))
     return None
 
@@ -213,46 +209,60 @@ def _negated(row) -> list[float]:
     return [-v for v in row]
 
 
-# The row equations E1-E4 of items (iii)-(v), each stated once: the side of
-# the row's labels, the row and the row it must equal, and the witness text.
-# The rows come from L_u, -L_u, R_u and -R_u as raw rows of doubles, and the
-# conjugates from ``conjugate_row``, which takes the negated function: the
-# columns of c conjugate a function on X, its rows a function on Y.  So
-# (-L_u)^c' is conjugate_row(L_u), since -(-v) is v for every double.
-_E1 = ("y", lambda lu, nlu, ru, nru, c: (nlu, conjugate_row(nru, c.sorted_cols)),
-       "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
-_E2 = ("x", lambda lu, nlu, ru, nru, c: (ru, conjugate_row(lu, c.sorted_rows)),
-       "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
+# The row tests of items (i) and (iii)-(v), each stated once: the side of
+# the row's labels, the row and the row it is compared with, the comparison,
+# and the witness text.  The rows come from L_u, -L_u, R_u and -R_u as raw
+# rows of doubles, and the conjugates from ``conjugate_row``, which takes
+# the negated function: the columns of c conjugate a function on X, its
+# rows a function on Y.  So (-L_u)^c' is conjugate_row(L_u), since -(-v) is
+# v for every double.  Minimality (M1, M2) compares the rows of E2 and E1
+# with ``approx_le``: each entry at most its least feasible value.
+def _nl_and_sigma(lu, nlu, ru, nru, c):
+    return nlu, conjugate_row(nru, c.sorted_cols)
+
+
+def _r_and_rho(lu, nlu, ru, nru, c):
+    return ru, conjugate_row(lu, c.sorted_rows)
+
+
+_E1 = ("y", _nl_and_sigma, approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
+_E2 = ("x", _r_and_rho, approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
 _E3 = ("x", lambda lu, nlu, ru, nru, c: (ru, conjugate_row(
            _negated(conjugate_row(nru, c.sorted_cols)), c.sorted_rows)),
-       "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}")
+       approx_eq, "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}")
 _E4 = ("y", lambda lu, nlu, ru, nru, c: (nlu, conjugate_row(
            _negated(conjugate_row(lu, c.sorted_rows)), c.sorted_cols)),
-       "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}")
-_ROW_EQUATIONS = {"iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
+       approx_eq, "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}")
+_M1 = ("x", _r_and_rho, approx_le,
+       "R({u},{lab}) = {a} is above its least feasible value (-L_u)^c'({lab}) = {b}")
+_M2 = ("y", _nl_and_sigma, approx_le,
+       "-L({u},{lab}) = {a} is above its least feasible value (R_u)^c({lab}) = {b}")
+_ROW_TESTS = {"i-minimality": (_M1, _M2),
+              "iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
 
 
 def _item_witness(item, lag, r, c, tol) -> Witness | None:
-    """First witness against item (ii), (iii), (iv) or (v).  Each item
-    computes its own conjugates: their agreement is the check.
+    """First witness against item (ii), (iii), (iv) or (v), or against the
+    minimality of item (i) ("i-minimality").  Each item computes its own
+    conjugates: their agreement is the check.
 
-    Items (iii)-(v) work on raw rows: each u hands L_u, -L_u, R_u and -R_u
+    All but item (ii) work on raw rows: each u hands L_u, -L_u, R_u and -R_u
     to the product kernel through ``conjugate_row`` and wraps no row in a
     ``SetFunction``.  Their values are the ones ``conjugate`` and
     ``reverse_conjugate`` give, bit for bit, since those two are
     ``conjugate_row`` behind a domain check.  ``_mismatch`` then compares
     each pair of rows at C speed first: exact equality implies ``approx_eq``
-    at every tol >= 0 (signed zeros compare equal and no entry is NaN), so
-    only the entries that differ are scanned, and the first witness is the
-    same."""
+    and ``approx_le`` at every tol >= 0 (signed zeros compare equal and no
+    entry is NaN), so only the entries that differ are scanned, and the
+    first witness is the same."""
     if item == "ii":
         return _item_ii_witness(lag, r, c, tol)
     for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
         nl_row, nr_row = _negated(l_row), _negated(r_row)
-        for side, rows, text in _ROW_EQUATIONS[item]:
+        for side, rows, holds, text in _ROW_TESTS[item]:
             have, want = rows(l_row, nl_row, r_row, nr_row, c)
             labels = c.primal.labels if side == "x" else c.dual.labels
-            w = _mismatch(item, u, side, labels, have, want, tol, text)
+            w = _mismatch(item, u, side, labels, have, want, tol, text, holds)
             if w is not None:
                 return w
     return None
@@ -291,97 +301,25 @@ def check_item_v(
     return _holds("v", lag, r, c, tol)
 
 
-def _probe_magnitude(lag, r, c) -> float:
-    """Replacement magnitude for probing infinite entries: well beyond every
-    finite value present in the instance, and capped at the largest double
-    so that it stays finite."""
-    biggest = 0.0
-    for table in (lag, r, c):
-        for row in table.rows:
-            for v in row:
-                if biggest < abs(v) < _INF:
-                    biggest = abs(v)
-    return min(max(10.0 * biggest, 1e6), sys.float_info.max)
-
-
-# Both drop a step that rounds back to v (one below half an ulp of v): it
-# is no change to the entry, so it cannot be evidence against minimality.
-def _lower_candidates(v: ExtReal, deltas, big: float) -> list[float]:
-    if v == -_INF:
-        return []
-    if v == _INF:
-        return [big]
-    return [v - d for d in deltas if v - d != v] + [-_INF]
-
-
-def _raise_candidates(v: ExtReal, deltas, big: float) -> list[float]:
-    if v == _INF:
-        return []
-    if v == -_INF:
-        return [-big]
-    return [v + d for d in deltas if v + d != v] + [_INF]
-
-
-def _probe_witness(lag, r, c, deltas, tol) -> Witness | None:
-    # Single-entry changes only touch the inequality triples through that
-    # entry's row/column slice; since the unperturbed inequality holds (the
-    # caller checks it first), re-checking the slice is the full check.  An
-    # entry of R meets the row of -L through a row of c; an entry of L meets
-    # the row of R through a column of c, with its sign flipped (exactly, as
-    # -1.0 * v is -v for every double, signed zeros included).  Each entry
-    # first tests its weakest candidate, the one that ``weakest`` picks (see
-    # the module docstring): if even that one breaks the inequality, every
-    # candidate does.  Otherwise the candidates are scanned in list order,
-    # which names the same one as a plain scan.
-    big = _probe_magnitude(lag, r, c)
-    for table, side, others, slices, sign, candidates, weakest, text in (
-        (r, "x", (_negated(row) for row in lag.rows), c.rows, 1.0,
-         _lower_candidates, max,
-         "R({u},{lab}) = {v} can drop to {cand} with the inequality intact"),
-        (lag, "y", r.rows, c.cols, -1.0,
-         _raise_candidates, min,
-         "L({u},{lab}) = {v} can rise to {cand} with the inequality intact"),
-    ):
-        for u, row, other in zip(table.decisions.labels, table.rows, others):
-            for lab, v, c_slice in zip(table.col_set.labels, row, slices):
-                cands = candidates(v, deltas, big)
-                if len(cands) > 1 and exceeds(
-                        c_slice, other, sign * weakest(cands), tol):
-                    continue
-                for cand in cands:
-                    if not exceeds(c_slice, other, sign * cand, tol):
-                        return _witness("i-minimality", u, side, lab, text.format(
-                            u=u, lab=lab, v=v, cand=ExtReal(cand)))
-    return None
-
-
 def minimality_probe(
-    lag: Lagrangian,
-    r: Rockafellian,
-    c: Coupling,
-    deltas=DEFAULT_DELTAS,
-    tol: float = DEFAULT_TOL,
+    lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
-    """Finite falsification probe for minimality of (-L, R) in the inequality.
+    """Minimality of (-L, R) in the inequality, decided exactly.
 
-    Returns False outright when the inequality itself fails.  Otherwise each
-    finite entry of R is lowered by every delta and jumped to -inf (a +inf
-    entry is replaced by a large finite value; -inf entries cannot drop),
-    and symmetrically each entry of L is raised; the probe passes only if
-    every attempt breaks the inequality.  A True verdict is finite evidence
-    of minimality, not a proof over the whole function space.
+    False when the inequality itself fails.  Otherwise True iff every entry
+    of R is at most its least feasible value (-L_u)^{c'} and every entry of
+    -L at most (R_u)^c, within tol (see the module docstring).
     """
-    _require_valid(lag, r, c, tol, deltas)
+    _require_valid(lag, r, c, tol)
     if _inequality_witness(lag, r, c, tol) is not None:
         return False
-    return _probe_witness(lag, r, c, deltas, tol) is None
+    return _item_witness("i-minimality", lag, r, c, tol) is None
 
 
 def audit(
     lag: Lagrangian,
     r: Rockafellian,
     c: Coupling,
-    deltas=DEFAULT_DELTAS,
     tol: float = DEFAULT_TOL,
 ) -> CoupleAudit:
     """Run all five characterizations and collect first witnesses.
@@ -390,10 +328,10 @@ def audit(
     through (v) returned one common verdict; False there means the checker
     itself is inconsistent, not merely that the input fails to be a couple.
     """
-    _require_valid(lag, r, c, tol, deltas)
+    _require_valid(lag, r, c, tol)
     w_ineq = _inequality_witness(lag, r, c, tol)
     if w_ineq is None:
-        w_probe = _probe_witness(lag, r, c, deltas, tol)
+        w_probe = _item_witness("i-minimality", lag, r, c, tol)
     else:
         w_probe = Witness(
             item="i-minimality", u=None, x=None, y=None,

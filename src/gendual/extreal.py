@@ -32,8 +32,7 @@ doubles that are never NaN:
     index-order scan returns.
 
 Every test of an upper Moreau sum against a coupling value (the couple
-inequality, its minimality probe and the Young check) is one scan,
-``exceeds``.
+inequality and the Young check) is one scan, ``exceeds``.
 
 Comparisons against an infinity are always exact; tolerances apply only
 between two finite values.

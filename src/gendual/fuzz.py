@@ -324,7 +324,7 @@ def check_couple_theorem(
 ) -> list[str]:
     """A constructed couple audits true on every item; a single-entry
     perturbation and an unrelated random pair keep items (ii)-(v) in
-    agreement and consistent with the inequality-plus-probe reading."""
+    agreement and consistent with item (i), the inequality plus minimality."""
     fails = []
     draw = VALUE_FAMILIES[values]
     r, c = inst.rockafellian, inst.coupling

@@ -428,6 +428,18 @@ def test_tol_only_where_a_comparison_reads_it(problems_dir, capsys, command, pro
     ]
 
 
+def test_deltas_is_not_an_option(problems_dir, capsys):
+    # minimality is decided exactly, with no probe steps to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["check-couple", str(problems_dir / "e1_couple.json"), "--deltas", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "gendual: error: unrecognized arguments: --deltas 1"
+    ]
+
+
 LONG_INT = "1" * 5000  # beyond the default int() digit limit of 4300
 
 
@@ -568,7 +580,6 @@ FLAG_VALUES = {
     "--side": ("primal", "dual", "sideways"),
     "--format": ("text", "csv", "structured", "yaml"),
     "--tol": ("1e-9", "0", "-1", "nan"),
-    "--deltas": ("0.5", "0,1", "1e-3,1", "x"),
     "--base-point": ("x0", "x1", "zz"),
     "--output": ("out.json", "no/such/dir/out.json", "."),
     "--count": ("0", "1", "2"),

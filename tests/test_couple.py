@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gendual import (
+    DEFAULT_TOL,
     Coupling,
     DomainMismatchError,
     FiniteSet,
@@ -34,7 +35,8 @@ from gendual import (
     upp_add,
     young_check,
 )
-from gendual.couple import DEFAULT_DELTAS, _probe_magnitude
+
+import bruteforce as bf
 
 INF = math.inf
 
@@ -102,16 +104,26 @@ def test_items_iv_v_match_iii_on_e1(e1, checker):
     assert not checker(e1["L"], e1["R"], e1["c"])
 
 
-# --- minimality probe ----------------------------------------------------------
+# --- minimality ----------------------------------------------------------------
 
 def test_probe_true_on_couple(e1):
-    assert minimality_probe(e1["L"], e1["R2"], e1["c"], deltas=(0.5,))
     assert minimality_probe(e1["L"], e1["R2"], e1["c"])
 
 
 def test_probe_false_on_dominating_r(e1):
-    # R(u0,x0) = 5 can drop to 4.5 with the inequality intact
-    assert not minimality_probe(e1["L"], e1["R"], e1["c"], deltas=(0.5,))
+    # R(u0,x0) = 5 can drop to its least feasible value 2 with the inequality intact
+    assert not minimality_probe(e1["L"], e1["R"], e1["c"])
+
+
+def test_probe_names_a_slack_of_1e_4(e1):
+    # R(u0,x0) = 2.0001 sits 1e-4 above its least feasible value 2.0
+    r = replace(Rockafellian, e1["R2"], e1["U"], e1["X"], 0, 0, 2.0001)
+    assert inequality_holds(e1["L"], r, e1["c"])
+    assert not minimality_probe(e1["L"], r, e1["c"])
+    a = audit(e1["L"], r, e1["c"])
+    assert not (a.item_i_minimality_probe or a.item_ii)
+    w = next(w for w in a.witnesses if w.item == "i-minimality")
+    assert (w.u, w.x, w.y) == ("u0", "x0", None)
 
 
 def test_probe_false_when_inequality_fails(e1):
@@ -125,27 +137,6 @@ def test_probe_saturated_instance():
     lag = Lagrangian(["u"], ["y"], [[-INF]])
     r = Rockafellian(["u"], ["x"], [[-INF]])
     assert minimality_probe(lag, r, c)
-
-
-def test_probe_rejects_nonpositive_deltas(e1):
-    with pytest.raises(ValueError):
-        minimality_probe(e1["L"], e1["R2"], e1["c"], deltas=(0.0,))
-
-
-@pytest.mark.parametrize("c_rows, r_rows, l_rows", [
-    # R(u,x1) has slack 1 against c; dropping it by 2 misses by exactly tol
-    ([[0.0], [0.0]], [[0.0, 1.0]], [[0.0]]),
-    # L(u,y1) has slack 1 against c; raising it by 2 misses by exactly tol
-    ([[0.0, 0.0]], [[0.0]], [[0.0, -1.0]]),
-], ids=["lower-R", "raise-L"])
-def test_probe_candidate_missing_by_exactly_tol_survives(c_rows, r_rows, l_rows):
-    X = [f"x{i}" for i in range(len(c_rows))]
-    Y = [f"y{i}" for i in range(len(c_rows[0]))]
-    c = Coupling(X, Y, c_rows)
-    r = Rockafellian(["u"], X, r_rows)
-    lag = Lagrangian(["u"], Y, l_rows)
-    assert not minimality_probe(lag, r, c, deltas=(2.0,), tol=1.0)
-    assert minimality_probe(lag, r, c, deltas=(2.0,), tol=0.5)
 
 
 def _literal_inequality_witness(lag, r, c, tol=1e-9):
@@ -166,44 +157,43 @@ def _literal_inequality_witness(lag, r, c, tol=1e-9):
 INEQUALITY_FAILS = "inequality fails"
 
 
-def _literal_probe(lag, r, c, deltas, tol=1e-9):
-    """Reference probe: rebuild the whole table per candidate and re-run the
-    literal inequality check, no slice shortcut, every candidate in list
-    order.  Returns None if the probe passes, INEQUALITY_FAILS if it is not
-    run, else the first surviving (u, side, label, candidate)."""
-    from gendual.couple import _lower_candidates, _raise_candidates
-
-    def holds(lag, r):
-        return _literal_inequality_witness(lag, r, c, tol) is None
-
-    if not holds(lag, r):
+def _reference_minimality(lag, r, c, tol=1e-9):
+    """Reference for item (i)'s minimality, from the brute-force transforms:
+    the least feasible values rho = the Rockafellian of L and sigma = minus
+    the Lagrangian of R, and approx_le entry by entry, R_u before -L_u for
+    each u.  Returns None if minimality holds, INEQUALITY_FAILS if it is
+    not tested, else the first failing (u, x, y, text, least value), the
+    text up to the least value."""
+    if _literal_inequality_witness(lag, r, c, tol) is not None:
         return INEQUALITY_FAILS
-    big = _probe_magnitude(lag, r, c)
-    for iu, u in enumerate(r.decisions.labels):
-        for ix, x in enumerate(r.primal.labels):
-            for cand in _lower_candidates(r.rows[iu][ix], deltas, big):
-                r_mod = replace(Rockafellian, r, r.decisions, r.primal, iu, ix, cand)
-                if holds(lag, r_mod):
-                    return u, "x", x, cand
+    rho = bf.rockafellian(c.rows, lag.rows)
+    sigma = [[-v for v in row] for row in bf.lagrangian(c.rows, r.rows)]
     for iu, u in enumerate(lag.decisions.labels):
-        for iy, y in enumerate(lag.dual.labels):
-            for cand in _raise_candidates(lag.rows[iu][iy], deltas, big):
-                l_mod = replace(Lagrangian, lag, lag.decisions, lag.dual, iu, iy, cand)
-                if holds(l_mod, r):
-                    return u, "y", y, cand
+        for side, labels, have, want, text in (
+            ("x", r.primal.labels, r.rows[iu], rho[iu],
+             "R({u},{lab}) = {a} is above its least feasible value (-L_u)^c'({lab})"),
+            ("y", lag.dual.labels, [-v for v in lag.rows[iu]], sigma[iu],
+             "-L({u},{lab}) = {a} is above its least feasible value (R_u)^c({lab})"),
+        ):
+            for lab, a, b in zip(labels, have, want):
+                if not approx_le(a, b, tol):
+                    x, y = (lab, None) if side == "x" else (None, lab)
+                    return u, x, y, text.format(u=u, lab=lab, a=a), b
     return None
 
 
-def _probe_witness_of(a):
-    """The audit's i-minimality witness in the shape ``_literal_probe``
-    returns, the candidate read back from the witness text."""
+def _minimality_witness_of(a):
+    """The audit's i-minimality witness in the shape ``_reference_minimality``
+    returns.  The least value is read back as a double, so that a zero
+    matches whatever its sign: the reference negates the sums of the
+    Lagrangian, and -(a + b) and (-a) + (-b) differ in the sign of an exact 0."""
     w = next((w for w in a.witnesses if w.item == "i-minimality"), None)
     if w is None:
         return None
     if w.u is None:
         return INEQUALITY_FAILS
-    cand = float(w.description.split(" to ")[1].split(" with ")[0])
-    return (w.u, "x", w.x, cand) if w.y is None else (w.u, "y", w.y, cand)
+    text, least = w.description.rsplit(" = ", 1)
+    return w.u, w.x, w.y, text, float(least)
 
 
 def test_probe_agrees_with_literal_reference():
@@ -218,9 +208,9 @@ def test_probe_agrees_with_literal_reference():
         r = Rockafellian(U, X, [[pick() for _ in range(nx)] for _ in range(nu)])
         lag, r2 = make_couple(r, c)
         for pair in ((lag, r2), (lag, r)):
-            want = _literal_probe(pair[0], pair[1], c, DEFAULT_DELTAS)
-            assert minimality_probe(pair[0], pair[1], c, DEFAULT_DELTAS) == (want is None)
-            assert _probe_witness_of(audit(pair[0], pair[1], c, DEFAULT_DELTAS)) == want
+            want = _reference_minimality(pair[0], pair[1], c)
+            assert minimality_probe(pair[0], pair[1], c) == (want is None)
+            assert _minimality_witness_of(audit(pair[0], pair[1], c)) == want
 
 
 # values where IEEE and Moreau arithmetic part ways: opposite infinities,
@@ -233,10 +223,8 @@ extreme_entry = st.sampled_from([
 
 @st.composite
 def item_i_instance(draw):
-    """(L, R, c, tol, deltas): random L, the canonical couple of R, or the
-    canonical L with R itself, so that the inequality both holds and fails.
-    A delta equal to tol puts probe candidates on the boundary, and deltas
-    out of order put the weakest candidate elsewhere than first."""
+    """(L, R, c, tol): random L, the canonical couple of R, or the canonical
+    L with R itself, so that the inequality both holds and fails."""
     nu, nx, ny = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
 
     def table(n, m):
@@ -256,10 +244,7 @@ def item_i_instance(draw):
         lag, r2 = make_couple(r, c)
         if kind == "couple":
             r = r2
-    tol = draw(st.sampled_from([0.0, 1e-9, 1.0]))
-    return lag, r, c, tol, draw(st.sampled_from([
-        DEFAULT_DELTAS, (1.0,), (2.5,), (2.5, 1e-3, 1.0), (1.0, 2.5, 1e-3),
-    ]))
+    return lag, r, c, draw(st.sampled_from([0.0, 1e-9, 1.0]))
 
 
 def _sparse_l_instance(r_u1):
@@ -270,7 +255,7 @@ def _sparse_l_instance(r_u1):
     c = Coupling(X, Y, [[0.0, 0.0, 1.0], [2.0, -1.0, INF]])
     r = Rockafellian(U, X, [[-INF, 3.0], r_u1])
     lag = Lagrangian(U, Y, [[-INF, -INF, -INF], [-INF, 2.5, -INF]])
-    return lag, r, c, 0.0, DEFAULT_DELTAS
+    return lag, r, c, 0.0
 
 
 # the first fails at (u1, x0, y1): -2.5 upper-add 1.0 < 0.0; the second holds
@@ -279,16 +264,16 @@ def _sparse_l_instance(r_u1):
 @given(item_i_instance())
 @settings(max_examples=300)
 def test_item_i_matches_literal_extreal_loops(data):
-    lag, r, c, tol, deltas = data
+    lag, r, c, tol = data
     want = _literal_inequality_witness(lag, r, c, tol)
     assert inequality_holds(lag, r, c, tol) == (want is None)
-    a = audit(lag, r, c, deltas, tol)
+    a = audit(lag, r, c, tol)
     got = next((w for w in a.witnesses if w.item == "i-inequality"), None)
     assert want == (got and (got.u, got.x, got.y, got.description))
-    probe = _literal_probe(lag, r, c, deltas, tol)
-    assert minimality_probe(lag, r, c, deltas, tol) == (probe is None)
-    assert a.item_i_minimality_probe == (probe is None)
-    assert _probe_witness_of(a) == probe
+    minimal = _reference_minimality(lag, r, c, tol)
+    assert minimality_probe(lag, r, c, tol) == (minimal is None)
+    assert a.item_i_minimality_probe == (minimal is None)
+    assert _minimality_witness_of(a) == minimal
     for row in r.rows:
         f = SetFunction(r.primal, row)
         fc = conjugate(f, c)
@@ -300,16 +285,13 @@ def test_item_i_matches_literal_extreal_loops(data):
         assert young_check(f, c) == literal
 
 
-def test_probe_magnitude_stays_finite_near_the_double_range():
-    # 10 x DBL_MAX would overflow, and +inf "dropping to" +inf changes nothing.
-    # Near 6e14 the default delta 1e-3 is below half an ulp, so R - 1e-3 and
-    # L + 1e-3 round back to the entry and are no change either.
+def test_minimality_holds_near_the_double_range():
+    # a +inf entry beside c = DBL_MAX, and a couple near 6e14, where half an
+    # ulp exceeds the default tol
     X, Y = FiniteSet(["x0"]), FiniteSet(["y0"])
     for c_entry, r_entry in ((sys.float_info.max, INF), (0.0, -634864309678605.6)):
         c = Coupling(X, Y, [[c_entry]])
         lag, r = make_couple(Rockafellian(["u0"], X, [[r_entry]]), c)
-        if r_entry == INF:
-            assert _probe_magnitude(lag, r, c) == sys.float_info.max
         assert minimality_probe(lag, r, c)
         a = audit(lag, r, c)
         assert a.is_couple and a.item_i_minimality_probe
@@ -367,7 +349,7 @@ def test_audit_witness_points_at_first_violation(e1):
     # E1 with its original R: the R forms of items (ii)-(v)
     (None, "R", [
         ("i-minimality", "u0", "x0", None,
-         "R(u0,x0) = 5.0 can drop to 4.999 with the inequality intact"),
+         "R(u0,x0) = 5.0 is above its least feasible value (-L_u)^c'(x0) = 2.0"),
         ("ii", "u0", "x0", None, "R(u0,x0) = 5.0 but the sup-transform gives 2.0"),
         ("iii", "u0", "x0", None, "R(u0,x0) = 5.0 but (-L_u)^c'(x0) = 2.0"),
         ("iv", "u0", "x0", None,
@@ -387,7 +369,7 @@ def test_audit_witness_points_at_first_violation(e1):
     # the E1 couple with L(u0,y1) lowered, so that it can rise again
     ((0, 1, -0.5), "R2", [
         ("i-minimality", "u0", None, "y1",
-         "L(u0,y1) = -0.5 can rise to -0.499 with the inequality intact"),
+         "-L(u0,y1) = 0.5 is above its least feasible value (R_u)^c(y1) = -1.0"),
         ("ii", "u0", None, "y1", "L(u0,y1) = -0.5 but the inf-transform gives 1.0"),
         ("iii", "u0", None, "y1", "-L(u0,y1) = 0.5 but (R_u)^c(y1) = -1.0"),
         ("iv", "u0", None, "y1", "-L(u0,y1) = 0.5 but (R_u)^c(y1) = -1.0"),
@@ -512,6 +494,51 @@ def test_items_ii_to_v_match_reference(data):
     failing = {w[0] for w in want}
     assert (a.item_ii, a.item_iii, a.item_iv, a.item_v) == tuple(
         item not in failing for item in ("ii", "iii", "iv", "v"))
+
+
+@st.composite
+def nudged_couple_instance(draw):
+    """(L, R, c) up to 6 a side at the default tol: a random pair, a
+    canonical couple, or a canonical couple with one finite entry of L or R
+    moved by tol/2, 2 tol or 1e-4, either way."""
+    nu, nx, ny = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+
+    def table(n, m):
+        return draw(st.lists(
+            st.lists(fractional_entry, min_size=m, max_size=m), min_size=n, max_size=n
+        ))
+
+    U = FiniteSet([f"u{i}" for i in range(nu)])
+    X = FiniteSet([f"x{i}" for i in range(nx)])
+    Y = FiniteSet([f"y{i}" for i in range(ny)])
+    c = Coupling(X, Y, table(nx, ny))
+    r = Rockafellian(U, X, table(nu, nx))
+    kind = draw(st.sampled_from(["random", "couple", "nudged"]))
+    if kind == "random":
+        return Lagrangian(U, Y, table(nu, ny)), r, c
+    lag, r = make_couple(r, c)
+    if kind == "nudged":
+        step = draw(st.sampled_from([DEFAULT_TOL / 2, 2 * DEFAULT_TOL, 1e-4]))
+        side = draw(st.sampled_from(["L", "R"]))
+        rows = [list(row) for row in (lag if side == "L" else r).rows]
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(rows[0]) - 1))
+        if math.isfinite(rows[i][j]):
+            rows[i][j] += draw(st.sampled_from([step, -step]))
+        if side == "L":
+            lag = Lagrangian(U, Y, rows)
+        else:
+            r = Rockafellian(U, X, rows)
+    return lag, r, c
+
+
+@given(nudged_couple_instance())
+@settings(max_examples=300, deadline=None)
+def test_item_i_verdict_equals_item_ii(data):
+    # the theorem's (i) <=> (ii): minimal in the inequality iff a couple
+    lag, r, c = data
+    a = audit(lag, r, c)
+    assert (a.item_i_inequality and a.item_i_minimality_probe) == a.item_ii
 
 
 def test_audit_random_round_trip_always_couple(e1):

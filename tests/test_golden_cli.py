@@ -1,10 +1,11 @@
 """Gallery CLI output, byte for byte.
 
-Runs ``gendual.cli.main`` in-process on the files in ``problems/`` and on
-two fixed-seed fuzz runs, and compares each command's exit code and stdout
-with ``golden_cli.json``.  The transform commands also run with
-``--output``, and the file they write is compared too.  Each case runs in a
-temporary directory, so a failing fuzz case leaves its repro files there.
+Runs ``gendual.cli.main`` in-process on the files in ``problems/``, on one
+file made from them (``MADE``) and on two fixed-seed fuzz runs, and
+compares each command's exit code and stdout with ``golden_cli.json``.
+The transform commands also run with ``--output``, and the file they write
+is compared too.  Each case runs in a temporary directory, so a failing fuzz
+case leaves its repro files there.
 A change meant to alter this output regenerates that file from the
 repository root with
 
@@ -28,8 +29,21 @@ HERE = Path(__file__).resolve().parent
 PROBLEMS = HERE.parent / "problems"
 GOLDEN = HERE / "golden_cli.json"
 
+
+def _nudged_e1_couple():
+    """e1_couple.json with R(u0,x0) raised from 2.0 to 2.0001, a slack of
+    1e-4 above its least feasible value that item (i) must name."""
+    doc = json.loads((PROBLEMS / "e1_couple.json").read_text(encoding="utf-8"))
+    doc["rockafellian"][0][0] = 2.0001
+    return json.dumps(doc)
+
+
+# files written into the working directory of the command that reads them
+MADE = {"e1_couple_nudged.json": _nudged_e1_couple}
+
 COMMANDS = [
     ["check-couple", "e1_couple.json"],
+    ["check-couple", "e1_couple_nudged.json"],
     ["check-couple", "e1.json", "e1_lagrangian.json"],
     ["weak-duality", "e1.json"],
     ["weak-duality", "fenchel_quadratic.json"],
@@ -61,12 +75,13 @@ def _key(command, fmt):
 
 def run(command, fmt):
     """Exit code and stdout, plus the text of ``out.json`` for a command
-    that writes it; an --output path is taken relative to the current
-    directory."""
-    argv = [
-        str(PROBLEMS / a) if a.endswith(".json") and a != "out.json" else a
-        for a in command
-    ]
+    that writes it; an --output path and the ``MADE`` files are taken
+    relative to the current directory."""
+    for a in command:
+        if a in MADE:
+            Path(a).write_text(MADE[a](), encoding="utf-8")
+    gallery = {a for a in command if a.endswith(".json")} - set(MADE) - {"out.json"}
+    argv = [str(PROBLEMS / a) if a in gallery else a for a in command]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv + ["--format", fmt])

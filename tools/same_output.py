@@ -14,10 +14,9 @@ against each tree, in a fresh interpreter with that tree first on
     and wide entries, each family with 10% of each infinity;
   - the transforms again with ``--output``, and a canonical couple built
     from their output files;
-  - ``check-couple`` at ``--tol 0`` and with the unsorted
-    ``--deltas 2.5,0.001,1`` on the random couple files and the built
-    couples, so that audit witnesses found off the exact row compare and
-    in probe candidate order are compared too;
+  - ``check-couple`` at ``--tol 0`` on the random couple files and the
+    built couples, so that audit witnesses found off the exact row compare
+    are compared too;
   - malformed variants of a gallery file, one fault each;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
@@ -26,8 +25,8 @@ against each tree, in a fresh interpreter with that tree first on
 
 It compares, command by command, the exit code, stdout, stderr (minus the
 ``elapsed:`` line that fuzz prints) and the bytes of every file the command
-wrote, prints the first difference and the number of differing commands,
-and exits 1 if there is any, else 0.  Needs no numpy.
+wrote, prints the number of differing commands, each of them and its first
+difference, and exits 1 if there is any, else 0.  Needs no numpy.
 """
 
 import contextlib
@@ -156,10 +155,9 @@ def write_inputs(root):
             ]
             commands += [["check-couple", f"out/{family}{n}r1.json",
                           f"out/{family}{n}l1.json", "--format", fmt] for fmt in FORMATS]
-            commands += [["check-couple", *files, *flags]
+            commands += [["check-couple", *files, "--tol", "0"]
                          for files in ([f"{tag}both.json"],
-                                       [f"out/{family}{n}r1.json", f"out/{family}{n}l1.json"])
-                         for flags in (["--tol", "0"], ["--deltas", "2.5,0.001,1"])]
+                                       [f"out/{family}{n}r1.json", f"out/{family}{n}l1.json"])]
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
@@ -263,8 +261,9 @@ def main(argv):
     files = sum(len(r["files"]) for r in old)
     print(f"{len(old)} commands, {files} written files compared")
     if differing:
-        argv0, diff = differing[0]
-        print(f"{len(differing)} commands differ; first: {' '.join(argv0)[:200]}\n  {diff}")
+        print(f"{len(differing)} commands differ:")
+        for argv, diff in differing:
+            print(f"{' '.join(argv)[:200]}\n  {diff}")
         return 1
     print("identical")
     return 0
