@@ -17,6 +17,11 @@ against each tree, in a fresh interpreter with that tree first on
   - ``check-couple`` at ``--tol 0`` on the random couple files and the
     built couples, so that audit witnesses found off the exact row compare
     are compared too;
+  - ``check-couple`` in every format, at the default tol and at ``--tol 0``,
+    on the gallery pair e1.json with e1_lagrangian.json, and on copies of
+    the built couples at n = 16 and 64 with one entry of R or of L raised
+    in a middle row (the ``raise`` step below), so that minimality and
+    row-item witnesses beyond the first decision are compared;
   - malformed variants of a gallery file, one fault each;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
@@ -26,7 +31,9 @@ against each tree, in a fresh interpreter with that tree first on
 It compares, command by command, the exit code, stdout, stderr (minus the
 ``elapsed:`` line that fuzz prints) and the bytes of every file the command
 wrote, prints the number of differing commands, each of them and its first
-difference, and exits 1 if there is any, else 0.  Needs no numpy.
+difference, and exits 1 if there is any, else 0.  A command that starts
+with ``raise`` is a step of this script, not of gendual: it copies a file
+the tree wrote, with one table entry raised.  Needs no numpy.
 """
 
 import contextlib
@@ -44,6 +51,7 @@ TOOLS = Path(__file__).resolve().parent
 GALLERY = TOOLS.parent / "problems"
 FORMATS = ("text", "csv", "structured")
 SIZES = (4, 16, 64, 256)
+RAISED_SIZES = (16, 64)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 OFF_GRID_FAMILIES = ("fractional", "tiny", "wide", "near-overflow")
@@ -100,6 +108,27 @@ def _malformed(text):
     return out
 
 
+def _audits(*files):
+    """``check-couple`` on ``files`` in every format, at the default tol and
+    at tol 0."""
+    return [["check-couple", *files, "--format", fmt, *tol]
+            for tol in ((), ("--tol", "0")) for fmt in FORMATS]
+
+
+def raise_entry(src, dst, table):
+    """Copy the problem file ``src`` to ``dst`` with one entry of ``table``
+    raised: the first entry below +inf from the middle row on, a finite one
+    by 1 and -inf to 0."""
+    doc = json.loads(Path(src).read_text(encoding="utf-8"))
+    rows = doc[table]
+    for row in rows[len(rows) // 2:]:
+        for j, v in enumerate(row):
+            if v != "inf":
+                row[j] = 0.0 if v == "-inf" else v + 1.0
+                Path(dst).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+                return
+
+
 def write_inputs(root):
     """Write the input files under ``root``; return the command list.  Both
     are fixed: the random files come from a constant seed."""
@@ -125,6 +154,7 @@ def write_inputs(root):
         bad.parent.mkdir(exist_ok=True)
         bad.write_text(text, encoding="utf-8")
         commands.append(["to-lagrangian", str(bad.relative_to(root))])
+    commands += _audits("gallery/e1.json", "gallery/e1_lagrangian.json")
 
     rng = random.Random(20260101)
     for n in SIZES:
@@ -158,6 +188,13 @@ def write_inputs(root):
             commands += [["check-couple", *files, "--tol", "0"]
                          for files in ([f"{tag}both.json"],
                                        [f"out/{family}{n}r1.json", f"out/{family}{n}l1.json"])]
+            if n in RAISED_SIZES:
+                pair = {key: f"out/{family}{n}{key[0]}1.json"
+                        for key in ("rockafellian", "lagrangian")}
+                for key in pair:
+                    raised = dict(pair, **{key: f"out/{family}{n}{key[0]}1_raised.json"})
+                    commands.append(["raise", pair[key], raised[key], key])
+                    commands += _audits(raised["rockafellian"], raised["lagrangian"])
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
@@ -190,7 +227,7 @@ def worker(src, work, commands_path, result_path):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(argv)
+                code = raise_entry(*argv[1:]) if argv[0] == "raise" else main(argv)
             except SystemExit as exc:
                 code = exc.code
         after = _snapshot(Path(work))
