@@ -5,9 +5,7 @@ the pairs satisfying the generalized Young inequality
 
     -L(u, y)  upper-add  R(u, x)  >=  c(x, y)      for all (u, x, y).
 
-The audit tests this from five sides.  Each item computes its own
-transforms and conjugates, so that their agreement is itself a checkable
-claim:
+The audit tests this from five sides:
 
   (i)   the inequality above, and minimality: no entry of R or of -L lies
         above its least feasible value given the other table;
@@ -27,11 +25,19 @@ scan, which names the first entry where a row fails its comparison with
 another.  It first compares the two rows whole, at C speed, and of a pair
 that is not equal entry for entry it scans with ``approx_eq`` (or
 ``approx_le``) only the entries that differ; equal doubles pass both at
-every tol >= 0, so the witness does not depend on the shortcut.  The row
-tests pass raw table rows to the product kernel (``conjugacy.conjugate_row``,
-the one conjugate code path) instead of building a ``SetFunction`` per
-row.  Items (ii)-(v) are exactly equivalent; the audit flags an internal
-alarm if their verdicts ever disagree.
+every tol >= 0, so the witness does not depend on the shortcut.
+
+The minimality of item (i) and items (iii)-(v) are row tests, and they
+share each u's rows: one pass over the decisions builds sigma_u = (R_u)^c,
+rho_u = (-L_u)^{c'} and their biconjugates at most once each, from raw
+table rows through the product kernel (``conjugacy.conjugate_row``, the one
+conjugate code path), and runs every still-open item's tests on them.
+Their agreement with one another is therefore not an independent check.
+The independent cross-check is item (ii): it compares whole tables against
+the Lagrangian and Rockafellian transforms (``inf_product`` and
+``sup_product`` over the full tables), and items (ii)-(v) are exactly
+equivalent, so the audit flags an internal alarm (``items_agree``) if their
+verdicts ever disagree.
 
 Minimality is decided exactly, from least feasible values.  Given L, the
 least value R(u, x) may take with the inequality intact is
@@ -58,6 +64,7 @@ the same.  Minimality is not tested when the inequality fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import ne
 
@@ -209,68 +216,95 @@ def _negated(row) -> list[float]:
     return [-v for v in row]
 
 
+class _Rows:
+    """The rows of one decision u that the row tests compare, each built on
+    first use and then shared by every test that reads it.  ``r`` and ``l``
+    are the raw rows R_u and L_u; the conjugates come from ``conjugate_row``,
+    which takes the negated function: the columns of c conjugate a function
+    on X, its rows a function on Y.  So (-L_u)^c' is conjugate_row(L_u),
+    since -(-v) is v for every double."""
+
+    def __init__(self, l_row, r_row, c):
+        self.l, self.r, self.c = l_row, r_row, c
+
+    @cached_property
+    def nl(self):  # -L_u
+        return _negated(self.l)
+
+    @cached_property
+    def sigma(self):  # (R_u)^c, the least feasible -L_u
+        return conjugate_row(_negated(self.r), self.c.sorted_cols)
+
+    @cached_property
+    def rho(self):  # (-L_u)^{c'}, the least feasible R_u
+        return conjugate_row(self.l, self.c.sorted_rows)
+
+    @cached_property
+    def r_bi(self):  # (R_u)^{cc'}
+        return conjugate_row(_negated(self.sigma), self.c.sorted_rows)
+
+    @cached_property
+    def nl_bi(self):  # (-L_u)^{c'c}
+        return conjugate_row(_negated(self.rho), self.c.sorted_cols)
+
+
 # The row tests of items (i) and (iii)-(v), each stated once: the side of
-# the row's labels, the row and the row it is compared with, the comparison,
-# and the witness text.  The rows come from L_u, -L_u, R_u and -R_u as raw
-# rows of doubles, and the conjugates from ``conjugate_row``, which takes
-# the negated function: the columns of c conjugate a function on X, its
-# rows a function on Y.  So (-L_u)^c' is conjugate_row(L_u), since -(-v) is
-# v for every double.  Minimality (M1, M2) compares the rows of E2 and E1
-# with ``approx_le``: each entry at most its least feasible value.
-def _nl_and_sigma(lu, nlu, ru, nru, c):
-    return nlu, conjugate_row(nru, c.sorted_cols)
-
-
-def _r_and_rho(lu, nlu, ru, nru, c):
-    return ru, conjugate_row(lu, c.sorted_rows)
-
-
-_E1 = ("y", _nl_and_sigma, approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
-_E2 = ("x", _r_and_rho, approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
-_E3 = ("x", lambda lu, nlu, ru, nru, c: (ru, conjugate_row(
-           _negated(conjugate_row(nru, c.sorted_cols)), c.sorted_rows)),
-       approx_eq, "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}")
-_E4 = ("y", lambda lu, nlu, ru, nru, c: (nlu, conjugate_row(
-           _negated(conjugate_row(lu, c.sorted_rows)), c.sorted_cols)),
-       approx_eq, "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}")
-_M1 = ("x", _r_and_rho, approx_le,
+# the row's labels, the ``_Rows`` row and the row it is compared with, the
+# comparison, and the witness text.  Minimality (M1, M2) compares the rows
+# of E2 and E1 with ``approx_le``: each entry at most its least feasible
+# value.
+_E1 = ("y", "nl", "sigma", approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
+_E2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
+_E3 = ("x", "r", "r_bi", approx_eq,
+       "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}")
+_E4 = ("y", "nl", "nl_bi", approx_eq,
+       "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}")
+_M1 = ("x", "r", "rho", approx_le,
        "R({u},{lab}) = {a} is above its least feasible value (-L_u)^c'({lab}) = {b}")
-_M2 = ("y", _nl_and_sigma, approx_le,
+_M2 = ("y", "nl", "sigma", approx_le,
        "-L({u},{lab}) = {a} is above its least feasible value (R_u)^c({lab}) = {b}")
 _ROW_TESTS = {"i-minimality": (_M1, _M2),
               "iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
 
 
-def _item_witness(item, lag, r, c, tol) -> Witness | None:
-    """First witness against item (ii), (iii), (iv) or (v), or against the
-    minimality of item (i) ("i-minimality").  Each item computes its own
-    conjugates: their agreement is the check.
+def _row_witnesses(items, lag, r, c, tol) -> dict[str, Witness | None]:
+    """First witness against each of ``items``, a sequence of "iii", "iv",
+    "v" and "i-minimality" (the minimality of item (i)), or None where the
+    item holds.
 
-    All but item (ii) work on raw rows: each u hands L_u, -L_u, R_u and -R_u
-    to the product kernel through ``conjugate_row`` and wraps no row in a
-    ``SetFunction``.  Their values are the ones ``conjugate`` and
-    ``reverse_conjugate`` give, bit for bit, since those two are
-    ``conjugate_row`` behind a domain check.  ``_mismatch`` then compares
-    each pair of rows at C speed first: exact equality implies ``approx_eq``
-    and ``approx_le`` at every tol >= 0 (signed zeros compare equal and no
-    entry is NaN), so only the entries that differ are scanned, and the
-    first witness is the same."""
-    if item == "ii":
-        return _item_ii_witness(lag, r, c, tol)
+    One pass over the decisions: for each u, every still-open item runs its
+    two row tests in ``_ROW_TESTS`` order, on rows of ``_Rows`` built at most
+    once.  An item leaves the pass at its first witness, so that witness is
+    the one the item finds alone.  The rows are raw rows of doubles: their
+    values are the ones ``conjugate`` and ``reverse_conjugate`` give, bit
+    for bit, since those two are ``conjugate_row`` behind a domain check.
+    ``_mismatch`` then compares each pair of rows at C speed first: exact
+    equality implies ``approx_eq`` and ``approx_le`` at every tol >= 0
+    (signed zeros compare equal and no entry is NaN), so only the entries
+    that differ are scanned, and the first witness is the same."""
+    found = dict.fromkeys(items)
+    open_items = list(items)
+    labels = {"x": c.primal.labels, "y": c.dual.labels}
     for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
-        nl_row, nr_row = _negated(l_row), _negated(r_row)
-        for side, rows, holds, text in _ROW_TESTS[item]:
-            have, want = rows(l_row, nl_row, r_row, nr_row, c)
-            labels = c.primal.labels if side == "x" else c.dual.labels
-            w = _mismatch(item, u, side, labels, have, want, tol, text, holds)
-            if w is not None:
-                return w
-    return None
+        rows = _Rows(l_row, r_row, c)
+        for item in tuple(open_items):
+            for side, have, want, holds, text in _ROW_TESTS[item]:
+                w = _mismatch(item, u, side, labels[side], getattr(rows, have),
+                              getattr(rows, want), tol, text, holds)
+                if w is not None:
+                    found[item] = w
+                    open_items.remove(item)
+                    break
+        if not open_items:
+            break
+    return found
 
 
 def _holds(item, lag, r, c, tol) -> bool:
     _require_valid(lag, r, c, tol)
-    return _item_witness(item, lag, r, c, tol) is None
+    if item == "ii":
+        return _item_ii_witness(lag, r, c, tol) is None
+    return _row_witnesses((item,), lag, r, c, tol)[item] is None
 
 
 def check_item_ii(
@@ -313,7 +347,7 @@ def minimality_probe(
     _require_valid(lag, r, c, tol)
     if _inequality_witness(lag, r, c, tol) is not None:
         return False
-    return _item_witness("i-minimality", lag, r, c, tol) is None
+    return _row_witnesses(("i-minimality",), lag, r, c, tol)["i-minimality"] is None
 
 
 def audit(
@@ -331,13 +365,15 @@ def audit(
     _require_valid(lag, r, c, tol)
     w_ineq = _inequality_witness(lag, r, c, tol)
     if w_ineq is None:
-        w_probe = _item_witness("i-minimality", lag, r, c, tol)
+        w_probe, *rows = _row_witnesses(
+            ("i-minimality", "iii", "iv", "v"), lag, r, c, tol).values()
     else:
         w_probe = Witness(
             item="i-minimality", u=None, x=None, y=None,
             description="not probed: the inequality itself fails",
         )
-    found = [_item_witness(item, lag, r, c, tol) for item in ("ii", "iii", "iv", "v")]
+        rows = _row_witnesses(("iii", "iv", "v"), lag, r, c, tol).values()
+    found = [_item_ii_witness(lag, r, c, tol), *rows]
     ii, iii, iv, v = (w is None for w in found)
     return CoupleAudit(
         item_i_inequality=w_ineq is None,
@@ -361,7 +397,7 @@ def make_couple(r: Rockafellian, c: Coupling) -> tuple[Lagrangian, Rockafellian]
     Off it the round trip L -> R' -> L can round, so the promise holds only
     within ``tol``: a fractional pair can fail at tol 0, and at magnitudes
     near 1e13 the rounding exceeds the default tol.  Exact arithmetic
-    (ROADMAP item 1, stage 2) is the planned fix.
+    (ROADMAP item 2) is the planned fix.
     """
     lag = lagrangian_of(r, c)
     return lag, rockafellian_of(lag, c)

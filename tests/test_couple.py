@@ -24,6 +24,7 @@ from gendual import (
     conjugate,
     inequality_holds,
     lagrangian_of,
+    load_problem,
     make_couple,
     minimality_probe,
     neg,
@@ -448,11 +449,14 @@ fractional_entry = st.one_of(
 
 @st.composite
 def items_instance(draw):
-    """(L, R, c, tol) up to 12 a side: a random pair, a canonical couple, or
-    a canonical couple with a few entries nudged within tol (a signed zero
+    """(L, R, c, tol) up to 12 a side: a random pair, a canonical couple, a
+    canonical couple with a few entries nudged within tol (a signed zero
     flipped, or a finite entry moved by less than tol, or by 1e-12 at tol 0),
-    so that rows agree within tol without being equal."""
-    nu, nx, ny = (draw(st.integers(min_value=1, max_value=12)) for _ in range(3))
+    so that rows agree within tol without being equal, or a canonical couple
+    broken in two rows (see below)."""
+    kind = draw(st.sampled_from(["random", "couple", "nudged", "broken"]))
+    nu = draw(st.integers(min_value=3 if kind == "broken" else 1, max_value=12))
+    nx, ny = (draw(st.integers(min_value=1, max_value=12)) for _ in range(2))
 
     def table(n, m):
         return draw(st.lists(
@@ -465,7 +469,6 @@ def items_instance(draw):
     c = Coupling(X, Y, table(nx, ny))
     r = Rockafellian(U, X, table(nu, nx))
     tol = draw(st.sampled_from([0.0, 1e-9, 1.0]))
-    kind = draw(st.sampled_from(["random", "couple", "nudged"]))
     if kind == "random":
         return Lagrangian(U, Y, table(nu, ny)), r, c, tol
     lag, r = make_couple(r, c)
@@ -478,6 +481,20 @@ def items_instance(draw):
             j = draw(st.integers(min_value=0, max_value=len(rows[0]) - 1))
             v = rows[i][j]
             rows[i][j] = -v if v == 0.0 else v + step if math.isfinite(v) else v
+        lag, r = Lagrangian(U, Y, tables["L"]), Rockafellian(U, X, tables["R"])
+    if kind == "broken":
+        # one entry of L and one of R moved by more than tol, in two
+        # different rows u >= 1, so that the items' first witnesses can fall
+        # on different u: item (ii) scans all of L before R, and within tol
+        # the row items need not fail on the same row; a row without finite
+        # entries has an infinity set to 0
+        step = draw(st.sampled_from([-1.0, 1.0])) * (2 * tol + 0.5)
+        u_l, u_r = draw(st.permutations(range(1, nu)))[:2]
+        tables = {"L": [list(row) for row in lag.rows], "R": [list(row) for row in r.rows]}
+        for rows, i in ((tables["L"], u_l), (tables["R"], u_r)):
+            finite = [j for j, v in enumerate(rows[i]) if math.isfinite(v)]
+            j = draw(st.sampled_from(finite or range(len(rows[i]))))
+            rows[i][j] = rows[i][j] + step if finite else 0.0
         lag, r = Lagrangian(U, Y, tables["L"]), Rockafellian(U, X, tables["R"])
     return lag, r, c, tol
 
@@ -494,6 +511,68 @@ def test_items_ii_to_v_match_reference(data):
     failing = {w[0] for w in want}
     assert (a.item_ii, a.item_iii, a.item_iv, a.item_v) == tuple(
         item not in failing for item in ("ii", "iii", "iv", "v"))
+
+
+@given(items_instance())
+@settings(max_examples=150, deadline=None)
+def test_row_items_alone_match_audit(data):
+    # each check_item_* runs the shared row pass with its item alone
+    lag, r, c, tol = data
+    a = audit(lag, r, c, tol=tol)
+    assert (check_item_iii(lag, r, c, tol), check_item_iv(lag, r, c, tol),
+            check_item_v(lag, r, c, tol)) == (a.item_iii, a.item_iv, a.item_v)
+    assert minimality_probe(lag, r, c, tol) == a.item_i_minimality_probe
+
+
+def test_items_name_their_own_first_witness_rows():
+    # a canonical couple with L(u1,y1) lowered by 1.5 and R(u2,x2) raised by
+    # 1.5, at tol 1: minimality and items (ii)-(iv) fail at u1, while item
+    # (v) holds there within tol and leaves the shared row pass only at u2
+    U, X, Y = (FiniteSet([f"{k}{i}" for i in range(3)]) for k in "uxy")
+    c = Coupling(X, Y, [[-2.0, 1.0, -2.0], [1.0, 1.0, 2.0], [-1.0, 0.0, -1.0]])
+    lag = Lagrangian(U, Y, [[-2.0, -4.0, -2.0], [-2.0, -5.5, -2.0], [-2.0, -4.0, -2.0]])
+    r = Rockafellian(U, X, [[-3.0, 0.0, -3.0], [-3.0, 0.0, -3.0], [-3.0, 0.0, -1.5]])
+    a = audit(lag, r, c, tol=1.0)
+    assert {w.item: w.u for w in a.witnesses} == {
+        "i-minimality": "u1", "ii": "u1", "iii": "u1", "iv": "u1", "v": "u2"}
+    assert [(w.item, w.u, w.x, w.y, w.description) for w in a.witnesses
+            if w.item != "i-minimality"] == _reference_item_witnesses(lag, r, c, 1.0)
+    assert _minimality_witness_of(a) == _reference_minimality(lag, r, c, 1.0)
+
+
+@pytest.fixture
+def count_conjugate_rows(monkeypatch):
+    """Counts the calls the row items make to ``conjugate_row``."""
+    import gendual.couple as couple
+
+    calls = []
+    kernel = couple.conjugate_row
+
+    def counted(neg_f, view):
+        calls.append(1)
+        return kernel(neg_f, view)
+
+    monkeypatch.setattr(couple, "conjugate_row", counted)
+    return calls
+
+
+def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conjugate_rows):
+    # sigma_u, rho_u and their biconjugates: 4 rows per u for a whole audit
+    problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
+    rng = random.Random(8)
+    n = 8
+    U, X, Y = (FiniteSet([f"{k}{i}" for i in range(n)]) for k in "uxy")
+    c = Coupling(X, Y, [[float(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
+    canonical = make_couple(
+        Rockafellian(U, X, [[float(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]), c)
+    for lag, r, c in ((problem.require_lagrangian(), problem.require_rockafellian(),
+                       problem.coupling), (*canonical, c)):
+        count_conjugate_rows.clear()
+        assert audit(lag, r, c).is_couple
+        assert len(count_conjugate_rows) <= 4 * len(lag.decisions)
+        count_conjugate_rows.clear()
+        assert check_item_iv(lag, r, c)
+        assert len(count_conjugate_rows) <= 3 * len(lag.decisions)
 
 
 @st.composite
