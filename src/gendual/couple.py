@@ -31,13 +31,20 @@ The minimality of item (i) and items (iii)-(v) are row tests, and they
 share each u's rows: one pass over the decisions builds sigma_u = (R_u)^c,
 rho_u = (-L_u)^{c'} and their biconjugates at most once each, from raw
 table rows through the product kernel (``conjugacy.conjugate_row``, the one
-conjugate code path), and runs every still-open item's tests on them.
+conjugate code path), and runs every still-open item's tests on them.  A
+biconjugate whose argument is a row already held is not rebuilt: where
+sigma_u is -L_u bit for bit, (R_u)^{cc'} is rho_u, and where rho_u is R_u
+bit for bit, (-L_u)^{c'c} is sigma_u.  So wherever item (iii) holds
+exactly, a decision costs two conjugate rows, not four.
 Their agreement with one another is therefore not an independent check.
-The independent cross-check is item (ii): it compares whole tables against
-the Lagrangian and Rockafellian transforms (``inf_product`` and
-``sup_product`` over the full tables), and items (ii)-(v) are exactly
-equivalent, so the audit flags an internal alarm (``items_agree``) if their
-verdicts ever disagree.
+The independent cross-check is item (ii): it compares L and R, row by row
+up to the first witness, with the Lagrangian and Rockafellian transforms
+(``inf_product`` and ``sup_product``, each row the one the whole-table
+transform gives).  Its sup-transform row is the same ``sup_product`` call
+on L_u that builds rho_u, so the independent half of the cross-check is
+the inf-transform (``inf_product``) against sigma_u (``sup_product`` on
+-R_u).  Items (ii)-(v) are exactly equivalent, so the audit flags an
+internal alarm (``items_agree``) if their verdicts ever disagree.
 
 Minimality is decided exactly, from least feasible values.  Given L, the
 least value R(u, x) may take with the inequality intact is
@@ -63,14 +70,16 @@ the same.  Minimality is not tested when the inequality fails.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import ne
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, upp_add
-from .spaces import Coupling, Lagrangian, Rockafellian
+from .extreal import (
+    DEFAULT_TOL, approx_eq, approx_le, exceeds, inf_product, sup_product, upp_add,
+)
+from .spaces import Coupling, Lagrangian, Rockafellian, lazy
 from .conjugacy import conjugate_row
 from .duality import lagrangian_of, rockafellian_of
 
@@ -184,10 +193,11 @@ def _witness(item, u, side, lab, description) -> Witness:
 def _mismatch(item, u, side, labels, have, want, tol, text,
               holds=approx_eq) -> Witness | None:
     """Witness at the first label where ``holds(have[k], want[k], tol)``
-    fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``.  Rows that
-    compare equal entry for entry pass both and are done in one C-level
-    test; of the others, only the entries that differ are scanned."""
-    if tuple(have) == tuple(want):
+    fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``.  ``have``
+    and ``want`` are lists.  Rows that compare equal entry for entry pass
+    both and are done in one C-level test; of the others, only the entries
+    that differ are scanned."""
+    if have == want:
         return None
     for lab, a, b in compress(zip(labels, have, want), map(ne, have, want)):
         if not holds(a, b, tol):
@@ -197,16 +207,19 @@ def _mismatch(item, u, side, labels, have, want, tol, text,
 
 def _item_ii_witness(lag, r, c, tol) -> Witness | None:
     # all of L against the inf-transform of R, then all of R against the
-    # sup-transform of L, which is computed only once L has passed
-    for side, have, make_want, text in (
-        ("y", lag, lambda: lagrangian_of(r, c),
+    # sup-transform of L, one row at a time up to the first witness; each
+    # row is the kernel call that ``lagrangian_of`` (``rockafellian_of``)
+    # makes for it, so it is that table's row bit for bit
+    for side, have, other, product, view_name, text in (
+        ("y", lag, r, inf_product, "sorted_cols",
          "L({u},{lab}) = {a} but the inf-transform gives {b}"),
-        ("x", r, lambda: rockafellian_of(lag, c),
+        ("x", r, lag, sup_product, "sorted_rows",
          "R({u},{lab}) = {a} but the sup-transform gives {b}"),
     ):
-        want = make_want()
-        for u, have_row, want_row in zip(have.decisions.labels, have.rows, want.rows):
-            w = _mismatch("ii", u, side, have.col_set.labels, have_row, want_row, tol, text)
+        view = getattr(c, view_name)
+        for u, have_row, other_row in zip(have.decisions.labels, have.rows, other.rows):
+            w = _mismatch("ii", u, side, have.col_set.labels, list(have_row),
+                          product((other_row,), view)[0], tol, text)
             if w is not None:
                 return w
     return None
@@ -216,35 +229,56 @@ def _negated(row) -> list[float]:
     return [-v for v in row]
 
 
+def _same_bits(a, b) -> bool:
+    """True iff the rows hold the same doubles bit for bit.  ``==`` alone
+    does not tell -0.0 from 0.0, and equal rows differ in bits only there,
+    so only equal rows holding a zero are compared as bytes."""
+    return a == b and (
+        0.0 not in a or array("d", a).tobytes() == array("d", b).tobytes())
+
+
 class _Rows:
-    """The rows of one decision u that the row tests compare, each built on
-    first use and then shared by every test that reads it.  ``r`` and ``l``
-    are the raw rows R_u and L_u; the conjugates come from ``conjugate_row``,
-    which takes the negated function: the columns of c conjugate a function
-    on X, its rows a function on Y.  So (-L_u)^c' is conjugate_row(L_u),
-    since -(-v) is v for every double."""
+    """The rows of one decision u that the row tests compare, each a list
+    built on first use and then shared by every test that reads it.  ``r``
+    is R_u as a list and ``l`` the raw row L_u, which no test compares.  The
+    conjugates come from ``conjugate_row``, which takes the negated
+    function: the columns of c conjugate a function on X, its rows a
+    function on Y.  So (-L_u)^c' is conjugate_row(L_u), since -(-v) is v for
+    every double.
+
+    A biconjugate is not rebuilt when its argument is a row already held.
+    Where sigma_u is -L_u bit for bit, (R_u)^{cc'} = (sigma_u)^{c'} is the
+    call on the same doubles that built rho_u, so it is rho_u; where rho_u
+    is R_u bit for bit, (-L_u)^{c'c} is sigma_u.  Equal as values is not
+    enough: where R(u,x) - c(x,y) is exactly 0 the inf-transform gives
+    L = +0.0, so -L_u holds -0.0 where sigma_u holds +0.0, and the
+    biconjugate, which can differ in the sign of a zero, is then built."""
 
     def __init__(self, l_row, r_row, c):
-        self.l, self.r, self.c = l_row, r_row, c
+        self.l, self.r, self.c = l_row, list(r_row), c
 
-    @cached_property
+    @lazy
     def nl(self):  # -L_u
         return _negated(self.l)
 
-    @cached_property
+    @lazy
     def sigma(self):  # (R_u)^c, the least feasible -L_u
         return conjugate_row(_negated(self.r), self.c.sorted_cols)
 
-    @cached_property
+    @lazy
     def rho(self):  # (-L_u)^{c'}, the least feasible R_u
         return conjugate_row(self.l, self.c.sorted_rows)
 
-    @cached_property
+    @lazy
     def r_bi(self):  # (R_u)^{cc'}
+        if _same_bits(self.sigma, self.nl):
+            return self.rho
         return conjugate_row(_negated(self.sigma), self.c.sorted_rows)
 
-    @cached_property
+    @lazy
     def nl_bi(self):  # (-L_u)^{c'c}
+        if _same_bits(self.rho, self.r):
+            return self.sigma
         return conjugate_row(_negated(self.rho), self.c.sorted_cols)
 
 

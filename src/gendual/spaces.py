@@ -24,7 +24,6 @@ An entry is checked where it enters the package, and nowhere else:
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import compress, repeat
 from operator import ne
 from typing import Iterable, Sequence
@@ -99,6 +98,27 @@ class FiniteSet:
 
 def _as_set(obj) -> FiniteSet:
     return obj if isinstance(obj, FiniteSet) else FiniteSet(obj)
+
+
+class lazy:
+    """A method turned into an attribute computed on first read.  The value
+    is stored in the instance ``__dict__``, where it shadows this non-data
+    descriptor, so later reads are plain attribute lookups.  Unlike
+    ``functools.cached_property`` before Python 3.12, the first read takes
+    no lock: a race can only compute the same value twice."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 _FLOAT = frozenset((float,))
@@ -292,17 +312,17 @@ class Coupling(_Table):
     def __init__(self, primal, dual, entries):
         super().__init__(primal, dual, entries)
 
-    @cached_property
+    @lazy
     def cols(self) -> tuple:
         """The columns, one tuple per y."""
         return tuple(zip(*self.rows))
 
-    @cached_property
+    @lazy
     def sorted_rows(self) -> tuple:
         """``extreal.descending`` view of the rows, one line per x."""
         return descending(self.rows)
 
-    @cached_property
+    @lazy
     def sorted_cols(self) -> tuple:
         """``extreal.descending`` view of the columns, one line per y."""
         return descending(self.cols)

@@ -556,23 +556,77 @@ def count_conjugate_rows(monkeypatch):
     return calls
 
 
-def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conjugate_rows):
-    # sigma_u, rho_u and their biconjugates: 4 rows per u for a whole audit
-    problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
-    rng = random.Random(8)
-    n = 8
+def _canonical_couple(n, seed):
+    """A canonical n x n x n couple on integer entries in [-5, 5]."""
+    rng = random.Random(seed)
     U, X, Y = (FiniteSet([f"{k}{i}" for i in range(n)]) for k in "uxy")
     c = Coupling(X, Y, [[float(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
-    canonical = make_couple(
-        Rockafellian(U, X, [[float(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]), c)
-    for lag, r, c in ((problem.require_lagrangian(), problem.require_rockafellian(),
-                       problem.coupling), (*canonical, c)):
-        count_conjugate_rows.clear()
-        assert audit(lag, r, c).is_couple
-        assert len(count_conjugate_rows) <= 4 * len(lag.decisions)
+    return (*make_couple(
+        Rockafellian(U, X, [[float(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]),
+        c), c)
+
+
+def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conjugate_rows):
+    # sigma_u and rho_u per u for a whole audit; each biconjugate is one of
+    # them wherever item (iii) holds bit for bit, and is built otherwise:
+    # at u1 of e1_couple.json, -L_u holds -0.0 where sigma_u holds +0.0
+    problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
+    e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
+    canonical = _canonical_couple(8, seed=8)
+    count_conjugate_rows.clear()
+    assert audit(*e1).is_couple
+    assert len(count_conjugate_rows) == 5
+    count_conjugate_rows.clear()
+    assert audit(*canonical).is_couple
+    assert len(count_conjugate_rows) <= 2 * 8
+    for lag, r, c in (e1, canonical):
         count_conjugate_rows.clear()
         assert check_item_iv(lag, r, c)
         assert len(count_conjugate_rows) <= 3 * len(lag.decisions)
+
+
+def test_biconjugate_is_reused_only_from_identical_bits():
+    # at u0, -L_u = [-0.0] and sigma_u = [0.0] are equal but not the same
+    # bits: (R_u)^{cc'} = (sigma_u)^{c'} is then not rho_u, and the item
+    # (iv) witness names the biconjugate's -0.0, as the reference does
+    U, X, Y = (FiniteSet([f"{k}{i}" for i in range(n)]) for k, n in zip("uxy", (3, 3, 1)))
+    c = Coupling(X, Y, [[-0.0], [-0.0], [-INF]])
+    lag = Lagrangian(U, Y, [[0.0], [-INF], [0.0]])
+    r = Rockafellian(U, X, [[1.0, -0.0, INF], [-1.0, INF, INF], [-1.0, 2.0, -INF]])
+    want = _reference_item_witnesses(lag, r, c, 0.0)
+    assert ("iv", "u0", "x0", None,
+            "R(u0,x0) = 1.0 is not c-convex: biconjugate gives -0.0") in want
+    assert [(w.item, w.u, w.x, w.y, w.description) for w in audit(lag, r, c, tol=0.0).witnesses
+            if w.item in ("ii", "iii", "iv", "v")] == want
+
+
+def test_item_ii_stops_at_the_first_witness_row(monkeypatch):
+    # L changed in row u0: item (ii) transforms that one row of R and stops
+    import gendual.couple as couple
+
+    lag, r, c = _canonical_couple(8, seed=8)
+    rows = [list(row) for row in lag.rows]
+    j = next(j for j, v in enumerate(rows[0]) if math.isfinite(v))
+    rows[0][j] += 1.0
+    lag = Lagrangian(lag.decisions, lag.dual, rows)
+    want = [w for w in _reference_item_witnesses(lag, r, c, DEFAULT_TOL) if w[0] == "ii"]
+    assert want[0][1:4] == ("u0", None, f"y{j}")
+    calls = []
+
+    def counting(name):
+        kernel = getattr(couple, name)
+
+        def counted(a_rows, view):
+            calls.append((name, len(a_rows)))
+            return kernel(a_rows, view)
+        return counted
+
+    for name in ("inf_product", "sup_product"):
+        monkeypatch.setattr(couple, name, counting(name))
+    assert not check_item_ii(lag, r, c)
+    assert calls == [("inf_product", 1)]
+    assert [(w.item, w.u, w.x, w.y, w.description)
+            for w in audit(lag, r, c).witnesses if w.item == "ii"] == want
 
 
 @st.composite
