@@ -9,44 +9,28 @@ disagreed, weak-duality found the dual value above the primal one, or any
 other unexpected exception, reported as one line without a traceback; each
 indicates a bug in this package or rounding at large magnitudes, not a fault
 in the input).
+
+Building the parser loads no module that computes: its defaults come from
+``defaults``.  Each command and render helper imports the modules it runs
+when it runs, and reads their functions from the defining modules at call
+time, so ``to-lagrangian`` never loads ``couple`` or ``fuzz``, and a
+function replaced in its module (by a test or a tracer) is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
-from pathlib import Path
 
+from .defaults import DEFAULT_GRID, DEFAULT_INF_PROB, DEFAULT_TOL, VALUE_FAMILY_NAMES
 from .errors import (
     DomainMismatchError,
     MissingTableError,
     ProblemFormatError,
     UnknownLabelError,
 )
-from .extreal import DEFAULT_TOL, ExtReal, parse_extreal, render_extreal
-from .spaces import SetFunction
-from .conjugacy import conjugate, reverse_conjugate
-from .duality import lagrangian_of, rockafellian_of, weak_duality_report
-from .couple import audit
-from .problems import (
-    _array,
-    _object,
-    _row_block,
-    _string,
-    extreal_to_jsonable,
-    finite_number,
-    load_problem,
-    read_json,
-    read_text,
-    save_problem,
-    table_block,
-    table_tokens,
-)
-from .fuzz import DEFAULT_GRID, DEFAULT_INF_PROB, VALUE_FAMILIES, run_fuzz, values_note
 
 EXIT_OK = 0
 EXIT_NOT_COUPLE = 1
@@ -155,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integer value grid LO:HI (default -10:10)")
     p.add_argument("--inf-prob", type=float, default=DEFAULT_INF_PROB,
                    help="probability of each infinity per entry (default 0.1)")
-    p.add_argument("--values", choices=tuple(VALUE_FAMILIES), default="integer",
+    p.add_argument("--values", choices=VALUE_FAMILY_NAMES, default="integer",
                    help="family of the finite entries (default integer, on the "
                         "grid; fractional also reads the grid)")
     p.add_argument("--output", default=".",
@@ -170,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 # rendering helpers
 
 def _render_function(labels, values, fmt: str) -> str:
+    from .problems import _array, _object, _row_block, _string
+
     rendered = list(map(float.__repr__, values))
     if fmt == "csv":
         lines = ["label,value"]
@@ -191,6 +177,8 @@ def _render_matrix(row_labels, col_labels, rendered, fmt: str) -> str:
     """A table given as its ``table_tokens``.  The structured format is the
     ``json.dumps(..., indent=2)`` layout, written row by row as problem
     files are."""
+    from .problems import _array, _object, _string, table_block
+
     if fmt == "csv":
         lines = ["," + ",".join(col_labels)]
         lines += [
@@ -229,6 +217,10 @@ def _yesno(flag: bool) -> str:
 # commands
 
 def _load_function(spec: str, domain, what: str) -> SetFunction:
+    from .extreal import ExtReal, parse_extreal
+    from .problems import finite_number, read_json, read_text
+    from .spaces import SetFunction
+
     # os.path.isfile is False, not an error, for an inline list too long
     # to be a file name
     if os.path.isfile(spec):
@@ -258,6 +250,9 @@ def _load_function(spec: str, domain, what: str) -> SetFunction:
 
 
 def cmd_conjugate(args) -> int:
+    from .conjugacy import conjugate, reverse_conjugate
+    from .problems import load_problem
+
     problem = load_problem(args.problem, allow_both=True)
     c = problem.coupling
     if args.side == "primal":
@@ -277,6 +272,8 @@ def _write_table(args, table, problem, key) -> None:
     ``--output``, save ``problem`` with it.  One formatting pass serves
     both: the file's table block is built from the same tokens, which are
     dropped before the file is assembled."""
+    from .problems import save_problem, table_block, table_tokens
+
     tokens = table_tokens(table.rows)
     sys.stdout.write(
         _render_matrix(table.row_set.labels, table.col_set.labels, tokens, args.format)
@@ -288,24 +285,33 @@ def _write_table(args, table, problem, key) -> None:
 
 
 def cmd_to_lagrangian(args) -> int:
+    from .duality import lagrangian_of
+    from .problems import load_problem
+
     problem = load_problem(args.problem)
     r = problem.require_rockafellian()
     lag = lagrangian_of(r, problem.coupling)
-    _write_table(args, lag, replace(problem, rockafellian=None, lagrangian=lag),
+    _write_table(args, lag, problem._replace(rockafellian=None, lagrangian=lag),
                  "lagrangian")
     return EXIT_OK
 
 
 def cmd_to_rockafellian(args) -> int:
+    from .duality import rockafellian_of
+    from .problems import load_problem
+
     problem = load_problem(args.problem)
     lag = problem.require_lagrangian()
     r = rockafellian_of(lag, problem.coupling)
-    _write_table(args, r, replace(problem, rockafellian=r, lagrangian=None),
+    _write_table(args, r, problem._replace(rockafellian=r, lagrangian=None),
                  "rockafellian")
     return EXIT_OK
 
 
 def cmd_check_couple(args) -> int:
+    from .couple import audit
+    from .problems import load_problem
+
     if args.problem_l is None:
         combined = load_problem(args.problem_r, allow_both=True)
         r = combined.require_rockafellian()
@@ -328,9 +334,12 @@ def cmd_check_couple(args) -> int:
 
     result = audit(lag, r, c, tol=args.tol)
     if args.format == "structured":
-        payload = asdict(result)
+        import json
+
+        payload = result._asdict()
         payload["is_couple"] = result.is_couple
-        payload["witnesses"] = payload.pop("witnesses")  # after is_couple
+        # after is_couple
+        payload["witnesses"] = [w._asdict() for w in payload.pop("witnesses")]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(_render_pairs([
@@ -351,6 +360,10 @@ def cmd_check_couple(args) -> int:
 
 
 def cmd_weak_duality(args) -> int:
+    from .duality import weak_duality_report
+    from .extreal import render_extreal
+    from .problems import extreal_to_jsonable, load_problem
+
     problem = load_problem(args.problem)
     r = problem.require_rockafellian()
     base = args.base_point or problem.base_point or problem.primal.labels[0]
@@ -360,9 +373,11 @@ def cmd_weak_duality(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ALARM
     if args.format == "structured":
+        import json
+
         payload = {
             k: extreal_to_jsonable(v) if isinstance(v, float) else v
-            for k, v in asdict(report).items()
+            for k, v in report._asdict().items()
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
@@ -378,6 +393,11 @@ def cmd_weak_duality(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from pathlib import Path
+
+    from .fuzz import run_fuzz, values_note
+    from .problems import save_problem
+
     if not 0.0 <= args.inf_prob <= 0.4:
         raise ProblemFormatError("--inf-prob must lie in [0, 0.4]")
     started = time.perf_counter()
@@ -399,6 +419,8 @@ def cmd_fuzz(args) -> int:
         save_problem(report.first_failure, repro_path)
 
     if args.format == "structured":
+        import json
+
         payload = {
             "count": report.count,
             "max_set_size": report.max_set_size,
@@ -466,7 +488,8 @@ def main(argv=None) -> int:
 
         where = traceback.extract_tb(exc.__traceback__)[-1]
         text = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"error: internal: {text} (at {Path(where.filename).name}:{where.lineno})",
+        print(f"error: internal: {text} (at {os.path.basename(where.filename)}:"
+              f"{where.lineno})",
               file=sys.stderr)
         return EXIT_INTERNAL_ALARM
 

@@ -41,8 +41,9 @@ The independent cross-check is item (ii): it compares L and R, row by row
 up to the first witness, with the Lagrangian and Rockafellian transforms
 (``inf_product`` and ``sup_product``, each row the one the whole-table
 transform gives).  Its sup-transform row is the same ``sup_product`` call
-on L_u that builds rho_u, so the independent half of the cross-check is
-the inf-transform (``inf_product``) against sigma_u (``sup_product`` on
+on L_u that builds rho_u, so the audit reuses every rho_u the row pass
+built and builds only the others; the independent half of the cross-check
+is the inf-transform (``inf_product``) against sigma_u (``sup_product`` on
 -R_u).  Items (ii)-(v) are exactly equivalent, so the audit flags an
 internal alarm (``items_agree``) if their verdicts ever disagree.
 
@@ -71,7 +72,7 @@ the same.  Minimality is not tested when the inequality fails.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from operator import ne
 
@@ -99,29 +100,21 @@ __all__ = [
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Witness:
-    """First counterexample found for one audit item, in scan order."""
+class Witness(namedtuple("Witness", "item u x y description")):
+    """First counterexample found for one audit item, in scan order: the
+    item's name, the labels of U, X and Y it names (each a str or None),
+    and a one-line description."""
 
-    item: str
-    u: str | None
-    x: str | None
-    y: str | None
-    description: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoupleAudit:
-    """Verdicts of all five characterizations for one (L, R, c) triple."""
+class CoupleAudit(namedtuple("CoupleAudit", (
+        "item_i_inequality", "item_i_minimality_probe", "item_ii", "item_iii",
+        "item_iv", "item_v", "items_agree", "witnesses"))):
+    """Verdicts of all five characterizations for one (L, R, c) triple: one
+    bool per item, ``items_agree``, and the tuple of ``Witness``es found."""
 
-    item_i_inequality: bool
-    item_i_minimality_probe: bool
-    item_ii: bool
-    item_iii: bool
-    item_iv: bool
-    item_v: bool
-    items_agree: bool
-    witnesses: tuple[Witness, ...]
+    __slots__ = ()
 
     @property
     def is_couple(self) -> bool:
@@ -205,23 +198,30 @@ def _mismatch(item, u, side, labels, have, want, tol, text,
     return None
 
 
-def _item_ii_witness(lag, r, c, tol) -> Witness | None:
-    # all of L against the inf-transform of R, then all of R against the
-    # sup-transform of L, one row at a time up to the first witness; each
-    # row is the kernel call that ``lagrangian_of`` (``rockafellian_of``)
-    # makes for it, so it is that table's row bit for bit
-    for side, have, other, product, view_name, text in (
-        ("y", lag, r, inf_product, "sorted_cols",
-         "L({u},{lab}) = {a} but the inf-transform gives {b}"),
-        ("x", r, lag, sup_product, "sorted_rows",
-         "R({u},{lab}) = {a} but the sup-transform gives {b}"),
-    ):
-        view = getattr(c, view_name)
-        for u, have_row, other_row in zip(have.decisions.labels, have.rows, other.rows):
-            w = _mismatch("ii", u, side, have.col_set.labels, list(have_row),
-                          product((other_row,), view)[0], tol, text)
-            if w is not None:
-                return w
+def _item_ii_witness(lag, r, c, tol, rho=None) -> Witness | None:
+    """All of L against the inf-transform of R, then all of R against the
+    sup-transform of L, one row at a time up to the first witness.  Each
+    row is the kernel call that ``lagrangian_of`` (``rockafellian_of``)
+    makes for it, so it is that table's row bit for bit.  The sup-transform
+    row of u is the call that builds rho_u in ``_Rows``: ``rho`` maps the
+    index of each u whose rho_u the row pass built to that row, and only
+    the other rows are built here."""
+    rho = rho or {}
+    decisions = lag.decisions.labels
+    view = c.sorted_cols
+    for u, l_row, r_row in zip(decisions, lag.rows, r.rows):
+        w = _mismatch("ii", u, "y", lag.dual.labels, list(l_row),
+                      inf_product((r_row,), view)[0], tol,
+                      "L({u},{lab}) = {a} but the inf-transform gives {b}")
+        if w is not None:
+            return w
+    view = c.sorted_rows
+    for i, (u, l_row, r_row) in enumerate(zip(decisions, lag.rows, r.rows)):
+        want = rho[i] if i in rho else sup_product((l_row,), view)[0]
+        w = _mismatch("ii", u, "x", r.primal.labels, list(r_row), want, tol,
+                      "R({u},{lab}) = {a} but the sup-transform gives {b}")
+        if w is not None:
+            return w
     return None
 
 
@@ -301,10 +301,11 @@ _ROW_TESTS = {"i-minimality": (_M1, _M2),
               "iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
 
 
-def _row_witnesses(items, lag, r, c, tol) -> dict[str, Witness | None]:
+def _row_witnesses(items, lag, r, c, tol, rho=None) -> dict[str, Witness | None]:
     """First witness against each of ``items``, a sequence of "iii", "iv",
     "v" and "i-minimality" (the minimality of item (i)), or None where the
-    item holds.
+    item holds.  A ``rho`` dict receives, by the index of u, each rho_u the
+    pass built, for item (ii) to reuse.
 
     One pass over the decisions: for each u, every still-open item runs its
     two row tests in ``_ROW_TESTS`` order, on rows of ``_Rows`` built at most
@@ -319,7 +320,7 @@ def _row_witnesses(items, lag, r, c, tol) -> dict[str, Witness | None]:
     found = dict.fromkeys(items)
     open_items = list(items)
     labels = {"x": c.primal.labels, "y": c.dual.labels}
-    for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
+    for i, (u, l_row, r_row) in enumerate(zip(lag.decisions.labels, lag.rows, r.rows)):
         rows = _Rows(l_row, r_row, c)
         for item in tuple(open_items):
             for side, have, want, holds, text in _ROW_TESTS[item]:
@@ -329,6 +330,8 @@ def _row_witnesses(items, lag, r, c, tol) -> dict[str, Witness | None]:
                     found[item] = w
                     open_items.remove(item)
                     break
+        if rho is not None and "rho" in vars(rows):
+            rho[i] = rows.rho
         if not open_items:
             break
     return found
@@ -398,16 +401,17 @@ def audit(
     """
     _require_valid(lag, r, c, tol)
     w_ineq = _inequality_witness(lag, r, c, tol)
+    rho = {}
     if w_ineq is None:
         w_probe, *rows = _row_witnesses(
-            ("i-minimality", "iii", "iv", "v"), lag, r, c, tol).values()
+            ("i-minimality", "iii", "iv", "v"), lag, r, c, tol, rho).values()
     else:
         w_probe = Witness(
             item="i-minimality", u=None, x=None, y=None,
             description="not probed: the inequality itself fails",
         )
-        rows = _row_witnesses(("iii", "iv", "v"), lag, r, c, tol).values()
-    found = [_item_ii_witness(lag, r, c, tol), *rows]
+        rows = _row_witnesses(("iii", "iv", "v"), lag, r, c, tol, rho).values()
+    found = [_item_ii_witness(lag, r, c, tol, rho), *rows]
     ii, iii, iv, v = (w is None for w in found)
     return CoupleAudit(
         item_i_inequality=w_ineq is None,

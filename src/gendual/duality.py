@@ -28,7 +28,7 @@ non-NaN doubles, built without a second check (see ``spaces``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainMismatchError
 from .extreal import (
@@ -80,20 +80,18 @@ def dual_function(lag: Lagrangian) -> SetFunction:
     return SetFunction._unchecked(lag.dual, tuple(map(min, zip(*lag.rows))))
 
 
-@dataclass(frozen=True)
-class WeakDualityReport:
-    """Primal vs dual value of a Rockafellian at one perturbation point.
+class WeakDualityReport(namedtuple(
+        "WeakDualityReport", "base_point primal_value dual_value tight gap")):
+    """Primal vs dual value of a Rockafellian at one perturbation point: the
+    point's label, the two values as ``ExtReal``s and the tightness flag.
 
     ``gap`` is present only when both values are finite, in which case it is
-    their nonnegative difference; with an infinite value on either side the
-    two values and the tightness flag carry all the information.
+    their nonnegative difference as an ``ExtReal``; with an infinite value on
+    either side it is None, and the two values and the tightness flag carry
+    all the information.
     """
 
-    base_point: str
-    primal_value: ExtReal
-    dual_value: ExtReal
-    tight: bool
-    gap: ExtReal | None
+    __slots__ = ()
 
 
 def weak_duality_report(

@@ -43,6 +43,8 @@ from __future__ import annotations
 import math
 import re
 
+from .defaults import DEFAULT_TOL
+
 __all__ = [
     "DEFAULT_TOL",
     "ExtReal",
@@ -61,8 +63,6 @@ __all__ = [
     "sup_product",
     "upp_add",
 ]
-
-DEFAULT_TOL = 1e-9
 
 _INF = math.inf
 _new = float.__new__
@@ -238,8 +238,9 @@ def approx_eq(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
     """True iff both are the same infinity, or both finite within tol.
 
     An infinity never approximately equals a finite value, whatever tol.
+    A negative or NaN tol is a ValueError.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     if -_INF < a < _INF and -_INF < b < _INF:
         return abs(a - b) <= tol
@@ -247,8 +248,9 @@ def approx_eq(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
 
 
 def approx_le(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a <= b up to tol slack on finite pairs; exact at infinities."""
-    if tol < 0.0:
+    """True iff a <= b up to tol slack on finite pairs; exact at infinities.
+    A negative or NaN tol is a ValueError."""
+    if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     if -_INF < a < _INF and -_INF < b < _INF:
         return a - b <= tol

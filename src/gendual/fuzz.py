@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import conjugacy, couple, duality
+from .defaults import DEFAULT_GRID, DEFAULT_INF_PROB, VALUE_FAMILY_NAMES
 from .extreal import DEFAULT_TOL, NEG_INF, POS_INF, ExtReal, approx_eq, approx_le
 from .problems import Problem
 from .spaces import (
@@ -57,9 +58,6 @@ __all__ = [
     "values_note",
 ]
 
-DEFAULT_GRID = (-10, 10)
-DEFAULT_INF_PROB = 0.1
-
 CHECK_NAMES = (
     "conjugacy",
     "transform_identity",
@@ -70,16 +68,14 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FuzzInstance:
-    """One random instance: coupling, tables, and two spare functions."""
+class FuzzInstance(namedtuple("FuzzInstance", (
+        "index", "coupling", "rockafellian", "lagrangian", "extra_primal",
+        "extra_dual"))):
+    """One random instance: its index, the ``Coupling``, the
+    ``Rockafellian`` and ``Lagrangian`` tables, and two spare
+    ``SetFunction``s, one on each side."""
 
-    index: int
-    coupling: Coupling
-    rockafellian: Rockafellian
-    lagrangian: Lagrangian
-    extra_primal: SetFunction
-    extra_dual: SetFunction
+    __slots__ = ()
 
 
 def random_extreal(
@@ -112,18 +108,19 @@ def _sign(rng):
     return rng.choice((-1.0, 1.0))
 
 
-# The entry draw of each value family, by its name for ``fuzz --values``.
-# Only integer and fractional read the grid (lo, hi): fractional draws
-# k/10 + U[0, 1) for an integer k in [10 lo, 10 hi].
-VALUE_FAMILIES = {
-    "integer": random_extreal,
-    "fractional": _off_grid(
+# The entry draw of each value family, by its name for ``fuzz --values``,
+# in the order of ``defaults.VALUE_FAMILY_NAMES``.  Only integer and
+# fractional read the grid (lo, hi): fractional draws k/10 + U[0, 1) for an
+# integer k in [10 lo, 10 hi].
+VALUE_FAMILIES = dict(zip(VALUE_FAMILY_NAMES, (
+    random_extreal,  # integer
+    _off_grid(  # fractional
         lambda rng, grid: rng.randint(10 * grid[0], 10 * grid[1]) / 10 + rng.random()),
-    "tiny": _off_grid(lambda rng, grid: rng.uniform(-1e-300, 1e-300)),
-    "wide": _off_grid(lambda rng, grid: _sign(rng) * rng.uniform(1e10, 1e15)),
-    "near-overflow": _off_grid(
+    _off_grid(lambda rng, grid: rng.uniform(-1e-300, 1e-300)),  # tiny
+    _off_grid(lambda rng, grid: _sign(rng) * rng.uniform(1e10, 1e15)),  # wide
+    _off_grid(  # near-overflow
         lambda rng, grid: _sign(rng) * rng.uniform(0.85e308, 1.7e308)),
-}
+), strict=True))
 
 
 def _random_rows(rng, n, m, grid, inf_prob, draw):
@@ -374,21 +371,17 @@ def values_note(values: str) -> str:
     return "" if values == "integer" else f" values={values}"
 
 
-@dataclass
-class FuzzReport:
-    """Aggregate outcome of one fuzz run; printable deterministically."""
+class FuzzReport(namedtuple("FuzzReport", (
+        "count", "max_set_size", "seed", "grid", "inf_prob", "values", "tol",
+        "failures_by_check", "failures", "strict_inequality_instances",
+        "first_failure"))):
+    """Aggregate outcome of one fuzz run; printable deterministically.  It
+    holds the run's settings, the failure count of each check by name, the
+    failures as (instance, check, detail) triples, the number of instances
+    with a strict transform inequality, and the first failing instance as a
+    ``Problem`` (None if all passed)."""
 
-    count: int
-    max_set_size: int
-    seed: int
-    grid: tuple[int, int]
-    inf_prob: float
-    values: str
-    tol: float
-    failures_by_check: dict[str, int]
-    failures: list[tuple[int, str, str]]
-    strict_inequality_instances: int
-    first_failure: Problem | None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from json.encoder import encode_basestring_ascii as _string
@@ -53,9 +53,12 @@ _TOP_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class Problem:
-    """In-memory image of a problem file.
+class Problem(namedtuple("Problem", (
+        "decisions", "primal", "dual", "coupling", "rockafellian", "lagrangian",
+        "base_point", "comment", "embedding"), defaults=(None,) * 5)):
+    """In-memory image of a problem file: the three ``FiniteSet``s, the
+    ``Coupling``, and, each None unless given, the ``Rockafellian``, the
+    ``Lagrangian``, the base point label, the comment and the embedding.
 
     ``embedding`` preserves the coordinate form when the file used one (the
     coupling is still materialized); exactly one of ``rockafellian`` and
@@ -63,15 +66,7 @@ class Problem:
     file.
     """
 
-    decisions: FiniteSet
-    primal: FiniteSet
-    dual: FiniteSet
-    coupling: Coupling
-    rockafellian: Rockafellian | None = None
-    lagrangian: Lagrangian | None = None
-    base_point: str | None = None
-    comment: str | None = None
-    embedding: dict | None = None
+    __slots__ = ()
 
     def require_rockafellian(self) -> Rockafellian:
         if self.rockafellian is None:

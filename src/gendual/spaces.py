@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from itertools import compress, repeat
 from operator import ne
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DomainMismatchError, UnknownLabelError
 from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending

@@ -258,12 +258,13 @@ def test_weak_duality_violated_by_rounding_exits_5(tmp_path, capsys):
 
 
 def test_unexpected_exception_exits_5_on_one_line(problems_dir, capsys, monkeypatch):
-    from gendual import cli
+    # the CLI reads audit from its defining module at call time
+    from gendual import couple
 
     def broken(*args, **kwargs):
         raise RuntimeError("kernel fault\nsecond line")
 
-    monkeypatch.setattr(cli, "audit", broken)
+    monkeypatch.setattr(couple, "audit", broken)
     code, out, err = run_cli(capsys, "check-couple", str(problems_dir / "e1_couple.json"))
     assert (code, out) == (5, "")
     assert len(err.splitlines()) == 1
@@ -344,6 +345,85 @@ def test_module_entry_point(problems_dir):
     )
     assert proc.returncode == 0
     assert "primal value:  0.0" in proc.stdout
+
+
+# --- start-up: what each command loads ------------------------------------------
+
+# Runs the CLI in a fresh interpreter and prints, on its last line, the
+# modules that importing and running it added to those the interpreter
+# had loaded at start.  With no arguments it only builds the parser, as
+# the benchmark's set-up probe does.
+LOADED_SCRIPT = """
+import sys
+before = set(sys.modules)
+import gendual.cli
+if sys.argv[1:]:
+    gendual.cli.main(sys.argv[1:])
+else:
+    gendual.cli.build_parser()
+print()
+print(*sorted(set(sys.modules) - before))
+"""
+KERNEL_MODULES = {f"gendual.{name}" for name in
+                  ("spaces", "conjugacy", "duality", "couple", "problems", "fuzz")}
+
+
+def loaded_modules(*argv):
+    import gendual
+
+    src = str(Path(gendual.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_building_the_parser_loads_no_kernel_and_no_dataclasses():
+    loaded = loaded_modules()
+    assert {"gendual.cli", "gendual.defaults"} <= loaded
+    assert not loaded & (KERNEL_MODULES | {"dataclasses", "inspect", "typing"})
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (("to-lagrangian", "e1.json"), {"gendual.couple", "gendual.fuzz"}),
+    (("to-rockafellian", "e1_lagrangian.json"), {"gendual.couple", "gendual.fuzz"}),
+    (("conjugate", "e1.json", "--function", "0,1"),
+     {"gendual.duality", "gendual.couple", "gendual.fuzz"}),
+    (("weak-duality", "e1.json"), {"gendual.couple", "gendual.fuzz"}),
+    (("check-couple", "e1_couple.json"), {"gendual.fuzz"}),
+    (("fuzz", "--count", "2"), set()),
+])
+def test_each_command_loads_only_what_it_runs(problems_dir, tmp_path, argv, absent):
+    name, *rest = argv
+    rest = [str(problems_dir / a) if a.endswith(".json") else a for a in rest]
+    if name == "fuzz":
+        rest += ["--output", str(tmp_path)]
+    loaded = loaded_modules(name, *rest)
+    assert "gendual.extreal" in loaded
+    assert not loaded & absent
+    assert not loaded & {"dataclasses", "inspect", "typing"}
+
+
+def test_every_public_name_resolves():
+    import gendual
+
+    namespace = {}
+    exec("from gendual import *", namespace)
+    assert set(gendual.__all__) <= namespace.keys()
+    assert set(gendual.__all__) <= set(dir(gendual))
+    for name in gendual.__all__:
+        assert namespace[name] is getattr(gendual, name) is not None
+    assert gendual.DEFAULT_TOL == 1e-9
+    with pytest.raises(AttributeError):
+        gendual.no_such_name
+    # a submodule is an attribute of the package before anything loads it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gendual; print(gendual.couple.audit.__module__)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(gendual.__file__).parent.parent)},
+    )
+    assert proc.stdout == "gendual.couple\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -585,6 +585,35 @@ def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conju
         assert len(count_conjugate_rows) <= 3 * len(lag.decisions)
 
 
+def test_item_ii_reuses_the_rho_rows_of_the_row_pass(problems_dir, monkeypatch):
+    # item (ii)'s sup-transform row of u is rho_u; a passing audit builds
+    # every rho_u in the row pass, so item (ii) adds no sup_product call,
+    # |U| fewer than it makes alone
+    import gendual.conjugacy as conjugacy
+    import gendual.couple as couple
+
+    calls = []
+    for module in (couple, conjugacy):
+        def counted(a_rows, view, kernel=module.sup_product, name=module.__name__):
+            calls.append(name)
+            return kernel(a_rows, view)
+        monkeypatch.setattr(module, "sup_product", counted)
+    problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
+    e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
+    for lag, r, c in (e1, _canonical_couple(8, seed=8)):
+        calls.clear()
+        assert check_item_ii(lag, r, c)
+        assert calls == ["gendual.couple"] * len(lag.decisions)
+        calls.clear()
+        assert audit(lag, r, c).is_couple
+        assert "gendual.couple" not in calls
+    # only the 5 conjugate rows that test_each_conjugate_row_is_built_once_
+    # per_decision counts, where item (ii) alone would add |U| = 2
+    calls.clear()
+    assert audit(*e1).is_couple
+    assert len(calls) == 5
+
+
 def test_biconjugate_is_reused_only_from_identical_bits():
     # at u0, -L_u = [-0.0] and sigma_u = [0.0] are equal but not the same
     # bits: (R_u)^{cc'} = (sigma_u)^{c'} is then not rho_u, and the item

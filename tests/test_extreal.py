@@ -104,6 +104,17 @@ def test_approx_le():
     assert not approx_le(ExtReal(1.0), ExtReal(0.9), 1e-3)
     assert approx_le(NEG_INF, ExtReal(-1e308), 0.0)
     assert not approx_le(POS_INF, ExtReal(1e308), 1e9)
+    with pytest.raises(ValueError):
+        approx_le(F2, F3, -1.0)
+
+
+@pytest.mark.parametrize("compare", [approx_eq, approx_le])
+def test_nan_tol_is_rejected_like_isclose(compare):
+    # a NaN tol compares false with everything, so unchecked it would turn
+    # every finite comparison false without a word; isclose rejects it too
+    for a, b in ((F2, F2), (F2, F3), (POS_INF, POS_INF)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            compare(a, b, math.nan)
 
 
 def test_constructor_rejects_nan_and_normalizes_inf():

@@ -8,6 +8,8 @@ script writes one set of input files, then runs the same command list
 against each tree, in a fresh interpreter with that tree first on
 ``sys.path``, calling ``gendual.cli.main`` in-process for each command:
 
+  - ``gendual -h``, ``-h`` of each command, and usage errors: no command,
+    an unknown one, and one bad or missing argument per command;
   - every command in the text, csv and structured formats on the gallery
     under problems/ and on seeded random R, L and couple files at
     n = 4, 16, 64 and 256, with integer literals, fractional, signed-zero
@@ -55,6 +57,19 @@ RAISED_SIZES = (16, 64)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 OFF_GRID_FAMILIES = ("fractional", "tiny", "wide", "near-overflow")
+COMMANDS = ("conjugate", "to-lagrangian", "to-rockafellian", "check-couple",
+            "weak-duality", "fuzz")
+# one usage error per command, and two without a valid command
+USAGE_ERRORS = (
+    [],
+    ["bogus"],
+    ["conjugate", "gallery/e1.json"],
+    ["to-lagrangian"],
+    ["to-rockafellian", "gallery/e1.json", "--format", "bogus"],
+    ["check-couple", "gallery/e1_couple.json", "--tol", "-1"],
+    ["weak-duality", "gallery/e1.json", "--tol", "nan"],
+    ["fuzz", "--values", "bogus"],
+)
 
 
 def _value(rng, family):
@@ -132,7 +147,7 @@ def raise_entry(src, dst, table):
 def write_inputs(root):
     """Write the input files under ``root``; return the command list.  Both
     are fixed: the random files come from a constant seed."""
-    commands = []
+    commands = [["-h"], *([name, "-h"] for name in COMMANDS), *USAGE_ERRORS]
     gallery = root / "gallery"
     shutil.copytree(GALLERY, gallery)
     for path in sorted(gallery.glob("*.json")):
@@ -227,7 +242,7 @@ def worker(src, work, commands_path, result_path):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = raise_entry(*argv[1:]) if argv[0] == "raise" else main(argv)
+                code = raise_entry(*argv[1:]) if argv[:1] == ["raise"] else main(argv)
             except SystemExit as exc:
                 code = exc.code
         after = _snapshot(Path(work))
