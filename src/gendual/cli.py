@@ -153,13 +153,21 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # rendering helpers
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, with its quotes
+    doubled, only if it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render_function(labels, values, fmt: str) -> str:
     from .problems import _array, _object, _row_block, _string
 
     rendered = list(map(float.__repr__, values))
     if fmt == "csv":
         lines = ["label,value"]
-        lines += [f"{lab},{val}" for lab, val in zip(labels, rendered)]
+        lines += [f"{_csv_field(lab)},{val}" for lab, val in zip(labels, rendered)]
         return "\n".join(lines) + "\n"
     if fmt == "structured":
         return _object([
@@ -180,9 +188,9 @@ def _render_matrix(row_labels, col_labels, rendered, fmt: str) -> str:
     from .problems import _array, _object, _string, table_block
 
     if fmt == "csv":
-        lines = ["," + ",".join(col_labels)]
+        lines = ["," + ",".join(map(_csv_field, col_labels))]
         lines += [
-            f"{lab}," + ",".join(row) for lab, row in zip(row_labels, rendered)
+            f"{_csv_field(lab)}," + ",".join(row) for lab, row in zip(row_labels, rendered)
         ]
         return "\n".join(lines) + "\n"
     if fmt == "structured":
@@ -204,7 +212,7 @@ def _render_matrix(row_labels, col_labels, rendered, fmt: str) -> str:
 def _render_pairs(pairs, fmt: str) -> str:
     """pairs: (key, display text) for the text and csv formats."""
     if fmt == "csv":
-        return "\n".join(f"{k},{v}" for k, v in pairs) + "\n"
+        return "\n".join(f"{k},{_csv_field(v)}" for k, v in pairs) + "\n"
     width = max(len(k) for k, _ in pairs) + 1
     return "".join(f"{k + ':':<{width}}  {v}\n" for k, v in pairs)
 
@@ -366,7 +374,8 @@ def cmd_weak_duality(args) -> int:
 
     problem = load_problem(args.problem)
     r = problem.require_rockafellian()
-    base = args.base_point or problem.base_point or problem.primal.labels[0]
+    base = next(b for b in (args.base_point, problem.base_point, problem.primal.labels[0])
+                if b is not None)
     try:
         report = weak_duality_report(r, problem.coupling, base, tol=args.tol)
     except ArithmeticError as exc:  # dual above primal

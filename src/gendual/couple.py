@@ -27,7 +27,7 @@ that is not equal entry for entry it scans with ``approx_eq`` (or
 ``approx_le``) only the entries that differ; equal doubles pass both at
 every tol >= 0, so the witness does not depend on the shortcut.
 
-The minimality of item (i) and items (iii)-(v) are row tests, and they
+The minimality of item (i) and items (ii)-(v) are row tests, and they
 share each u's rows: one pass over the decisions builds sigma_u = (R_u)^c,
 rho_u = (-L_u)^{c'} and their biconjugates at most once each, from raw
 table rows through the product kernel (``conjugacy.conjugate_row``, the one
@@ -35,17 +35,16 @@ conjugate code path), and runs every still-open item's tests on them.  A
 biconjugate whose argument is a row already held is not rebuilt: where
 sigma_u is -L_u bit for bit, (R_u)^{cc'} is rho_u, and where rho_u is R_u
 bit for bit, (-L_u)^{c'c} is sigma_u.  So wherever item (iii) holds
-exactly, a decision costs two conjugate rows, not four.
-Their agreement with one another is therefore not an independent check.
-The independent cross-check is item (ii): it compares L and R, row by row
-up to the first witness, with the Lagrangian and Rockafellian transforms
-(``inf_product`` and ``sup_product``, each row the one the whole-table
-transform gives).  Its sup-transform row is the same ``sup_product`` call
-on L_u that builds rho_u, so the audit reuses every rho_u the row pass
-built and builds only the others; the independent half of the cross-check
-is the inf-transform (``inf_product``) against sigma_u (``sup_product`` on
--R_u).  Items (ii)-(v) are exactly equivalent, so the audit flags an
-internal alarm (``items_agree``) if their verdicts ever disagree.
+exactly, a decision costs two conjugate rows, not four.  Items (iii)-(v)
+agreeing with one another is therefore not an independent check.  Item
+(ii) is two row tests of the same pass: L_u against row u of the
+Lagrangian of R, and R_u against row u of the Rockafellian of L.  The
+latter row is rho_u bit for bit, the same ``sup_product`` call on L_u; the
+former, the inf-transform row (``inf_product`` on R_u), is the independent
+half of the cross-check.  An L witness at any u comes before every R
+witness, as if all of L were checked before R.  Items (ii)-(v) are exactly
+equivalent, so the audit flags an internal alarm (``items_agree``) if their
+verdicts ever disagree.
 
 Minimality is decided exactly, from least feasible values.  Given L, the
 least value R(u, x) may take with the inequality intact is
@@ -78,7 +77,7 @@ from operator import ne
 
 from .errors import DomainMismatchError
 from .extreal import (
-    DEFAULT_TOL, approx_eq, approx_le, exceeds, inf_product, sup_product, upp_add,
+    DEFAULT_TOL, approx_eq, approx_le, exceeds, inf_product, upp_add,
 )
 from .spaces import Coupling, Lagrangian, Rockafellian, lazy
 from .conjugacy import conjugate_row
@@ -198,33 +197,6 @@ def _mismatch(item, u, side, labels, have, want, tol, text,
     return None
 
 
-def _item_ii_witness(lag, r, c, tol, rho=None) -> Witness | None:
-    """All of L against the inf-transform of R, then all of R against the
-    sup-transform of L, one row at a time up to the first witness.  Each
-    row is the kernel call that ``lagrangian_of`` (``rockafellian_of``)
-    makes for it, so it is that table's row bit for bit.  The sup-transform
-    row of u is the call that builds rho_u in ``_Rows``: ``rho`` maps the
-    index of each u whose rho_u the row pass built to that row, and only
-    the other rows are built here."""
-    rho = rho or {}
-    decisions = lag.decisions.labels
-    view = c.sorted_cols
-    for u, l_row, r_row in zip(decisions, lag.rows, r.rows):
-        w = _mismatch("ii", u, "y", lag.dual.labels, list(l_row),
-                      inf_product((r_row,), view)[0], tol,
-                      "L({u},{lab}) = {a} but the inf-transform gives {b}")
-        if w is not None:
-            return w
-    view = c.sorted_rows
-    for i, (u, l_row, r_row) in enumerate(zip(decisions, lag.rows, r.rows)):
-        want = rho[i] if i in rho else sup_product((l_row,), view)[0]
-        w = _mismatch("ii", u, "x", r.primal.labels, list(r_row), want, tol,
-                      "R({u},{lab}) = {a} but the sup-transform gives {b}")
-        if w is not None:
-            return w
-    return None
-
-
 def _negated(row) -> list[float]:
     return [-v for v in row]
 
@@ -239,12 +211,13 @@ def _same_bits(a, b) -> bool:
 
 class _Rows:
     """The rows of one decision u that the row tests compare, each a list
-    built on first use and then shared by every test that reads it.  ``r``
-    is R_u as a list and ``l`` the raw row L_u, which no test compares.  The
-    conjugates come from ``conjugate_row``, which takes the negated
-    function: the columns of c conjugate a function on X, its rows a
-    function on Y.  So (-L_u)^c' is conjugate_row(L_u), since -(-v) is v for
-    every double.
+    built on first use and then shared by every test that reads it.  ``l``
+    and ``r`` are L_u and R_u as lists.  The conjugates come from
+    ``conjugate_row``, which takes the negated function: the columns of c
+    conjugate a function on X, its rows a function on Y.  So (-L_u)^c' is
+    conjugate_row(L_u), since -(-v) is v for every double, and it is also
+    the sup-transform row of u: the row ``rockafellian_of`` gives, bit for
+    bit.  The inf-transform row is the one ``lagrangian_of`` gives.
 
     A biconjugate is not rebuilt when its argument is a row already held.
     Where sigma_u is -L_u bit for bit, (R_u)^{cc'} = (sigma_u)^{c'} is the
@@ -255,7 +228,7 @@ class _Rows:
     biconjugate, which can differ in the sign of a zero, is then built."""
 
     def __init__(self, l_row, r_row, c):
-        self.l, self.r, self.c = l_row, list(r_row), c
+        self.l, self.r, self.c = list(l_row), list(r_row), c
 
     @lazy
     def nl(self):  # -L_u
@@ -270,6 +243,10 @@ class _Rows:
         return conjugate_row(self.l, self.c.sorted_rows)
 
     @lazy
+    def l_of_r(self):  # the inf-transform of R_u, row u of the Lagrangian of R
+        return inf_product((self.r,), self.c.sorted_cols)[0]
+
+    @lazy
     def r_bi(self):  # (R_u)^{cc'}
         if _same_bits(self.sigma, self.nl):
             return self.rho
@@ -282,11 +259,12 @@ class _Rows:
         return conjugate_row(_negated(self.rho), self.c.sorted_cols)
 
 
-# The row tests of items (i) and (iii)-(v), each stated once: the side of
-# the row's labels, the ``_Rows`` row and the row it is compared with, the
+# The row tests of items (i)-(v), each stated once: the side of the row's
+# labels, the ``_Rows`` row and the row it is compared with, the
 # comparison, and the witness text.  Minimality (M1, M2) compares the rows
 # of E2 and E1 with ``approx_le``: each entry at most its least feasible
-# value.
+# value.  Item (ii) is two entries, its L half T1 and its R half T2: an L
+# witness at any u comes before every R witness, so it closes the R half.
 _E1 = ("y", "nl", "sigma", approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
 _E2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
 _E3 = ("x", "r", "r_bi", approx_eq,
@@ -297,58 +275,60 @@ _M1 = ("x", "r", "rho", approx_le,
        "R({u},{lab}) = {a} is above its least feasible value (-L_u)^c'({lab}) = {b}")
 _M2 = ("y", "nl", "sigma", approx_le,
        "-L({u},{lab}) = {a} is above its least feasible value (R_u)^c({lab}) = {b}")
-_ROW_TESTS = {"i-minimality": (_M1, _M2),
+_T1 = ("y", "l", "l_of_r", approx_eq, "L({u},{lab}) = {a} but the inf-transform gives {b}")
+_T2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but the sup-transform gives {b}")
+_ROW_TESTS = {"i-minimality": (_M1, _M2), "ii-L": (_T1,), "ii-R": (_T2,),
               "iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
+_ITEM_II = ("ii-L", "ii-R")
 
 
-def _row_witnesses(items, lag, r, c, tol, rho=None) -> dict[str, Witness | None]:
-    """First witness against each of ``items``, a sequence of "iii", "iv",
-    "v" and "i-minimality" (the minimality of item (i)), or None where the
-    item holds.  A ``rho`` dict receives, by the index of u, each rho_u the
-    pass built, for item (ii) to reuse.
+def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
+    """First witness against each of ``entries``, keys of ``_ROW_TESTS``,
+    or None where the entry holds.
 
-    One pass over the decisions: for each u, every still-open item runs its
-    two row tests in ``_ROW_TESTS`` order, on rows of ``_Rows`` built at most
-    once.  An item leaves the pass at its first witness, so that witness is
-    the one the item finds alone.  The rows are raw rows of doubles: their
-    values are the ones ``conjugate`` and ``reverse_conjugate`` give, bit
-    for bit, since those two are ``conjugate_row`` behind a domain check.
+    One pass over the decisions: for each u, every still-open entry runs its
+    row tests in ``_ROW_TESTS`` order, on rows of ``_Rows`` built at most
+    once.  An entry leaves the pass at its first witness, so that witness is
+    the one the entry finds alone; the L half of item (ii) takes its R half
+    along.  The rows are raw rows of doubles: their values are the ones
+    ``conjugate``, ``reverse_conjugate`` and the two transforms give, bit
+    for bit, since those are the same kernel calls behind a domain check.
     ``_mismatch`` then compares each pair of rows at C speed first: exact
     equality implies ``approx_eq`` and ``approx_le`` at every tol >= 0
     (signed zeros compare equal and no entry is NaN), so only the entries
     that differ are scanned, and the first witness is the same."""
-    found = dict.fromkeys(items)
-    open_items = list(items)
+    found = dict.fromkeys(entries)
+    open_entries = list(entries)
     labels = {"x": c.primal.labels, "y": c.dual.labels}
-    for i, (u, l_row, r_row) in enumerate(zip(lag.decisions.labels, lag.rows, r.rows)):
+    for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
         rows = _Rows(l_row, r_row, c)
-        for item in tuple(open_items):
-            for side, have, want, holds, text in _ROW_TESTS[item]:
+        for entry in tuple(open_entries):
+            if entry not in open_entries:  # the R half, closed by this u's L half
+                continue
+            item = "ii" if entry in _ITEM_II else entry
+            for side, have, want, holds, text in _ROW_TESTS[entry]:
                 w = _mismatch(item, u, side, labels[side], getattr(rows, have),
                               getattr(rows, want), tol, text, holds)
                 if w is not None:
-                    found[item] = w
-                    open_items.remove(item)
+                    found[entry] = w
+                    closed = _ITEM_II if entry == "ii-L" else (entry,)
+                    open_entries = [e for e in open_entries if e not in closed]
                     break
-        if rho is not None and "rho" in vars(rows):
-            rho[i] = rows.rho
-        if not open_items:
+        if not open_entries:
             break
     return found
 
 
-def _holds(item, lag, r, c, tol) -> bool:
+def _holds(entry, lag, r, c, tol) -> bool:
     _require_valid(lag, r, c, tol)
-    if item == "ii":
-        return _item_ii_witness(lag, r, c, tol) is None
-    return _row_witnesses((item,), lag, r, c, tol)[item] is None
+    return _row_witnesses((entry,), lag, r, c, tol)[entry] is None
 
 
 def check_item_ii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """L equals the Lagrangian of R and R equals the Rockafellian of L."""
-    return _holds("ii", lag, r, c, tol)
+    return _holds("ii-L", lag, r, c, tol) and _holds("ii-R", lag, r, c, tol)
 
 
 def check_item_iii(
@@ -401,17 +381,17 @@ def audit(
     """
     _require_valid(lag, r, c, tol)
     w_ineq = _inequality_witness(lag, r, c, tol)
-    rho = {}
+    entries = ("ii-L", "ii-R", "iii", "iv", "v")
     if w_ineq is None:
-        w_probe, *rows = _row_witnesses(
-            ("i-minimality", "iii", "iv", "v"), lag, r, c, tol, rho).values()
+        w_probe, w_l, w_r, *rows = _row_witnesses(
+            ("i-minimality", *entries), lag, r, c, tol).values()
     else:
         w_probe = Witness(
             item="i-minimality", u=None, x=None, y=None,
             description="not probed: the inequality itself fails",
         )
-        rows = _row_witnesses(("iii", "iv", "v"), lag, r, c, tol, rho).values()
-    found = [_item_ii_witness(lag, r, c, tol, rho), *rows]
+        w_l, w_r, *rows = _row_witnesses(entries, lag, r, c, tol).values()
+    found = [w_l or w_r, *rows]
     ii, iii, iv, v = (w is None for w in found)
     return CoupleAudit(
         item_i_inequality=w_ineq is None,

@@ -78,22 +78,10 @@ class FuzzInstance(namedtuple("FuzzInstance", (
     __slots__ = ()
 
 
-def random_extreal(
-    rng: random.Random,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    inf_prob: float = DEFAULT_INF_PROB,
-) -> ExtReal:
-    roll = rng.random()
-    if roll < inf_prob:
-        return NEG_INF
-    if roll < 2.0 * inf_prob:
-        return POS_INF
-    return ExtReal(float(rng.randint(grid[0], grid[1])))
-
-
 def _off_grid(finite: Callable[[random.Random, tuple[int, int]], float]):
-    """A draw like ``random_extreal`` whose finite values come from
-    ``finite(rng, grid)``."""
+    """An entry draw ``draw(rng, grid, inf_prob)``: one ``rng.random()``
+    roll gives -inf or +inf, each with probability ``inf_prob``, and
+    otherwise the value is ``finite(rng, grid)``."""
     def draw(rng, grid=DEFAULT_GRID, inf_prob=DEFAULT_INF_PROB) -> ExtReal:
         roll = rng.random()
         if roll < inf_prob:
@@ -102,6 +90,10 @@ def _off_grid(finite: Callable[[random.Random, tuple[int, int]], float]):
             return POS_INF
         return ExtReal(finite(rng, grid))
     return draw
+
+
+# integers of the grid [lo, hi], and each infinity with probability inf_prob
+random_extreal = _off_grid(lambda rng, grid: float(rng.randint(grid[0], grid[1])))
 
 
 def _sign(rng):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from pathlib import Path
 
 from json.encoder import encode_basestring_ascii as _string
 
@@ -117,7 +116,8 @@ def read_text(path) -> str:
     """The text of an input file; one that is not UTF-8 is a
     ProblemFormatError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError:
         raise ProblemFormatError(f"{path}: not UTF-8 text") from None
 
@@ -425,4 +425,6 @@ def serialize_problem(problem: Problem, *, blocks=None) -> str:
 
 def save_problem(problem: Problem, path, *, blocks=None) -> None:
     """Write ``serialize_problem(problem, blocks=blocks)`` to ``path``."""
-    Path(path).write_text(serialize_problem(problem, blocks=blocks), encoding="utf-8")
+    text = serialize_problem(problem, blocks=blocks)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)

@@ -175,6 +175,47 @@ def test_to_lagrangian_output_round_trip(problems_dir, tmp_path, capsys):
     assert out.splitlines() == [",x0,x1", "u0,2.0,3.0", "u1,0.0,2.0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("to-lagrangian",),
+    ("to-rockafellian",),
+    ("conjugate", "--function", "1,-2"),
+    ("conjugate", "--side", "dual", "--function", "0,3"),
+    ("weak-duality", "--base-point", "a,b"),
+    ("weak-duality", "--base-point", 'q"1'),
+])
+def test_csv_output_quotes_labels(tmp_path, capsys, argv):
+    # labels holding a comma or a quote are quoted by RFC 4180, so that
+    # csv.reader reads back one field per label; other fields are as before
+    import csv
+
+    labels = ["a,b", 'q"1']
+    problem = tmp_path / "p.json"
+    name, *rest = argv
+    table = "lagrangian" if name == "to-rockafellian" else "rockafellian"
+    problem.write_text(json.dumps({
+        "sets": {"U": labels, "X": labels, "Y": labels},
+        "coupling": [[0.0, 1.0], [2.0, 0.0]],
+        table: [[0.0, 1.0], [2.0, 3.0]],
+    }))
+    code, out, _ = run_cli(capsys, name, str(problem), *rest, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    if name == "weak-duality":
+        assert rows[0] == ["base point", rest[1]]
+        assert all(len(row) == 2 for row in rows)
+    elif name == "conjugate":
+        assert rows[0] == ["label", "value"]
+        assert [row[0] for row in rows[1:]] == labels
+        assert all(len(row) == 2 for row in rows)
+    else:
+        assert rows[0] == ["", *labels]
+        assert [row[0] for row in rows[1:]] == labels
+        assert all(len(row) == 3 for row in rows)
+    # csv.reader also reads q"1 unquoted, so the quoted form is checked too
+    quoted = {"a,b": '"a,b"', 'q"1': '"q""1"'}
+    assert all(quoted[lab] in out for lab in (rest[1:] if name == "weak-duality" else labels))
+
+
 # --- check-couple ---------------------------------------------------------------
 
 def test_check_couple_combined_file(problems_dir, capsys):
@@ -240,6 +281,21 @@ def test_weak_duality_unknown_base_point_exits_3(problems_dir, capsys):
     code, *_ = run_cli(capsys, "weak-duality", str(problems_dir / "e1.json"),
                        "--base-point", "x9")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [(), ("--base-point", "")], ids=["file", "option"])
+def test_weak_duality_empty_label_is_a_base_point(tmp_path, capsys, argv):
+    # "" is a label of X: as the file's base_point and as --base-point it is
+    # the base point, not a fallback to the first label
+    problem = tmp_path / "p.json"
+    problem.write_text('{"sets": {"U": ["u0"], "X": ["a", ""], "Y": ["b"]}, '
+                       '"base_point": "", "coupling": [[1.0], [2.0]], '
+                       '"rockafellian": [[0.0, 1.0]]}')
+    code, out, _ = run_cli(capsys, "weak-duality", str(problem), *argv,
+                           "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["base_point"] == ""
+    assert json.loads(out)["primal_value"] == 1.0
 
 
 def test_weak_duality_violated_by_rounding_exits_5(tmp_path, capsys):
@@ -352,7 +408,9 @@ def test_module_entry_point(problems_dir):
 # Runs the CLI in a fresh interpreter and prints, on its last line, the
 # modules that importing and running it added to those the interpreter
 # had loaded at start.  With no arguments it only builds the parser, as
-# the benchmark's set-up probe does.
+# the benchmark's set-up probe does.  The interpreter runs with -S: site's
+# .pth files may preload modules such as typing or pathlib, which would
+# hide a command's own import of them.
 LOADED_SCRIPT = """
 import sys
 before = set(sys.modules)
@@ -373,7 +431,7 @@ def loaded_modules(*argv):
 
     src = str(Path(gendual.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_SCRIPT, *argv], capture_output=True, text=True,
+        [sys.executable, "-S", "-c", LOADED_SCRIPT, *argv], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     return set(proc.stdout.splitlines()[-1].split())
@@ -403,6 +461,8 @@ def test_each_command_loads_only_what_it_runs(problems_dir, tmp_path, argv, abse
     assert "gendual.extreal" in loaded
     assert not loaded & absent
     assert not loaded & {"dataclasses", "inspect", "typing"}
+    # only fuzz builds a path, for its reproduction file
+    assert ("pathlib" in loaded) == (name == "fuzz")
 
 
 def test_every_public_name_resolves():

@@ -585,33 +585,47 @@ def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conju
         assert len(count_conjugate_rows) <= 3 * len(lag.decisions)
 
 
-def test_item_ii_reuses_the_rho_rows_of_the_row_pass(problems_dir, monkeypatch):
-    # item (ii)'s sup-transform row of u is rho_u; a passing audit builds
-    # every rho_u in the row pass, so item (ii) adds no sup_product call,
-    # |U| fewer than it makes alone
+@pytest.fixture
+def count_kernel_calls(monkeypatch):
+    """Counts the product-kernel calls of ``couple`` and ``conjugacy``, as
+    (kernel name, number of rows), wherever either module binds a kernel."""
     import gendual.conjugacy as conjugacy
     import gendual.couple as couple
 
     calls = []
     for module in (couple, conjugacy):
-        def counted(a_rows, view, kernel=module.sup_product, name=module.__name__):
-            calls.append(name)
-            return kernel(a_rows, view)
-        monkeypatch.setattr(module, "sup_product", counted)
+        for name in ("inf_product", "sup_product"):
+            if hasattr(module, name):
+                def counted(a_rows, view, kernel=getattr(module, name), name=name):
+                    calls.append((name, len(a_rows)))
+                    return kernel(a_rows, view)
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
+        problems_dir, count_kernel_calls, count_conjugate_rows):
+    # item (ii)'s sup-transform row of u is rho_u: alone, item (ii) makes
+    # |U| one-row inf_product calls and then |U| sup_product calls, while a
+    # passing audit adds none to the conjugate rows of the row pass
+    inf, sup = ("inf_product", 1), ("sup_product", 1)
     problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
     e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
     for lag, r, c in (e1, _canonical_couple(8, seed=8)):
-        calls.clear()
+        n = len(lag.decisions)
+        count_kernel_calls.clear()
         assert check_item_ii(lag, r, c)
-        assert calls == ["gendual.couple"] * len(lag.decisions)
-        calls.clear()
+        assert count_kernel_calls == [inf] * n + [sup] * n
+        count_kernel_calls.clear()
+        count_conjugate_rows.clear()
         assert audit(lag, r, c).is_couple
-        assert "gendual.couple" not in calls
+        assert count_kernel_calls.count(inf) == n
+        assert count_kernel_calls.count(sup) == len(count_conjugate_rows)
     # only the 5 conjugate rows that test_each_conjugate_row_is_built_once_
     # per_decision counts, where item (ii) alone would add |U| = 2
-    calls.clear()
+    count_kernel_calls.clear()
     assert audit(*e1).is_couple
-    assert len(calls) == 5
+    assert count_kernel_calls.count(sup) == 5
 
 
 def test_biconjugate_is_reused_only_from_identical_bits():
@@ -629,10 +643,8 @@ def test_biconjugate_is_reused_only_from_identical_bits():
             if w.item in ("ii", "iii", "iv", "v")] == want
 
 
-def test_item_ii_stops_at_the_first_witness_row(monkeypatch):
+def test_item_ii_stops_at_the_first_witness_row(count_kernel_calls):
     # L changed in row u0: item (ii) transforms that one row of R and stops
-    import gendual.couple as couple
-
     lag, r, c = _canonical_couple(8, seed=8)
     rows = [list(row) for row in lag.rows]
     j = next(j for j, v in enumerate(rows[0]) if math.isfinite(v))
@@ -640,22 +652,37 @@ def test_item_ii_stops_at_the_first_witness_row(monkeypatch):
     lag = Lagrangian(lag.decisions, lag.dual, rows)
     want = [w for w in _reference_item_witnesses(lag, r, c, DEFAULT_TOL) if w[0] == "ii"]
     assert want[0][1:4] == ("u0", None, f"y{j}")
-    calls = []
-
-    def counting(name):
-        kernel = getattr(couple, name)
-
-        def counted(a_rows, view):
-            calls.append((name, len(a_rows)))
-            return kernel(a_rows, view)
-        return counted
-
-    for name in ("inf_product", "sup_product"):
-        monkeypatch.setattr(couple, name, counting(name))
+    count_kernel_calls.clear()
     assert not check_item_ii(lag, r, c)
-    assert calls == [("inf_product", 1)]
+    assert count_kernel_calls == [("inf_product", 1)]
     assert [(w.item, w.u, w.x, w.y, w.description)
             for w in audit(lag, r, c).witnesses if w.item == "ii"] == want
+
+
+def test_item_ii_names_an_l_witness_after_an_r_witness():
+    # R raised in row u0 where no inf of the Lagrangian is attained, so that
+    # only item (ii)'s R half fails there, and L raised in row u2: the L
+    # witness at u2 comes before the R witness at u0, as in the reference
+    lag, r, c = _canonical_couple(4, seed=8)
+    r_rows = [list(row) for row in r.rows]
+    for i in range(len(r_rows[0])):
+        r_rows[0][i] += 1.0
+        raised = Rockafellian(r.decisions, r.primal, r_rows)
+        if lagrangian_of(raised, c).rows[0] == lag.rows[0]:
+            break
+        r_rows[0][i] -= 1.0
+    else:
+        raise AssertionError("no entry of R_u0 is free to rise")
+    l_rows = [list(row) for row in lag.rows]
+    j = next(j for j, v in enumerate(l_rows[2]) if math.isfinite(v))
+    l_rows[2][j] += 1.0
+    lag = Lagrangian(lag.decisions, lag.dual, l_rows)
+    assert rockafellian_of(lag, c).rows[0] != raised.rows[0]
+    want = [w for w in _reference_item_witnesses(lag, raised, c, DEFAULT_TOL) if w[0] == "ii"]
+    assert want[0][1:4] == ("u2", None, f"y{j}")
+    assert [(w.item, w.u, w.x, w.y, w.description)
+            for w in audit(lag, raised, c).witnesses if w.item == "ii"] == want
+    assert not check_item_ii(lag, raised, c)
 
 
 @st.composite

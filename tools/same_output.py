@@ -23,7 +23,9 @@ against each tree, in a fresh interpreter with that tree first on
     on the gallery pair e1.json with e1_lagrangian.json, and on copies of
     the built couples at n = 16 and 64 with one entry of R or of L raised
     in a middle row (the ``raise`` step below), so that minimality and
-    row-item witnesses beyond the first decision are compared;
+    row-item witnesses beyond the first decision are compared, and with an
+    entry of R raised in row n/4 and one of L in row 3n/4, so that item
+    (ii)'s R half can fail at an earlier decision than its L half;
   - malformed variants of a gallery file, one fault each;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
@@ -35,7 +37,7 @@ It compares, command by command, the exit code, stdout, stderr (minus the
 wrote, prints the number of differing commands, each of them and its first
 difference, and exits 1 if there is any, else 0.  A command that starts
 with ``raise`` is a step of this script, not of gendual: it copies a file
-the tree wrote, with one table entry raised.  Needs no numpy.
+the tree wrote, with one table entry raised from a given row on.  Needs no numpy.
 """
 
 import contextlib
@@ -130,13 +132,13 @@ def _audits(*files):
             for tol in ((), ("--tol", "0")) for fmt in FORMATS]
 
 
-def raise_entry(src, dst, table):
+def raise_entry(src, dst, table, row):
     """Copy the problem file ``src`` to ``dst`` with one entry of ``table``
-    raised: the first entry below +inf from the middle row on, a finite one
-    by 1 and -inf to 0."""
+    raised: the first entry below +inf from row ``row`` on, a finite one by
+    1 and -inf to 0."""
     doc = json.loads(Path(src).read_text(encoding="utf-8"))
     rows = doc[table]
-    for row in rows[len(rows) // 2:]:
+    for row in rows[int(row):]:
         for j, v in enumerate(row):
             if v != "inf":
                 row[j] = 0.0 if v == "-inf" else v + 1.0
@@ -208,8 +210,13 @@ def write_inputs(root):
                         for key in ("rockafellian", "lagrangian")}
                 for key in pair:
                     raised = dict(pair, **{key: f"out/{family}{n}{key[0]}1_raised.json"})
-                    commands.append(["raise", pair[key], raised[key], key])
+                    commands.append(["raise", pair[key], raised[key], key, str(n // 2)])
                     commands += _audits(raised["rockafellian"], raised["lagrangian"])
+                both = {key: f"out/{family}{n}{key[0]}1_both.json" for key in pair}
+                commands += [["raise", pair[key], both[key], key, str(row)]
+                             for key, row in (("rockafellian", n // 4),
+                                              ("lagrangian", 3 * n // 4))]
+                commands += _audits(both["rockafellian"], both["lagrangian"])
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
