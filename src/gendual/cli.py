@@ -360,8 +360,10 @@ def cmd_check_couple(args) -> int:
             ("items (ii)-(v) agree", _yesno(result.items_agree)),
             ("verdict", "couple" if result.is_couple else "not a couple"),
         ], args.format))
-        for w in result.witnesses:
-            sys.stdout.write(f"witness [{w.item}] {w.description}\n")
+        for w in result.witnesses:  # in csv: witness,item,u,x,y,description
+            fields = ("" if f is None else _csv_field(f) for f in w)
+            sys.stdout.write(f"witness,{','.join(fields)}\n" if args.format == "csv"
+                             else f"witness [{w.item}] {w.description}\n")
     if not result.items_agree:
         return EXIT_INTERNAL_ALARM
     return EXIT_OK if result.is_couple else EXIT_NOT_COUPLE

@@ -20,31 +20,30 @@ where, for every decision u,
   E1: -L_u = (R_u)^c             E2: R_u = (-L_u)^{c'}
   E3:  R_u = (R_u)^{cc'}         E4: -L_u = (-L_u)^{c'c}.
 
-Items (ii) through (v) and the minimality of item (i) share one mismatch
-scan, which names the first entry where a row fails its comparison with
-another.  It first compares the two rows whole, at C speed, and of a pair
-that is not equal entry for entry it scans with ``approx_eq`` (or
-``approx_le``) only the entries that differ; equal doubles pass both at
-every tol >= 0, so the witness does not depend on the shortcut.
+The minimality of item (i) and items (ii)-(v) are row tests.  One pass
+over the decisions builds, for each u, sigma_u = (R_u)^c,
+rho_u = (-L_u)^{c'} and their biconjugates at most once each, through
+``conjugacy.conjugate_row``, and runs every still-open test on them.  A
+biconjugate whose argument is a row already held bit for bit is not
+rebuilt, so wherever item (iii) holds exactly a decision costs two
+conjugate rows, not four.  Each test names the first entry where its two
+rows fail ``approx_eq`` (or ``approx_le``).
 
-The minimality of item (i) and items (ii)-(v) are row tests, and they
-share each u's rows: one pass over the decisions builds sigma_u = (R_u)^c,
-rho_u = (-L_u)^{c'} and their biconjugates at most once each, from raw
-table rows through the product kernel (``conjugacy.conjugate_row``, the one
-conjugate code path), and runs every still-open item's tests on them.  A
-biconjugate whose argument is a row already held is not rebuilt: where
-sigma_u is -L_u bit for bit, (R_u)^{cc'} is rho_u, and where rho_u is R_u
-bit for bit, (-L_u)^{c'c} is sigma_u.  So wherever item (iii) holds
-exactly, a decision costs two conjugate rows, not four.  Items (iii)-(v)
-agreeing with one another is therefore not an independent check.  Item
-(ii) is two row tests of the same pass: L_u against row u of the
-Lagrangian of R, and R_u against row u of the Rockafellian of L.  The
-latter row is rho_u bit for bit, the same ``sup_product`` call on L_u; the
-former, the inf-transform row (``inf_product`` on R_u), is the independent
-half of the cross-check.  An L witness at any u comes before every R
-witness, as if all of L were checked before R.  Items (ii)-(v) are exactly
-equivalent, so the audit flags an internal alarm (``items_agree``) if their
-verdicts ever disagree.
+In IEEE arithmetic items (ii) and (iii) are one comparison.  Item (ii)'s
+R half compares R_u with the sup-transform row, which is rho_u bit for bit
+(the same kernel call), so it is E2.  Its L half compares L_u with the
+inf-transform row inf_x [R(u,x) upper-add -c(x,y)], which is -sigma_u in
+value: negation is exact, rounding is sign-symmetric, and the two Moreau
+additions send the opposite-infinity pair to opposite infinities, so each
+sum R(u,x) - c(x,y) is the negation of the sum c(x,y) - R(u,x) of sigma_u.
+``approx_eq`` is sign-symmetric too, so the L half runs as E1, with the
+same verdict and first y; only its witness text rebuilds the one
+inf-transform entry, whose zero can differ in sign from -sigma_u's.  An L
+witness at any u comes before every R witness.  So ``items_agree``, the
+audit's alarm for disagreeing verdicts among (ii)-(v), cannot separate
+(ii) from (iii), and (iv) and (v) read the same rows: the independent
+check is the brute-force reference in ``tests/bruteforce.py``, which
+shares no code with the package.
 
 Minimality is decided exactly, from least feasible values.  Given L, the
 least value R(u, x) may take with the inequality intact is
@@ -76,9 +75,7 @@ from itertools import compress
 from operator import ne
 
 from .errors import DomainMismatchError
-from .extreal import (
-    DEFAULT_TOL, approx_eq, approx_le, exceeds, inf_product, upp_add,
-)
+from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, upp_add
 from .spaces import Coupling, Lagrangian, Rockafellian, lazy
 from .conjugacy import conjugate_row
 from .duality import lagrangian_of, rockafellian_of
@@ -174,26 +171,17 @@ def inequality_holds(
     return _inequality_witness(lag, r, c, tol) is None
 
 
-def _witness(item, u, side, lab, description) -> Witness:
-    """Witness naming ``lab`` as a label of X (side "x") or of Y (side "y");
-    the side is given, not inferred, because X and Y may share labels."""
-    if side == "x":
-        return Witness(item, u, lab, None, description)
-    return Witness(item, u, None, lab, description)
-
-
-def _mismatch(item, u, side, labels, have, want, tol, text,
-              holds=approx_eq) -> Witness | None:
-    """Witness at the first label where ``holds(have[k], want[k], tol)``
-    fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``.  ``have``
-    and ``want`` are lists.  Rows that compare equal entry for entry pass
-    both and are done in one C-level test; of the others, only the entries
-    that differ are scanned."""
+def _mismatch(have, want, tol, holds) -> int | None:
+    """Index of the first entry where ``holds(have[k], want[k], tol)``
+    fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``.  Lists
+    equal entry for entry pass both at every tol >= 0 (signed zeros compare
+    equal and no entry is NaN), so they are done in one C-level test, and
+    of the others only the entries that differ are scanned."""
     if have == want:
         return None
-    for lab, a, b in compress(zip(labels, have, want), map(ne, have, want)):
-        if not holds(a, b, tol):
-            return _witness(item, u, side, lab, text.format(u=u, lab=lab, a=a, b=b))
+    for k in compress(range(len(have)), map(ne, have, want)):
+        if not holds(have[k], want[k], tol):
+            return k
     return None
 
 
@@ -211,18 +199,16 @@ def _same_bits(a, b) -> bool:
 
 class _Rows:
     """The rows of one decision u that the row tests compare, each a list
-    built on first use and then shared by every test that reads it.  ``l``
-    and ``r`` are L_u and R_u as lists.  The conjugates come from
-    ``conjugate_row``, which takes the negated function: the columns of c
-    conjugate a function on X, its rows a function on Y.  So (-L_u)^c' is
-    conjugate_row(L_u), since -(-v) is v for every double, and it is also
-    the sup-transform row of u: the row ``rockafellian_of`` gives, bit for
-    bit.  The inf-transform row is the one ``lagrangian_of`` gives.
+    built on first use and shared by every test that reads it: ``l`` and
+    ``r`` are L_u and R_u.  ``conjugate_row`` takes the negated function,
+    so rho_u = (-L_u)^c' is conjugate_row(L_u), which is also the
+    sup-transform row ``rockafellian_of`` gives, bit for bit.  The
+    inf-transform row is -sigma_u in value (see the module docstring) and
+    is not built; ``inf_transform`` rebuilds one entry for a witness.
 
-    A biconjugate is not rebuilt when its argument is a row already held.
-    Where sigma_u is -L_u bit for bit, (R_u)^{cc'} = (sigma_u)^{c'} is the
-    call on the same doubles that built rho_u, so it is rho_u; where rho_u
-    is R_u bit for bit, (-L_u)^{c'c} is sigma_u.  Equal as values is not
+    A biconjugate is not rebuilt when its argument is a row already held
+    bit for bit: (R_u)^{cc'} is rho_u where sigma_u is -L_u, and
+    (-L_u)^{c'c} is sigma_u where rho_u is R_u.  Equal as values is not
     enough: where R(u,x) - c(x,y) is exactly 0 the inf-transform gives
     L = +0.0, so -L_u holds -0.0 where sigma_u holds +0.0, and the
     biconjugate, which can differ in the sign of a zero, is then built."""
@@ -243,10 +229,6 @@ class _Rows:
         return conjugate_row(self.l, self.c.sorted_rows)
 
     @lazy
-    def l_of_r(self):  # the inf-transform of R_u, row u of the Lagrangian of R
-        return inf_product((self.r,), self.c.sorted_cols)[0]
-
-    @lazy
     def r_bi(self):  # (R_u)^{cc'}
         if _same_bits(self.sigma, self.nl):
             return self.rho
@@ -258,6 +240,12 @@ class _Rows:
             return self.sigma
         return conjugate_row(_negated(self.rho), self.c.sorted_cols)
 
+    def inf_transform(self, j):
+        """Entry j of the inf-transform row of R_u, bit for bit as
+        ``lagrangian_of`` gives it: R(u,x) upper-add -c(x,y) at the first
+        minimizer x, since x - y and x + (-y) are one IEEE operation."""
+        return min(map(upp_add, self.r, _negated(self.c.cols[j])))
+
 
 # The row tests of items (i)-(v), each stated once: the side of the row's
 # labels, the ``_Rows`` row and the row it is compared with, the
@@ -265,6 +253,8 @@ class _Rows:
 # of E2 and E1 with ``approx_le``: each entry at most its least feasible
 # value.  Item (ii) is two entries, its L half T1 and its R half T2: an L
 # witness at any u comes before every R witness, so it closes the R half.
+# T1 compares the rows of E1 (see the module docstring); its witness names
+# L(u,y) and the inf-transform entry instead of -L(u,y) and sigma_u(y).
 _E1 = ("y", "nl", "sigma", approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
 _E2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
 _E3 = ("x", "r", "r_bi", approx_eq,
@@ -275,7 +265,7 @@ _M1 = ("x", "r", "rho", approx_le,
        "R({u},{lab}) = {a} is above its least feasible value (-L_u)^c'({lab}) = {b}")
 _M2 = ("y", "nl", "sigma", approx_le,
        "-L({u},{lab}) = {a} is above its least feasible value (R_u)^c({lab}) = {b}")
-_T1 = ("y", "l", "l_of_r", approx_eq, "L({u},{lab}) = {a} but the inf-transform gives {b}")
+_T1 = ("y", "nl", "sigma", approx_eq, "L({u},{lab}) = {a} but the inf-transform gives {b}")
 _T2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but the sup-transform gives {b}")
 _ROW_TESTS = {"i-minimality": (_M1, _M2), "ii-L": (_T1,), "ii-R": (_T2,),
               "iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
@@ -287,16 +277,12 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
     or None where the entry holds.
 
     One pass over the decisions: for each u, every still-open entry runs its
-    row tests in ``_ROW_TESTS`` order, on rows of ``_Rows`` built at most
-    once.  An entry leaves the pass at its first witness, so that witness is
-    the one the entry finds alone; the L half of item (ii) takes its R half
-    along.  The rows are raw rows of doubles: their values are the ones
-    ``conjugate``, ``reverse_conjugate`` and the two transforms give, bit
-    for bit, since those are the same kernel calls behind a domain check.
-    ``_mismatch`` then compares each pair of rows at C speed first: exact
-    equality implies ``approx_eq`` and ``approx_le`` at every tol >= 0
-    (signed zeros compare equal and no entry is NaN), so only the entries
-    that differ are scanned, and the first witness is the same."""
+    row tests in ``_ROW_TESTS`` order on one ``_Rows``.  An entry leaves the
+    pass at its first witness, so that witness is the one the entry finds
+    alone; the L half of item (ii) takes its R half along.  The rows hold
+    the values ``conjugate``, ``reverse_conjugate`` and the sup-transform
+    give, bit for bit: they are the same kernel calls behind a domain
+    check."""
     found = dict.fromkeys(entries)
     open_entries = list(entries)
     labels = {"x": c.primal.labels, "y": c.dual.labels}
@@ -307,13 +293,19 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
                 continue
             item = "ii" if entry in _ITEM_II else entry
             for side, have, want, holds, text in _ROW_TESTS[entry]:
-                w = _mismatch(item, u, side, labels[side], getattr(rows, have),
-                              getattr(rows, want), tol, text, holds)
-                if w is not None:
-                    found[entry] = w
-                    closed = _ITEM_II if entry == "ii-L" else (entry,)
-                    open_entries = [e for e in open_entries if e not in closed]
-                    break
+                have, want = getattr(rows, have), getattr(rows, want)
+                k = _mismatch(have, want, tol, holds)
+                if k is None:
+                    continue
+                a, b = have[k], want[k]
+                if entry == "ii-L":  # compared as E1, shown as L and the inf-transform
+                    a, b = rows.l[k], rows.inf_transform(k)
+                lab = labels[side][k]  # of X or of Y by side: the two may share labels
+                x, y = (lab, None) if side == "x" else (None, lab)
+                found[entry] = Witness(item, u, x, y, text.format(u=u, lab=lab, a=a, b=b))
+                closed = _ITEM_II if entry == "ii-L" else (entry,)
+                open_entries = [e for e in open_entries if e not in closed]
+                break
         if not open_entries:
             break
     return found

@@ -225,6 +225,38 @@ def test_check_couple_combined_file(problems_dir, capsys):
     assert "verdict:" in out and "couple" in out
 
 
+@pytest.mark.parametrize("files", [["e1.json", "e1_lagrangian.json"], ["quoted.json"]],
+                         ids=["e1-pair", "quoted-labels"])
+def test_check_couple_csv_witnesses_read_back(problems_dir, tmp_path, capsys, files):
+    # each witness is one csv row, witness,item,u,x,y,description, with an
+    # empty field for a missing label, so csv.reader reads back the
+    # witnesses of the structured format; quoted.json is the E1 couple with
+    # L(u0,y0) raised, over labels that hold a comma or a quote
+    import csv
+
+    if files == ["quoted.json"]:
+        labels = ["a,b", 'q"1']
+        (tmp_path / "quoted.json").write_text(json.dumps({
+            "sets": {"U": labels, "X": labels, "Y": labels},
+            "coupling": [[0.0, 0.0], [1.0, 2.0]],
+            "rockafellian": [[2.0, 3.0], [0.0, 2.0]],
+            "lagrangian": [[3.0, 1.0], [0.0, 0.0]],
+        }))
+        paths = [str(tmp_path / "quoted.json")]
+    else:
+        paths = [str(problems_dir / name) for name in files]
+    code, out, _ = run_cli(capsys, "check-couple", *paths, "--format", "structured")
+    assert code == 1
+    want = [["witness", w["item"], *("" if w[k] is None else w[k] for k in "uxy"),
+             w["description"]] for w in json.loads(out)["witnesses"]]
+    assert len(want) == 5 + (files == ["quoted.json"])
+    code, out, _ = run_cli(capsys, "check-couple", *paths, "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[-len(want):] == want
+    assert all(len(row) == 2 for row in rows[:-len(want)])
+
+
 def test_check_couple_two_files_not_a_couple(problems_dir, capsys):
     code, out, _ = run_cli(capsys, "check-couple", str(problems_dir / "e1.json"),
                            str(problems_dir / "e1_lagrangian.json"))
@@ -378,7 +410,7 @@ def test_fuzz_sign_flip_writes_reproduction(capsys, tmp_path, monkeypatch):
 
 
 def test_fuzz_off_grid_family_is_named_in_report_and_reproduction(capsys, tmp_path):
-    # wide entries break identities by rounding at seed 7 (ROADMAP item 1)
+    # wide entries break identities by rounding at seed 7 (ROADMAP item 2)
     args = ("fuzz", "--count", "20", "--seed", "7", "--values", "wide",
             "--output", str(tmp_path))
     code, out, _ = run_cli(capsys, *args)

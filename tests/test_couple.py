@@ -37,6 +37,8 @@ from gendual import (
     young_check,
 )
 
+from gendual.fuzz import VALUE_FAMILIES
+
 import bruteforce as bf
 
 INF = math.inf
@@ -542,14 +544,16 @@ def test_items_name_their_own_first_witness_rows():
 
 @pytest.fixture
 def count_conjugate_rows(monkeypatch):
-    """Counts the calls the row items make to ``conjugate_row``."""
+    """Records the view of each call the row items make to
+    ``conjugate_row``: ``c.sorted_cols`` for a sigma row, ``c.sorted_rows``
+    for a rho row."""
     import gendual.couple as couple
 
     calls = []
     kernel = couple.conjugate_row
 
     def counted(neg_f, view):
-        calls.append(1)
+        calls.append(view)
         return kernel(neg_f, view)
 
     monkeypatch.setattr(couple, "conjugate_row", counted)
@@ -587,13 +591,15 @@ def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conju
 
 @pytest.fixture
 def count_kernel_calls(monkeypatch):
-    """Counts the product-kernel calls of ``couple`` and ``conjugacy``, as
-    (kernel name, number of rows), wherever either module binds a kernel."""
+    """Counts the product-kernel calls of ``couple``, ``conjugacy`` and
+    ``duality``, as (kernel name, number of rows), wherever one of these
+    modules binds a kernel."""
     import gendual.conjugacy as conjugacy
     import gendual.couple as couple
+    import gendual.duality as duality
 
     calls = []
-    for module in (couple, conjugacy):
+    for module in (couple, conjugacy, duality):
         for name in ("inf_product", "sup_product"):
             if hasattr(module, name):
                 def counted(a_rows, view, kernel=getattr(module, name), name=name):
@@ -603,29 +609,38 @@ def count_kernel_calls(monkeypatch):
     return calls
 
 
+def _views(calls, c):
+    """The kind of each recorded ``conjugate_row`` call on ``c``."""
+    return ["sigma" if view is c.sorted_cols else "rho" for view in calls]
+
+
 def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
         problems_dir, count_kernel_calls, count_conjugate_rows):
-    # item (ii)'s sup-transform row of u is rho_u: alone, item (ii) makes
-    # |U| one-row inf_product calls and then |U| sup_product calls, while a
-    # passing audit adds none to the conjugate rows of the row pass
-    inf, sup = ("inf_product", 1), ("sup_product", 1)
+    # item (ii) compares the rows of E1 and E2: alone, it makes |U| sigma
+    # rows and then |U| rho rows, while a passing audit adds none to the
+    # conjugate rows of the row pass and makes no inf_product call
+    import gendual.couple as couple
+
+    assert not hasattr(couple, "inf_product")
+    sup = ("sup_product", 1)
     problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
     e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
     for lag, r, c in (e1, _canonical_couple(8, seed=8)):
         n = len(lag.decisions)
         count_kernel_calls.clear()
+        count_conjugate_rows.clear()
         assert check_item_ii(lag, r, c)
-        assert count_kernel_calls == [inf] * n + [sup] * n
+        assert count_kernel_calls == [sup] * (2 * n)
+        assert _views(count_conjugate_rows, c) == ["sigma"] * n + ["rho"] * n
         count_kernel_calls.clear()
         count_conjugate_rows.clear()
         assert audit(lag, r, c).is_couple
-        assert count_kernel_calls.count(inf) == n
-        assert count_kernel_calls.count(sup) == len(count_conjugate_rows)
+        assert count_kernel_calls == [sup] * len(count_conjugate_rows)
     # only the 5 conjugate rows that test_each_conjugate_row_is_built_once_
-    # per_decision counts, where item (ii) alone would add |U| = 2
+    # per_decision counts
     count_kernel_calls.clear()
     assert audit(*e1).is_couple
-    assert count_kernel_calls.count(sup) == 5
+    assert count_kernel_calls == [sup] * 5
 
 
 def test_biconjugate_is_reused_only_from_identical_bits():
@@ -643,8 +658,8 @@ def test_biconjugate_is_reused_only_from_identical_bits():
             if w.item in ("ii", "iii", "iv", "v")] == want
 
 
-def test_item_ii_stops_at_the_first_witness_row(count_kernel_calls):
-    # L changed in row u0: item (ii) transforms that one row of R and stops
+def test_item_ii_stops_at_the_first_witness_row(count_kernel_calls, count_conjugate_rows):
+    # L changed in row u0: item (ii) builds that one sigma row and stops
     lag, r, c = _canonical_couple(8, seed=8)
     rows = [list(row) for row in lag.rows]
     j = next(j for j, v in enumerate(rows[0]) if math.isfinite(v))
@@ -653,8 +668,10 @@ def test_item_ii_stops_at_the_first_witness_row(count_kernel_calls):
     want = [w for w in _reference_item_witnesses(lag, r, c, DEFAULT_TOL) if w[0] == "ii"]
     assert want[0][1:4] == ("u0", None, f"y{j}")
     count_kernel_calls.clear()
+    count_conjugate_rows.clear()
     assert not check_item_ii(lag, r, c)
-    assert count_kernel_calls == [("inf_product", 1)]
+    assert count_kernel_calls == [("sup_product", 1)]
+    assert _views(count_conjugate_rows, c) == ["sigma"]
     assert [(w.item, w.u, w.x, w.y, w.description)
             for w in audit(lag, r, c).witnesses if w.item == "ii"] == want
 
@@ -683,6 +700,82 @@ def test_item_ii_names_an_l_witness_after_an_r_witness():
     assert [(w.item, w.u, w.x, w.y, w.description)
             for w in audit(lag, raised, c).witnesses if w.item == "ii"] == want
     assert not check_item_ii(lag, raised, c)
+
+
+@st.composite
+def transform_row_instance(draw):
+    """(R_u, c, L_u) for one decision, up to 6 a side: entries from one fuzz
+    value family, each replaced by an infinity or a signed zero a quarter of
+    the time; R_u is sometimes a column of c, so that sums R(u,x) - c(x,y)
+    tie at signed zeros.  L_u mixes the inf-transform row, entries a few ulps or
+    about 1e-9 away, and fresh draws."""
+    family = VALUE_FAMILIES[draw(st.sampled_from(sorted(VALUE_FAMILIES)))]
+    rng = draw(st.randoms(use_true_random=False))
+    special = st.sampled_from([-INF, INF, 0.0, -0.0])
+
+    def entry():
+        return draw(special) if draw(st.integers(0, 3)) == 0 else float(family(rng))
+
+    nx, ny = (draw(st.integers(min_value=1, max_value=6)) for _ in range(2))
+    c_rows = [[entry() for _ in range(ny)] for _ in range(nx)]
+    if draw(st.booleans()):
+        # a column of c, each entry v as v or as -(-v + 0.0), which is -0.0
+        # for v = 0.0: the column's sums R(u,x) - c(x,y) tie at both zeros
+        y = draw(st.integers(0, ny - 1))
+        r_u = [draw(st.sampled_from([row[y], -(-row[y] + 0.0)])) for row in c_rows]
+    else:
+        r_u = [entry() for _ in range(nx)]
+    row = bf.lagrangian(c_rows, [r_u])[0]
+    l_u = []
+    for v in row:
+        kind = draw(st.sampled_from(["same", "ulp", "1e-9", "fresh"]))
+        if kind == "ulp":
+            v = math.nextafter(v, draw(st.sampled_from([-INF, INF])))
+        elif kind == "1e-9":
+            v += draw(st.sampled_from([-1.5e-9, -1e-9, 5e-10, 1e-9, 1.5e-9]))
+        elif kind == "fresh":
+            v = entry()
+        l_u.append(v)
+    return r_u, c_rows, l_u
+
+
+@example(([0.0], [[0.0]], [0.0]))
+@given(transform_row_instance())
+@settings(max_examples=300, deadline=None)
+def test_inf_transform_row_is_negated_sigma(data):
+    # item (ii)'s L half runs as E1 on this identity: the inf-transform row
+    # of R_u is -sigma_u in value, approx_eq gives the same verdicts either
+    # way, and the one entry a witness rebuilds is the kernel's bit for bit
+    from gendual.conjugacy import conjugate_row
+    from gendual.couple import _Rows
+    from gendual.extreal import inf_product
+
+    r_u, c_rows, l_u = data
+    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
+    Y = FiniteSet([f"y{i}" for i in range(len(c_rows[0]))])
+    c = Coupling(X, Y, c_rows)
+    row = inf_product((r_u,), c.sorted_cols)[0]
+    sigma = conjugate_row([-v for v in r_u], c.sorted_cols)
+    assert row == [-v for v in sigma]
+    for tol in (0.0, 1e-9):
+        assert ([approx_eq(a, b, tol) for a, b in zip(l_u, row)]
+                == [approx_eq(-a, b, tol) for a, b in zip(l_u, sigma)])
+    rows = _Rows(l_u, r_u, c)
+    assert [rows.inf_transform(j).hex() for j in range(len(Y))] == [v.hex() for v in row]
+
+
+def test_inf_transform_row_and_negated_sigma_differ_in_a_zero():
+    # R_u = [0.0], c = [[0.0]]: the inf-transform sums 0.0 - 0.0 = +0.0,
+    # sigma_u sums 0.0 + (-0.0) = +0.0, so -sigma_u is -0.0; the witness
+    # entry keeps the kernel's +0.0
+    from gendual.conjugacy import conjugate_row
+    from gendual.couple import _Rows
+    from gendual.extreal import inf_product
+
+    c = Coupling(FiniteSet(["x0"]), FiniteSet(["y0"]), [[0.0]])
+    assert inf_product(([0.0],), c.sorted_cols)[0][0].hex() == "0x0.0p+0"
+    assert (-conjugate_row([-0.0], c.sorted_cols)[0]).hex() == "-0x0.0p+0"
+    assert _Rows([0.0], [0.0], c).inf_transform(0).hex() == "0x0.0p+0"
 
 
 @st.composite

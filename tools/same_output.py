@@ -25,7 +25,10 @@ against each tree, in a fresh interpreter with that tree first on
     in a middle row (the ``raise`` step below), so that minimality and
     row-item witnesses beyond the first decision are compared, and with an
     entry of R raised in row n/4 and one of L in row 3n/4, so that item
-    (ii)'s R half can fail at an earlier decision than its L half;
+    (ii)'s R half can fail at an earlier decision than its L half, and at
+    n = 4 on the signed-zero couple with an L entry of 0 raised, so that an
+    item (ii) witness prints an inf-transform entry 0.0 whose negated
+    conjugate entry is -0.0;
   - malformed variants of a gallery file, one fault each;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
@@ -132,15 +135,15 @@ def _audits(*files):
             for tol in ((), ("--tol", "0")) for fmt in FORMATS]
 
 
-def raise_entry(src, dst, table, row):
+def raise_entry(src, dst, table, row, zero=""):
     """Copy the problem file ``src`` to ``dst`` with one entry of ``table``
-    raised: the first entry below +inf from row ``row`` on, a finite one by
-    1 and -inf to 0."""
+    raised: the first entry below +inf from row ``row`` on, or with
+    ``zero`` the first entry that is 0, a finite one by 1 and -inf to 0."""
     doc = json.loads(Path(src).read_text(encoding="utf-8"))
     rows = doc[table]
     for row in rows[int(row):]:
         for j, v in enumerate(row):
-            if v != "inf":
+            if v != "inf" and (not zero or v == 0):
                 row[j] = 0.0 if v == "-inf" else v + 1.0
                 Path(dst).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
                 return
@@ -217,6 +220,13 @@ def write_inputs(root):
                              for key, row in (("rockafellian", n // 4),
                                               ("lagrangian", 3 * n // 4))]
                 commands += _audits(both["rockafellian"], both["lagrangian"])
+            if family == "signed_zero" and n == SIZES[0]:
+                # the first L entry of 0 raised: item (ii)'s witness prints
+                # its inf-transform entry 0.0, where -(R_u)^c is -0.0
+                zero = f"out/{family}{n}l1_zero.json"
+                commands.append(["raise", f"out/{family}{n}l1.json", zero, "lagrangian",
+                                 "0", "zero"])
+                commands += _audits(f"out/{family}{n}r1.json", zero)
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
