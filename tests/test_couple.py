@@ -707,8 +707,8 @@ def transform_row_instance(draw):
     """(R_u, c, L_u) for one decision, up to 6 a side: entries from one fuzz
     value family, each replaced by an infinity or a signed zero a quarter of
     the time; R_u is sometimes a column of c, so that sums R(u,x) - c(x,y)
-    tie at signed zeros.  L_u mixes the inf-transform row, entries a few ulps or
-    about 1e-9 away, and fresh draws."""
+    tie at signed zeros.  L_u mixes entries of the inf-transform row,
+    entries one ulp or about 1e-9 away from them, and fresh draws."""
     family = VALUE_FAMILIES[draw(st.sampled_from(sorted(VALUE_FAMILIES)))]
     rng = draw(st.randoms(use_true_random=False))
     special = st.sampled_from([-INF, INF, 0.0, -0.0])
