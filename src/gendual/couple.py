@@ -24,26 +24,23 @@ The minimality of item (i) and items (ii)-(v) are row tests.  One pass
 over the decisions builds, for each u, sigma_u = (R_u)^c,
 rho_u = (-L_u)^{c'} and their biconjugates at most once each, through
 ``conjugacy.conjugate_row``, and runs every still-open test on them.  A
-biconjugate whose argument is a row already held bit for bit is not
-rebuilt, so wherever item (iii) holds exactly a decision costs two
-conjugate rows, not four.  Each test names the first entry where its two
-rows fail ``approx_eq`` (or ``approx_le``).
+biconjugate whose argument is a row already held is not rebuilt (no row
+holds -0.0, so rows equal in value are the same doubles), so wherever
+item (iii) holds exactly a decision costs two conjugate rows, not four.
+Each test names the first entry where its two rows fail ``approx_eq`` (or
+``approx_le``).
 
 In IEEE arithmetic items (ii) and (iii) are one comparison.  Item (ii)'s
 R half compares R_u with the sup-transform row, which is rho_u bit for bit
 (the same kernel call), so it is E2.  Its L half compares L_u with the
-inf-transform row inf_x [R(u,x) upper-add -c(x,y)], which is -sigma_u in
-value: negation is exact, rounding is sign-symmetric, and the two Moreau
-additions send the opposite-infinity pair to opposite infinities, so each
-sum R(u,x) - c(x,y) is the negation of the sum c(x,y) - R(u,x) of sigma_u.
-``approx_eq`` is sign-symmetric too, so the L half runs as E1, with the
-same verdict and first y; only its witness text rebuilds the one
-inf-transform entry, whose zero can differ in sign from -sigma_u's.  An L
-witness at any u comes before every R witness.  So ``items_agree``, the
-audit's alarm for disagreeing verdicts among (ii)-(v), cannot separate
-(ii) from (iii), and (iv) and (v) read the same rows: the independent
-check is the brute-force reference in ``tests/bruteforce.py``, which
-shares no code with the package.
+inf-transform row, which ``lagrangian_of`` computes as 0.0 - sigma_u, so it
+is E1 with both rows negated.  ``approx_eq`` is sign-symmetric, so the L
+half runs as E1, with the same verdict and first y, and its witness prints
+L(u,y) and 0.0 - sigma_u(y).  An L witness at any u comes before every R
+witness.  So ``items_agree``, the audit's alarm for disagreeing verdicts
+among (ii)-(v), cannot separate (ii) from (iii), and (iv) and (v) read the
+same rows: the independent check is the brute-force reference in
+``tests/bruteforce.py``, which shares no code with the package.
 
 Minimality is decided exactly, from least feasible values.  Given L, the
 least value R(u, x) may take with the inequality intact is
@@ -69,7 +66,6 @@ the same.  Minimality is not tested when the inequality fails.
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
 from itertools import compress
 from operator import ne
@@ -174,9 +170,9 @@ def inequality_holds(
 def _mismatch(have, want, tol, holds) -> int | None:
     """Index of the first entry where ``holds(have[k], want[k], tol)``
     fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``.  Lists
-    equal entry for entry pass both at every tol >= 0 (signed zeros compare
-    equal and no entry is NaN), so they are done in one C-level test, and
-    of the others only the entries that differ are scanned."""
+    equal entry for entry pass both at every tol >= 0 (no entry is NaN), so
+    they are done in one C-level test, and of the others only the entries
+    that differ are scanned."""
     if have == want:
         return None
     for k in compress(range(len(have)), map(ne, have, want)):
@@ -186,15 +182,7 @@ def _mismatch(have, want, tol, holds) -> int | None:
 
 
 def _negated(row) -> list[float]:
-    return [-v for v in row]
-
-
-def _same_bits(a, b) -> bool:
-    """True iff the rows hold the same doubles bit for bit.  ``==`` alone
-    does not tell -0.0 from 0.0, and equal rows differ in bits only there,
-    so only equal rows holding a zero are compared as bytes."""
-    return a == b and (
-        0.0 not in a or array("d", a).tobytes() == array("d", b).tobytes())
+    return [0.0 - v for v in row]
 
 
 class _Rows:
@@ -203,15 +191,13 @@ class _Rows:
     ``r`` are L_u and R_u.  ``conjugate_row`` takes the negated function,
     so rho_u = (-L_u)^c' is conjugate_row(L_u), which is also the
     sup-transform row ``rockafellian_of`` gives, bit for bit.  The
-    inf-transform row is -sigma_u in value (see the module docstring) and
-    is not built; ``inf_transform`` rebuilds one entry for a witness.
+    inf-transform row is 0.0 - sigma_u (see the module docstring) and is
+    not built.
 
-    A biconjugate is not rebuilt when its argument is a row already held
-    bit for bit: (R_u)^{cc'} is rho_u where sigma_u is -L_u, and
-    (-L_u)^{c'c} is sigma_u where rho_u is R_u.  Equal as values is not
-    enough: where R(u,x) - c(x,y) is exactly 0 the inf-transform gives
-    L = +0.0, so -L_u holds -0.0 where sigma_u holds +0.0, and the
-    biconjugate, which can differ in the sign of a zero, is then built."""
+    A biconjugate is not rebuilt when its argument is a row already held:
+    (R_u)^{cc'} is rho_u where sigma_u is -L_u, and (-L_u)^{c'c} is sigma_u
+    where rho_u is R_u.  No row holds -0.0, so rows equal in value are the
+    same doubles and give the same conjugate bit for bit."""
 
     def __init__(self, l_row, r_row, c):
         self.l, self.r, self.c = list(l_row), list(r_row), c
@@ -230,21 +216,15 @@ class _Rows:
 
     @lazy
     def r_bi(self):  # (R_u)^{cc'}
-        if _same_bits(self.sigma, self.nl):
+        if self.sigma == self.nl:
             return self.rho
         return conjugate_row(_negated(self.sigma), self.c.sorted_rows)
 
     @lazy
     def nl_bi(self):  # (-L_u)^{c'c}
-        if _same_bits(self.rho, self.r):
+        if self.rho == self.r:
             return self.sigma
         return conjugate_row(_negated(self.rho), self.c.sorted_cols)
-
-    def inf_transform(self, j):
-        """Entry j of the inf-transform row of R_u, bit for bit as
-        ``lagrangian_of`` gives it: R(u,x) upper-add -c(x,y) at the first
-        minimizer x, since x - y and x + (-y) are one IEEE operation."""
-        return min(map(upp_add, self.r, _negated(self.c.cols[j])))
 
 
 # The row tests of items (i)-(v), each stated once: the side of the row's
@@ -254,7 +234,8 @@ class _Rows:
 # value.  Item (ii) is two entries, its L half T1 and its R half T2: an L
 # witness at any u comes before every R witness, so it closes the R half.
 # T1 compares the rows of E1 (see the module docstring); its witness names
-# L(u,y) and the inf-transform entry instead of -L(u,y) and sigma_u(y).
+# L(u,y) and the inf-transform entry 0.0 - sigma_u(y) instead of -L(u,y)
+# and sigma_u(y).
 _E1 = ("y", "nl", "sigma", approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
 _E2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
 _E3 = ("x", "r", "r_bi", approx_eq,
@@ -299,7 +280,7 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
                     continue
                 a, b = have[k], want[k]
                 if entry == "ii-L":  # compared as E1, shown as L and the inf-transform
-                    a, b = rows.l[k], rows.inf_transform(k)
+                    a, b = rows.l[k], 0.0 - b
                 lab = labels[side][k]  # of X or of Y by side: the two may share labels
                 x, y = (lab, None) if side == "x" else (None, lab)
                 found[entry] = Witness(item, u, x, y, text.format(u=u, lab=lab, a=a, b=b))

@@ -21,8 +21,12 @@ value phi(x) against the dual value sup_y [c(x, y) lower-add psi(y)]; the
 dual value never exceeds the primal one.
 
 Both transforms and the dual value are products of the Moreau product kernel
-in ``extreal``; phi and psi are column minima.  All of them are plain
-non-NaN doubles, built without a second check (see ``spaces``).
+in ``extreal``; phi and psi are column minima.  The Lagrangian is the
+negated product 0.0 - sup_x [-R(u,x) lower-add c(x,y)], which is the
+inf-transform exactly (see ``extreal``).  All of them are plain doubles,
+never NaN and never -0.0, built without a second check (see ``spaces``).
+So -psi = phi^c holds bit for bit, and the report takes psi as
+0.0 - phi^c: one conjugate row, not the whole Lagrangian.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .extreal import (
     ExtReal,
     approx_eq,
     approx_le,
-    inf_product,
     sup_product,
 )
 from .spaces import Coupling, Lagrangian, Rockafellian, SetFunction
@@ -50,14 +53,20 @@ __all__ = [
     "weak_duality_report",
 ]
 
+
+def _negated(row) -> tuple[float, ...]:
+    """The row negated as 0.0 - v, which keeps 0.0 (see ``extreal``)."""
+    return tuple([0.0 - v for v in row])
+
+
 def lagrangian_of(r: Rockafellian, c: Coupling) -> Lagrangian:
     """Lagrangian of a Rockafellian: L(u,y) = inf_x [R(u,x) upper-add -c(x,y)]."""
     if r.primal != c.primal:
         raise DomainMismatchError(
             "lagrangian_of: Rockafellian primal set differs from the coupling's"
         )
-    rows = inf_product(r.rows, c.sorted_cols)
-    return Lagrangian._unchecked(r.decisions, c.dual, tuple(map(tuple, rows)))
+    rows = sup_product([[-v for v in row] for row in r.rows], c.sorted_cols)
+    return Lagrangian._unchecked(r.decisions, c.dual, tuple(map(_negated, rows)))
 
 
 def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
@@ -102,20 +111,21 @@ def weak_duality_report(
 ) -> WeakDualityReport:
     """Evaluate weak duality at ``base_point``.
 
-    primal = phi(base_point); dual = sup_y [c(base_point, y) lower-add psi(y)].
-    The dual value can never exceed the primal one; a violation means a
-    broken arithmetic kernel or rounding at large magnitudes, and raises
-    ArithmeticError instead of reporting.
+    primal = phi(base_point); dual = sup_y [c(base_point, y) lower-add psi(y)],
+    with psi = 0.0 - phi^c, the dual function of ``lagrangian_of(r, c)`` bit
+    for bit, in O(|U||X| + |X||Y|).  The dual value can never exceed the
+    primal one; a violation means a broken arithmetic kernel or rounding at
+    large magnitudes, and raises ArithmeticError instead of reporting.
     """
     if r.primal != c.primal:
         raise DomainMismatchError(
             "weak_duality_report: Rockafellian primal set differs from the coupling's"
         )
     ix = c.primal.index(base_point)
-    phi = perturbation_function(r)
-    psi = dual_function(lagrangian_of(r, c))
-    dual = ExtReal(sup_product([psi.values], [c.sorted_rows[ix]])[0][0])
-    primal = ExtReal(phi.values[ix])
+    phi = perturbation_function(r).values
+    psi = _negated(sup_product(([-v for v in phi],), c.sorted_cols)[0])
+    dual = ExtReal(sup_product([psi], [c.sorted_rows[ix]])[0][0])
+    primal = ExtReal(phi[ix])
     if not approx_le(dual, primal, tol):
         raise ArithmeticError(
             f"weak duality violated at {base_point!r}: dual {dual} > primal {primal}"

@@ -12,24 +12,31 @@ each Moreau addition is one IEEE ``+`` with that NaN mapped to its
 infinity, and a finite sum that overflows lands on the infinity of its
 sign.
 
+The extended reals have one zero and IEEE doubles have two, so the package
+keeps one: no table entry, function value or scalar it holds is -0.0.
+Every value that enters is read with -0.0 as 0.0 (``ExtReal``,
+``as_extreal``, ``parse_extreal``, ``spaces`` and ``problems``), and every
+negation of a held value is ``0.0 - v``, which is -v except at zero.  An
+IEEE sum is -0.0 only when both terms are, and no coupling entry is -0.0,
+so no kernel result is -0.0 either, whatever the zeros of the kernel's
+other operand: two equal results are the same double.
+
 The conjugates, the transforms and the dual value all go through one
 kernel: ``sup_product``, the max-plus matrix product under the lower
-addition, and its min-plus mirror ``inf_product`` under the upper one,
-which subtracts the coupling's entries instead of adding them.  One side
-of the product is always a coupling, read through its ``descending`` view:
-per line, the indices of the entries above -inf, largest entry first.  A
-scan visits k in that order and stops once max(a) + c[k] (min(a) - c[k])
-cannot beat the best sum so far, so a row of -inf (+inf), an empty
+addition.  An infimum under the upper addition is its negation: the
+Lagrangian's inf_x [R(u,x) upper-add -c(x,y)] is 0.0 - sup_x [-R(u,x)
+lower-add c(x,y)], exactly, since negation is exact, rounding is
+sign-symmetric and the two additions send the opposite-infinity pair to
+opposite infinities.  One side of the product is always a coupling, read
+through its ``descending`` view: per line, the indices of the entries above
+-inf, largest entry first.  A scan visits k in that order and stops once
+max(a) + c[k] cannot beat the best sum so far, so a row of -inf, an empty
 domain, costs no scan at all, and the coupling's -inf entries are never
-visited.  The kernel is exact, signed zeros included, and returns plain
-doubles that are never NaN:
+visited.  The kernel is exact and returns plain doubles that are never NaN:
   - an IEEE sum is NaN only for the opposite-infinity pair, which the
-    comparisons never select, just as the -inf (+inf) that the lower
-    (upper) addition gives it never wins a sup (inf);
-  - IEEE rounding is monotone, so no sum after the stop could even tie;
-  - a tie replaces the best sum only from a lower index, so the result is
-    the sum at the first optimizer in index order, the value an
-    index-order scan returns.
+    comparisons never select, just as the -inf that the lower addition
+    gives it never wins a sup;
+  - IEEE rounding is monotone, so no sum after the stop could even win.
 
 Every test of an upper Moreau sum against a coupling value (the couple
 inequality and the Young check) is one scan, ``exceeds``.
@@ -55,7 +62,6 @@ __all__ = [
     "as_extreal",
     "descending",
     "exceeds",
-    "inf_product",
     "low_add",
     "neg",
     "parse_extreal",
@@ -69,7 +75,8 @@ _new = float.__new__
 
 
 class ExtReal(float):
-    """A point of [-inf, +inf]: a double that is never NaN.
+    """A point of [-inf, +inf]: a double that is never NaN, and never -0.0,
+    which the constructor reads as 0.0.
 
     Immutable, hashable, and totally ordered by the float comparisons with
     -inf < every finite value < +inf.  Arithmetic operators are the IEEE
@@ -83,7 +90,7 @@ class ExtReal(float):
         self = _new(cls, value)
         if self != self:
             raise ValueError("extended real cannot hold NaN")
-        return self
+        return self or _ZERO  # both zeros are false
 
     def __repr__(self):
         return f"ExtReal({render_extreal(self)})"
@@ -92,6 +99,7 @@ class ExtReal(float):
         return render_extreal(self)
 
 
+_ZERO = _new(ExtReal, 0.0)
 POS_INF = ExtReal(_INF)
 NEG_INF = ExtReal(-_INF)
 
@@ -104,7 +112,8 @@ def _ext(v: float) -> ExtReal:
 
 
 def as_extreal(value) -> ExtReal:
-    """Coerce an int, float, or ExtReal to ExtReal; NaN and bool are rejected."""
+    """Coerce an int, float, or ExtReal to ExtReal; NaN and bool are rejected,
+    and -0.0 is read as 0.0."""
     if isinstance(value, ExtReal):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -113,7 +122,7 @@ def as_extreal(value) -> ExtReal:
     value = _new(ExtReal, value)
     if value != value:
         raise ValueError("extended real cannot hold NaN")
-    return value
+    return value or _ZERO
 
 
 def low_add(a: ExtReal, b: ExtReal) -> ExtReal:
@@ -129,8 +138,8 @@ def upp_add(a: ExtReal, b: ExtReal) -> ExtReal:
 
 
 def neg(a: ExtReal) -> ExtReal:
-    """Negation; swaps the infinities, involutive."""
-    return _ext(-a)
+    """Negation as 0.0 - a: swaps the infinities, keeps 0.0, involutive."""
+    return _ext(0.0 - a)
 
 
 def descending(lines) -> tuple:
@@ -138,7 +147,7 @@ def descending(lines) -> tuple:
     the pair (b, order), where order lists the k with b[k] > -inf by
     descending b[k], ties in index order.  It holds indices and the line
     itself, no copied values; the -inf entries are left out because their
-    terms can never win a sup (inf) of ``sup_product`` (``inf_product``)."""
+    terms can never win a sup of ``sup_product``."""
     view = []
     for b in lines:
         order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
@@ -153,10 +162,9 @@ def sup_product(a_rows, view) -> list[list[float]]:
     (b_j, order) of a ``descending`` view.
 
     Each scan visits k in the view's order and stops once the bound
-    max(a) + b_j[k] is below the best sum so far, or at +inf; a row a that
-    is -inf everywhere gives -inf without a scan.  An equal sum replaces
-    the best one only from a lower k, so ties keep the first maximizer in
-    index order.  The module docstring says why the result is exact."""
+    max(a) + b_j[k] is at most the best sum so far, or at +inf; a row a that
+    is -inf everywhere gives -inf without a scan.  The module docstring
+    says why the result is exact."""
     out = []
     for a in a_rows:
         top = max(a)
@@ -166,51 +174,14 @@ def sup_product(a_rows, view) -> list[list[float]]:
         row = []
         for b, order in view:
             best = -_INF
-            first = -1
             for k in order:
                 v = b[k]
-                if top + v < best:
+                if top + v <= best:
                     break
                 s = a[k] + v
-                if s >= best and (s > best or k < first):
+                if s > best:
                     best = s
-                    first = k
                     if s == _INF:
-                        break
-            row.append(best)
-        out.append(row)
-    return out
-
-
-def inf_product(a_rows, view) -> list[list[float]]:
-    """P[i][j] = inf_k a_rows[i][k] (upper-add) -b_j[k], over the lines
-    (b_j, order) of a ``descending`` view: the mirror of ``sup_product``.
-
-    Each sum is computed as a[k] - b_j[k], which IEEE arithmetic defines as
-    a[k] + (-b_j[k]), signed zeros included.  Each scan visits k in the
-    view's order, where -b_j[k] ascends, and stops once the bound
-    min(a) - b_j[k] is above the best sum so far, or at -inf; a row a that
-    is +inf everywhere gives +inf without a scan.  Ties keep the first
-    minimizer in index order."""
-    out = []
-    for a in a_rows:
-        low = min(a)
-        if low == _INF:
-            out.append([_INF] * len(view))
-            continue
-        row = []
-        for b, order in view:
-            best = _INF
-            first = -1
-            for k in order:
-                v = b[k]
-                if low - v > best:
-                    break
-                s = a[k] - v
-                if s <= best and (s < best or k < first):
-                    best = s
-                    first = k
-                    if s == -_INF:
                         break
             row.append(best)
         out.append(row)
@@ -261,9 +232,10 @@ _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
 
 def parse_extreal(text: str) -> ExtReal:
-    """Parse 'inf', '-inf', or a decimal literal within the double range.
-    Strict: 'Inf', 'nan', hex floats, underscore separators and literals
-    that overflow to an infinity are all rejected."""
+    """Parse 'inf', '-inf', or a decimal literal within the double range,
+    -0.0 read as 0.0 (see ``ExtReal``).  Strict: 'Inf', 'nan', hex floats,
+    underscore separators and literals that overflow to an infinity are all
+    rejected."""
     if text == "inf":
         return POS_INF
     if text == "-inf":

@@ -4,7 +4,10 @@ A problem file carries the three label sets, a coupling (either an explicit
 table over X x Y or a bilinear embedding of the labels into real vectors),
 exactly one of a Rockafellian or a Lagrangian table, and optionally a base
 point and a free-text comment.  Infinities are spelled as the strings "inf"
-and "-inf"; every other entry must be a plain JSON number.  Serialization is
+and "-inf"; every other entry must be a plain JSON number.  A number that
+reads as -0.0 (a literal -0.0, or a negative one that underflows, such as
+-1e-400) is read as 0.0, in table entries and embedding coordinates alike,
+so that the package holds one zero (see ``extreal``).  Serialization is
 canonical (fixed key order, two-space indent, floats everywhere), so files
 written by this module round-trip byte-identically.
 
@@ -20,6 +23,8 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from itertools import repeat
+from operator import is_
 
 from json.encoder import encode_basestring_ascii as _string
 
@@ -123,9 +128,10 @@ def read_text(path) -> str:
 
 
 def _double(raw) -> float | None:
-    """A JSON number as a double, or None beyond the double range."""
+    """A JSON number as a double, -0.0 read as 0.0, or None beyond the
+    double range."""
     try:
-        value = float(raw)
+        value = float(raw) + 0.0
     except OverflowError:  # an integer literal too large for a double
         return None
     return value if math.isfinite(value) else None
@@ -141,17 +147,24 @@ def finite_number(raw, where: str) -> float:
 
 
 _INF = math.inf
-_WORDS = {"inf": _INF, "-inf": -_INF}
+# the words to their infinities, and both zeros to 0.0: -0.0 hashes and
+# compares like 0.0, and so do the int 0 and False
+_WORDS = {"inf": _INF, "-inf": -_INF, 0.0: 0.0}
 _FLOAT = frozenset((float,))
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _row(raw_row: list) -> tuple[float, ...] | None:
+def _row(raw_row: list, falses: bool) -> tuple[float, ...] | None:
     """A JSON row as doubles, or None if some entry is neither a number
-    within the double range nor "inf"/"-inf".  One C-level pass each: the
-    words to their infinities, the types, the conversion (none if all are
-    floats), and a scan for infinities that were not words.  Each word maps
-    to one shared float, so a parsed infinity costs no object of its own."""
+    within the double range nor "inf"/"-inf".  One C-level pass each: a
+    scan for ``false`` if the file text holds the word (``falses``), the
+    lookup of the words and zeros in ``_WORDS``, the types, the conversion
+    (none if all are floats), and a scan for infinities that were not
+    words.  Each word and each zero maps to one shared float, so a parsed
+    infinity or zero costs no object of its own, and -0.0 is read as 0.0
+    without a pass of its own."""
+    if falses and any(map(is_, raw_row, repeat(False))):  # _WORDS reads it as 0.0
+        return None
     try:
         values = list(map(_WORDS.get, raw_row, raw_row))
     except TypeError:  # a nested array or object, which cannot be a key
@@ -192,7 +205,9 @@ def _entry(raw, name: str, i: int, j: int) -> float:
     )
 
 
-def _table(raw, name: str, n_rows: int, n_cols: int) -> tuple[tuple[float, ...], ...]:
+def _table(
+    raw, name: str, n_rows: int, n_cols: int, falses: bool
+) -> tuple[tuple[float, ...], ...]:
     """The rows of table ``name``, each checked once: by ``_row``, or entry
     by entry to name the first bad entry."""
     if not isinstance(raw, list) or len(raw) != n_rows:
@@ -203,7 +218,7 @@ def _table(raw, name: str, n_rows: int, n_cols: int) -> tuple[tuple[float, ...],
             raise ProblemFormatError(
                 f"{name} row {i}: expected {n_cols} entries"
             )
-        row = _row(raw_row)
+        row = _row(raw_row, falses)
         if row is None:
             row = tuple(_entry(v, name, i, j) for j, v in enumerate(raw_row))
         rows.append(row)
@@ -253,6 +268,8 @@ def parse_problem(
     """Parse problem-file text; ``allow_both`` admits combined couple files
     that carry a Rockafellian and a Lagrangian at once."""
     raw = read_json(text, source)
+    # JSON false can hide in a table only if the text holds the word
+    falses = "false" in text
     if not isinstance(raw, dict):
         raise ProblemFormatError(f"{source}: top level must be an object")
     unknown = set(raw) - set(_TOP_KEYS)
@@ -291,9 +308,8 @@ def parse_problem(
             raise ProblemFormatError(f"{source}: embedding: {exc}") from None
         embedding = {"X": [list(p) for p in xs], "Y": [list(p) for p in ys]}
     else:
-        coupling = Coupling._unchecked(
-            primal, dual, _table(raw["coupling"], "coupling", len(primal), len(dual))
-        )
+        coupling = Coupling._unchecked(primal, dual, _table(
+            raw["coupling"], "coupling", len(primal), len(dual), falses))
 
     has_r = "rockafellian" in raw
     has_l = "lagrangian" in raw
@@ -308,17 +324,11 @@ def parse_problem(
     rockafellian = None
     lagrangian = None
     if has_r:
-        rockafellian = Rockafellian._unchecked(
-            decisions,
-            primal,
-            _table(raw["rockafellian"], "rockafellian", len(decisions), len(primal)),
-        )
+        rockafellian = Rockafellian._unchecked(decisions, primal, _table(
+            raw["rockafellian"], "rockafellian", len(decisions), len(primal), falses))
     if has_l:
-        lagrangian = Lagrangian._unchecked(
-            decisions,
-            dual,
-            _table(raw["lagrangian"], "lagrangian", len(decisions), len(dual)),
-        )
+        lagrangian = Lagrangian._unchecked(decisions, dual, _table(
+            raw["lagrangian"], "lagrangian", len(decisions), len(dual), falses))
 
     base_point = raw.get("base_point")
     if base_point is not None:

@@ -8,17 +8,18 @@ domains are compared by label sequence, never coerced.
 
 Every entry of a table or function is a plain ``float`` that is never NaN,
 so CPython's float fast paths apply wherever entries are compared or added.
-An entry is checked where it enters the package, and nowhere else:
+An entry is checked where it enters the package, and nowhere else, and
+-0.0 is read there as 0.0, so that no entry is -0.0 (see ``extreal``):
 
-  - the public constructors check every row they are given, in C-level
-    passes (``_doubles``);
+  - the public constructors check every row they are given, in
+    whole-row passes (``_doubles``);
   - the problem-file parser checks each row once as it reads it, then
     builds its tables through ``_unchecked``;
   - the package's own producers build their results through ``_unchecked``
     too, since their output is plain non-NaN doubles by construction: the
     conjugates and transforms are products of the ``extreal`` kernel, which
-    never returns NaN, and the rest negate, take the min or max of, or
-    slice entries that were checked already.
+    never returns NaN or -0.0, and the rest negate (as 0.0 - v), take the
+    min or max of, or slice entries that were checked already.
 """
 
 from __future__ import annotations
@@ -122,23 +123,25 @@ class lazy:
 
 
 _FLOAT = frozenset((float,))
-_neg = float.__neg__
 _DOUBLE_TYPES = frozenset((float, int, ExtReal))
 _isnan = math.isnan
 
 
 def _doubles(values) -> tuple[float, ...]:
-    """``values`` as a tuple of plain doubles, none of them NaN: the check
-    of the public constructors, on every row given from outside the
-    package.  A row of ints, floats and ExtReals is checked in C-level
-    passes: its set of types, the conversion to float (none if all are
-    floats) and a NaN scan.  Any other row goes through ``as_extreal`` entry
-    by entry, which converts the int and float subclasses and raises its
-    TypeError or ValueError on the rest."""
+    """``values`` as a tuple of plain doubles, none of them NaN or -0.0: the
+    check of the public constructors, on every row given from outside the
+    package.  A row of ints, floats and ExtReals is checked in three
+    passes: its set of types, the conversion to float as v + 0.0, which
+    reads -0.0 as 0.0 and leaves every other double alone (only a row of
+    floats that holds a zero is converted), and a NaN scan.  Any other row
+    goes through ``as_extreal`` entry by entry, which converts the int and
+    float subclasses and raises its TypeError or ValueError on the rest."""
     values = tuple(values)
     types = set(map(type, values))
     if types <= _DOUBLE_TYPES:
-        doubles = values if types == _FLOAT else tuple(map(float, values))
+        doubles = values
+        if types != _FLOAT or 0.0 in values:
+            doubles = tuple([v + 0.0 for v in values])
         if not any(map(_isnan, doubles)):
             return doubles
     return tuple(map(float, map(as_extreal, values)))
@@ -177,8 +180,8 @@ class SetFunction:
         return zip(self.domain.labels, self.values)
 
     def negated(self) -> "SetFunction":
-        """Pointwise negation, same domain."""
-        return SetFunction._unchecked(self.domain, tuple(map(_neg, self.values)))
+        """Pointwise negation as 0.0 - v, same domain: no value is -0.0."""
+        return SetFunction._unchecked(self.domain, tuple([0.0 - v for v in self.values]))
 
     def isclose(self, other: "SetFunction", tol: float = DEFAULT_TOL) -> bool:
         """Same domain, infinities matching exactly, finite entries within tol.
@@ -411,9 +414,10 @@ def bilinear_coupling(
 
 
 def _as_vector(point) -> tuple[float, ...]:
+    """The coordinates of one point as doubles, -0.0 read as 0.0."""
     if isinstance(point, (int, float)) and not isinstance(point, bool):
-        return (float(point),)
-    return tuple(float(x) for x in point)
+        point = (point,)
+    return tuple(float(x) + 0.0 for x in point)
 
 
 def _point_label(point: tuple[float, ...]) -> str:

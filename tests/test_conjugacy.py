@@ -144,8 +144,13 @@ entry = st.one_of(
 )
 
 
-# zeros of both signs tell a direct Moreau sum from one negated twice
+# zeros of both signs, which every entry path reads as one zero
 signed_entry = st.sampled_from([-INF, INF, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5])
+
+
+def one_zero(rows):
+    """Rows with -0.0 read as 0.0, as the package reads its entries."""
+    return [[v + 0.0 for v in row] for row in rows]
 
 
 @st.composite
@@ -213,13 +218,15 @@ def same(values, want):
     assert [repr(float(v)) for v in values] == [repr(w) for w in want]
 
 
-# The tie traps of the kernel's sorted scan: visiting the coupling line in
-# descending order meets a zero sum at a later index first, and one of the
-# other sign at a lower index after it.  In the first example, column y0
-# meets -f = (-0.0, -1.0) in the sums (-0.0, 0.0), and column y1 meets the R
-# row (-1.0, -0.0) in the upper sums (0.0, -0.0); in the second, row x0
-# meets -g and the L row u1, both (-0.0, -1.0).  The first optimizer in
-# index order gives -0.0 for each sup and 0.0 for the inf.
+# The former tie traps of the kernel's sorted scan: visiting the coupling
+# line in descending order meets a zero sum at a later index first, and one
+# of the other sign at a lower index after it, had -0.0 entries been kept.
+# In the first example, column y0 meets -f = (-0.0, -1.0) against c =
+# (-0.0, 1.0), and column y1 meets the R row (-1.0, -0.0); in the second,
+# row x0 meets -g and the L row u1, both (-0.0, -1.0).  With -0.0 read as
+# 0.0, every zero sum is +0.0, so the scan order cannot decide a zero's
+# sign: each result is the oracle's on the inputs read with one zero, bit
+# for bit, and none is -0.0.
 @example(([[-0.0, -1.0], [1.0, 0.0]], [0.0, 1.0], [0.0, 0.0], [[-1.0, -0.0]],
           [[0.0, 0.0]]))
 @example(([[-0.0, 1.0]], [0.0], [0.0], [[0.0], [1.0]], [[0.0, 1.0], [-0.0, -1.0]]))
@@ -232,21 +239,22 @@ def test_signed_zeros_match_oracle(data):
     Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
     c = Coupling(X, Y, c_rows)
     r = Rockafellian(U, X, r_rows)
+    # the oracle reads the entries as the package does
+    oc, orr, ol, (of,) = one_zero(c_rows), one_zero(r_rows), one_zero(l_rows), one_zero([f_vals])
 
-    same(conjugate(SetFunction(X, f_vals), c).values, bf.conjugate(c_rows, f_vals))
-    g_vals = l_rows[0]
+    same(conjugate(SetFunction(X, f_vals), c).values, bf.conjugate(oc, of))
     same(
-        reverse_conjugate(SetFunction(Y, g_vals), c).values,
-        bf.reverse_conjugate(c_rows, g_vals),
+        reverse_conjugate(SetFunction(Y, l_rows[0]), c).values,
+        bf.reverse_conjugate(oc, ol[0]),
     )
-    for have, want in zip(lagrangian_of(r, c).rows, bf.lagrangian(c_rows, r_rows)):
+    for have, want in zip(lagrangian_of(r, c).rows, bf.lagrangian(oc, orr)):
         same(have, want)
     lag = Lagrangian(U, Y, l_rows)
-    for have, want in zip(rockafellian_of(lag, c).rows, bf.rockafellian(c_rows, l_rows)):
+    for have, want in zip(rockafellian_of(lag, c).rows, bf.rockafellian(oc, ol)):
         same(have, want)
     for ix, x in enumerate(X):
         rep = weak_duality_report(r, c, x)
-        same((rep.primal_value, rep.dual_value), bf.weak_duality(c_rows, r_rows, ix))
+        same((rep.primal_value, rep.dual_value), bf.weak_duality(oc, orr, ix))
 
 
 @st.composite
@@ -256,9 +264,10 @@ def pruned_scan_tables(draw):
     uniform fractions and 0-5% of each infinity.
 
     Most rows of R and L copy a line of c, now and then raised, so that zero
-    is the optimum of a scan and both -0.0 and 0.0 sums reach it: the tie
-    traps of a sorted scan.  v + 0.0 turns -0.0 into 0.0, and -(-v + 0.0)
-    turns 0.0 into -0.0, which fixes the sign of each zero sum below."""
+    is the optimum of a scan, reached at several indices: the ties of a
+    sorted scan.  v + 0.0 turns -0.0 into 0.0, and -(-v + 0.0) turns 0.0
+    into -0.0; the package reads both as 0.0, so every zero sum below is
+    +0.0 whichever zero the row holds."""
     # a seeded generator, not hypothesis draws: those favour small sizes and
     # simple values, where the traps are rare
     rng = draw(st.randoms(use_true_random=True))
@@ -290,10 +299,10 @@ def pruned_scan_tables(draw):
     def r_row(row):
         y = rng.randrange(ny)
         col = [line[y] for line in c_rows]
-        # conjugate sums c - f: -0.0 where c is -0.0, else 0.0 or below
+        # conjugate sums c - f: 0.0 or below
         sup_tight = [up(v + 0.0) for v in col]
-        # inf-transform sums R - c: -0.0 where c is 0.0, else 0.0 or above;
-        # twice as likely, as the inf-transform is the one inf_product caller
+        # inf-transform sums R - c: 0.0 or above; twice as likely, as only
+        # the inf-transform negates the kernel's operand and result
         inf_tight = [up(-(-v + 0.0)) for v in col]
         return rng.choice([row, sup_tight, inf_tight, inf_tight])
 
@@ -301,7 +310,7 @@ def pruned_scan_tables(draw):
         line = c_rows[rng.randrange(nx)]
         return rng.choice([
             row,
-            # sup-transform sums L + c: -0.0 where c is -0.0, else 0.0 or below
+            # sup-transform sums L + c: 0.0 or below
             [-up(v + 0.0) for v in line],
             # reverse-conjugate sums c - g: as for the conjugate
             [up(v + 0.0) for v in line],
@@ -321,18 +330,20 @@ def test_pruned_kernel_matches_oracle(data):
     X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
     Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
     c = Coupling(X, Y, c_rows)
-    for f_vals in r_rows:
-        same(conjugate(SetFunction(X, f_vals), c).values, bf.conjugate(c_rows, f_vals))
-    for g_vals in l_rows:
+    # the oracle reads the entries as the package does
+    oc, orr, ol = one_zero(c_rows), one_zero(r_rows), one_zero(l_rows)
+    for f_vals, want in zip(r_rows, orr):
+        same(conjugate(SetFunction(X, f_vals), c).values, bf.conjugate(oc, want))
+    for g_vals, want in zip(l_rows, ol):
         same(
             reverse_conjugate(SetFunction(Y, g_vals), c).values,
-            bf.reverse_conjugate(c_rows, g_vals),
+            bf.reverse_conjugate(oc, want),
         )
     lag = lagrangian_of(Rockafellian(U, X, r_rows), c)
-    for have, want in zip(lag.rows, bf.lagrangian(c_rows, r_rows)):
+    for have, want in zip(lag.rows, bf.lagrangian(oc, orr)):
         same(have, want)
     r = rockafellian_of(Lagrangian(U, Y, l_rows), c)
-    for have, want in zip(r.rows, bf.rockafellian(c_rows, l_rows)):
+    for have, want in zip(r.rows, bf.rockafellian(oc, ol)):
         same(have, want)
 
 

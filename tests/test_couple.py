@@ -170,12 +170,12 @@ def _reference_minimality(lag, r, c, tol=1e-9):
     if _literal_inequality_witness(lag, r, c, tol) is not None:
         return INEQUALITY_FAILS
     rho = bf.rockafellian(c.rows, lag.rows)
-    sigma = [[-v for v in row] for row in bf.lagrangian(c.rows, r.rows)]
+    sigma = [[0.0 - v for v in row] for row in bf.lagrangian(c.rows, r.rows)]
     for iu, u in enumerate(lag.decisions.labels):
         for side, labels, have, want, text in (
             ("x", r.primal.labels, r.rows[iu], rho[iu],
              "R({u},{lab}) = {a} is above its least feasible value (-L_u)^c'({lab})"),
-            ("y", lag.dual.labels, [-v for v in lag.rows[iu]], sigma[iu],
+            ("y", lag.dual.labels, [0.0 - v for v in lag.rows[iu]], sigma[iu],
              "-L({u},{lab}) = {a} is above its least feasible value (R_u)^c({lab})"),
         ):
             for lab, a, b in zip(labels, have, want):
@@ -187,9 +187,7 @@ def _reference_minimality(lag, r, c, tol=1e-9):
 
 def _minimality_witness_of(a):
     """The audit's i-minimality witness in the shape ``_reference_minimality``
-    returns.  The least value is read back as a double, so that a zero
-    matches whatever its sign: the reference negates the sums of the
-    Lagrangian, and -(a + b) and (-a) + (-b) differ in the sign of an exact 0."""
+    returns, the least value read back as a double."""
     w = next((w for w in a.witnesses if w.item == "i-minimality"), None)
     if w is None:
         return None
@@ -572,14 +570,14 @@ def _canonical_couple(n, seed):
 
 def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conjugate_rows):
     # sigma_u and rho_u per u for a whole audit; each biconjugate is one of
-    # them wherever item (iii) holds bit for bit, and is built otherwise:
-    # at u1 of e1_couple.json, -L_u holds -0.0 where sigma_u holds +0.0
+    # them wherever item (iii) holds exactly, as on e1_couple.json, and is
+    # built otherwise
     problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
     e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
     canonical = _canonical_couple(8, seed=8)
     count_conjugate_rows.clear()
     assert audit(*e1).is_couple
-    assert len(count_conjugate_rows) == 5
+    assert len(count_conjugate_rows) == 4
     count_conjugate_rows.clear()
     assert audit(*canonical).is_couple
     assert len(count_conjugate_rows) <= 2 * 8
@@ -591,21 +589,17 @@ def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conju
 
 @pytest.fixture
 def count_kernel_calls(monkeypatch):
-    """Counts the product-kernel calls of ``couple``, ``conjugacy`` and
-    ``duality``, as (kernel name, number of rows), wherever one of these
-    modules binds a kernel."""
+    """Counts the product-kernel calls of ``conjugacy`` and ``duality``, the
+    modules that bind ``sup_product``, as (kernel name, number of rows)."""
     import gendual.conjugacy as conjugacy
-    import gendual.couple as couple
     import gendual.duality as duality
 
     calls = []
-    for module in (couple, conjugacy, duality):
-        for name in ("inf_product", "sup_product"):
-            if hasattr(module, name):
-                def counted(a_rows, view, kernel=getattr(module, name), name=name):
-                    calls.append((name, len(a_rows)))
-                    return kernel(a_rows, view)
-                monkeypatch.setattr(module, name, counted)
+    for module in (conjugacy, duality):
+        def counted(a_rows, view, kernel=module.sup_product):
+            calls.append(("sup_product", len(a_rows)))
+            return kernel(a_rows, view)
+        monkeypatch.setattr(module, "sup_product", counted)
     return calls
 
 
@@ -618,10 +612,10 @@ def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
         problems_dir, count_kernel_calls, count_conjugate_rows):
     # item (ii) compares the rows of E1 and E2: alone, it makes |U| sigma
     # rows and then |U| rho rows, while a passing audit adds none to the
-    # conjugate rows of the row pass and makes no inf_product call
-    import gendual.couple as couple
+    # conjugate rows of the row pass; the product kernel has no mirror
+    import gendual.extreal as extreal
 
-    assert not hasattr(couple, "inf_product")
+    assert not hasattr(extreal, "inf_product")
     sup = ("sup_product", 1)
     problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
     e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
@@ -636,24 +630,27 @@ def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
         count_conjugate_rows.clear()
         assert audit(lag, r, c).is_couple
         assert count_kernel_calls == [sup] * len(count_conjugate_rows)
-    # only the 5 conjugate rows that test_each_conjugate_row_is_built_once_
+    # only the 4 conjugate rows that test_each_conjugate_row_is_built_once_
     # per_decision counts
     count_kernel_calls.clear()
     assert audit(*e1).is_couple
-    assert count_kernel_calls == [sup] * 5
+    assert count_kernel_calls == [sup] * 4
 
 
-def test_biconjugate_is_reused_only_from_identical_bits():
-    # at u0, -L_u = [-0.0] and sigma_u = [0.0] are equal but not the same
-    # bits: (R_u)^{cc'} = (sigma_u)^{c'} is then not rho_u, and the item
-    # (iv) witness names the biconjugate's -0.0, as the reference does
+def test_biconjugate_is_reused_from_equal_rows(count_conjugate_rows):
+    # the coupling's -0.0 entries read as 0.0, so at u0 -L_u = [0.0] and
+    # sigma_u = [0.0] are the same double: (R_u)^{cc'} is rho_u, not built
+    # again, and the item (iv) witness names its 0.0, as the reference does
     U, X, Y = (FiniteSet([f"{k}{i}" for i in range(n)]) for k, n in zip("uxy", (3, 3, 1)))
     c = Coupling(X, Y, [[-0.0], [-0.0], [-INF]])
     lag = Lagrangian(U, Y, [[0.0], [-INF], [0.0]])
     r = Rockafellian(U, X, [[1.0, -0.0, INF], [-1.0, INF, INF], [-1.0, 2.0, -INF]])
     want = _reference_item_witnesses(lag, r, c, 0.0)
     assert ("iv", "u0", "x0", None,
-            "R(u0,x0) = 1.0 is not c-convex: biconjugate gives -0.0") in want
+            "R(u0,x0) = 1.0 is not c-convex: biconjugate gives 0.0") in want
+    count_conjugate_rows.clear()
+    assert not check_item_iv(lag, r, c, 0.0)
+    assert _views(count_conjugate_rows, c) == ["sigma", "rho"]
     assert [(w.item, w.u, w.x, w.y, w.description) for w in audit(lag, r, c, tol=0.0).witnesses
             if w.item in ("ii", "iii", "iv", "v")] == want
 
@@ -707,8 +704,8 @@ def transform_row_instance(draw):
     """(R_u, c, L_u) for one decision, up to 6 a side: entries from one fuzz
     value family, each replaced by an infinity or a signed zero a quarter of
     the time; R_u is sometimes a column of c, so that sums R(u,x) - c(x,y)
-    tie at signed zeros.  L_u mixes entries of the inf-transform row,
-    entries one ulp or about 1e-9 away from them, and fresh draws."""
+    tie at zero.  L_u mixes entries of the inf-transform row, entries one
+    ulp or about 1e-9 away from them, and fresh draws."""
     family = VALUE_FAMILIES[draw(st.sampled_from(sorted(VALUE_FAMILIES)))]
     rng = draw(st.randoms(use_true_random=False))
     special = st.sampled_from([-INF, INF, 0.0, -0.0])
@@ -720,7 +717,7 @@ def transform_row_instance(draw):
     c_rows = [[entry() for _ in range(ny)] for _ in range(nx)]
     if draw(st.booleans()):
         # a column of c, each entry v as v or as -(-v + 0.0), which is -0.0
-        # for v = 0.0: the column's sums R(u,x) - c(x,y) tie at both zeros
+        # for v = 0.0: the column's sums R(u,x) - c(x,y) tie at zero
         y = draw(st.integers(0, ny - 1))
         r_u = [draw(st.sampled_from([row[y], -(-row[y] + 0.0)])) for row in c_rows]
     else:
@@ -743,39 +740,41 @@ def transform_row_instance(draw):
 @given(transform_row_instance())
 @settings(max_examples=300, deadline=None)
 def test_inf_transform_row_is_negated_sigma(data):
-    # item (ii)'s L half runs as E1 on this identity: the inf-transform row
-    # of R_u is -sigma_u in value, approx_eq gives the same verdicts either
-    # way, and the one entry a witness rebuilds is the kernel's bit for bit
+    # item (ii)'s L half runs as E1 on this identity: the Lagrangian's row
+    # is 0.0 - sigma_u bit for bit, it is the brute-force inf-transform of
+    # the entries read with one zero, and approx_eq gives the same verdicts
+    # either way
     from gendual.conjugacy import conjugate_row
-    from gendual.couple import _Rows
-    from gendual.extreal import inf_product
 
     r_u, c_rows, l_u = data
+    U = FiniteSet(["u0"])
     X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
     Y = FiniteSet([f"y{i}" for i in range(len(c_rows[0]))])
     c = Coupling(X, Y, c_rows)
-    row = inf_product((r_u,), c.sorted_cols)[0]
-    sigma = conjugate_row([-v for v in r_u], c.sorted_cols)
-    assert row == [-v for v in sigma]
+    r = Rockafellian(U, X, [r_u])
+    row = lagrangian_of(r, c).rows[0]
+    sigma = conjugate_row([-v for v in r.rows[0]], c.sorted_cols)
+    assert [v.hex() for v in row] == [(0.0 - v).hex() for v in sigma]
+    want = bf.lagrangian([[v + 0.0 for v in line] for line in c_rows], [[v + 0.0 for v in r_u]])
+    assert [v.hex() for v in row] == [v.hex() for v in want[0]]
     for tol in (0.0, 1e-9):
         assert ([approx_eq(a, b, tol) for a, b in zip(l_u, row)]
-                == [approx_eq(-a, b, tol) for a, b in zip(l_u, sigma)])
-    rows = _Rows(l_u, r_u, c)
-    assert [rows.inf_transform(j).hex() for j in range(len(Y))] == [v.hex() for v in row]
+                == [approx_eq(0.0 - a, b, tol) for a, b in zip(l_u, sigma)])
 
 
-def test_inf_transform_row_and_negated_sigma_differ_in_a_zero():
-    # R_u = [0.0], c = [[0.0]]: the inf-transform sums 0.0 - 0.0 = +0.0,
-    # sigma_u sums 0.0 + (-0.0) = +0.0, so -sigma_u is -0.0; the witness
-    # entry keeps the kernel's +0.0
+def test_inf_transform_row_and_negated_sigma_agree_in_a_zero():
+    # R_u = [-0.0] and c = [[-0.0]] read as 0.0: the inf-transform entry
+    # and 0.0 - sigma_u are both +0.0, and item (ii)'s L witness prints it
     from gendual.conjugacy import conjugate_row
-    from gendual.couple import _Rows
-    from gendual.extreal import inf_product
 
-    c = Coupling(FiniteSet(["x0"]), FiniteSet(["y0"]), [[0.0]])
-    assert inf_product(([0.0],), c.sorted_cols)[0][0].hex() == "0x0.0p+0"
-    assert (-conjugate_row([-0.0], c.sorted_cols)[0]).hex() == "-0x0.0p+0"
-    assert _Rows([0.0], [0.0], c).inf_transform(0).hex() == "0x0.0p+0"
+    U, X, Y = FiniteSet(["u0"]), FiniteSet(["x0"]), FiniteSet(["y0"])
+    c = Coupling(X, Y, [[-0.0]])
+    r = Rockafellian(U, X, [[-0.0]])
+    assert lagrangian_of(r, c).rows[0][0].hex() == "0x0.0p+0"
+    assert (0.0 - conjugate_row([-0.0], c.sorted_cols)[0]).hex() == "0x0.0p+0"
+    lag = Lagrangian(U, Y, [[1.0]])
+    assert [w.description for w in audit(lag, r, c).witnesses if w.item == "ii"] == [
+        "L(u0,y0) = 1.0 but the inf-transform gives 0.0"]
 
 
 @st.composite

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 from gendual import (
@@ -25,7 +26,9 @@ from gendual import (
     rockafellian_of,
     weak_duality_report,
     biconjugate,
+    low_add,
 )
+from gendual.fuzz import VALUE_FAMILIES
 
 INF = math.inf
 
@@ -231,3 +234,44 @@ def test_proposition_identities_randomized():
         )
         # round-trip stability
         assert lagrangian_of(r3, c).isclose(built)
+
+
+# --- psi through phi: the report against the Lagrangian route ---------------
+
+@st.composite
+def weak_duality_instance(draw):
+    """(c, R) rows up to 5 a side from one fuzz value family, a third of the
+    entries replaced by an infinity or a zero of either sign."""
+    family = VALUE_FAMILIES[draw(st.sampled_from(sorted(VALUE_FAMILIES)))]
+    rng = draw(st.randoms(use_true_random=False))
+    special = st.sampled_from([-INF, INF, 0.0, -0.0])
+
+    def table(n, m):
+        return [[draw(special) if draw(st.integers(0, 2)) == 0 else float(family(rng))
+                 for _ in range(m)] for _ in range(n)]
+
+    nu, nx, ny = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    return table(nx, ny), table(nu, nx)
+
+
+@given(weak_duality_instance())
+@settings(max_examples=300, deadline=None)
+def test_psi_through_phi_is_the_lagrangian_route_bit_for_bit(data):
+    # -psi = phi^c holds bit for bit, so the report's psi = 0.0 - phi^c is
+    # the dual function of the whole Lagrangian, and so is its dual value
+    c_rows, r_rows = data
+    U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
+    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
+    Y = FiniteSet([f"y{i}" for i in range(len(c_rows[0]))])
+    c, r = Coupling(X, Y, c_rows), Rockafellian(U, X, r_rows)
+    psi = dual_function(lagrangian_of(r, c)).values
+    via_phi = conjugate(perturbation_function(r), c).negated().values
+    assert [v.hex() for v in via_phi] == [v.hex() for v in psi]
+    for x, c_row in zip(X, c.rows):
+        dual = max(map(low_add, c_row, psi))
+        try:
+            rep = weak_duality_report(r, c, x)
+        except ArithmeticError as exc:  # a dual value rounded above the primal
+            assert dual > perturbation_function(r)(x), exc
+            continue
+        assert rep.dual_value.hex() == dual.hex()

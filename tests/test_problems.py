@@ -202,7 +202,8 @@ def test_make_gallery_reproduces_problems_dir(problems_dir, tmp_path, monkeypatc
 # --- parsing: the row-at-a-time fast path against a per-entry reference ------
 
 def reference_table(raw, name, n_rows, n_cols):
-    """Table ``name`` read entry by entry, as the file format defines it."""
+    """Table ``name`` read entry by entry, as the file format defines it:
+    a number that reads as -0.0 is 0.0."""
     if not isinstance(raw, list) or len(raw) != n_rows:
         raise ProblemFormatError(f"{name}: expected {n_rows} rows")
     rows = []
@@ -220,7 +221,7 @@ def reference_table(raw, name, n_rows, n_cols):
                 except OverflowError:
                     value = math.inf
                 if math.isfinite(value):
-                    row.append(value)
+                    row.append(0.0 if value == 0 else value)
                     continue
                 raise ProblemFormatError(
                     f"{name} row {i} column {j}: number outside the double range"
@@ -309,6 +310,11 @@ def jsonable(v):
     return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
 
 
+def entry_image(v):
+    """A table entry as a problem holds and writes it: -0.0 is read as 0.0."""
+    return jsonable(0.0 if v == 0 else v)
+
+
 @st.composite
 def problems_and_images(draw):
     """A Problem and the dict whose ``json.dumps`` is its file text."""
@@ -337,7 +343,7 @@ def problems_and_images(draw):
         coupling = bilinear_coupling(xs, ys, X.labels, Y.labels)
     else:
         c_rows = table(len(X), len(Y))
-        image["coupling"] = [[jsonable(v) for v in row] for row in c_rows]
+        image["coupling"] = [[entry_image(v) for v in row] for row in c_rows]
         coupling = Coupling(X, Y, c_rows)
     kinds = draw(st.sampled_from([("rockafellian",), ("lagrangian",),
                                   ("rockafellian", "lagrangian")]))
@@ -345,7 +351,7 @@ def problems_and_images(draw):
     for kind in kinds:
         cls, cols = (Rockafellian, X) if kind == "rockafellian" else (Lagrangian, Y)
         rows = table(len(U), len(cols))
-        image[kind] = [[jsonable(v) for v in row] for row in rows]
+        image[kind] = [[entry_image(v) for v in row] for row in rows]
         tables[kind] = cls(U, cols, rows)
     base_point = draw(st.none() | st.sampled_from(X.labels))
     if base_point is not None:
