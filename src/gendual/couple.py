@@ -23,10 +23,11 @@ where, for every decision u,
 The minimality of item (i) and items (ii)-(v) are row tests.  One pass
 over the decisions builds, for each u, sigma_u = (R_u)^c,
 rho_u = (-L_u)^{c'} and their biconjugates at most once each, through
-``conjugacy.conjugate_row``, and runs every still-open test on them.  A
-biconjugate whose argument is a row already held is not rebuilt (no row
-holds -0.0, so rows equal in value are the same doubles), so wherever
-item (iii) holds exactly a decision costs two conjugate rows, not four.
+``conjugacy.conjugate_row``, and runs every still-open test on them.  No
+row holds -0.0, so rows equal in value are the same doubles: a conjugate
+row equal to its held row is shared as that row, and a biconjugate whose
+argument is a row already held is not rebuilt.  So wherever item (iii)
+holds exactly a decision costs two conjugate rows, not four.
 Each test names the first entry where its two rows fail ``approx_eq`` (or
 ``approx_le``).
 
@@ -194,10 +195,12 @@ class _Rows:
     inf-transform row is 0.0 - sigma_u (see the module docstring) and is
     not built.
 
-    A biconjugate is not rebuilt when its argument is a row already held:
-    (R_u)^{cc'} is rho_u where sigma_u is -L_u, and (-L_u)^{c'c} is sigma_u
-    where rho_u is R_u.  No row holds -0.0, so rows equal in value are the
-    same doubles and give the same conjugate bit for bit."""
+    No row holds -0.0, so rows equal in value are the same doubles and give
+    the same conjugate bit for bit.  So sigma_u is the list -L_u where the
+    two are equal, and rho_u is R_u where they are; a later compare of
+    such a pair meets each float by identity.  And a biconjugate is not
+    rebuilt when its argument is a row already held: (R_u)^{cc'} is rho_u
+    where sigma_u is -L_u, and (-L_u)^{c'c} is sigma_u where rho_u is R_u."""
 
     def __init__(self, l_row, r_row, c):
         self.l, self.r, self.c = list(l_row), list(r_row), c
@@ -208,21 +211,23 @@ class _Rows:
 
     @lazy
     def sigma(self):  # (R_u)^c, the least feasible -L_u
-        return conjugate_row(_negated(self.r), self.c.sorted_cols)
+        row = conjugate_row(_negated(self.r), self.c.sorted_cols)
+        return self.nl if row == self.nl else row
 
     @lazy
     def rho(self):  # (-L_u)^{c'}, the least feasible R_u
-        return conjugate_row(self.l, self.c.sorted_rows)
+        row = conjugate_row(self.l, self.c.sorted_rows)
+        return self.r if row == self.r else row
 
     @lazy
     def r_bi(self):  # (R_u)^{cc'}
-        if self.sigma == self.nl:
+        if self.sigma is self.nl:
             return self.rho
         return conjugate_row(_negated(self.sigma), self.c.sorted_rows)
 
     @lazy
     def nl_bi(self):  # (-L_u)^{c'c}
-        if self.rho == self.r:
+        if self.rho is self.r:
             return self.sigma
         return conjugate_row(_negated(self.rho), self.c.sorted_cols)
 

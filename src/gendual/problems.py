@@ -15,7 +15,8 @@ Table rows are read and written whole, in C-level passes: ``json.dumps``
 with an indent would encode entry by entry in pure Python.  Each row read
 is checked once, in ``_row``, and the tables are built from the checked
 rows without a second check (see ``spaces``).  A row that fails the fast
-read is read again entry by entry, to name the bad entry.
+read, as one with a literal beyond the double range does, is read again
+entry by entry, to name the bad entry.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ def finite_number(raw, where: str) -> float:
 
 
 _INF = math.inf
-# the words to their infinities, and both zeros to 0.0: -0.0 hashes and
-# compares like 0.0, and so do the int 0 and False
-_WORDS = {"inf": _INF, "-inf": -_INF, 0.0: 0.0}
+# the words to their infinities, both zeros to 0.0 (-0.0 hashes and
+# compares like 0.0, and so do the int 0 and False), and the infinities
+# json reads from literals such as 1e400 to None, a type no row may hold
+_WORDS = {"inf": _INF, "-inf": -_INF, 0.0: 0.0, _INF: None, -_INF: None}
 _FLOAT = frozenset((float,))
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -158,32 +160,25 @@ def _row(raw_row: list, falses: bool) -> tuple[float, ...] | None:
     """A JSON row as doubles, or None if some entry is neither a number
     within the double range nor "inf"/"-inf".  One C-level pass each: a
     scan for ``false`` if the file text holds the word (``falses``), the
-    lookup of the words and zeros in ``_WORDS``, the types, the conversion
-    (none if all are floats), and a scan for infinities that were not
-    words.  Each word and each zero maps to one shared float, so a parsed
-    infinity or zero costs no object of its own, and -0.0 is read as 0.0
-    without a pass of its own."""
+    ``_WORDS`` lookup, which builds the row and maps an overflowing literal
+    to None, the types, and the conversion (none if all are floats).  Each
+    word and each zero maps to one shared float, so a parsed infinity or
+    zero costs no object of its own, and -0.0 is read as 0.0 for free."""
     if falses and any(map(is_, raw_row, repeat(False))):  # _WORDS reads it as 0.0
         return None
     try:
-        values = list(map(_WORDS.get, raw_row, raw_row))
+        values = tuple(map(_WORDS.get, raw_row, raw_row))
     except TypeError:  # a nested array or object, which cannot be a key
         return None
     types = set(map(type, values))
     if types == _FLOAT:
-        values = tuple(values)
-    elif types <= _NUMBER_TYPES:  # not a bool, null or other string
+        return values
+    if types <= _NUMBER_TYPES:  # not a bool, null, overflow or other string
         try:
-            values = tuple(map(float, values))
+            return tuple(map(float, values))
         except OverflowError:  # an integer literal beyond the double range
             return None
-    else:
-        return None
-    # json reads a literal such as 1e400 as an infinity, which is valid
-    # only if spelled as a word; no word equals a float
-    if _INF in raw_row or -_INF in raw_row:
-        return None
-    return values
+    return None
 
 
 def _entry(raw, name: str, i: int, j: int) -> float:

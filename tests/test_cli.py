@@ -571,6 +571,33 @@ def test_bad_table_entry_is_located(tmp_path, capsys, table, i, j, raw, message)
     assert err == f"error: {table} row {i} column {j}: {message}\n"
 
 
+WORDS_AND_ZEROS = ['"inf"', '"-inf"', "0", "-0.0"]
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1E400", "1e309"])
+@pytest.mark.parametrize("table", ["coupling", "rockafellian", "lagrangian"])
+def test_overflowing_literal_among_words_is_located(tmp_path, capsys, table, literal):
+    # json reads the literal as an infinity, in a row that also holds both
+    # words and both zeros: the row read must reject it, not take it for a
+    # word, and the entry read names it
+    labels = {key: [f"{key.lower()}{i}" for i in range(5)] for key in "UXY"}
+    rows = [WORDS_AND_ZEROS + ["1"] for _ in range(5)]
+    rows[2] = WORDS_AND_ZEROS[:2] + [literal] + WORDS_AND_ZEROS[2:]
+    plain = [WORDS_AND_ZEROS + ["1"] for _ in range(5)]
+    second = "lagrangian" if table == "lagrangian" else "rockafellian"
+    tables = {"coupling": plain, second: plain, table: rows}
+    body = ", ".join(
+        f'"{name}": [' + ", ".join(f"[{', '.join(row)}]" for row in t) + "]"
+        for name, t in tables.items()
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sets": ' + json.dumps(labels) + ", " + body + "}")
+    command = "to-rockafellian" if second == "lagrangian" else "to-lagrangian"
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {table} row 2 column 2: number outside the double range\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command, problem", [
     ("check-couple", "e1_couple.json"),

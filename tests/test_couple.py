@@ -580,11 +580,11 @@ def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conju
     assert len(count_conjugate_rows) == 4
     count_conjugate_rows.clear()
     assert audit(*canonical).is_couple
-    assert len(count_conjugate_rows) <= 2 * 8
+    assert len(count_conjugate_rows) == 2 * 8
     for lag, r, c in (e1, canonical):
         count_conjugate_rows.clear()
         assert check_item_iv(lag, r, c)
-        assert len(count_conjugate_rows) <= 3 * len(lag.decisions)
+        assert len(count_conjugate_rows) == 2 * len(lag.decisions)
 
 
 @pytest.fixture
@@ -653,6 +653,69 @@ def test_biconjugate_is_reused_from_equal_rows(count_conjugate_rows):
     assert _views(count_conjugate_rows, c) == ["sigma", "rho"]
     assert [(w.item, w.u, w.x, w.y, w.description) for w in audit(lag, r, c, tol=0.0).witnesses
             if w.item in ("ii", "iii", "iv", "v")] == want
+
+
+def test_equal_conjugate_rows_are_the_held_rows(problems_dir):
+    # where item (iii) holds exactly, sigma_u is the list -L_u and rho_u is
+    # the list R_u, and so are the biconjugates: every later compare of a
+    # pair reads one list twice
+    import gendual.couple as couple
+
+    problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
+    e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
+    for lag, r, c in (e1, _canonical_couple(8, seed=8)):
+        for l_row, r_row in zip(lag.rows, r.rows):
+            rows = couple._Rows(l_row, r_row, c)
+            assert rows.sigma is rows.nl and rows.rho is rows.r
+            assert rows.r_bi is rows.r and rows.nl_bi is rows.nl
+
+
+def _bruteforce_item_iii_witness(lag, r, c, tol):
+    """The first item (iii) witness, from the brute-force conjugates: E1
+    then E2 at each u, -L_u negated as 0.0 - v (one zero)."""
+    c_rows = [list(row) for row in c.rows]
+    for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
+        nl = [0.0 - v for v in l_row]
+        for side, labels, have, want, text in (
+            ("y", c.dual.labels, nl, bf.conjugate(c_rows, list(r_row)),
+             "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}"),
+            ("x", c.primal.labels, list(r_row), bf.reverse_conjugate(c_rows, nl),
+             "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}"),
+        ):
+            for lab, a, b in zip(labels, have, want):
+                if not approx_eq(a, b, tol):
+                    x, y = (lab, None) if side == "x" else (None, lab)
+                    return "iii", u, x, y, text.format(u=u, lab=lab, a=a, b=b)
+    return None
+
+
+@pytest.mark.parametrize("table", ["lagrangian", "rockafellian"])
+def test_a_raised_entry_keeps_its_rows_apart(table):
+    # one entry raised in row u3 of a canonical couple: there sigma_u is
+    # not -L_u (L raised) or rho_u is not R_u (R raised), the rows before
+    # it are still shared, and the witnesses are the references'
+    import gendual.couple as couple
+
+    lag, r, c = _canonical_couple(8, seed=8)
+    held = lag if table == "lagrangian" else r
+    rows = [list(row) for row in held.rows]
+    j = next(j for j, v in enumerate(rows[3]) if math.isfinite(v))
+    rows[3][j] += 1.0
+    held = type(held)(held.row_set, held.col_set, rows)
+    lag, r = (held, r) if table == "lagrangian" else (lag, held)
+    for u, (l_row, r_row) in enumerate(zip(lag.rows, r.rows)):
+        pair = couple._Rows(l_row, r_row, c)
+        if u < 3:
+            assert pair.sigma is pair.nl and pair.rho is pair.r
+        elif u == 3:
+            unshared = (pair.sigma, pair.nl) if table == "lagrangian" else (pair.rho, pair.r)
+            assert unshared[0] is not unshared[1] and unshared[0] != unshared[1]
+    a = audit(lag, r, c)
+    want = _bruteforce_item_iii_witness(lag, r, c, DEFAULT_TOL)
+    assert want is not None and want[1] == "u3"
+    assert [tuple(w) for w in a.witnesses if w.item == "iii"] == [want]
+    assert [tuple(w) for w in a.witnesses if w.item in ("ii", "iii", "iv", "v")] == \
+        _reference_item_witnesses(lag, r, c, DEFAULT_TOL)
 
 
 def test_item_ii_stops_at_the_first_witness_row(count_kernel_calls, count_conjugate_rows):

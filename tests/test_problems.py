@@ -263,7 +263,7 @@ def table_texts(draw, n_rows, n_cols):
 
 @st.composite
 def problem_texts(draw):
-    n_u, n_x, n_y = (draw(st.integers(1, 3)) for _ in range(3))
+    n_u, n_x, n_y = (draw(st.integers(1, 6)) for _ in range(3))
     sets = {"U": [f"u{i}" for i in range(n_u)], "X": [f"x{i}" for i in range(n_x)],
             "Y": [f"y{i}" for i in range(n_y)]}
     return (
@@ -292,6 +292,26 @@ def test_parse_matches_per_entry_reference(text):
     for rows in (p.coupling.rows, p.rockafellian.rows):
         assert type(rows) is tuple and all(type(row) is tuple for row in rows)
         assert all(type(v) is float for row in rows for v in row)
+
+
+@pytest.mark.parametrize("table", ["coupling", "rockafellian", "lagrangian"])
+def test_largest_doubles_among_words_read_exactly(table):
+    # the lookup that reads the words maps only the infinities json makes
+    # of overflowing literals to a non-float: the largest finite doubles
+    # next to the words and both zeros are read as themselves
+    labels = {key: [f"{key.lower()}{i}" for i in range(6)] for key in "UXY"}
+    row = ('["inf", 1.7976931348623157e308, "-inf", -1.7976931348623157e308, '
+           "0, -0.0]")
+    plain = "[" + ", ".join([row] + ["[0, 0, 0, 0, 0, 0]"] * 5) + "]"
+    second = "lagrangian" if table == "lagrangian" else "rockafellian"
+    tables = {"coupling": plain, second: plain}
+    tables[table] = "[" + ", ".join(["[1, 2, 3, 4, 5, 6]", row] * 3) + "]"
+    p = parse_problem('{"sets": ' + json.dumps(labels) + ", " + ", ".join(
+        f'"{name}": {text}' for name, text in tables.items()) + "}")
+    for read in getattr(p, table).rows[1::2]:
+        assert [v.hex() for v in read] == [
+            "inf", "0x1.fffffffffffffp+1023", "-inf", "-0x1.fffffffffffffp+1023",
+            "0x0.0p+0", "0x0.0p+0"]
 
 
 # --- serializing: the row-at-a-time writer against json.dumps ----------------

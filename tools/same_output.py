@@ -28,7 +28,9 @@ against each tree, in a fresh interpreter with that tree first on
     (ii)'s R half can fail at an earlier decision than its L half, and at
     n = 4 on the signed-zero couple with an L entry of 0 raised, so that an
     item (ii) witness prints an inf-transform entry of 0.0;
-  - malformed variants of a gallery file, one fault each;
+  - malformed variants of a gallery file, one fault each, and variants of
+    e1.json and e1_lagrangian.json with an overflowing literal in a row
+    that also holds a word ("inf" or "-inf"), in each of the three tables;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
     off-grid value families F;
@@ -37,7 +39,8 @@ against each tree, in a fresh interpreter with that tree first on
 It compares, command by command, the exit code, stdout, stderr (minus the
 ``elapsed:`` line that fuzz prints) and the bytes of every file the command
 wrote, prints the number of differing commands, each of them and its first
-difference, and exits 1 if there is any, else 0.  It also lists every
+difference (for a text, the number of its first differing line and that line
+on each side), and exits 1 if there is any, else 0.  It also lists every
 command whose input holds -0.0 in the first tree's run (a JSON file
 argument with a -0.0 entry, or an inline function with a -0.0 entry: the
 signed-zero family and the files built from it), and marks those among the
@@ -48,6 +51,7 @@ the tree wrote, with one table entry raised from a given row on.  Needs no numpy
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -132,6 +136,25 @@ def _malformed(text):
     return out
 
 
+def _overflows_among_words(e1, e1_lagrangian):
+    """Variants of e1.json and e1_lagrangian.json, each with an overflowing
+    literal in a row that also holds a word, and the command to run on it."""
+    lagrangian = e1_lagrangian.index('"lagrangian"')
+    head, tail = e1_lagrangian[:lagrangian], e1_lagrangian[lagrangian:]
+    return {
+        "R 1e400 by inf": ("to-lagrangian", e1.replace(
+            '0.0,\n      "inf"', '1e400,\n      "inf"', 1)),
+        "R -1e400 by -inf": ("to-lagrangian", e1.replace(
+            "5.0,\n      3.0", '"-inf",\n      -1e400', 1)),
+        "c 1e309 by inf": ("to-lagrangian", e1.replace(
+            "1.0,\n      2.0", '"inf",\n      1e309', 1)),
+        "L 1E400 by -inf": ("to-rockafellian", head + tail.replace(
+            "2.0,\n      1.0", '"-inf",\n      1E400', 1)),
+        "L -1e400 by inf": ("to-rockafellian", head + tail.replace(
+            "0.0,\n      0.0", '-1e400,\n      "inf"', 1)),
+    }
+
+
 def _audits(*files):
     """``check-couple`` on ``files`` in every format, at the default tol and
     at tol 0."""
@@ -178,6 +201,11 @@ def write_inputs(root):
         bad.parent.mkdir(exist_ok=True)
         bad.write_text(text, encoding="utf-8")
         commands.append(["to-lagrangian", str(bad.relative_to(root))])
+    e1_lagrangian = (GALLERY / "e1_lagrangian.json").read_text(encoding="utf-8")
+    for label, (command, text) in _overflows_among_words(e1, e1_lagrangian).items():
+        bad = root / f"bad/{label.replace(' ', '_')}.json"
+        bad.write_text(text, encoding="utf-8")
+        commands.append([command, str(bad.relative_to(root))])
     commands += _audits("gallery/e1.json", "gallery/e1_lagrangian.json")
 
     rng = random.Random(20260101)
@@ -335,15 +363,27 @@ def run_tree(src, inputs, scratch, commands_path, tag):
     return json.loads(result.read_text(encoding="utf-8"))
 
 
+def _first_line_difference(a, b):
+    """The number of the first line where the texts ``a`` and ``b`` differ,
+    and that line on each side (None past the end of a text)."""
+    pairs = itertools.zip_longest(a.splitlines(True), b.splitlines(True))
+    for k, (x, y) in enumerate(pairs, 1):
+        if x != y:
+            return f"line {k}: {x!r:.300} != {y!r:.300}"
+    return None
+
+
 def _first_difference(a, b):
-    for key in ("exit", "stdout", "stderr"):
+    if a.get("exit") != b.get("exit"):
+        return f"exit: {a.get('exit')!r} != {b.get('exit')!r}"
+    for key in ("stdout", "stderr"):
         if a.get(key) != b.get(key):
-            return f"{key}: {a.get(key)!r:.300} != {b.get(key)!r:.300}"
+            return f"{key} {_first_line_difference(a[key], b[key])}"
     if a["files"].keys() != b["files"].keys():
         return f"files written: {sorted(a['files'])} != {sorted(b['files'])}"
     for name in a["files"]:
         if a["files"][name] != b["files"][name]:
-            return f"file {name} differs"
+            return f"file {name} {_first_line_difference(a['files'][name], b['files'][name])}"
     return None
 
 
