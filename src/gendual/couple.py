@@ -72,8 +72,8 @@ from itertools import compress
 from operator import ne
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, upp_add
-from .spaces import Coupling, Lagrangian, Rockafellian, lazy
+from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, lazy, upp_add
+from .spaces import Coupling, Lagrangian, Rockafellian
 from .conjugacy import conjugate_row
 from .duality import lagrangian_of, rockafellian_of
 

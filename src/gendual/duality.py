@@ -40,6 +40,7 @@ from .extreal import (
     ExtReal,
     approx_eq,
     approx_le,
+    descending,
     sup_product,
 )
 from .spaces import Coupling, Lagrangian, Rockafellian, SetFunction
@@ -113,9 +114,11 @@ def weak_duality_report(
 
     primal = phi(base_point); dual = sup_y [c(base_point, y) lower-add psi(y)],
     with psi = 0.0 - phi^c, the dual function of ``lagrangian_of(r, c)`` bit
-    for bit, in O(|U||X| + |X||Y|).  The dual value can never exceed the
-    primal one; a violation means a broken arithmetic kernel or rounding at
-    large magnitudes, and raises ArithmeticError instead of reporting.
+    for bit, in O(|U||X| + |X||Y|).  The dual value reads a view of the
+    coupling's row at ``base_point`` alone, and leaves ``c.sorted_rows``
+    unbuilt.  It can never exceed the primal one; a violation means a
+    broken arithmetic kernel or rounding at large magnitudes, and raises
+    ArithmeticError instead of reporting.
     """
     if r.primal != c.primal:
         raise DomainMismatchError(
@@ -124,7 +127,7 @@ def weak_duality_report(
     ix = c.primal.index(base_point)
     phi = perturbation_function(r).values
     psi = _negated(sup_product(([-v for v in phi],), c.sorted_cols)[0])
-    dual = ExtReal(sup_product([psi], [c.sorted_rows[ix]])[0][0])
+    dual = ExtReal(sup_product([psi], descending((c.rows[ix],)))[0][0])
     primal = ExtReal(phi[ix])
     if not approx_le(dual, primal, tol):
         raise ArithmeticError(

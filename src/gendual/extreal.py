@@ -28,11 +28,21 @@ Lagrangian's inf_x [R(u,x) upper-add -c(x,y)] is 0.0 - sup_x [-R(u,x)
 lower-add c(x,y)], exactly, since negation is exact, rounding is
 sign-symmetric and the two additions send the opposite-infinity pair to
 opposite infinities.  One side of the product is always a coupling, read
-through its ``descending`` view: per line, the indices of the entries above
--inf, largest entry first.  A scan visits k in that order and stops once
-max(a) + c[k] cannot beat the best sum so far, so a row of -inf, an empty
-domain, costs no scan at all, and the coupling's -inf entries are never
-visited.  The kernel is exact and returns plain doubles that are never NaN:
+through its ``descending`` view, a lazy object that holds the coupling's
+lines and builds on first use only what a row of the product reads:
+  - a row of -inf (for a conjugate, the negation of a function that is
+    +inf everywhere, an empty domain) gives -inf on every line: no scan
+    and no sort;
+  - a row of +inf (for a conjugate, the negation of a function that is
+    -inf everywhere) gives the view's ``reach`` row, +inf on each line with
+    an entry above -inf and -inf on the rest, built once per view: no scan
+    and no sort;
+  - any other row scans the view's ``pairs``: per line, the indices of the
+    entries above -inf, largest entry first, sorted once per view on the
+    first row that scans.  A scan visits k in that order and stops once
+    max(a) + c[k] cannot beat the best sum so far, so the coupling's -inf
+    entries are never visited.
+The kernel is exact and returns plain doubles that are never NaN:
   - an IEEE sum is NaN only for the opposite-infinity pair, which the
     comparisons never select, just as the -inf that the lower addition
     gives it never wins a sup;
@@ -142,37 +152,84 @@ def neg(a: ExtReal) -> ExtReal:
     return _ext(0.0 - a)
 
 
-def descending(lines) -> tuple:
-    """The kernel's view of a coupling's rows or columns: for each line b,
-    the pair (b, order), where order lists the k with b[k] > -inf by
-    descending b[k], ties in index order.  It holds indices and the line
-    itself, no copied values; the -inf entries are left out because their
-    terms can never win a sup of ``sup_product``."""
-    view = []
-    for b in lines:
-        order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
-        while order and b[order[-1]] == -_INF:
-            order.pop()
-        view.append((b, tuple(order)))
-    return tuple(view)
+class lazy:
+    """A method turned into an attribute computed on first read.  The value
+    is stored in the instance ``__dict__``, where it shadows this non-data
+    descriptor, so later reads are plain attribute lookups.  Unlike
+    ``functools.cached_property`` before Python 3.12, the first read takes
+    no lock: a race can only compute the same value twice."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+class descending:
+    """The kernel's view of a coupling's rows or columns.  Building it costs
+    nothing: it holds the tuple of ``lines`` and their number ``width``, and
+    ``sup_product`` reads ``reach`` or ``pairs`` only for a row that needs
+    them, each built on first read and then kept."""
+
+    def __init__(self, lines: tuple):
+        self.lines = lines
+        self.width = len(lines)
+
+    @lazy
+    def pairs(self) -> tuple:
+        """For each line b, the pair (b, order), where order lists the k with
+        b[k] > -inf by descending b[k], ties in index order.  It holds
+        indices and the line itself, no copied values; the -inf entries are
+        left out because their terms can never win a sup."""
+        view = []
+        for b in self.lines:
+            order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
+            while order and b[order[-1]] == -_INF:
+                order.pop()
+            view.append((b, tuple(order)))
+        return tuple(view)
+
+    @lazy
+    def reach(self) -> tuple:
+        """Per line, +inf if it has an entry above -inf, else -inf: the
+        product row of a row that is +inf everywhere, since (+inf) lower-add
+        v is +inf for every v > -inf and -inf for v = -inf."""
+        return tuple([_INF if max(b) > -_INF else -_INF for b in self.lines])
 
 
 def sup_product(a_rows, view) -> list[list[float]]:
-    """P[i][j] = sup_k a_rows[i][k] (lower-add) b_j[k], over the lines
-    (b_j, order) of a ``descending`` view.
+    """P[i][j] = sup_k a_rows[i][k] (lower-add) b_j[k], over the lines b_j of
+    a ``descending`` view.
 
-    Each scan visits k in the view's order and stops once the bound
-    max(a) + b_j[k] is at most the best sum so far, or at +inf; a row a that
-    is -inf everywhere gives -inf without a scan.  The module docstring
-    says why the result is exact."""
+    A row a that is -inf everywhere gives -inf on every line, and one that
+    is +inf everywhere a copy of the view's ``reach``: neither scans nor
+    sorts.  Any other row scans the view's ``pairs``, fetched once per call
+    and sorted once per view.  Each scan visits k in the line's order and
+    stops once the bound max(a) + b_j[k] is at most the best sum so far, or
+    at +inf.  The module docstring says why the result is exact."""
     out = []
+    pairs = None
     for a in a_rows:
         top = max(a)
         if top == -_INF:
-            out.append([-_INF] * len(view))
+            out.append([-_INF] * view.width)
             continue
+        # a[0] first, so that a mixed row rarely pays the pass of min(a)
+        if a[0] == _INF and min(a) == _INF:
+            out.append(list(view.reach))
+            continue
+        if pairs is None:
+            pairs = view.pairs
         row = []
-        for b, order in view:
+        for b, order in pairs:
             best = -_INF
             for k in order:
                 v = b[k]
@@ -228,13 +285,14 @@ def approx_le(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
     return a <= b
 
 
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
 
 
 def parse_extreal(text: str) -> ExtReal:
     """Parse 'inf', '-inf', or a decimal literal within the double range,
     -0.0 read as 0.0 (see ``ExtReal``).  Strict: 'Inf', 'nan', hex floats,
-    underscore separators and literals that overflow to an infinity are all
+    underscore separators, digits other than ASCII 0-9 (which ``float``
+    would read) and literals that overflow to an infinity are all
     rejected."""
     if text == "inf":
         return POS_INF

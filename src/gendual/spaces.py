@@ -30,7 +30,7 @@ from operator import ne
 from collections.abc import Iterable, Sequence
 
 from .errors import DomainMismatchError, UnknownLabelError
-from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending
+from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending, lazy
 
 __all__ = [
     "Coupling",
@@ -99,27 +99,6 @@ class FiniteSet:
 
 def _as_set(obj) -> FiniteSet:
     return obj if isinstance(obj, FiniteSet) else FiniteSet(obj)
-
-
-class lazy:
-    """A method turned into an attribute computed on first read.  The value
-    is stored in the instance ``__dict__``, where it shadows this non-data
-    descriptor, so later reads are plain attribute lookups.  Unlike
-    ``functools.cached_property`` before Python 3.12, the first read takes
-    no lock: a race can only compute the same value twice."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 _FLOAT = frozenset((float,))
@@ -308,9 +287,11 @@ class _Table:
 class Coupling(_Table):
     """Pairing table c over primal x dual; entries may be +/-inf.  Its
     columns, and the product kernel's views ``sorted_rows`` and
-    ``sorted_cols``, are each built on first use and then kept: the audit
-    runs a conjugate once per row of a table, and sorting the coupling on
-    each call would cost more than the scan."""
+    ``sorted_cols``, are each built on first use and then kept, and so is
+    what a view builds: the audit runs a conjugate once per row of a table,
+    and sorting the coupling on each call would cost more than the scan.
+    A view sorts its lines only when a product row scans them (see
+    ``extreal.descending``)."""
 
     def __init__(self, primal, dual, entries):
         super().__init__(primal, dual, entries)
@@ -382,12 +363,13 @@ def bilinear_coupling(
 ) -> Coupling:
     """Coupling given by dot products of embedded real vectors.
 
-    Points may be scalars (treated as 1-D) or same-length vectors.  A dot
-    product that overflows becomes an infinity; one that meets inf + (-inf)
-    is a ValueError.  Labels default to the rendered coordinates.
+    Points may be scalars (treated as 1-D) or same-length vectors.  A NaN
+    coordinate is a ValueError.  A dot product that overflows becomes an
+    infinity; one that meets inf + (-inf) is a ValueError.  Labels default
+    to the rendered coordinates.
     """
-    xs = [_as_vector(p) for p in primal_points]
-    ys = [_as_vector(p) for p in dual_points]
+    xs = [_as_vector(p, "X", i) for i, p in enumerate(primal_points)]
+    ys = [_as_vector(p, "Y", i) for i, p in enumerate(dual_points)]
     if not xs or not ys:
         raise ValueError("bilinear_coupling: point sequences must be nonempty")
     dim = len(xs[0])
@@ -413,11 +395,17 @@ def bilinear_coupling(
     return Coupling(FiniteSet(primal_labels), FiniteSet(dual_labels), entries)
 
 
-def _as_vector(point) -> tuple[float, ...]:
-    """The coordinates of one point as doubles, -0.0 read as 0.0."""
+def _as_vector(point, side: str, i: int) -> tuple[float, ...]:
+    """The coordinates of point ``i`` on ``side`` as doubles, -0.0 read as
+    0.0; a NaN coordinate is a ValueError naming the point."""
     if isinstance(point, (int, float)) and not isinstance(point, bool):
         point = (point,)
-    return tuple(float(x) + 0.0 for x in point)
+    vector = tuple(float(x) + 0.0 for x in point)
+    if any(map(_isnan, vector)):
+        raise ValueError(
+            f"bilinear_coupling: {side} point {i} {vector!r} has a NaN coordinate"
+        )
+    return vector
 
 
 def _point_label(point: tuple[float, ...]) -> str:

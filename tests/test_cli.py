@@ -53,6 +53,21 @@ def test_conjugate_wrong_case_inf_exits_2(problems_dir, capsys):
     assert "entry 0" in err
 
 
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("site", ["inline", "file"])
+def test_conjugate_non_ascii_digit_exits_2(problems_dir, tmp_path, capsys, site, digit):
+    spec = f"{digit},2"
+    if site == "file":
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps([digit, 2]), encoding="utf-8")
+        spec = str(fn)
+    code, out, err = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
+                             "--function", spec)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: function entry 0: invalid extended-real literal: {digit!r}"]
+
+
 def test_conjugate_function_from_file(problems_dir, tmp_path, capsys):
     fn = tmp_path / "f.json"
     fn.write_text(json.dumps([5.0, "3"]))

@@ -347,6 +347,84 @@ def test_pruned_kernel_matches_oracle(data):
         same(have, want)
 
 
+@st.composite
+def rows_fixed_at_an_infinity(draw):
+    """A coupling with some rows and columns all -inf, and tables over
+    U x X and U x Y whose rows are each +inf everywhere, -inf everywhere or
+    mixed: the rows that the kernel answers without a scan and those it
+    scans, in one call."""
+    nu, nx, ny = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    dead_x = draw(st.sets(st.integers(min_value=0, max_value=nx - 1)))
+    dead_y = draw(st.sets(st.integers(min_value=0, max_value=ny - 1)))
+    c_rows = [[-INF if i in dead_x or j in dead_y else draw(entry) for j in range(ny)]
+              for i in range(nx)]
+
+    def row(m):
+        kind = draw(st.sampled_from(("inf", "-inf", "mixed")))
+        if kind == "mixed":
+            return draw(st.lists(entry, min_size=m, max_size=m))
+        return [float(kind)] * m
+
+    return c_rows, [row(nx) for _ in range(nu)], [row(ny) for _ in range(nu)]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@given(rows_fixed_at_an_infinity())
+@settings(max_examples=300, deadline=None)
+def test_rows_fixed_at_an_infinity_match_oracle(data):
+    # R_u = +inf and L_u = -inf give kernel rows of -inf, R_u = -inf and a
+    # reverse-conjugated g = -inf give kernel rows of +inf; each result is
+    # the oracle's bit for bit, and so is every weak-duality report
+    c_rows, r_rows, l_rows = data
+    U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
+    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
+    Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
+    c = Coupling(X, Y, c_rows)
+    for f_vals in r_rows:
+        assert hexes(conjugate(SetFunction(X, f_vals), c).values) == hexes(
+            bf.conjugate(c_rows, f_vals))
+    for g_vals in l_rows:
+        assert hexes(reverse_conjugate(SetFunction(Y, g_vals), c).values) == hexes(
+            bf.reverse_conjugate(c_rows, g_vals))
+    r = Rockafellian(U, X, r_rows)
+    for have, want in zip(lagrangian_of(r, c).rows, bf.lagrangian(c_rows, r_rows)):
+        assert hexes(have) == hexes(want)
+    lag = Lagrangian(U, Y, l_rows)
+    for have, want in zip(rockafellian_of(lag, c).rows, bf.rockafellian(c_rows, l_rows)):
+        assert hexes(have) == hexes(want)
+    for ix, x in enumerate(X):
+        rep = weak_duality_report(r, c, x)
+        assert hexes((rep.primal_value, rep.dual_value)) == hexes(
+            bf.weak_duality(c_rows, r_rows, ix))
+
+
+def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
+    # a row of -inf reads the view's width and a row of +inf its reach row,
+    # so a call of only such rows sorts nothing; the first row that scans
+    # sorts the view once, for every later call too
+    from gendual.extreal import descending, sup_product
+
+    sorts = []
+    build = descending.pairs.func
+    monkeypatch.setattr(descending.pairs, "func",
+                        lambda view: sorts.append(view) or build(view))
+    view = descending(((1.0, -INF, 2.0), (-INF, -INF, -INF), (-INF, INF, -INF)))
+    plus, minus = [INF] * 3, [-INF] * 3
+    assert sup_product([plus, minus, plus], view) == [
+        [INF, -INF, INF], [-INF, -INF, -INF], [INF, -INF, INF]]
+    assert sorts == [] and "pairs" not in vars(view)
+    # the reach row is copied, never handed out
+    sup_product([plus], view)[0][0] = 0.0
+    assert view.reach == (INF, -INF, INF)
+    assert sup_product([minus, [0.0, 1.0, -1.0], plus, [2.0, 0.0, -1.0]], view) == [
+        [-INF, -INF, -INF], [1.0, -INF, INF], [INF, -INF, INF], [3.0, -INF, INF]]
+    assert sup_product([[1.0, 1.0, 1.0]], view) == [[3.0, -INF, INF]]
+    assert sorts == [view]
+
+
 def test_infinity_exactness_in_identities():
     # identities must match infinities exactly, not just within tolerance
     rng = random.Random(7)

@@ -637,6 +637,27 @@ def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
     assert count_kernel_calls == [sup] * 4
 
 
+def test_unbounded_decisions_audit_without_a_sort():
+    # R_u = -inf everywhere feeds sigma_u a kernel row of +inf, and its
+    # Lagrangian row L_u = -inf feeds rho_u a row of -inf: the audit of such
+    # a couple sorts neither view of the coupling.  One raised R entry makes
+    # its decision's row mixed, and only the view that row reads is sorted.
+    n = 6
+    rng = random.Random(6)
+    U, X, Y = (FiniteSet([f"{k}{i}" for i in range(n)]) for k in "uxy")
+    table = [[float(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+    lag, r = make_couple(Rockafellian(U, X, [[-INF] * n] * n), Coupling(X, Y, table))
+    assert {v for row in lag.rows + r.rows for v in row} == {-INF}
+    c = Coupling(X, Y, table)
+    assert audit(lag, r, c).is_couple
+    assert "pairs" not in vars(c.sorted_cols) and "pairs" not in vars(c.sorted_rows)
+    c = Coupling(X, Y, table)
+    raised = Rockafellian(U, X, [[0.0] + [-INF] * (n - 1) if u == 2 else [-INF] * n
+                                 for u in range(n)])
+    assert not audit(lag, raised, c).is_couple
+    assert "pairs" in vars(c.sorted_cols) and "pairs" not in vars(c.sorted_rows)
+
+
 def test_biconjugate_is_reused_from_equal_rows(count_conjugate_rows):
     # the coupling's -0.0 entries read as 0.0, so at u0 -L_u = [0.0] and
     # sigma_u = [0.0] are the same double: (R_u)^{cc'} is rho_u, not built

@@ -183,6 +183,15 @@ def test_weak_duality_all_plus_inf(e1):
     assert rep.gap is None
 
 
+def test_weak_duality_report_reads_one_coupling_row(e1):
+    # the dual value reads a view of the base point's row alone, so the
+    # report leaves the coupling's sorted row view unbuilt
+    c = Coupling(e1["X"], e1["Y"], e1["c"].rows)
+    for x in c.primal:
+        assert weak_duality_report(e1["R"], c, x) == weak_duality_report(e1["R"], e1["c"], x)
+    assert "sorted_rows" not in vars(c)
+
+
 def test_weak_duality_unknown_base_point(e1):
     with pytest.raises(UnknownLabelError):
         weak_duality_report(e1["R"], e1["c"], "x9")

@@ -152,7 +152,9 @@ def test_parse_accepts(text, want):
 
 
 @pytest.mark.parametrize(
-    "text", ["Inf", "INF", "+inf", "nan", "NaN", "1_000", "0x1p3", "", " 1", "1e400", "-1e400"]
+    "text", ["Inf", "INF", "+inf", "nan", "NaN", "1_000", "0x1p3", "", " 1", "1e400", "-1e400",
+             # digits that float() reads but that are not ASCII 0-9
+             "\u0661", "\uff11", "1\u0662", "1e\u0663", "\u0665.5"]
 )
 def test_parse_rejects(text):
     with pytest.raises(ValueError):

@@ -130,6 +130,14 @@ def test_bilinear_coupling_dimension_mismatch():
         bilinear_coupling([], [(1.0,)])
 
 
+def test_bilinear_coupling_nan_coordinate_names_the_point():
+    with pytest.raises(ValueError, match=r"^bilinear_coupling: Y point 1 \(1\.0, nan\) "
+                                         r"has a NaN coordinate$"):
+        bilinear_coupling([(1.0, 2.0)], [(0.0, 1.0), (1.0, math.nan)])
+    with pytest.raises(ValueError, match=r"^bilinear_coupling: X point 0 \(nan,\) "):
+        bilinear_coupling([math.nan], [1.0])
+
+
 def test_partial_rockafellian(e1):
     row = partial_rockafellian(e1["R"], "u0")
     assert row.values == (ExtReal(5.0), ExtReal(3.0))

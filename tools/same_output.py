@@ -28,6 +28,14 @@ against each tree, in a fresh interpreter with that tree first on
     (ii)'s R half can fail at an earlier decision than its L half, and at
     n = 4 on the signed-zero couple with an L entry of 0 raised, so that an
     item (ii) witness prints an inf-transform entry of 0.0;
+  - at n = 4 and 16, tables with rows fixed at an infinity: an infeasible
+    decision (a row of R that is +inf everywhere), an unbounded one (a row
+    of -inf), rows of L likewise, and a coupling whose last row and column
+    are -inf.  They go through both transforms with ``--output``,
+    ``check-couple`` of the couple built from those files and of the raw
+    pair, ``conjugate`` of a function that is +inf or -inf everywhere on
+    each side, and ``weak-duality`` at every base point, also with the
+    unbounded decision made infeasible;
   - malformed variants of a gallery file, one fault each, and variants of
     e1.json and e1_lagrangian.json with an overflowing literal in a row
     that also holds a word ("inf" or "-inf"), in each of the three tables;
@@ -67,6 +75,7 @@ GALLERY = TOOLS.parent / "problems"
 FORMATS = ("text", "csv", "structured")
 SIZES = (4, 16, 64, 256)
 RAISED_SIZES = (16, 64)
+FIXED_ROW_SIZES = (4, 16)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 OFF_GRID_FAMILIES = ("fractional", "tiny", "wide", "near-overflow")
@@ -115,6 +124,20 @@ def _problem(n, coupling, rockafellian=None, lagrangian=None):
     if lagrangian is not None:
         doc["lagrangian"] = lagrangian
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _fixed_rows(rng, n):
+    """Coupling, R and L tables with integer entries, 10% of each infinity,
+    and rows fixed at an infinity: row 0 of R and of L is +inf everywhere,
+    row 1 is -inf everywhere, and the coupling's last row and column are
+    -inf."""
+    c, r, lag = (_table(rng, "integer", n) for _ in range(3))
+    for row in c:
+        row[-1] = "-inf"
+    c[-1] = ["-inf"] * n
+    for table in (r, lag):
+        table[0], table[1] = ["inf"] * n, ["-inf"] * n
+    return c, r, lag
 
 
 def _function(rng, family, n):
@@ -259,6 +282,31 @@ def write_inputs(root):
                 commands.append(["raise", f"out/{family}{n}l1.json", zero, "lagrangian",
                                  "0", "zero"])
                 commands += _audits(f"out/{family}{n}r1.json", zero)
+    for n in FIXED_ROW_SIZES:
+        tag = f"rand/fixed{n}"
+        c, r, lag = _fixed_rows(rng, n)
+        # with the unbounded decision made infeasible too, phi is not -inf
+        # everywhere
+        bounded = [r[0], r[0], *r[2:]]
+        for suffix, text in (("r", _problem(n, c, rockafellian=r)),
+                             ("l", _problem(n, c, lagrangian=lag)),
+                             ("both", _problem(n, c, r, lag)),
+                             ("bounded", _problem(n, c, rockafellian=bounded))):
+            (root / f"{tag}{suffix}.json").write_text(text, encoding="utf-8")
+        base = [["weak-duality", f"{tag}{suffix}.json", "--base-point", f"x{i}"]
+                for suffix in ("r", "bounded") for i in range(n)]
+        for value in ("inf", "-inf"):
+            base += [["conjugate", f"{tag}r.json", f"--function={value}" + f",{value}" * (n - 1)],
+                     ["conjugate", f"{tag}l.json", "--side", "dual",
+                      f"--function={value}" + f",{value}" * (n - 1)]]
+        commands += [cmd + ["--format", fmt] for cmd in base for fmt in FORMATS]
+        commands += [
+            ["to-lagrangian", f"{tag}r.json", "--output", f"out/fixed{n}l1.json"],
+            ["to-rockafellian", f"out/fixed{n}l1.json", "--output", f"out/fixed{n}r1.json"],
+            ["to-rockafellian", f"{tag}l.json", "--output", f"out/fixed{n}r2.json"],
+        ]
+        commands += _audits(f"out/fixed{n}r1.json", f"out/fixed{n}l1.json")
+        commands += _audits(f"{tag}both.json")
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
