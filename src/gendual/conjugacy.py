@@ -8,17 +8,17 @@ and the reverse conjugate of g: Y -> [-inf,+inf] swaps the roles of the two
 sides through the reversed coupling.  Biconjugation composes the two and
 yields the largest c-convex function below the input; a function equal to
 its biconjugate is called c-convex (respectively c'-convex on the dual
-side).  Both conjugates are one-row products of the Moreau product kernel in
-``extreal``, which enumerates the finite sets exactly: ``conjugate_row``
-is that product, and the couple audit calls it on raw table rows.  Its
-values are plain doubles that are never NaN, so the conjugates are built
-without a second check (see ``spaces``).
+side).  Both conjugates are one-row calls of the kernel in ``extreal``,
+``conjugate_product``, which is the c-conjugate itself and enumerates the
+finite sets exactly: ``conjugate_row`` is that call, and the couple audit
+calls it on raw table rows.  Its values are plain doubles that are never
+NaN, so the conjugates are built without a second check (see ``spaces``).
 """
 
 from __future__ import annotations
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, exceeds, sup_product
+from .extreal import DEFAULT_TOL, conjugate_product, exceeds
 from .spaces import Coupling, SetFunction
 
 __all__ = [
@@ -33,13 +33,13 @@ __all__ = [
 ]
 
 
-def conjugate_row(neg_f, view) -> list[float]:
-    """The conjugate of f, given as the row ``neg_f`` of its negated values,
-    over the lines of a ``descending`` view of the coupling: its columns
-    (``c.sorted_cols``) for f on the primal set, its rows
-    (``c.sorted_rows``) for the reverse conjugate of f on the dual set.
-    Returns the plain list of values, in the order of the view's lines."""
-    return sup_product((neg_f,), view)[0]
+def conjugate_row(f, view) -> list[float]:
+    """The conjugate of the row of values ``f`` over the lines of a
+    ``descending`` view of the coupling: its columns (``c.sorted_cols``) for
+    f on the primal set, its rows (``c.sorted_rows``) for the reverse
+    conjugate of f on the dual set.  Returns the plain list of values, in
+    the order of the view's lines."""
+    return conjugate_product((f,), view)[0]
 
 
 def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
@@ -49,7 +49,7 @@ def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
             "conjugate: function domain differs from the coupling's primal set"
         )
     return SetFunction._unchecked(
-        c.dual, tuple(conjugate_row([-v for v in f.values], c.sorted_cols))
+        c.dual, tuple(conjugate_row(f.values, c.sorted_cols))
     )
 
 
@@ -60,7 +60,7 @@ def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
             "reverse_conjugate: function domain differs from the coupling's dual set"
         )
     return SetFunction._unchecked(
-        c.primal, tuple(conjugate_row([-v for v in g.values], c.sorted_rows))
+        c.primal, tuple(conjugate_row(g.values, c.sorted_rows))
     )
 
 

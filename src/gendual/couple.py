@@ -22,11 +22,11 @@ where, for every decision u,
 
 The minimality of item (i) and items (ii)-(v) are row tests.  One pass
 over the decisions builds, for each u, sigma_u = (R_u)^c,
-rho_u = (-L_u)^{c'} and their biconjugates at most once each, through
-``conjugacy.conjugate_row``, and runs every still-open test on them.  No
-row holds -0.0, so rows equal in value are the same doubles: a conjugate
-row equal to its held row is shared as that row, and a biconjugate whose
-argument is a row already held is not rebuilt.  So wherever item (iii)
+rho_u = (-L_u)^{c'} and their biconjugates at most once each, each as
+``conjugacy.conjugate_row`` of its function, and runs every still-open
+test on them.  No row holds -0.0, so rows equal in value are the same
+doubles: a conjugate row equal to its held row is shared as that row, and
+a biconjugate whose argument is a row already held is not rebuilt.  So wherever item (iii)
 holds exactly a decision costs two conjugate rows, not four.
 Each test names the first entry where its two rows fail ``approx_eq`` (or
 ``approx_le``).
@@ -69,10 +69,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress
-from operator import ne
 
 from .errors import DomainMismatchError
-from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, lazy, upp_add
+from .extreal import (
+    DEFAULT_TOL, approx_eq, approx_le, exceeds, lazy, mismatch, upp_add)
 from .spaces import Coupling, Lagrangian, Rockafellian
 from .conjugacy import conjugate_row
 from .duality import lagrangian_of, rockafellian_of
@@ -143,7 +143,7 @@ def _inequality_witness(lag, r, c, tol) -> Witness | None:
             c_rows = (tuple(compress(c_row, dom)) for c_row in c.rows)
         else:
             continue
-        nl_row = [-v for v in compress(l_row, dom)]
+        nl_row = [0.0 - v for v in compress(l_row, dom)]
         for x, rv, c_row in zip(r.primal.labels, r_row, c_rows):
             if not exceeds(c_row, nl_row, rv, tol):
                 continue
@@ -168,32 +168,15 @@ def inequality_holds(
     return _inequality_witness(lag, r, c, tol) is None
 
 
-def _mismatch(have, want, tol, holds) -> int | None:
-    """Index of the first entry where ``holds(have[k], want[k], tol)``
-    fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``.  Lists
-    equal entry for entry pass both at every tol >= 0 (no entry is NaN), so
-    they are done in one C-level test, and of the others only the entries
-    that differ are scanned."""
-    if have == want:
-        return None
-    for k in compress(range(len(have)), map(ne, have, want)):
-        if not holds(have[k], want[k], tol):
-            return k
-    return None
-
-
-def _negated(row) -> list[float]:
-    return [0.0 - v for v in row]
-
-
 class _Rows:
     """The rows of one decision u that the row tests compare, each a list
     built on first use and shared by every test that reads it: ``l`` and
-    ``r`` are L_u and R_u.  ``conjugate_row`` takes the negated function,
-    so rho_u = (-L_u)^c' is conjugate_row(L_u), which is also the
-    sup-transform row ``rockafellian_of`` gives, bit for bit.  The
-    inf-transform row is 0.0 - sigma_u (see the module docstring) and is
-    not built.
+    ``r`` are L_u and R_u, and ``nl`` is -L_u, the one negated row.  Each
+    conjugate row is ``conjugate_row`` of its function, as in the paper:
+    sigma_u = (R_u)^c, rho_u = (-L_u)^{c'}, which is also the sup-transform
+    row ``rockafellian_of`` gives, bit for bit, (R_u)^{cc'} = (sigma_u)^{c'}
+    and (-L_u)^{c'c} = (rho_u)^c.  The inf-transform row is 0.0 - sigma_u
+    (see the module docstring) and is not built.
 
     No row holds -0.0, so rows equal in value are the same doubles and give
     the same conjugate bit for bit.  So sigma_u is the list -L_u where the
@@ -207,29 +190,29 @@ class _Rows:
 
     @lazy
     def nl(self):  # -L_u
-        return _negated(self.l)
+        return [0.0 - v for v in self.l]
 
     @lazy
     def sigma(self):  # (R_u)^c, the least feasible -L_u
-        row = conjugate_row(_negated(self.r), self.c.sorted_cols)
+        row = conjugate_row(self.r, self.c.sorted_cols)
         return self.nl if row == self.nl else row
 
     @lazy
     def rho(self):  # (-L_u)^{c'}, the least feasible R_u
-        row = conjugate_row(self.l, self.c.sorted_rows)
+        row = conjugate_row(self.nl, self.c.sorted_rows)
         return self.r if row == self.r else row
 
     @lazy
     def r_bi(self):  # (R_u)^{cc'}
         if self.sigma is self.nl:
             return self.rho
-        return conjugate_row(_negated(self.sigma), self.c.sorted_rows)
+        return conjugate_row(self.sigma, self.c.sorted_rows)
 
     @lazy
     def nl_bi(self):  # (-L_u)^{c'c}
         if self.rho is self.r:
             return self.sigma
-        return conjugate_row(_negated(self.rho), self.c.sorted_cols)
+        return conjugate_row(self.rho, self.c.sorted_cols)
 
 
 # The row tests of items (i)-(v), each stated once: the side of the row's
@@ -280,7 +263,7 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
             item = "ii" if entry in _ITEM_II else entry
             for side, have, want, holds, text in _ROW_TESTS[entry]:
                 have, want = getattr(rows, have), getattr(rows, want)
-                k = _mismatch(have, want, tol, holds)
+                k = mismatch(have, want, tol, holds)
                 if k is None:
                     continue
                 a, b = have[k], want[k]

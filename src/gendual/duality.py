@@ -20,13 +20,14 @@ The weak-duality report evaluates, at a chosen perturbation point, the primal
 value phi(x) against the dual value sup_y [c(x, y) lower-add psi(y)]; the
 dual value never exceeds the primal one.
 
-Both transforms and the dual value are products of the Moreau product kernel
-in ``extreal``; phi and psi are column minima.  The Lagrangian is the
-negated product 0.0 - sup_x [-R(u,x) lower-add c(x,y)], which is the
-inf-transform exactly (see ``extreal``).  All of them are plain doubles,
-never NaN and never -0.0, built without a second check (see ``spaces``).
-So -psi = phi^c holds bit for bit, and the report takes psi as
-0.0 - phi^c: one conjugate row, not the whole Lagrangian.
+Both transforms and the dual value are c-conjugates, computed by the kernel
+of ``extreal``, ``conjugate_product``; phi and psi are column minima.  The
+formulas read as the paper's: the Lagrangian's row u is 0.0 - (R_u)^c, the
+inf-transform exactly (see ``extreal``), and the Rockafellian's row u is
+(0.0 - L_u)^{c'}.  All of them are plain doubles, never NaN and never -0.0,
+built without a second check (see ``spaces``).  So -psi = phi^c holds bit
+for bit, and the dual value sup_y [c(x, y) lower-add -phi^c(y)] is the
+biconjugate phi^{cc'}(x): two conjugate rows, not the whole Lagrangian.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .extreal import (
     ExtReal,
     approx_eq,
     approx_le,
+    conjugate_product,
     descending,
-    sup_product,
 )
 from .spaces import Coupling, Lagrangian, Rockafellian, SetFunction
 
@@ -55,19 +56,15 @@ __all__ = [
 ]
 
 
-def _negated(row) -> tuple[float, ...]:
-    """The row negated as 0.0 - v, which keeps 0.0 (see ``extreal``)."""
-    return tuple([0.0 - v for v in row])
-
-
 def lagrangian_of(r: Rockafellian, c: Coupling) -> Lagrangian:
     """Lagrangian of a Rockafellian: L(u,y) = inf_x [R(u,x) upper-add -c(x,y)]."""
     if r.primal != c.primal:
         raise DomainMismatchError(
             "lagrangian_of: Rockafellian primal set differs from the coupling's"
         )
-    rows = sup_product([[-v for v in row] for row in r.rows], c.sorted_cols)
-    return Lagrangian._unchecked(r.decisions, c.dual, tuple(map(_negated, rows)))
+    rows = conjugate_product(r.rows, c.sorted_cols)  # -L_u = (R_u)^c
+    return Lagrangian._unchecked(
+        r.decisions, c.dual, tuple([tuple([0.0 - v for v in row]) for row in rows]))
 
 
 def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
@@ -76,7 +73,8 @@ def rockafellian_of(lag: Lagrangian, c: Coupling) -> Rockafellian:
         raise DomainMismatchError(
             "rockafellian_of: Lagrangian dual set differs from the coupling's"
         )
-    rows = sup_product(lag.rows, c.sorted_rows)
+    rows = conjugate_product(  # R_u = (-L_u)^{c'}
+        [[0.0 - v for v in row] for row in lag.rows], c.sorted_rows)
     return Rockafellian._unchecked(lag.decisions, c.primal, tuple(map(tuple, rows)))
 
 
@@ -112,13 +110,13 @@ def weak_duality_report(
 ) -> WeakDualityReport:
     """Evaluate weak duality at ``base_point``.
 
-    primal = phi(base_point); dual = sup_y [c(base_point, y) lower-add psi(y)],
-    with psi = 0.0 - phi^c, the dual function of ``lagrangian_of(r, c)`` bit
-    for bit, in O(|U||X| + |X||Y|).  The dual value reads a view of the
-    coupling's row at ``base_point`` alone, and leaves ``c.sorted_rows``
-    unbuilt.  It can never exceed the primal one; a violation means a
-    broken arithmetic kernel or rounding at large magnitudes, and raises
-    ArithmeticError instead of reporting.
+    primal = phi(base_point); dual = phi^{cc'}(base_point) =
+    sup_y [c(base_point, y) lower-add -phi^c(y)], where -phi^c is psi, the
+    dual function of ``lagrangian_of(r, c)``, bit for bit: O(|U||X| + |X||Y|).
+    The dual value reads a view of the coupling's row at ``base_point``
+    alone, and leaves ``c.sorted_rows`` unbuilt.  It can never exceed the
+    primal one; a violation means a broken arithmetic kernel or rounding at
+    large magnitudes, and raises ArithmeticError instead of reporting.
     """
     if r.primal != c.primal:
         raise DomainMismatchError(
@@ -126,8 +124,8 @@ def weak_duality_report(
         )
     ix = c.primal.index(base_point)
     phi = perturbation_function(r).values
-    psi = _negated(sup_product(([-v for v in phi],), c.sorted_cols)[0])
-    dual = ExtReal(sup_product([psi], descending((c.rows[ix],)))[0][0])
+    phi_c = conjugate_product((phi,), c.sorted_cols)[0]
+    dual = ExtReal(conjugate_product((phi_c,), descending((c.rows[ix],)))[0][0])
     primal = ExtReal(phi[ix])
     if not approx_le(dual, primal, tol):
         raise ArithmeticError(

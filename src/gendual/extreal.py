@@ -17,36 +17,41 @@ keeps one: no table entry, function value or scalar it holds is -0.0.
 Every value that enters is read with -0.0 as 0.0 (``ExtReal``,
 ``as_extreal``, ``parse_extreal``, ``spaces`` and ``problems``), and every
 negation of a held value is ``0.0 - v``, which is -v except at zero.  An
-IEEE sum is -0.0 only when both terms are, and no coupling entry is -0.0,
-so no kernel result is -0.0 either, whatever the zeros of the kernel's
-other operand: two equal results are the same double.
+IEEE difference b - f is -0.0 only when b is -0.0 and f is 0.0, and no
+coupling entry is -0.0, so no kernel result is -0.0 either, whatever the
+zeros of the function: two equal results are the same double.
 
 The conjugates, the transforms and the dual value all go through one
-kernel: ``sup_product``, the max-plus matrix product under the lower
-addition.  An infimum under the upper addition is its negation: the
-Lagrangian's inf_x [R(u,x) upper-add -c(x,y)] is 0.0 - sup_x [-R(u,x)
-lower-add c(x,y)], exactly, since negation is exact, rounding is
-sign-symmetric and the two additions send the opposite-infinity pair to
-opposite infinities.  One side of the product is always a coupling, read
-through its ``descending`` view, a lazy object that holds the coupling's
-lines and builds on first use only what a row of the product reads:
-  - a row of -inf (for a conjugate, the negation of a function that is
-    +inf everywhere, an empty domain) gives -inf on every line: no scan
-    and no sort;
-  - a row of +inf (for a conjugate, the negation of a function that is
-    -inf everywhere) gives the view's ``reach`` row, +inf on each line with
-    an entry above -inf and -inf on the rest, built once per view: no scan
-    and no sort;
+kernel: ``conjugate_product``, the c-conjugate of each row it is given,
+f^c(y) = sup_x [c(x,y) lower-add -f(x)], computed as c(x,y) - f(x).  In
+IEEE arithmetic x - y is x + (-y) exactly, so each difference is the lower
+Moreau sum of c and -f except where c and f are the same infinity, where it
+is NaN.  The paper's couple is -L_u = (R_u)^c and R_u = (-L_u)^{c'}, and
+its dual value phi^{cc'}, so the kernel's callers pass the function itself,
+and the only negations left among them are the paper's -L: the Lagrangian's
+output, the Rockafellian's input and the audit's -L_u row.  The
+Lagrangian's inf_x [R(u,x) upper-add -c(x,y)] is 0.0 - (R_u)^c(y),
+exactly, since negation is exact, rounding is sign-symmetric and the two
+additions send the opposite-infinity pair to opposite infinities.  One
+side of the product is always a coupling, read through its ``descending``
+view, a lazy object that holds the coupling's lines and builds on first use
+only what a row of the product reads:
+  - a row f of +inf everywhere (an empty domain) gives -inf on every line:
+    no scan and no sort;
+  - a row f of -inf everywhere gives the view's ``reach`` row, +inf on each
+    line with an entry above -inf and -inf on the rest, built once per
+    view: no scan and no sort;
   - any other row scans the view's ``pairs``: per line, the indices of the
     entries above -inf, largest entry first, sorted once per view on the
     first row that scans.  A scan visits k in that order and stops once
-    max(a) + c[k] cannot beat the best sum so far, so the coupling's -inf
-    entries are never visited.
+    c[k] - min(f) cannot beat the best difference so far, so the coupling's
+    -inf entries are never visited.
 The kernel is exact and returns plain doubles that are never NaN:
-  - an IEEE sum is NaN only for the opposite-infinity pair, which the
+  - a difference is NaN only for two equal infinities, which the
     comparisons never select, just as the -inf that the lower addition
-    gives it never wins a sup;
-  - IEEE rounding is monotone, so no sum after the stop could even win.
+    gives the pair never wins a sup;
+  - IEEE rounding is monotone, so no difference after the stop could even
+    win.
 
 Every test of an upper Moreau sum against a coupling value (the couple
 inequality and the Young check) is one scan, ``exceeds``.
@@ -59,6 +64,8 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import compress
+from operator import ne
 
 from .defaults import DEFAULT_TOL
 
@@ -70,13 +77,13 @@ __all__ = [
     "approx_eq",
     "approx_le",
     "as_extreal",
+    "conjugate_product",
     "descending",
     "exceeds",
     "low_add",
     "neg",
     "parse_extreal",
     "render_extreal",
-    "sup_product",
     "upp_add",
 ]
 
@@ -176,8 +183,8 @@ class lazy:
 class descending:
     """The kernel's view of a coupling's rows or columns.  Building it costs
     nothing: it holds the tuple of ``lines`` and their number ``width``, and
-    ``sup_product`` reads ``reach`` or ``pairs`` only for a row that needs
-    them, each built on first read and then kept."""
+    ``conjugate_product`` reads ``reach`` or ``pairs`` only for a row that
+    needs them, each built on first read and then kept."""
 
     def __init__(self, lines: tuple):
         self.lines = lines
@@ -200,30 +207,31 @@ class descending:
     @lazy
     def reach(self) -> tuple:
         """Per line, +inf if it has an entry above -inf, else -inf: the
-        product row of a row that is +inf everywhere, since (+inf) lower-add
-        v is +inf for every v > -inf and -inf for v = -inf."""
+        conjugate of a row that is -inf everywhere, since v lower-add (+inf)
+        is +inf for every v > -inf and -inf for v = -inf."""
         return tuple([_INF if max(b) > -_INF else -_INF for b in self.lines])
 
 
-def sup_product(a_rows, view) -> list[list[float]]:
-    """P[i][j] = sup_k a_rows[i][k] (lower-add) b_j[k], over the lines b_j of
-    a ``descending`` view.
+def conjugate_product(f_rows, view) -> list[list[float]]:
+    """P[i][j] = sup_k [b_j[k] lower-add -f_i[k]], computed as
+    b_j[k] - f_i[k], over the lines b_j of a ``descending`` view: row i is
+    the c-conjugate of the row f_i.
 
-    A row a that is -inf everywhere gives -inf on every line, and one that
-    is +inf everywhere a copy of the view's ``reach``: neither scans nor
+    A row f that is +inf everywhere gives -inf on every line, and one that
+    is -inf everywhere a copy of the view's ``reach``: neither scans nor
     sorts.  Any other row scans the view's ``pairs``, fetched once per call
     and sorted once per view.  Each scan visits k in the line's order and
-    stops once the bound max(a) + b_j[k] is at most the best sum so far, or
-    at +inf.  The module docstring says why the result is exact."""
+    stops once the bound b_j[k] - min(f) is at most the best difference so
+    far, or at +inf.  The module docstring says why the result is exact."""
     out = []
     pairs = None
-    for a in a_rows:
-        top = max(a)
-        if top == -_INF:
+    for f in f_rows:
+        low = min(f)
+        if low == _INF:
             out.append([-_INF] * view.width)
             continue
-        # a[0] first, so that a mixed row rarely pays the pass of min(a)
-        if a[0] == _INF and min(a) == _INF:
+        # f[0] first, so that a mixed row rarely pays the pass of max(f)
+        if f[0] == -_INF and max(f) == -_INF:
             out.append(list(view.reach))
             continue
         if pairs is None:
@@ -233,9 +241,9 @@ def sup_product(a_rows, view) -> list[list[float]]:
             best = -_INF
             for k in order:
                 v = b[k]
-                if top + v <= best:
+                if v - low <= best:
                     break
-                s = a[k] + v
+                s = v - f[k]
                 if s > best:
                     best = s
                     if s == _INF:
@@ -283,6 +291,21 @@ def approx_le(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
     if -_INF < a < _INF and -_INF < b < _INF:
         return a - b <= tol
     return a <= b
+
+
+def mismatch(have, want, tol, holds) -> int | None:
+    """Index of the first entry where ``holds(have[k], want[k], tol)``
+    fails, or None; ``holds`` is ``approx_eq`` or ``approx_le``, and tol is
+    checked by the caller.  Rows equal entry for entry (two lists or two
+    tuples) pass both at every tol >= 0, since no entry is NaN, so they are
+    done in one C-level test, and of the others only the entries that
+    differ are scanned."""
+    if have == want:
+        return None
+    for k in compress(range(len(have)), map(ne, have, want)):
+        if not holds(have[k], want[k], tol):
+            return k
+    return None
 
 
 _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)

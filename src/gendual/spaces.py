@@ -25,12 +25,12 @@ An entry is checked where it enters the package, and nowhere else, and
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
-from operator import ne
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from .errors import DomainMismatchError, UnknownLabelError
-from .extreal import DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending, lazy
+from .extreal import (
+    DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending, lazy, mismatch)
 
 __all__ = [
     "Coupling",
@@ -164,11 +164,11 @@ class SetFunction:
 
     def isclose(self, other: "SetFunction", tol: float = DEFAULT_TOL) -> bool:
         """Same domain, infinities matching exactly, finite entries within tol.
-        Equal values are done in one C-level test (see ``_close_rows``)."""
+        Equal values are done in one C-level test (see ``extreal.mismatch``)."""
         if self.domain != other.domain:
             return False
         _check_tol(tol)
-        return _close_rows(self.values, other.values, tol)
+        return mismatch(self.values, other.values, tol, approx_eq) is None
 
     def __eq__(self, other):
         if not isinstance(other, SetFunction):
@@ -206,17 +206,6 @@ def _check_tol(tol: float) -> None:
     a NaN tol is rejected too."""
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
-
-
-def _close_rows(a: tuple, b: tuple, tol: float) -> bool:
-    """``approx_eq`` entry by entry, for a tol checked by ``_check_tol``.
-    Equal rows are done in one C-level test, since equal doubles are
-    approximately equal at every tol >= 0 (signed zeros compare equal and
-    no entry is NaN); of other rows, only the entries that differ are
-    scanned."""
-    if a == b:
-        return True
-    return all(approx_eq(x, y, tol) for x, y in compress(zip(a, b), map(ne, a, b)))
 
 
 class _Table:
@@ -262,8 +251,8 @@ class _Table:
             return False
         _check_tol(tol)
         return self.rows == other.rows or all(
-            map(_close_rows, self.rows, other.rows, repeat(tol))
-        )
+            mismatch(a, b, tol, approx_eq) is None
+            for a, b in zip(self.rows, other.rows))
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -365,8 +354,8 @@ def bilinear_coupling(
 
     Points may be scalars (treated as 1-D) or same-length vectors.  A NaN
     coordinate is a ValueError.  A dot product that overflows becomes an
-    infinity; one that meets inf + (-inf) is a ValueError.  Labels default
-    to the rendered coordinates.
+    infinity; one that meets inf * 0 or inf + (-inf) is a ValueError naming
+    that fault.  Labels default to the rendered coordinates.
     """
     xs = [_as_vector(p, "X", i) for i, p in enumerate(primal_points)]
     ys = [_as_vector(p, "Y", i) for i, p in enumerate(dual_points)]
@@ -388,9 +377,14 @@ def bilinear_coupling(
     for i, row in enumerate(entries):
         for j, v in enumerate(row):
             if math.isnan(v):
+                # a coordinate product is NaN only as inf * 0
+                if any(map(_isnan, map(mul, xs[i], ys[j]))):
+                    fault = "inf * 0"
+                else:
+                    fault = "inf + (-inf)"
                 raise ValueError(
                     f"the dot product of X point {primal_labels[i]!r} and Y point "
-                    f"{dual_labels[j]!r} is inf + (-inf)"
+                    f"{dual_labels[j]!r} is {fault}"
                 )
     return Coupling(FiniteSet(primal_labels), FiniteSet(dual_labels), entries)
 

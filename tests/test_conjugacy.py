@@ -402,10 +402,10 @@ def test_rows_fixed_at_an_infinity_match_oracle(data):
 
 
 def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
-    # a row of -inf reads the view's width and a row of +inf its reach row,
-    # so a call of only such rows sorts nothing; the first row that scans
-    # sorts the view once, for every later call too
-    from gendual.extreal import descending, sup_product
+    # a row of +inf (an empty domain) reads the view's width and a row of
+    # -inf its reach row, so a call of only such rows sorts nothing; the
+    # first row that scans sorts the view once, for every later call too
+    from gendual.extreal import conjugate_product, descending
 
     sorts = []
     build = descending.pairs.func
@@ -413,15 +413,15 @@ def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
                         lambda view: sorts.append(view) or build(view))
     view = descending(((1.0, -INF, 2.0), (-INF, -INF, -INF), (-INF, INF, -INF)))
     plus, minus = [INF] * 3, [-INF] * 3
-    assert sup_product([plus, minus, plus], view) == [
+    assert conjugate_product([minus, plus, minus], view) == [
         [INF, -INF, INF], [-INF, -INF, -INF], [INF, -INF, INF]]
     assert sorts == [] and "pairs" not in vars(view)
     # the reach row is copied, never handed out
-    sup_product([plus], view)[0][0] = 0.0
+    conjugate_product([minus], view)[0][0] = 0.0
     assert view.reach == (INF, -INF, INF)
-    assert sup_product([minus, [0.0, 1.0, -1.0], plus, [2.0, 0.0, -1.0]], view) == [
+    assert conjugate_product([plus, [0.0, -1.0, 1.0], minus, [-2.0, 0.0, 1.0]], view) == [
         [-INF, -INF, -INF], [1.0, -INF, INF], [INF, -INF, INF], [3.0, -INF, INF]]
-    assert sup_product([[1.0, 1.0, 1.0]], view) == [[3.0, -INF, INF]]
+    assert conjugate_product([[-1.0, -1.0, -1.0]], view) == [[3.0, -INF, INF]]
     assert sorts == [view]
 
 

@@ -550,9 +550,9 @@ def count_conjugate_rows(monkeypatch):
     calls = []
     kernel = couple.conjugate_row
 
-    def counted(neg_f, view):
+    def counted(f, view):
         calls.append(view)
-        return kernel(neg_f, view)
+        return kernel(f, view)
 
     monkeypatch.setattr(couple, "conjugate_row", counted)
     return calls
@@ -590,16 +590,17 @@ def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conju
 @pytest.fixture
 def count_kernel_calls(monkeypatch):
     """Counts the product-kernel calls of ``conjugacy`` and ``duality``, the
-    modules that bind ``sup_product``, as (kernel name, number of rows)."""
+    modules that bind ``conjugate_product``, as (kernel name, number of
+    rows)."""
     import gendual.conjugacy as conjugacy
     import gendual.duality as duality
 
     calls = []
     for module in (conjugacy, duality):
-        def counted(a_rows, view, kernel=module.sup_product):
-            calls.append(("sup_product", len(a_rows)))
-            return kernel(a_rows, view)
-        monkeypatch.setattr(module, "sup_product", counted)
+        def counted(f_rows, view, kernel=module.conjugate_product):
+            calls.append(("conjugate_product", len(f_rows)))
+            return kernel(f_rows, view)
+        monkeypatch.setattr(module, "conjugate_product", counted)
     return calls
 
 
@@ -616,7 +617,7 @@ def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
     import gendual.extreal as extreal
 
     assert not hasattr(extreal, "inf_product")
-    sup = ("sup_product", 1)
+    call = ("conjugate_product", 1)
     problem = load_problem(problems_dir / "e1_couple.json", allow_both=True)
     e1 = (problem.require_lagrangian(), problem.require_rockafellian(), problem.coupling)
     for lag, r, c in (e1, _canonical_couple(8, seed=8)):
@@ -624,17 +625,17 @@ def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
         count_kernel_calls.clear()
         count_conjugate_rows.clear()
         assert check_item_ii(lag, r, c)
-        assert count_kernel_calls == [sup] * (2 * n)
+        assert count_kernel_calls == [call] * (2 * n)
         assert _views(count_conjugate_rows, c) == ["sigma"] * n + ["rho"] * n
         count_kernel_calls.clear()
         count_conjugate_rows.clear()
         assert audit(lag, r, c).is_couple
-        assert count_kernel_calls == [sup] * len(count_conjugate_rows)
+        assert count_kernel_calls == [call] * len(count_conjugate_rows)
     # only the 4 conjugate rows that test_each_conjugate_row_is_built_once_
     # per_decision counts
     count_kernel_calls.clear()
     assert audit(*e1).is_couple
-    assert count_kernel_calls == [sup] * 4
+    assert count_kernel_calls == [call] * 4
 
 
 def test_unbounded_decisions_audit_without_a_sort():
@@ -751,7 +752,7 @@ def test_item_ii_stops_at_the_first_witness_row(count_kernel_calls, count_conjug
     count_kernel_calls.clear()
     count_conjugate_rows.clear()
     assert not check_item_ii(lag, r, c)
-    assert count_kernel_calls == [("sup_product", 1)]
+    assert count_kernel_calls == [("conjugate_product", 1)]
     assert _views(count_conjugate_rows, c) == ["sigma"]
     assert [(w.item, w.u, w.x, w.y, w.description)
             for w in audit(lag, r, c).witnesses if w.item == "ii"] == want
@@ -837,7 +838,7 @@ def test_inf_transform_row_is_negated_sigma(data):
     c = Coupling(X, Y, c_rows)
     r = Rockafellian(U, X, [r_u])
     row = lagrangian_of(r, c).rows[0]
-    sigma = conjugate_row([-v for v in r.rows[0]], c.sorted_cols)
+    sigma = conjugate_row(r.rows[0], c.sorted_cols)
     assert [v.hex() for v in row] == [(0.0 - v).hex() for v in sigma]
     want = bf.lagrangian([[v + 0.0 for v in line] for line in c_rows], [[v + 0.0 for v in r_u]])
     assert [v.hex() for v in row] == [v.hex() for v in want[0]]
@@ -855,7 +856,7 @@ def test_inf_transform_row_and_negated_sigma_agree_in_a_zero():
     c = Coupling(X, Y, [[-0.0]])
     r = Rockafellian(U, X, [[-0.0]])
     assert lagrangian_of(r, c).rows[0][0].hex() == "0x0.0p+0"
-    assert (0.0 - conjugate_row([-0.0], c.sorted_cols)[0]).hex() == "0x0.0p+0"
+    assert (0.0 - conjugate_row(r.rows[0], c.sorted_cols)[0]).hex() == "0x0.0p+0"
     lag = Lagrangian(U, Y, [[1.0]])
     assert [w.description for w in audit(lag, r, c).witnesses if w.item == "ii"] == [
         "L(u0,y0) = 1.0 but the inf-transform gives 0.0"]

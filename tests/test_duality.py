@@ -12,6 +12,7 @@ from gendual import (
     FiniteSet,
     Lagrangian,
     Rockafellian,
+    SetFunction,
     UnknownLabelError,
     approx_le,
     conjugate,
@@ -249,8 +250,8 @@ def test_proposition_identities_randomized():
 
 @st.composite
 def weak_duality_instance(draw):
-    """(c, R) rows up to 5 a side from one fuzz value family, a third of the
-    entries replaced by an infinity or a zero of either sign."""
+    """(c, R, L) rows up to 5 a side from one fuzz value family, a third of
+    the entries replaced by an infinity or a zero of either sign."""
     family = VALUE_FAMILIES[draw(st.sampled_from(sorted(VALUE_FAMILIES)))]
     rng = draw(st.randoms(use_true_random=False))
     special = st.sampled_from([-INF, INF, 0.0, -0.0])
@@ -260,7 +261,7 @@ def weak_duality_instance(draw):
                  for _ in range(m)] for _ in range(n)]
 
     nu, nx, ny = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
-    return table(nx, ny), table(nu, nx)
+    return table(nx, ny), table(nu, nx), table(nu, ny)
 
 
 @given(weak_duality_instance())
@@ -268,7 +269,7 @@ def weak_duality_instance(draw):
 def test_psi_through_phi_is_the_lagrangian_route_bit_for_bit(data):
     # -psi = phi^c holds bit for bit, so the report's psi = 0.0 - phi^c is
     # the dual function of the whole Lagrangian, and so is its dual value
-    c_rows, r_rows = data
+    c_rows, r_rows, _ = data
     U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
     X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
     Y = FiniteSet([f"y{i}" for i in range(len(c_rows[0]))])
@@ -284,3 +285,36 @@ def test_psi_through_phi_is_the_lagrangian_route_bit_for_bit(data):
             assert dual > perturbation_function(r)(x), exc
             continue
         assert rep.dual_value.hex() == dual.hex()
+
+
+@given(weak_duality_instance())
+@settings(max_examples=300, deadline=None)
+def test_conjugates_transforms_and_dual_values_match_oracle(data):
+    # off the integer grid too, in every fuzz value family: each conjugate,
+    # transform row and dual value the kernel computes is the brute-force
+    # one bit for bit, on the entries read with one zero
+    c_rows, r_rows, l_rows = data
+    U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
+    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
+    Y = FiniteSet([f"y{i}" for i in range(len(c_rows[0]))])
+    c, r, lag = Coupling(X, Y, c_rows), Rockafellian(U, X, r_rows), Lagrangian(U, Y, l_rows)
+    cb, rb, lb = ([[v + 0.0 for v in row] for row in t] for t in (c_rows, r_rows, l_rows))
+
+    def hexes(values):
+        return [v.hex() for v in values]
+
+    for f, g in zip(rb, lb):
+        assert hexes(conjugate(SetFunction(X, f), c).values) == hexes(bf.conjugate(cb, f))
+        assert hexes(reverse_conjugate(SetFunction(Y, g), c).values) == hexes(
+            bf.reverse_conjugate(cb, g))
+    assert list(map(hexes, lagrangian_of(r, c).rows)) == list(map(hexes, bf.lagrangian(cb, rb)))
+    assert list(map(hexes, rockafellian_of(lag, c).rows)) == list(
+        map(hexes, bf.rockafellian(cb, lb)))
+    for ix, x in enumerate(X):
+        primal, dual = bf.weak_duality(cb, rb, ix)
+        try:
+            rep = weak_duality_report(r, c, x)
+        except ArithmeticError:  # a dual value rounded above the primal
+            assert not approx_le(dual, primal)
+            continue
+        assert hexes((rep.primal_value, rep.dual_value)) == hexes((primal, dual))

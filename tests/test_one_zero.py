@@ -179,8 +179,8 @@ def test_equal_rows_give_identical_conjugates(data, rng):
             reverse_conjugate(SetFunction(Y, ll[0]), cp).values,
             *lagrangian_of(r, cp).rows,
             *rockafellian_of(lag, cp).rows,
-            *(conjugate_row([-v for v in row], cp.sorted_cols) for row in r.rows),
-            *(conjugate_row(row, cp.sorted_rows) for row in lag.rows),
+            *(conjugate_row(row, cp.sorted_cols) for row in r.rows),
+            *(conjugate_row([0.0 - v for v in row], cp.sorted_rows) for row in lag.rows),
             # the kernel's operand as given, zeros of either sign
             *(conjugate_row(row, cp.sorted_cols) for row in rr),
         ]

@@ -138,6 +138,23 @@ def test_bilinear_coupling_nan_coordinate_names_the_point():
         bilinear_coupling([math.nan], [1.0])
 
 
+@pytest.mark.parametrize("xs, ys, fault", [
+    # a coordinate product inf * 0 is NaN
+    ([math.inf], [0.0], "X point 'inf' and Y point '0.0' is inf * 0"),
+    ([(1.0, -math.inf)], [(1.0, 0.0)], "X point '1.0,-inf' and Y point '1.0,0.0' is inf * 0"),
+    # a sum of opposite infinities is NaN, whether they are coordinate
+    # products or finite products that overflow
+    ([(math.inf, 1.0)], [(1.0, -math.inf)],
+     "X point 'inf,1.0' and Y point '1.0,-inf' is inf + (-inf)"),
+    ([(1e300, 1e300)], [(1e300, -1e300)],
+     "X point '1e+300,1e+300' and Y point '1e+300,-1e+300' is inf + (-inf)"),
+], ids=["inf*0", "-inf*0", "inf-inf", "overflow"])
+def test_bilinear_coupling_names_the_nan_of_a_dot_product(xs, ys, fault):
+    with pytest.raises(ValueError) as info:
+        bilinear_coupling(xs, ys)
+    assert str(info.value) == f"the dot product of {fault}"
+
+
 def test_partial_rockafellian(e1):
     row = partial_rockafellian(e1["R"], "u0")
     assert row.values == (ExtReal(5.0), ExtReal(3.0))

@@ -36,6 +36,12 @@ against each tree, in a fresh interpreter with that tree first on
     pair, ``conjugate`` of a function that is +inf or -inf everywhere on
     each side, and ``weak-duality`` at every base point, also with the
     unbounded decision made infeasible;
+  - at n = 4 and 16, near-overflow tables, finite entries of magnitude
+    0.85e308 to 1.7e308 with 10% of each infinity, where a finite sum or
+    difference can overflow.  They go through both transforms with
+    ``--output``, ``check-couple`` of the couple built from those files and
+    of the raw pair, in every format and at both tols, ``conjugate`` on each
+    side, and ``weak-duality`` at every base point;
   - malformed variants of a gallery file, one fault each, and variants of
     e1.json and e1_lagrangian.json with an overflowing literal in a row
     that also holds a word ("inf" or "-inf"), in each of the three tables;
@@ -76,6 +82,7 @@ FORMATS = ("text", "csv", "structured")
 SIZES = (4, 16, 64, 256)
 RAISED_SIZES = (16, 64)
 FIXED_ROW_SIZES = (4, 16)
+NEAR_OVERFLOW_SIZES = (4, 16)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 OFF_GRID_FAMILIES = ("fractional", "tiny", "wide", "near-overflow")
@@ -106,6 +113,8 @@ def _value(rng, family):
         return rng.randint(-100, 100) / 10 + rng.random()
     if family == "signed_zero":
         return rng.choice((0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.25, -2.5))
+    if family == "near_overflow":
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.85e308, 1.7e308)
     return rng.choice((-1.0, 1.0)) * rng.uniform(1e10, 1e15)  # wide
 
 
@@ -247,8 +256,8 @@ def write_inputs(root):
                 ["to-rockafellian", f"{tag}l.json"],
                 ["weak-duality", f"{tag}r.json"],
                 ["check-couple", f"{tag}both.json"],
-                ["conjugate", f"{tag}r.json", "--function", f_x],
-                ["conjugate", f"{tag}l.json", "--side", "dual", "--function", g_y],
+                ["conjugate", f"{tag}r.json", f"--function={f_x}"],
+                ["conjugate", f"{tag}l.json", "--side", "dual", f"--function={g_y}"],
             ]
             commands += [cmd + ["--format", fmt] for cmd in base for fmt in FORMATS]
             # a canonical couple, built from the transforms' own output files
@@ -307,6 +316,26 @@ def write_inputs(root):
         ]
         commands += _audits(f"out/fixed{n}r1.json", f"out/fixed{n}l1.json")
         commands += _audits(f"{tag}both.json")
+    for n in NEAR_OVERFLOW_SIZES:
+        tag = f"rand/near_overflow{n}"
+        c, r, lag = (_table(rng, "near_overflow", n) for _ in range(3))
+        for suffix, text in (("r", _problem(n, c, rockafellian=r)),
+                             ("l", _problem(n, c, lagrangian=lag)),
+                             ("both", _problem(n, c, r, lag))):
+            (root / f"{tag}{suffix}.json").write_text(text, encoding="utf-8")
+        f_x, g_y = (_function(rng, "near_overflow", n) for _ in range(2))
+        base = [["weak-duality", f"{tag}r.json", "--base-point", f"x{i}"] for i in range(n)]
+        base += [["conjugate", f"{tag}r.json", f"--function={f_x}"],
+                 ["conjugate", f"{tag}l.json", "--side", "dual", f"--function={g_y}"]]
+        commands += [cmd + ["--format", fmt] for cmd in base for fmt in FORMATS]
+        out = f"out/near_overflow{n}"
+        commands += [
+            ["to-lagrangian", f"{tag}r.json", "--output", f"{out}l1.json"],
+            ["to-rockafellian", f"{out}l1.json", "--output", f"{out}r1.json"],
+            ["to-rockafellian", f"{tag}l.json", "--output", f"{out}r2.json"],
+        ]
+        commands += _audits(f"{out}r1.json", f"{out}l1.json")
+        commands += _audits(f"{tag}both.json")
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
@@ -336,7 +365,7 @@ def _negative_zero(value):
 
 
 def _reads_negative_zero(argv, work, seen):
-    """True iff a file argument of ``argv`` or the inline function after
+    """True iff a file argument of ``argv`` or the inline function of
     ``--function`` holds a -0.0 entry; ``seen`` caches each file's answer by
     its modification time."""
     for i, arg in enumerate(argv):
@@ -351,9 +380,10 @@ def _reads_negative_zero(argv, work, seen):
                 seen[key] = _negative_zero(doc)
             if seen[key]:
                 return True
-        elif i and argv[i - 1] == "--function":
+        elif i and argv[i - 1] == "--function" or arg.startswith("--function="):
             try:
-                if any(_negative_zero(float(t)) for t in arg.split(",")):
+                values = arg.removeprefix("--function=").split(",")
+                if any(_negative_zero(float(t)) for t in values):
                     return True
             except ValueError:
                 pass
