@@ -39,6 +39,7 @@ _EXPORTS = {
     "duality": (
         "WeakDualityReport", "dual_function", "lagrangian_of",
         "perturbation_function", "rockafellian_of", "weak_duality_report",
+        "weak_duality_reports",
     ),
     "couple": (
         "CoupleAudit", "Witness", "audit", "check_item_ii", "check_item_iii",

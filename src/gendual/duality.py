@@ -18,7 +18,8 @@ turns an infimum into a supremum but not vice versa.
 
 The weak-duality report evaluates, at a chosen perturbation point, the primal
 value phi(x) against the dual value sup_y [c(x, y) lower-add psi(y)]; the
-dual value never exceeds the primal one.
+dual value never exceeds the primal one.  ``weak_duality_reports`` gives the
+report at every base point from one phi^c.
 
 Both transforms and the dual value are c-conjugates, computed by the kernel
 of ``extreal``, ``conjugate_product``; phi and psi are column minima.  The
@@ -53,6 +54,7 @@ __all__ = [
     "perturbation_function",
     "rockafellian_of",
     "weak_duality_report",
+    "weak_duality_reports",
 ]
 
 
@@ -118,17 +120,48 @@ def weak_duality_report(
     primal one; a violation means a broken arithmetic kernel or rounding at
     large magnitudes, and raises ArithmeticError instead of reporting.
     """
-    if r.primal != c.primal:
-        raise DomainMismatchError(
-            "weak_duality_report: Rockafellian primal set differs from the coupling's"
-        )
+    _require_primal(r, c, "weak_duality_report")
     ix = c.primal.index(base_point)
     phi = perturbation_function(r).values
     phi_c = conjugate_product((phi,), c.sorted_cols)[0]
-    dual = ExtReal(conjugate_product((phi_c,), descending((c.rows[ix],)))[0][0])
-    primal = ExtReal(phi[ix])
+    dual = conjugate_product((phi_c,), descending((c.rows[ix],)))[0][0]
+    report = _report(base_point, phi[ix], dual, tol)
+    if isinstance(report, ArithmeticError):
+        raise report
+    return report
+
+
+def weak_duality_reports(
+    r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
+) -> list[WeakDualityReport | ArithmeticError]:
+    """``weak_duality_report`` at every base point, in the order of
+    ``c.primal``: one phi^c and one kernel row over ``c.sorted_rows`` give
+    every dual value, each the same double as the one-point report's (the
+    kernel scans a line of the coupling in the same order in either view).
+    A base point where weak duality is violated gives, in place of its
+    report, the ArithmeticError that ``weak_duality_report`` raises there,
+    so that the other points still report."""
+    _require_primal(r, c, "weak_duality_reports")
+    phi = perturbation_function(r).values
+    phi_c = conjugate_product((phi,), c.sorted_cols)[0]
+    duals = conjugate_product((phi_c,), c.sorted_rows)[0]
+    return [_report(x, primal, dual, tol)
+            for x, primal, dual in zip(c.primal.labels, phi, duals)]
+
+
+def _require_primal(r, c, name):
+    if r.primal != c.primal:
+        raise DomainMismatchError(
+            f"{name}: Rockafellian primal set differs from the coupling's"
+        )
+
+
+def _report(base_point, primal, dual, tol):
+    """The report at ``base_point`` from its two values, or the
+    ArithmeticError of a violation."""
+    dual, primal = ExtReal(dual), ExtReal(primal)
     if not approx_le(dual, primal, tol):
-        raise ArithmeticError(
+        return ArithmeticError(
             f"weak duality violated at {base_point!r}: dual {dual} > primal {primal}"
         )
     tight = approx_eq(dual, primal, tol)

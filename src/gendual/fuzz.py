@@ -7,13 +7,16 @@ rather than float noise.  The other value families of ``VALUE_FAMILIES``
 draw finite entries off that grid (fractional, tiny, wide and near the
 double range), where rounding can break an identity that holds exactly on
 the reals; they report how far the laws hold there.  Each instance runs
-the conjugacy laws, both transform propositions, weak duality at every base
-point, and the couple theorem (a constructed couple must pass all items; a
-single-entry perturbation of it must keep items (ii) through (v) in
-agreement).
+the conjugacy laws, both transform propositions, the round trip, weak
+duality at every base point, and the couple theorem (a constructed couple
+must pass all items; a single-entry perturbation of it must keep items (ii)
+through (v) in agreement).
 
-The transform modules are referenced through their module objects so a test
-can swap a deliberately broken operation in and watch the harness catch it.
+Each instance builds the transforms that several checks read once (see
+``FuzzInstance``), and row convexity is read off whole-table transforms,
+so no check compares a kernel call with the same call.  The transform
+modules are referenced through their module objects so a test can swap a
+deliberately broken operation in and watch the harness catch it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from collections.abc import Callable
 
 from . import conjugacy, couple, duality
 from .defaults import DEFAULT_GRID, DEFAULT_INF_PROB, VALUE_FAMILY_NAMES
-from .extreal import (
-    DEFAULT_TOL, NEG_INF, POS_INF, ExtReal, approx_eq, approx_le, low_add)
+from .extreal import DEFAULT_TOL, approx_eq, approx_le, lazy, low_add, mismatch
 from .problems import Problem
 from .spaces import (
     Coupling,
@@ -34,7 +36,6 @@ from .spaces import (
     Lagrangian,
     Rockafellian,
     SetFunction,
-    partial_lagrangian,
     partial_rockafellian,
     pointwise_max,
     pointwise_min,
@@ -68,28 +69,47 @@ CHECK_NAMES = (
     "couple_theorem",
 )
 
+_INF = math.inf
+
 
 class FuzzInstance(namedtuple("FuzzInstance", (
         "index", "coupling", "rockafellian", "lagrangian", "extra_primal",
         "extra_dual"))):
     """One random instance: its index, the ``Coupling``, the
     ``Rockafellian`` and ``Lagrangian`` tables, and two spare
-    ``SetFunction``s, one on each side."""
+    ``SetFunction``s, one on each side.
 
-    __slots__ = ()
+    The transforms that several checks read are attributes built on first
+    read and then kept, each through the ``duality`` module object."""
+
+    @lazy
+    def built_lagrangian(self) -> Lagrangian:
+        """L = lagrangian_of(R), the Lagrangian of the instance's R."""
+        return duality.lagrangian_of(self.rockafellian, self.coupling)
+
+    @lazy
+    def rebuilt_rockafellian(self) -> Rockafellian:
+        """R' = rockafellian_of(L): row u is (R_u)^{cc'}."""
+        return duality.rockafellian_of(self.built_lagrangian, self.coupling)
+
+    @lazy
+    def rebuilt_lagrangian(self) -> Lagrangian:
+        """L'' = lagrangian_of(R'): row u is 0.0 - (-L_u)^{c'c}."""
+        return duality.lagrangian_of(self.rebuilt_rockafellian, self.coupling)
 
 
 def _off_grid(finite: Callable[[random.Random, tuple[int, int]], float]):
     """An entry draw ``draw(rng, grid, inf_prob)``: one ``rng.random()``
     roll gives -inf or +inf, each with probability ``inf_prob``, and
-    otherwise the value is ``finite(rng, grid)``."""
-    def draw(rng, grid=DEFAULT_GRID, inf_prob=DEFAULT_INF_PROB) -> ExtReal:
+    otherwise the value is ``finite(rng, grid)``, a plain double with
+    -0.0 read as 0.0."""
+    def draw(rng, grid=DEFAULT_GRID, inf_prob=DEFAULT_INF_PROB) -> float:
         roll = rng.random()
         if roll < inf_prob:
-            return NEG_INF
+            return -_INF
         if roll < 2.0 * inf_prob:
-            return POS_INF
-        return ExtReal(finite(rng, grid))
+            return _INF
+        return finite(rng, grid) + 0.0
     return draw
 
 
@@ -160,9 +180,20 @@ def _le_all(f: SetFunction, g: SetFunction, tol: float) -> bool:
     return all(approx_le(a, b, tol) for a, b in zip(f.values, g.values))
 
 
+def _first_row_apart(labels, rows, other_rows, tol):
+    """The label of the first row that is not ``approx_eq`` to its
+    counterpart, or None."""
+    for label, row, other in zip(labels, rows, other_rows):
+        if mismatch(row, other, tol, approx_eq) is not None:
+            return label
+    return None
+
+
 def check_conjugacy_laws(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str]:
     """Antitonicity, biconjugate bounds, triple-conjugate identity,
-    idempotence, the inf-to-sup law, and the Young inequality."""
+    idempotence, the inf-to-sup law, and the Young inequality.  The
+    biconjugate f^{cc'} is the reverse conjugate of the f^c already held,
+    and its own biconjugate the reverse conjugate of (f^{cc'})^c."""
     fails = []
     c = inst.coupling
     f = inst.extra_primal
@@ -174,12 +205,13 @@ def check_conjugacy_laws(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[s
     if not _le_all(f_c, m_c, tol):
         fails.append("antitonicity: min(f, r) <= f but its conjugate is not >= f^c")
 
-    bi = conjugacy.biconjugate(f, c)
+    bi = conjugacy.reverse_conjugate(f_c, c)
     if not _le_all(bi, f, tol):
         fails.append("biconjugate exceeds the function somewhere")
-    if not conjugacy.conjugate(bi, c).isclose(f_c, tol):
+    bi_c = conjugacy.conjugate(bi, c)
+    if not bi_c.isclose(f_c, tol):
         fails.append("triple-conjugate identity broken: (f^{cc'})^c != f^c")
-    if not conjugacy.biconjugate(bi, c).isclose(bi, tol):
+    if not conjugacy.reverse_conjugate(bi_c, c).isclose(bi, tol):
         fails.append("biconjugation is not idempotent")
 
     if not m_c.isclose(pointwise_max(f_c, conjugacy.conjugate(row0, c)), tol):
@@ -197,35 +229,35 @@ def check_conjugacy_laws(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[s
 def check_transform_identity(
     inst: FuzzInstance, tol: float = DEFAULT_TOL
 ) -> list[str]:
-    """Building L from R: -psi = phi^c exactly, the row-wise conjugate
-    formula agrees with the inf formula, and -L_u is c'-convex."""
+    """Building L from R: -psi = phi^c exactly, and -L_u is c'-convex.
+
+    ``is_cprime_convex(-L_u)`` compares -L_u with (-L_u)^{c'c}.  Row u of
+    L'' is 0.0 - (-L_u)^{c'c}, ``approx_eq`` is sign-symmetric and no value
+    is -0.0, so comparing L_u with that row gives the same verdict without
+    a kernel call of its own."""
     fails = []
     r, c = inst.rockafellian, inst.coupling
-    lag = duality.lagrangian_of(r, c)
+    lag = inst.built_lagrangian
     psi = duality.dual_function(lag)
     phi = duality.perturbation_function(r)
     if not psi.negated().isclose(conjugacy.conjugate(phi, c), tol):
         fails.append("-psi differs from the conjugate of the perturbation function")
-    for u in r.decisions.labels:
-        via_conjugate = conjugacy.conjugate(partial_rockafellian(r, u), c).negated()
-        if not via_conjugate.isclose(partial_lagrangian(lag, u), tol):
-            fails.append(f"row {u}: inf formula and conjugate formula disagree")
-            break
-    for u in r.decisions.labels:
-        if not conjugacy.is_cprime_convex(
-            partial_lagrangian(lag, u).negated(), c, tol
-        ):
-            fails.append(f"row {u}: -L_u is not c'-convex")
-            break
+    u = _first_row_apart(r.decisions.labels, lag.rows, inst.rebuilt_lagrangian.rows, tol)
+    if u is not None:
+        fails.append(f"row {u}: -L_u is not c'-convex")
     return fails
 
 
 def check_transform_inequality(
     inst: FuzzInstance, tol: float = DEFAULT_TOL
 ) -> tuple[list[str], bool]:
-    """Building R from L: phi >= (-psi)^{c'} pointwise, rows of R are
-    c-convex, and the sup formula matches the row-wise reverse conjugate.
-    Also reports whether the inequality is strict somewhere."""
+    """Building R from L: phi >= (-psi)^{c'} pointwise, and rows of R are
+    c-convex.  Also reports whether the inequality is strict somewhere.
+
+    The rows' biconjugates (R_u)^{cc'} are the rows of
+    rockafellian_of(lagrangian_of(R)), bit for bit: two table transforms
+    in place of two kernel calls per row, since 0.0 - (0.0 - v) is v for
+    every v but -0.0, which no transform gives."""
     fails = []
     lag, c = inst.lagrangian, inst.coupling
     r = duality.rockafellian_of(lag, c)
@@ -238,62 +270,43 @@ def check_transform_inequality(
         lo < hi and not approx_eq(lo, hi, tol)
         for lo, hi in zip(lower.values, phi.values)
     )
-    for u in lag.decisions.labels:
-        r_u = partial_rockafellian(r, u)
-        via_conjugate = conjugacy.reverse_conjugate(
-            partial_lagrangian(lag, u).negated(), c
-        )
-        if not via_conjugate.isclose(r_u, tol):
-            fails.append(f"row {u}: sup formula and reverse conjugate disagree")
-            break
-        if not conjugacy.is_c_convex(r_u, c, tol):
-            fails.append(f"row {u}: R_u is not c-convex")
-            break
+    r_bi = duality.rockafellian_of(duality.lagrangian_of(r, c), c)
+    u = _first_row_apart(lag.decisions.labels, r.rows, r_bi.rows, tol)
+    if u is not None:
+        fails.append(f"row {u}: R_u is not c-convex")
     return fails, strict
 
 
 def check_roundtrips(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str]:
-    """R -> L -> R' contracts (equality iff rows were c-convex), the second
-    trip is stable, and R' is the row-wise biconjugate of R.  Each row's
-    biconjugate is built once and serves both of its tests."""
+    """R -> L -> R' contracts, R' <= R, and the second trip is stable,
+    L'' = L.  (R' = R iff the rows of R are c-convex holds by construction:
+    the rows of R' are their biconjugates.)"""
     fails = []
-    r, c = inst.rockafellian, inst.coupling
-    lag = duality.lagrangian_of(r, c)
-    r2 = duality.rockafellian_of(lag, c)
+    r, r2 = inst.rockafellian, inst.rebuilt_rockafellian
     if not all(
         approx_le(a, b, tol)
         for ra, rb in zip(r2.rows, r.rows)
         for a, b in zip(ra, rb)
     ):
         fails.append("round trip exceeds the original Rockafellian somewhere")
-    equal = r2.isclose(r, tol)
-    rows = [partial_rockafellian(r, u) for u in r.decisions.labels]
-    bis = [conjugacy.biconjugate(row, c) for row in rows]
-    # is_c_convex, on the biconjugates built above
-    convex = all(bi.isclose(row, tol) for bi, row in zip(bis, rows))
-    if equal != convex:
-        fails.append("round-trip equality disagrees with row c-convexity")
-    if not duality.lagrangian_of(r2, c).isclose(lag, tol):
+    if not inst.rebuilt_lagrangian.isclose(inst.built_lagrangian, tol):
         fails.append("second round trip changed the Lagrangian")
-    for u, bi in zip(r.decisions.labels, bis):
-        if not partial_rockafellian(r2, u).isclose(bi, tol):
-            fails.append(f"row {u}: round trip differs from the biconjugate")
-            break
     return fails
 
 
 def check_weak_duality(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str]:
     """The report at every base point, its flags and gap, and its dual value
-    against the Lagrangian route: sup_y [c(x,y) lower-add psi(y)] with psi
-    the dual function of the whole Lagrangian, built once per instance."""
+    against the Lagrangian route: sup_y [c(x,y) lower-add psi(y)], taken
+    with ``low_add`` and no kernel call, psi the dual function of L.  The
+    reports come from one ``weak_duality_reports`` call: one phi^c for all
+    base points."""
     fails = []
     r, c = inst.rockafellian, inst.coupling
-    psi = duality.dual_function(duality.lagrangian_of(r, c)).values
-    for x, c_row in zip(c.primal.labels, c.rows):
-        try:
-            rep = duality.weak_duality_report(r, c, x, tol)
-        except ArithmeticError as exc:
-            fails.append(str(exc))
+    psi = duality.dual_function(inst.built_lagrangian).values
+    reports = duality.weak_duality_reports(r, c, tol)
+    for x, c_row, rep in zip(c.primal.labels, c.rows, reports):
+        if isinstance(rep, ArithmeticError):
+            fails.append(str(rep))
             continue
         if rep.dual_value != max(map(low_add, c_row, psi)):
             fails.append(f"dual value at {x} differs from the Lagrangian route")
@@ -302,7 +315,7 @@ def check_weak_duality(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str
         both_finite = math.isfinite(rep.primal_value) and math.isfinite(rep.dual_value)
         if (rep.gap is not None) != both_finite:
             fails.append(f"gap presence inconsistent at {x}")
-        elif rep.gap is not None and rep.gap < ExtReal(0.0):
+        elif rep.gap is not None and rep.gap < 0.0:
             fails.append(f"negative gap at {x}")
     return fails
 
@@ -320,11 +333,13 @@ def check_couple_theorem(
 ) -> list[str]:
     """A constructed couple audits true on every item; a single-entry
     perturbation and an unrelated random pair keep items (ii)-(v) in
-    agreement and consistent with item (i), the inequality plus minimality."""
+    agreement and consistent with item (i), the inequality plus minimality.
+    The constructed couple is (L, R'), which ``couple.make_couple`` returns
+    for R."""
     fails = []
     draw = VALUE_FAMILIES[values]
-    r, c = inst.rockafellian, inst.coupling
-    lag1, r1 = couple.make_couple(r, c)
+    c = inst.coupling
+    lag1, r1 = inst.built_lagrangian, inst.rebuilt_rockafellian
     a = couple.audit(lag1, r1, c, tol=tol)
     if not (
         a.item_i_inequality

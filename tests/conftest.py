@@ -34,3 +34,20 @@ def e1():
 @pytest.fixture(scope="session")
 def problems_dir():
     return PROBLEMS_DIR
+
+
+@pytest.fixture
+def count_kernel_calls(monkeypatch):
+    """Counts the product-kernel calls of ``conjugacy`` and ``duality``, the
+    modules that bind ``conjugate_product``, as (kernel name, number of
+    rows)."""
+    import gendual.conjugacy as conjugacy
+    import gendual.duality as duality
+
+    calls = []
+    for module in (conjugacy, duality):
+        def counted(f_rows, view, kernel=module.conjugate_product):
+            calls.append(("conjugate_product", len(f_rows)))
+            return kernel(f_rows, view)
+        monkeypatch.setattr(module, "conjugate_product", counted)
+    return calls

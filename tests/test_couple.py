@@ -587,23 +587,6 @@ def test_each_conjugate_row_is_built_once_per_decision(problems_dir, count_conju
         assert len(count_conjugate_rows) == 2 * len(lag.decisions)
 
 
-@pytest.fixture
-def count_kernel_calls(monkeypatch):
-    """Counts the product-kernel calls of ``conjugacy`` and ``duality``, the
-    modules that bind ``conjugate_product``, as (kernel name, number of
-    rows)."""
-    import gendual.conjugacy as conjugacy
-    import gendual.duality as duality
-
-    calls = []
-    for module in (conjugacy, duality):
-        def counted(f_rows, view, kernel=module.conjugate_product):
-            calls.append(("conjugate_product", len(f_rows)))
-            return kernel(f_rows, view)
-        monkeypatch.setattr(module, "conjugate_product", counted)
-    return calls
-
-
 def _views(calls, c):
     """The kind of each recorded ``conjugate_row`` call on ``c``."""
     return ["sigma" if view is c.sorted_cols else "rho" for view in calls]

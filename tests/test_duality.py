@@ -26,10 +26,11 @@ from gendual import (
     reverse_conjugate,
     rockafellian_of,
     weak_duality_report,
+    weak_duality_reports,
     biconjugate,
     low_add,
 )
-from gendual.fuzz import VALUE_FAMILIES
+from gendual.fuzz import VALUE_FAMILIES, random_instance as fuzz_instance
 
 INF = math.inf
 
@@ -191,6 +192,39 @@ def test_weak_duality_report_reads_one_coupling_row(e1):
     for x in c.primal:
         assert weak_duality_report(e1["R"], c, x) == weak_duality_report(e1["R"], e1["c"], x)
     assert "sorted_rows" not in vars(c)
+
+
+def _hexes(report):
+    return [v.hex() if isinstance(v, float) else v for v in report]
+
+
+@pytest.mark.parametrize("values", sorted(VALUE_FAMILIES))
+def test_reports_at_every_base_point_are_the_one_point_reports(values):
+    # one phi^c and one row over c.sorted_rows give each point's report bit
+    # for bit, and a violating point its error, while the others report
+    rng = random.Random(21)
+    violations = 0
+    for i in range(300):
+        inst = fuzz_instance(rng, i, values=values)
+        r, c = inst.rockafellian, inst.coupling
+        for tol in (0.0, 1e-9):
+            reports = weak_duality_reports(r, c, tol)
+            assert len(reports) == len(c.primal)
+            for x, rep in zip(c.primal, reports):
+                if isinstance(rep, ArithmeticError):
+                    violations += 1
+                    with pytest.raises(ArithmeticError) as exc:
+                        weak_duality_report(r, c, x, tol)
+                    assert str(exc.value) == str(rep)
+                    continue
+                assert _hexes(rep) == _hexes(weak_duality_report(r, c, x, tol))
+    assert (violations > 0) == (values != "integer")  # off the grid, at tol 0
+
+
+def test_weak_duality_reports_check_the_domain(e1):
+    c = Coupling(e1["Y"], e1["X"], e1["c"].rows)
+    with pytest.raises(DomainMismatchError, match="weak_duality_reports"):
+        weak_duality_reports(Rockafellian(e1["U"], FiniteSet(["a", "b"]), e1["R"].rows), c)
 
 
 def test_weak_duality_unknown_base_point(e1):

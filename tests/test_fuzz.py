@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gendual import NEG_INF, POS_INF
+from gendual import NEG_INF, POS_INF, SetFunction
 from gendual.fuzz import (
     CHECK_NAMES,
     VALUE_FAMILIES,
@@ -108,22 +108,115 @@ def test_run_fuzz_argument_validation():
         run_fuzz(count=1, max_set_size=5, seed=1, inf_prob=0.6)
 
 
-def test_run_fuzz_catches_broken_transform(monkeypatch):
-    from gendual import duality
-    from gendual.extreal import neg
+def _sign_flip(values):
+    return [0.0 - v for v in values]
 
-    true_transform = duality.lagrangian_of
 
-    def flipped(r, c):
-        lag = true_transform(r, c)
-        rows = [[neg(v) for v in row] for row in lag.rows]
-        return type(lag)(lag.decisions, lag.dual, rows)
+def _one_off(values):
+    """The values with the first finite one raised by 1."""
+    values = list(values)
+    k = next((k for k, v in enumerate(values) if math.isfinite(v)), None)
+    if k is not None:
+        values[k] += 1.0
+    return values
 
-    monkeypatch.setattr(duality, "lagrangian_of", flipped)
-    report = run_fuzz(count=5, max_set_size=4, seed=11)
-    assert not report.passed
-    assert report.failures_by_check["transform_identity"] > 0
+
+def _broken_table(transform, breaks):
+    def broken(*args):
+        table = transform(*args)
+        width = len(table.rows[0])
+        flat = breaks([v for row in table.rows for v in row])
+        rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+        return type(table)(table.decisions, table.col_set, rows)
+    return broken
+
+
+def _broken_function(transform, breaks):
+    def broken(*args):
+        f = transform(*args)
+        return SetFunction(f.domain, breaks(f.values))
+    return broken
+
+
+def _broken_dual_values(reports_of, breaks):
+    def broken(*args):
+        reports = reports_of(*args)
+        at = [k for k, rep in enumerate(reports) if not isinstance(rep, ArithmeticError)]
+        duals = breaks([reports[k].dual_value for k in at])
+        for k, dual in zip(at, duals):
+            reports[k] = reports[k]._replace(dual_value=dual)
+        return reports
+    return broken
+
+
+# The checks of ``run_fuzz(20, 4, 11)`` that catch each broken copy, a sign
+# flip of every value or one finite value off by 1: the same checks for
+# both breaks.  A broken transform reaches the couple theorem through the
+# constructed couple (L, R'), which is built through it.
+_CAUGHT_BY = {
+    "lagrangian_of": {"transform_identity", "transform_inequality", "roundtrips",
+                      "weak_duality", "couple_theorem"},
+    "rockafellian_of": {"transform_identity", "transform_inequality", "roundtrips",
+                        "couple_theorem"},
+    "conjugate": {"conjugacy", "transform_identity"},
+    "reverse_conjugate": {"conjugacy", "transform_inequality"},
+    "weak_duality_reports": {"weak_duality"},
+}
+
+
+@pytest.mark.parametrize("breaks", [_sign_flip, _one_off], ids=["sign-flip", "one-off"])
+@pytest.mark.parametrize("name", list(_CAUGHT_BY))
+def test_run_fuzz_catches_broken_transform(monkeypatch, name, breaks):
+    from gendual import conjugacy, duality
+
+    module, make = {
+        "lagrangian_of": (duality, _broken_table),
+        "rockafellian_of": (duality, _broken_table),
+        "conjugate": (conjugacy, _broken_function),
+        "reverse_conjugate": (conjugacy, _broken_function),
+        "weak_duality_reports": (duality, _broken_dual_values),
+    }[name]
+    monkeypatch.setattr(module, name, make(getattr(module, name), breaks))
+    report = run_fuzz(count=20, max_set_size=4, seed=11)
+    caught = {check for check, n in report.failures_by_check.items() if n}
+    assert caught == _CAUGHT_BY[name]
     assert report.first_failure is not None
     assert report.first_failure.rockafellian is not None
     assert report.first_failure.lagrangian is not None
     assert "seed=11" in report.first_failure.comment
+
+
+def test_every_draw_is_a_plain_double():
+    rng = random.Random(5)
+    for draw in VALUE_FAMILIES.values():
+        assert all(type(draw(rng)) is float for _ in range(2000))
+
+
+def test_each_transform_is_built_once_per_instance(monkeypatch):
+    # the checks read the instance's L, R' and L'', each built on first
+    # read; the transform inequality transforms the instance's own L instead
+    from gendual import duality
+
+    built = []
+    for name in ("lagrangian_of", "rockafellian_of"):
+        def counted(table, c, transform=getattr(duality, name), name=name):
+            built.append((name, table))
+            return transform(table, c)
+        monkeypatch.setattr(duality, name, counted)
+    inst = random_instance(random.Random(4), max_set_size=5)
+    for check in (check_conjugacy_laws, check_transform_identity, check_roundtrips,
+                  check_weak_duality):
+        check(inst)
+    check_couple_theorem(inst, random.Random(4))
+    lag, r2, lag2 = inst.built_lagrangian, inst.rebuilt_rockafellian, inst.rebuilt_lagrangian
+    assert built == [("lagrangian_of", inst.rockafellian), ("rockafellian_of", lag),
+                     ("lagrangian_of", r2)]
+    assert lag2 == duality.lagrangian_of(duality.rockafellian_of(lag, inst.coupling),
+                                         inst.coupling)
+
+
+def test_kernel_calls_of_a_run(count_kernel_calls):
+    # 31.2 kernel calls per instance: one L, R' and L'' per instance, and
+    # row convexity tested on whole tables
+    run_fuzz(300, 5, 42)
+    assert len(count_kernel_calls) == 9351

@@ -47,7 +47,8 @@ against each tree, in a fresh interpreter with that tree first on
     that also holds a word ("inf" or "-inf"), in each of the three tables;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
-    off-grid value families F;
+    off-grid value families F, each also with ``--tol 0`` (the integer
+    family for s = 0..3), so that every family runs at both tols;
   - ``tools/make_gallery.py``, writing into the work directory.
 
 It compares, command by command, the exit code, stdout, stderr (minus the
@@ -85,6 +86,7 @@ FIXED_ROW_SIZES = (4, 16)
 NEAR_OVERFLOW_SIZES = (4, 16)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
+FUZZ_TOL0_SEEDS = range(4)
 OFF_GRID_FAMILIES = ("fractional", "tiny", "wide", "near-overflow")
 COMMANDS = ("conjugate", "to-lagrangian", "to-rockafellian", "check-couple",
             "weak-duality", "fuzz")
@@ -344,6 +346,11 @@ def write_inputs(root):
     # failing reports and reproduction files compare those results too
     commands += [["fuzz", "--count", "300", "--max-set-size", "4", "--seed", "7",
                   "--values", family, "--output", f"repro/{family}"]
+                 for family in OFF_GRID_FAMILIES]
+    commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed", str(seed),
+                  "--tol", "0", "--output", f"repro/tol0-{seed}"] for seed in FUZZ_TOL0_SEEDS]
+    commands += [["fuzz", "--count", "300", "--max-set-size", "4", "--seed", "7",
+                  "--values", family, "--tol", "0", "--output", f"repro/{family}-tol0"]
                  for family in OFF_GRID_FAMILIES]
     return commands
 
