@@ -53,8 +53,11 @@ def _grid(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
         lo, hi = int(lo), int(hi)
+        float(lo), float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("expected LO:HI, e.g. -10:10") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError("grid ends must lie within the double range") from None
     if lo > hi:
         raise argparse.ArgumentTypeError("grid low end exceeds high end")
     return lo, hi

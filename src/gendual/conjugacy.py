@@ -87,6 +87,7 @@ def is_cprime_convex(g: SetFunction, c: Coupling, tol: float = DEFAULT_TOL) -> b
 def young_check(f: SetFunction, c: Coupling) -> bool:
     """Generalized Young inequality: f(x) upper-add f^c(y) >= c(x,y) for all
     pairs, tested exactly by ``extreal.exceeds`` at tol 0.  Holds for every
-    input; exposed as a self-test of the sign and infinity conventions."""
-    fc = conjugate(f, c).values
-    return not any(exceeds(c_row, fc, fx, 0.0) for fx, c_row in zip(f.values, c.rows))
+    input in exact arithmetic, and in doubles on the integer grid; off it a
+    rounded f^c can break it (ROADMAP item 2).  Exposed as a self-test of the
+    sign and infinity conventions."""
+    return exceeds(c.rows, f.values, conjugate(f, c).values, 0.0) is None

@@ -20,16 +20,17 @@ where, for every decision u,
   E1: -L_u = (R_u)^c             E2: R_u = (-L_u)^{c'}
   E3:  R_u = (R_u)^{cc'}         E4: -L_u = (-L_u)^{c'c}.
 
-The minimality of item (i) and items (ii)-(v) are row tests.  One pass
-over the decisions builds, for each u, sigma_u = (R_u)^c,
-rho_u = (-L_u)^{c'} and their biconjugates at most once each, each as
+Both halves of item (i) and items (ii)-(v) are row tests, and one pass
+over the decisions decides the whole audit.  For each u it holds R_u and
+-L_u, the one negated row, builds sigma_u = (R_u)^c, rho_u = (-L_u)^{c'}
+and their biconjugates at most once each, each as
 ``conjugacy.conjugate_row`` of its function, and runs every still-open
 test on them.  No row holds -0.0, so rows equal in value are the same
 doubles: a conjugate row equal to its held row is shared as that row, and
-a biconjugate whose argument is a row already held is not rebuilt.  So wherever item (iii)
-holds exactly a decision costs two conjugate rows, not four.
-Each test names the first entry where its two rows fail ``approx_eq`` (or
-``approx_le``).
+a biconjugate whose argument is a row already held is not rebuilt.  So
+wherever item (iii) holds exactly a decision costs two conjugate rows, not
+four.  Each row comparison names the first entry where its two rows fail
+``approx_eq`` (or ``approx_le``).
 
 In IEEE arithmetic items (ii) and (iii) are one comparison.  Item (ii)'s
 R half compares R_u with the sup-transform row, which is rho_u bit for bit
@@ -57,18 +58,17 @@ every u.  These are the rows of E2 and E1 compared with ``approx_le``
 instead of ``approx_eq``.  Where the inequality holds, R >= rho and
 -L >= sigma, so minimality there is R = rho and -L = sigma: item (ii).
 
-The inequality itself does not use the product kernel: it scans rows of
-doubles with ``extreal.exceeds``, which is exact for a finite tol >= 0.
-It scans, for each u, only the y where L(u, y) > -inf, the domain of -L_u:
-elsewhere -L(u, y) is +inf, so the upper sum is +inf and cannot fail.  A u
-whose L row is -inf everywhere costs no scan, and the first failing y is
-the same.  Minimality is not tested when the inequality fails.
+The inequality at u, a test of the pass on R_u and -L_u, does not use the
+product kernel: ``extreal.exceeds`` scans c against them, exact for a
+finite tol >= 0, and names the first failing (x, y).  A -inf entry of L is
++inf in -L_u, where the upper sum is +inf and cannot fail, so a u whose L
+row is -inf everywhere costs no scan.  Minimality is reported only where
+the inequality holds at every u, and is "not probed" elsewhere.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress
 
 from .errors import DomainMismatchError
 from .extreal import (
@@ -132,42 +132,6 @@ def _require_valid(lag, r, c, tol: float) -> None:
         raise ValueError("tolerance must be finite and nonnegative")
 
 
-def _inequality_witness(lag, r, c, tol) -> Witness | None:
-    # each u scans only the domain of -L_u (see the module docstring)
-    for u, l_row, r_row in zip(r.decisions.labels, lag.rows, r.rows):
-        dom = [v > -_INF for v in l_row]
-        if all(dom):
-            ys, c_rows = lag.dual.labels, c.rows
-        elif any(dom):
-            ys = tuple(compress(lag.dual.labels, dom))
-            c_rows = (tuple(compress(c_row, dom)) for c_row in c.rows)
-        else:
-            continue
-        nl_row = [0.0 - v for v in compress(l_row, dom)]
-        for x, rv, c_row in zip(r.primal.labels, r_row, c_rows):
-            if not exceeds(c_row, nl_row, rv, tol):
-                continue
-            # name the first failing y
-            for y, cv, nl in zip(ys, c_row, nl_row):
-                if exceeds((cv,), (nl,), rv, tol):
-                    return Witness(
-                        item="i-inequality", u=u, x=x, y=y,
-                        description=(
-                            f"-L({u},{y}) upper-add R({u},{x}) = {upp_add(nl, rv)} "
-                            f"< c({x},{y}) = {cv}"
-                        ),
-                    )
-    return None
-
-
-def inequality_holds(
-    lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
-) -> bool:
-    """-L(u,y) upper-add R(u,x) >= c(x,y) everywhere (tol slack on finites)."""
-    _require_valid(lag, r, c, tol)
-    return _inequality_witness(lag, r, c, tol) is None
-
-
 class _Rows:
     """The rows of one decision u that the row tests compare, each a list
     built on first use and shared by every test that reads it: ``l`` and
@@ -215,15 +179,18 @@ class _Rows:
         return conjugate_row(self.rho, self.c.sorted_cols)
 
 
-# The row tests of items (i)-(v), each stated once: the side of the row's
-# labels, the ``_Rows`` row and the row it is compared with, the
+# The row comparisons of items (i)-(v), each stated once: the side of the
+# row's labels, the ``_Rows`` row and the row it is compared with, the
 # comparison, and the witness text.  Minimality (M1, M2) compares the rows
 # of E2 and E1 with ``approx_le``: each entry at most its least feasible
 # value.  Item (ii) is two entries, its L half T1 and its R half T2: an L
 # witness at any u comes before every R witness, so it closes the R half.
 # T1 compares the rows of E1 (see the module docstring); its witness names
 # L(u,y) and the inf-transform entry 0.0 - sigma_u(y) instead of -L(u,y)
-# and sigma_u(y).
+# and sigma_u(y).  The inequality, the pass's one entry that is not a row
+# comparison, is ``_inequality_at``.  Where it fails it closes minimality
+# and replaces its result with ``_NOT_PROBED``, even where minimality
+# failed at an earlier u.
 _E1 = ("y", "nl", "sigma", approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
 _E2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
 _E3 = ("x", "r", "r_bi", approx_eq,
@@ -239,78 +206,109 @@ _T2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but the sup-transform giv
 _ROW_TESTS = {"i-minimality": (_M1, _M2), "ii-L": (_T1,), "ii-R": (_T2,),
               "iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
 _ITEM_II = ("ii-L", "ii-R")
+_CLOSES = {"i-inequality": ("i-inequality", "i-minimality"), "ii-L": _ITEM_II}
+_NOT_PROBED = Witness(item="i-minimality", u=None, x=None, y=None,
+                      description="not probed: the inequality itself fails")
+
+
+def _inequality_at(u, rows, labels, tol) -> Witness | None:
+    # a u whose L row is -inf everywhere costs no scan: -L_u is +inf there
+    failing = min(rows.nl) < _INF and exceeds(rows.c.rows, rows.r, rows.nl, tol)
+    if not failing:
+        return None
+    i, k = failing
+    x, y = labels["x"][i], labels["y"][k]
+    return Witness("i-inequality", u, x, y, (
+        f"-L({u},{y}) upper-add R({u},{x}) = {upp_add(rows.nl[k], rows.r[i])} "
+        f"< c({x},{y}) = {rows.c.rows[i][k]}"))
+
+
+def _row_tests_at(entry, u, rows, labels, tol) -> Witness | None:
+    for side, have, want, holds, text in _ROW_TESTS[entry]:
+        have, want = getattr(rows, have), getattr(rows, want)
+        k = mismatch(have, want, tol, holds)
+        if k is None:
+            continue
+        a, b = have[k], want[k]
+        if entry == "ii-L":  # compared as E1, shown as L and the inf-transform
+            a, b = rows.l[k], 0.0 - b
+        lab = labels[side][k]  # of X or of Y by side: the two may share labels
+        x, y = (lab, None) if side == "x" else (None, lab)
+        return Witness("ii" if entry in _ITEM_II else entry, u, x, y,
+                       text.format(u=u, lab=lab, a=a, b=b))
+    return None
 
 
 def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
-    """First witness against each of ``entries``, keys of ``_ROW_TESTS``,
-    or None where the entry holds.
+    """First witness against each of ``entries``, ``"i-inequality"`` or
+    keys of ``_ROW_TESTS``, or None where the entry holds.
 
     One pass over the decisions: for each u, every still-open entry runs its
-    row tests in ``_ROW_TESTS`` order on one ``_Rows``.  An entry leaves the
-    pass at its first witness, so that witness is the one the entry finds
-    alone; the L half of item (ii) takes its R half along.  The rows hold
-    the values ``conjugate``, ``reverse_conjugate`` and the sup-transform
-    give, bit for bit: they are the same kernel calls behind a domain
-    check."""
+    test on one ``_Rows``.  An entry leaves the pass at its first witness,
+    so that witness is the one the entry finds alone, and takes the others
+    of its ``_CLOSES`` along.  The rows hold the values ``conjugate``,
+    ``reverse_conjugate`` and the sup-transform give, bit for bit: they are
+    the same kernel calls behind a domain check."""
     found = dict.fromkeys(entries)
     open_entries = list(entries)
     labels = {"x": c.primal.labels, "y": c.dual.labels}
     for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
         rows = _Rows(l_row, r_row, c)
         for entry in tuple(open_entries):
-            if entry not in open_entries:  # the R half, closed by this u's L half
+            if entry not in open_entries:  # closed by this u's inequality or L half
                 continue
-            item = "ii" if entry in _ITEM_II else entry
-            for side, have, want, holds, text in _ROW_TESTS[entry]:
-                have, want = getattr(rows, have), getattr(rows, want)
-                k = mismatch(have, want, tol, holds)
-                if k is None:
-                    continue
-                a, b = have[k], want[k]
-                if entry == "ii-L":  # compared as E1, shown as L and the inf-transform
-                    a, b = rows.l[k], 0.0 - b
-                lab = labels[side][k]  # of X or of Y by side: the two may share labels
-                x, y = (lab, None) if side == "x" else (None, lab)
-                found[entry] = Witness(item, u, x, y, text.format(u=u, lab=lab, a=a, b=b))
-                closed = _ITEM_II if entry == "ii-L" else (entry,)
-                open_entries = [e for e in open_entries if e not in closed]
-                break
+            witness = (_inequality_at(u, rows, labels, tol) if entry == "i-inequality"
+                       else _row_tests_at(entry, u, rows, labels, tol))
+            if witness is None:
+                continue
+            found[entry] = witness
+            if entry == "i-inequality" and "i-minimality" in found:
+                found["i-minimality"] = _NOT_PROBED
+            closed = _CLOSES.get(entry, (entry,))
+            open_entries = [e for e in open_entries if e not in closed]
         if not open_entries:
             break
     return found
 
 
-def _holds(entry, lag, r, c, tol) -> bool:
+def _holds(lag, r, c, tol, *entries) -> bool:
     _require_valid(lag, r, c, tol)
-    return _row_witnesses((entry,), lag, r, c, tol)[entry] is None
+    return not any(_row_witnesses(entries, lag, r, c, tol).values())
+
+
+def inequality_holds(
+    lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
+) -> bool:
+    """-L(u,y) upper-add R(u,x) >= c(x,y) everywhere (tol slack on finites)."""
+    return _holds(lag, r, c, tol, "i-inequality")
 
 
 def check_item_ii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """L equals the Lagrangian of R and R equals the Rockafellian of L."""
-    return _holds("ii-L", lag, r, c, tol) and _holds("ii-R", lag, r, c, tol)
+    return _holds(lag, r, c, tol, "ii-L") and _holds(lag, r, c, tol, "ii-R")
 
 
 def check_item_iii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """Row-wise conjugate dual pair: -L_u = (R_u)^c and R_u = (-L_u)^{c'}."""
-    return _holds("iii", lag, r, c, tol)
+    return _holds(lag, r, c, tol, "iii")
 
 
 def check_item_iv(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """-L_u = (R_u)^c and every row of R is c-convex."""
-    return _holds("iv", lag, r, c, tol)
+    return _holds(lag, r, c, tol, "iv")
 
 
 def check_item_v(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """R_u = (-L_u)^{c'} and every -L_u is c'-convex."""
-    return _holds("v", lag, r, c, tol)
+    return _holds(lag, r, c, tol, "v")
 
 
 def minimality_probe(
@@ -322,10 +320,7 @@ def minimality_probe(
     of R is at most its least feasible value (-L_u)^{c'} and every entry of
     -L at most (R_u)^c, within tol (see the module docstring).
     """
-    _require_valid(lag, r, c, tol)
-    if _inequality_witness(lag, r, c, tol) is not None:
-        return False
-    return _row_witnesses(("i-minimality",), lag, r, c, tol)["i-minimality"] is None
+    return _holds(lag, r, c, tol, "i-inequality", "i-minimality")
 
 
 def audit(
@@ -341,17 +336,9 @@ def audit(
     itself is inconsistent, not merely that the input fails to be a couple.
     """
     _require_valid(lag, r, c, tol)
-    w_ineq = _inequality_witness(lag, r, c, tol)
-    entries = ("ii-L", "ii-R", "iii", "iv", "v")
-    if w_ineq is None:
-        w_probe, w_l, w_r, *rows = _row_witnesses(
-            ("i-minimality", *entries), lag, r, c, tol).values()
-    else:
-        w_probe = Witness(
-            item="i-minimality", u=None, x=None, y=None,
-            description="not probed: the inequality itself fails",
-        )
-        w_l, w_r, *rows = _row_witnesses(entries, lag, r, c, tol).values()
+    w_ineq, w_probe, w_l, w_r, *rows = _row_witnesses(
+        ("i-inequality", "i-minimality", "ii-L", "ii-R", "iii", "iv", "v"),
+        lag, r, c, tol).values()
     found = [w_l or w_r, *rows]
     ii, iii, iv, v = (w is None for w in found)
     return CoupleAudit(

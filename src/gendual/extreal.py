@@ -53,8 +53,9 @@ The kernel is exact and returns plain doubles that are never NaN:
   - IEEE rounding is monotone, so no difference after the stop could even
     win.
 
-Every test of an upper Moreau sum against a coupling value (the couple
-inequality and the Young check) is one scan, ``exceeds``.
+Every test of an upper Moreau sum against a coupling value is one scan,
+``exceeds``, which also names the first failing pair: the couple
+inequality of the audit's row pass and the Young check.
 
 Comparisons against an infinity are always exact; tolerances apply only
 between two finite values.
@@ -253,21 +254,25 @@ def conjugate_product(f_rows, view) -> list[list[float]]:
     return out
 
 
-def exceeds(c_row, a_row, b, tol: float) -> bool:
-    """True iff some k has c_row[k] > a_row[k] upper-add b beyond tol, that
-    is, the inequality ``a upper-add b >= c`` fails somewhere along the rows.
+def exceeds(c_rows, f, g, tol: float) -> tuple[int, int] | None:
+    """The first (i, k) in row order where c_rows[i][k] > g[k] upper-add f[i]
+    beyond tol, or None: where the generalized Young inequality
+    ``f(i) upper-add g(k) >= c(i, k)`` first fails.
 
     This is ``approx_le`` of the Moreau sum, tested on doubles as
-    ``c - (a + b) > tol``, and exact for any finite tol >= 0: the two cases
+    ``c - (g + f) > tol``, and exact for any finite tol >= 0: the two cases
     that give NaN never compare greater.  They are the opposite-infinity
     sum, which the upper addition sends to +inf, and the difference of two
     equal infinities; neither can fail the inequality.  With tol = 0.0 the
-    test is ``c > a + b`` for every pair of doubles, NaN included.
+    test is ``c > g + f`` for every pair of doubles, NaN included.  Only a
+    failing row is scanned again, for its k.
     """
-    for cv, a in zip(c_row, a_row):
-        if cv - (a + b) > tol:
-            return True
-    return False
+    for i, (c_row, b) in enumerate(zip(c_rows, f)):
+        for cv, a in zip(c_row, g):
+            if cv - (a + b) > tol:
+                return i, next(k for k, (cv, a) in enumerate(zip(c_row, g))
+                               if cv - (a + b) > tol)
+    return None
 
 
 def approx_eq(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:

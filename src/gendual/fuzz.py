@@ -28,7 +28,7 @@ from collections.abc import Callable
 
 from . import conjugacy, couple, duality
 from .defaults import DEFAULT_GRID, DEFAULT_INF_PROB, VALUE_FAMILY_NAMES
-from .extreal import DEFAULT_TOL, approx_eq, approx_le, lazy, low_add, mismatch
+from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, lazy, low_add, mismatch
 from .problems import Problem
 from .spaces import (
     Coupling,
@@ -221,7 +221,7 @@ def check_conjugacy_laws(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[s
     if not _le_all(conjugacy.reverse_biconjugate(g, c), g, tol):
         fails.append("reverse biconjugate exceeds the function somewhere")
 
-    if not conjugacy.young_check(f, c):
+    if exceeds(c.rows, f.values, f_c.values, 0.0) is not None:
         fails.append("generalized Young inequality fails")
     return fails
 
@@ -420,6 +420,10 @@ def run_fuzz(
         raise ValueError("max_set_size must be at least 1")
     if grid[0] > grid[1]:
         raise ValueError("grid low end exceeds high end")
+    try:
+        float(grid[0]), float(grid[1])
+    except OverflowError:
+        raise ValueError("grid ends must lie within the double range") from None
     if not 0.0 <= inf_prob <= 0.4:
         raise ValueError("inf_prob must lie in [0, 0.4]")
     if values not in VALUE_FAMILIES:

@@ -398,6 +398,17 @@ def test_fuzz_rejects_count_zero(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("values", ["integer", "fractional"])
+@pytest.mark.parametrize("grid", ["-1" + "0" * 330 + ":1", "-1:1" + "0" * 330])
+def test_fuzz_grid_beyond_the_double_range_is_a_usage_error(grid, values):
+    # an end that float() cannot convert is an input fault, not an internal one
+    code, out, err = run_in_fresh_dir(["fuzz", "--count", "2", f"--grid={grid}",
+                                       "--values", values])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "gendual fuzz: error: argument --grid: grid ends must lie within the double range"]
+
+
 def test_fuzz_sign_flip_writes_reproduction(capsys, tmp_path, monkeypatch):
     # harness self-test: a deliberately broken transform must be caught and
     # produce a loadable reproduction file

@@ -134,6 +134,28 @@ def test_probe_false_when_inequality_fails(e1):
     assert not minimality_probe(bumped, e1["R2"], e1["c"])
 
 
+def test_inequality_failing_after_minimality_is_not_probed(e1):
+    # with its original R, e1 fails minimality at u0 and keeps the
+    # inequality; L(u1,y0) raised to 3 breaks the inequality at u1 only, so
+    # the one row pass meets the minimality witness first and must still
+    # report minimality as not probed
+    a = audit(e1["L"], e1["R"], e1["c"])
+    assert a.item_i_inequality
+    assert [w.u for w in a.witnesses if w.item == "i-minimality"] == ["u0"]
+    bumped = replace(Lagrangian, e1["L"], e1["U"], e1["Y"], 1, 0, 3.0)
+    assert not inequality_holds(bumped, e1["R"], e1["c"])
+    assert not minimality_probe(bumped, e1["R"], e1["c"])
+    a = audit(bumped, e1["R"], e1["c"])
+    assert not (a.item_i_inequality or a.item_i_minimality_probe)
+    assert [tuple(w) for w in a.witnesses if w.item.startswith("i-")] == [
+        ("i-inequality", "u1", "x0", "y0",
+         "-L(u1,y0) upper-add R(u1,x0) = -3.0 < c(x0,y0) = 0.0"),
+        ("i-minimality", None, None, None, "not probed: the inequality itself fails"),
+    ]
+    assert _literal_inequality_witness(bumped, e1["R"], e1["c"]) == tuple(a.witnesses[0])[1:]
+    assert _reference_minimality(bumped, e1["R"], e1["c"]) == INEQUALITY_FAILS
+
+
 def test_probe_saturated_instance():
     # -inf entries admit no decrease; the probe holds vacuously there
     c = Coupling(["x"], ["y"], [[0.0]])
@@ -224,8 +246,10 @@ extreme_entry = st.sampled_from([
 
 @st.composite
 def item_i_instance(draw):
-    """(L, R, c, tol): random L, the canonical couple of R, or the canonical
-    L with R itself, so that the inequality both holds and fails."""
+    """(L, R, c, tol): random L, random L with a -inf in each row beside a
+    finite entry where the row has two (-L_u is +inf where L is -inf, and
+    that term never fails), the canonical couple of R, or the canonical L
+    with R itself, so that the inequality both holds and fails."""
     nu, nx, ny = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
 
     def table(n, m):
@@ -238,9 +262,15 @@ def item_i_instance(draw):
     Y = FiniteSet([f"y{i}" for i in range(ny)])
     c = Coupling(X, Y, table(nx, ny))
     r = Rockafellian(U, X, table(nu, nx))
-    kind = draw(st.sampled_from(["random", "couple", "dominating"]))
-    if kind == "random":
-        lag = Lagrangian(U, Y, table(nu, ny))
+    kind = draw(st.sampled_from(["random", "mixed", "couple", "dominating"]))
+    if kind in ("random", "mixed"):
+        rows = table(nu, ny)
+        if kind == "mixed":
+            for row in rows:
+                j = draw(st.integers(min_value=0, max_value=ny - 1))
+                row[j - 1] = draw(st.sampled_from([0.0, 1.0, -2.5, 1e-9]))
+                row[j] = -INF
+        lag = Lagrangian(U, Y, rows)
     else:
         lag, r2 = make_couple(r, c)
         if kind == "couple":

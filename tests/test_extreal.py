@@ -308,9 +308,24 @@ def test_scalar_layer_matches_tag_reference(x, y, tol):
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1.0, DBL_MAX])
 def test_exceeds_is_approx_le_of_the_upper_sum(tol):
     # every triple of special values, NaN-producing sums and differences
-    # included, one entry at a time and as whole rows
+    # included: one entry at a time, as one row of c, and as a table of one
+    # value c over f = g = SPECIAL, where the first failing (i, k) in row
+    # order is named
+    def fails(c, a, b):
+        return not approx_le(ExtReal(c), upp_add(ExtReal(a), ExtReal(b)), tol)
+
+    n = len(SPECIAL)
     for a, b in itertools.product(SPECIAL, repeat=2):
-        lhs = upp_add(ExtReal(a), ExtReal(b))
-        fails = [not approx_le(ExtReal(c), lhs, tol) for c in SPECIAL]
-        assert [exceeds((c,), (a,), b, tol) for c in SPECIAL] == fails
-        assert exceeds(SPECIAL, [a] * len(SPECIAL), b, tol) == any(fails)
+        row = [fails(c, a, b) for c in SPECIAL]
+        assert [exceeds([[c]], [b], [a], tol) for c in SPECIAL] == [
+            (0, 0) if fail else None for fail in row]
+        assert exceeds([SPECIAL], [b], [a] * n, tol) == (
+            (0, row.index(True)) if any(row) else None)
+    for c in SPECIAL:
+        want = next(((i, k) for i, b in enumerate(SPECIAL) for k, a in enumerate(SPECIAL)
+                     if fails(c, a, b)), None)
+        assert exceeds([[c] * n] * n, SPECIAL, SPECIAL, tol) == want
+    # rows 1 and 2 fail, row 1 only at k = 1: row order names (1, 1), not (2, 0)
+    c_rows = [[0.0, 0.0, 0.0], [0.0, math.inf, 0.0], [math.inf] * 3]
+    assert exceeds(c_rows, [0.0] * 3, [0.0] * 3, tol) == (1, 1)
+

@@ -42,6 +42,14 @@ against each tree, in a fresh interpreter with that tree first on
     ``--output``, ``check-couple`` of the couple built from those files and
     of the raw pair, in every format and at both tols, ``conjugate`` on each
     side, and ``weak-duality`` at every base point;
+  - at n = 16 and 128, an L table whose every row mixes -inf with integer
+    entries, where item (i)'s inequality reads +inf in -L_u, over a
+    coupling without +inf.  R is its Rockafellian, written with
+    ``--output``, so that the inequality holds at every decision.
+    ``check-couple`` runs in every format and at both tols on that pair, and
+    on R with an L whose row 3n/4 has a finite entry raised to 40, so that
+    the inequality fails there, after minimality fails at the first
+    decision;
   - malformed variants of a gallery file, one fault each, and variants of
     e1.json and e1_lagrangian.json with an overflowing literal in a row
     that also holds a word ("inf" or "-inf"), in each of the three tables;
@@ -84,6 +92,7 @@ SIZES = (4, 16, 64, 256)
 RAISED_SIZES = (16, 64)
 FIXED_ROW_SIZES = (4, 16)
 NEAR_OVERFLOW_SIZES = (4, 16)
+MIXED_SIZES = (16, 128)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 FUZZ_TOL0_SEEDS = range(4)
@@ -149,6 +158,23 @@ def _fixed_rows(rng, n):
     for table in (r, lag):
         table[0], table[1] = ["inf"] * n, ["-inf"] * n
     return c, r, lag
+
+
+def _mixed_rows(rng, n):
+    """A coupling of integers with 10% of -inf, an L table of integers with
+    -inf at a quarter of the entries of each row, and L with the first
+    finite entry of row 3n/4 raised to 40, above every -L(u,y) + R(u,x) of
+    the Rockafellian R of L that meets a finite c(x,y)."""
+    c = [[rng.randint(-10, 10) if rng.random() >= INF_SHARE else "-inf" for _ in range(n)]
+         for _ in range(n)]
+    lag = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(n)]
+    for row in lag:
+        for j in rng.sample(range(n), n // 4):
+            row[j] = "-inf"
+    raised = [list(row) for row in lag]
+    row = raised[3 * n // 4]
+    row[next(j for j, v in enumerate(row) if v != "-inf")] = 40
+    return c, lag, raised
 
 
 def _function(rng, family, n):
@@ -338,6 +364,15 @@ def write_inputs(root):
         ]
         commands += _audits(f"{out}r1.json", f"{out}l1.json")
         commands += _audits(f"{tag}both.json")
+    for n in MIXED_SIZES:
+        tag = f"rand/mixed{n}"
+        c, lag, raised = _mixed_rows(rng, n)
+        for suffix, table in (("l", lag), ("l_raised", raised)):
+            (root / f"{tag}{suffix}.json").write_text(
+                _problem(n, c, lagrangian=table), encoding="utf-8")
+        commands.append(["to-rockafellian", f"{tag}l.json", "--output", f"out/mixed{n}r.json"])
+        commands += _audits(f"out/mixed{n}r.json", f"{tag}l.json")
+        commands += _audits(f"out/mixed{n}r.json", f"{tag}l_raised.json")
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
