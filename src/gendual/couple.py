@@ -272,8 +272,10 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
 
 
 def _holds(lag, r, c, tol, *entries) -> bool:
+    """True iff each of ``entries`` holds, each decided alone, in the order
+    given, by its own ``_row_witnesses`` pass; the first witness ends it."""
     _require_valid(lag, r, c, tol)
-    return not any(_row_witnesses(entries, lag, r, c, tol).values())
+    return not any(_row_witnesses((entry,), lag, r, c, tol)[entry] for entry in entries)
 
 
 def inequality_holds(
@@ -287,7 +289,7 @@ def check_item_ii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """L equals the Lagrangian of R and R equals the Rockafellian of L."""
-    return _holds(lag, r, c, tol, "ii-L") and _holds(lag, r, c, tol, "ii-R")
+    return _holds(lag, r, c, tol, "ii-L", "ii-R")
 
 
 def check_item_iii(
@@ -318,9 +320,11 @@ def minimality_probe(
 
     False when the inequality itself fails.  Otherwise True iff every entry
     of R is at most its least feasible value (-L_u)^{c'} and every entry of
-    -L at most (R_u)^c, within tol (see the module docstring).
+    -L at most (R_u)^c, within tol (see the module docstring).  Minimality
+    is decided first: an entry above its least feasible value ends the
+    probe at its u, before any inequality scan.
     """
-    return _holds(lag, r, c, tol, "i-inequality", "i-minimality")
+    return _holds(lag, r, c, tol, "i-minimality", "i-inequality")
 
 
 def audit(

@@ -14,9 +14,13 @@ through (v) in agreement).
 
 Each instance builds the transforms that several checks read once (see
 ``FuzzInstance``), and row convexity is read off whole-table transforms,
-so no check compares a kernel call with the same call.  The transform
-modules are referenced through their module objects so a test can swap a
-deliberately broken operation in and watch the harness catch it.
+so no check compares a kernel call with the same call.  Each law is
+compared once, and every comparison of two rows or functions goes through
+``extreal.mismatch``: the second round trip's L'' = L is read only as the
+c'-convexity of every -L_u.  ``mismatch`` leaves tol to its caller, so
+``run_fuzz`` checks it up front.  The transform modules are referenced
+through their module objects so a test can swap a deliberately broken
+operation in and watch the harness catch it.
 """
 
 from __future__ import annotations
@@ -176,15 +180,11 @@ def random_instance(
     )
 
 
-def _le_all(f: SetFunction, g: SetFunction, tol: float) -> bool:
-    return all(approx_le(a, b, tol) for a, b in zip(f.values, g.values))
-
-
-def _first_row_apart(labels, rows, other_rows, tol):
-    """The label of the first row that is not ``approx_eq`` to its
-    counterpart, or None."""
+def _first_row_apart(labels, rows, other_rows, tol, holds):
+    """The label of the first row where ``holds`` (``approx_eq`` or
+    ``approx_le``) fails against its counterpart, or None."""
     for label, row, other in zip(labels, rows, other_rows):
-        if mismatch(row, other, tol, approx_eq) is not None:
+        if mismatch(row, other, tol, holds) is not None:
             return label
     return None
 
@@ -202,11 +202,11 @@ def check_conjugacy_laws(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[s
     f_c = conjugacy.conjugate(f, c)
     m = pointwise_min(f, row0)
     m_c = conjugacy.conjugate(m, c)
-    if not _le_all(f_c, m_c, tol):
+    if mismatch(f_c.values, m_c.values, tol, approx_le) is not None:
         fails.append("antitonicity: min(f, r) <= f but its conjugate is not >= f^c")
 
     bi = conjugacy.reverse_conjugate(f_c, c)
-    if not _le_all(bi, f, tol):
+    if mismatch(bi.values, f.values, tol, approx_le) is not None:
         fails.append("biconjugate exceeds the function somewhere")
     bi_c = conjugacy.conjugate(bi, c)
     if not bi_c.isclose(f_c, tol):
@@ -218,7 +218,8 @@ def check_conjugacy_laws(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[s
         fails.append("conjugate of a pointwise inf is not the sup of conjugates")
 
     g = inst.extra_dual
-    if not _le_all(conjugacy.reverse_biconjugate(g, c), g, tol):
+    if mismatch(conjugacy.reverse_biconjugate(g, c).values, g.values, tol,
+                approx_le) is not None:
         fails.append("reverse biconjugate exceeds the function somewhere")
 
     if exceeds(c.rows, f.values, f_c.values, 0.0) is not None:
@@ -242,7 +243,8 @@ def check_transform_identity(
     phi = duality.perturbation_function(r)
     if not psi.negated().isclose(conjugacy.conjugate(phi, c), tol):
         fails.append("-psi differs from the conjugate of the perturbation function")
-    u = _first_row_apart(r.decisions.labels, lag.rows, inst.rebuilt_lagrangian.rows, tol)
+    u = _first_row_apart(r.decisions.labels, lag.rows, inst.rebuilt_lagrangian.rows, tol,
+                         approx_eq)
     if u is not None:
         fails.append(f"row {u}: -L_u is not c'-convex")
     return fails
@@ -264,34 +266,29 @@ def check_transform_inequality(
     phi = duality.perturbation_function(r)
     psi = duality.dual_function(lag)
     lower = conjugacy.reverse_conjugate(psi.negated(), c)
-    if not _le_all(lower, phi, tol):
+    if mismatch(lower.values, phi.values, tol, approx_le) is not None:
         fails.append("perturbation function dips below (-psi)^{c'}")
     strict = any(
         lo < hi and not approx_eq(lo, hi, tol)
         for lo, hi in zip(lower.values, phi.values)
     )
     r_bi = duality.rockafellian_of(duality.lagrangian_of(r, c), c)
-    u = _first_row_apart(lag.decisions.labels, r.rows, r_bi.rows, tol)
+    u = _first_row_apart(lag.decisions.labels, r.rows, r_bi.rows, tol, approx_eq)
     if u is not None:
         fails.append(f"row {u}: R_u is not c-convex")
     return fails, strict
 
 
 def check_roundtrips(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str]:
-    """R -> L -> R' contracts, R' <= R, and the second trip is stable,
-    L'' = L.  (R' = R iff the rows of R are c-convex holds by construction:
-    the rows of R' are their biconjugates.)"""
-    fails = []
+    """R -> L -> R' contracts, R' <= R.  (R' = R iff the rows of R are
+    c-convex holds by construction: the rows of R' are their biconjugates.
+    The second trip's stability, L'' = L, is the same comparison as the
+    c'-convexity of every -L_u, and is read only there, in
+    ``check_transform_identity``.)"""
     r, r2 = inst.rockafellian, inst.rebuilt_rockafellian
-    if not all(
-        approx_le(a, b, tol)
-        for ra, rb in zip(r2.rows, r.rows)
-        for a, b in zip(ra, rb)
-    ):
-        fails.append("round trip exceeds the original Rockafellian somewhere")
-    if not inst.rebuilt_lagrangian.isclose(inst.built_lagrangian, tol):
-        fails.append("second round trip changed the Lagrangian")
-    return fails
+    if _first_row_apart(r.decisions.labels, r2.rows, r.rows, tol, approx_le) is not None:
+        return ["round trip exceeds the original Rockafellian somewhere"]
+    return []
 
 
 def check_weak_duality(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str]:
@@ -340,16 +337,8 @@ def check_couple_theorem(
     draw = VALUE_FAMILIES[values]
     c = inst.coupling
     lag1, r1 = inst.built_lagrangian, inst.rebuilt_rockafellian
-    a = couple.audit(lag1, r1, c, tol=tol)
-    if not (
-        a.item_i_inequality
-        and a.item_i_minimality_probe
-        and a.item_ii
-        and a.item_iii
-        and a.item_iv
-        and a.item_v
-        and a.items_agree
-    ):
+    # every item holds, and the items agree, iff no item has a witness
+    if couple.audit(lag1, r1, c, tol=tol).witnesses:
         fails.append("constructed couple does not audit true on every item")
 
     # single-entry perturbation of the couple
@@ -428,6 +417,9 @@ def run_fuzz(
         raise ValueError("inf_prob must lie in [0, 0.4]")
     if values not in VALUE_FAMILIES:
         raise ValueError(f"unknown value family {values!r}")
+    # the checks compare through extreal.mismatch, which leaves tol to its caller
+    if not 0.0 <= tol < _INF:
+        raise ValueError("tolerance must be finite and nonnegative")
 
     rng = random.Random(seed)
     failures_by_check = {name: 0 for name in CHECK_NAMES}

@@ -290,6 +290,25 @@ def test_check_couple_set_mismatch_exits_3(problems_dir, tmp_path, capsys):
     assert code == 3
 
 
+def test_check_couple_two_files_with_different_couplings(problems_dir, tmp_path, capsys):
+    # the same sets, and a coupling entry 0.5 apart: a domain error within
+    # tol, and the audit of the first file's coupling at tol 1
+    doc = json.loads((problems_dir / "e1_lagrangian.json").read_text())
+    doc["coupling"][0][0] += 0.5
+    raised = tmp_path / "raised.json"
+    raised.write_text(json.dumps(doc))
+    files = (str(problems_dir / "e1.json"), str(raised))
+    for tol in ((), ("--tol", "0")):
+        code, out, err = run_cli(capsys, "check-couple", *files, *tol)
+        assert (code, out) == (3, "")
+        assert err == "error: the two problem files carry different couplings\n"
+    code, out, err = run_cli(capsys, "check-couple", *files, "--tol", "1")
+    want = run_cli(capsys, "check-couple", str(problems_dir / "e1.json"),
+                   str(problems_dir / "e1_lagrangian.json"), "--tol", "1")
+    assert (code, out, err) == want
+    assert code == 1 and "verdict:" in out
+
+
 def test_check_couple_structured(problems_dir, capsys):
     code, out, _ = run_cli(capsys, "check-couple",
                            str(problems_dir / "e1_couple.json"),
@@ -396,6 +415,15 @@ def test_fuzz_rejects_count_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fuzz", "--count", "0"])
     assert exc.value.code == 2
+
+
+def test_fuzz_reads_a_grid(capsys, tmp_path):
+    # a grid with a negative low end needs the --grid=LO:HI spelling
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "3", "--grid=-2:2",
+                           "--output", str(tmp_path))
+    assert code == 0
+    assert " grid=-2:2 " in out.splitlines()[0]
+    assert "result: PASS" in out
 
 
 @pytest.mark.parametrize("values", ["integer", "fractional"])
@@ -810,7 +838,7 @@ FLAG_VALUES = {
     "--count": ("0", "1", "2"),
     "--max-set-size": ("1", "3"),
     "--seed": ("7", "x"),
-    "--grid": ("-2:2", "3:1", "x"),
+    "--grid": ("-2:2", "0:3", "3:1", "x"),
     "--inf-prob": ("0.5", "0.1", "nan"),
     "--values": ("integer", "fractional", "tiny", "wide", "near-overflow", "decimal"),
 }

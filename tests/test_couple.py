@@ -771,6 +771,36 @@ def test_item_ii_stops_at_the_first_witness_row(count_kernel_calls, count_conjug
             for w in audit(lag, r, c).witnesses if w.item == "ii"] == want
 
 
+def test_minimality_probe_stops_at_the_first_raised_row(
+        monkeypatch, count_kernel_calls, count_conjugate_rows):
+    # R raised in row u0: minimality fails there, on rho_u0 alone, and the
+    # probe ends without an inequality scan; on the couple itself every u
+    # is scanned
+    import gendual.couple as couple_module
+
+    scans = []
+
+    def counted(c_rows, f, g, tol, exceeds=couple_module.exceeds):
+        scans.append(len(c_rows))
+        return exceeds(c_rows, f, g, tol)
+
+    monkeypatch.setattr(couple_module, "exceeds", counted)
+    lag, r, c = _canonical_couple(8, seed=8)
+    assert minimality_probe(lag, r, c)
+    assert len(scans) == 8
+    rows = [list(row) for row in r.rows]
+    i = next(i for i, v in enumerate(rows[0]) if math.isfinite(v))
+    rows[0][i] += 1.0
+    raised = Rockafellian(r.decisions, r.primal, rows)
+    scans.clear()
+    count_kernel_calls.clear()
+    count_conjugate_rows.clear()
+    assert not minimality_probe(lag, raised, c)
+    assert scans == []
+    assert count_kernel_calls == [("conjugate_product", 1)]
+    assert _views(count_conjugate_rows, c) == ["rho"]
+
+
 def test_item_ii_names_an_l_witness_after_an_r_witness():
     # R raised in row u0 where no inf of the Lagrangian is attained, so that
     # only item (ii)'s R half fails there, and L raised in row u2: the L

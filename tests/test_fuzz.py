@@ -108,6 +108,19 @@ def test_run_fuzz_argument_validation():
         run_fuzz(count=1, max_set_size=5, seed=1, inf_prob=0.6)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -1.0, math.nan])
+def test_run_fuzz_rejects_a_bad_tol_up_front(monkeypatch, tol):
+    # the checks compare through extreal.mismatch, which does not check tol:
+    # run_fuzz does, before it draws an instance
+    from gendual import fuzz
+
+    drawn, seen = [], []
+    monkeypatch.setattr(fuzz, "random_instance", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        run_fuzz(count=3, max_set_size=4, seed=1, tol=tol, on_instance=seen.append)
+    assert drawn == seen == []
+
+
 @pytest.mark.parametrize("values", ["integer", "fractional"])
 def test_grid_ends_must_lie_within_the_double_range(values):
     huge = 10 ** 330

@@ -62,6 +62,33 @@ def test_set_function_total_and_typed():
         f("zz")
 
 
+class _Float(float):
+    pass
+
+
+# each public constructor given one row of three entries from outside the
+# package, and the row it stores
+_PUBLIC_CONSTRUCTORS = {
+    "SetFunction": lambda row: SetFunction(["a", "b", "c"], row).values,
+    "Coupling": lambda row: Coupling(["x0"], ["y0", "y1", "y2"], [row]).rows[0],
+    "Rockafellian": lambda row: Rockafellian(["u0"], ["x0", "x1", "x2"], [row]).rows[0],
+    "Lagrangian": lambda row: Lagrangian(["u0"], ["y0", "y1", "y2"], [row]).rows[0],
+}
+
+
+@pytest.mark.parametrize("entry, error", [(math.nan, ValueError), (True, TypeError),
+                                          ("1", TypeError)], ids=["nan", "bool", "str"])
+@pytest.mark.parametrize("name", list(_PUBLIC_CONSTRUCTORS))
+def test_public_constructors_check_every_entry(name, entry, error):
+    make = _PUBLIC_CONSTRUCTORS[name]
+    with pytest.raises(error):
+        make([0.5, 1.0, entry])
+    # an int, an ExtReal and a float subclass are stored as plain floats
+    stored = make([1, ExtReal(2.5), _Float(-3.0)])
+    assert stored == (1.0, 2.5, -3.0)
+    assert [type(v) for v in stored] == [float] * 3
+
+
 def test_set_function_negated_and_isclose():
     s = FiniteSet(["a", "b"])
     f = SetFunction(s, [2.0, -math.inf])

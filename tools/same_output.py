@@ -20,8 +20,10 @@ against each tree, in a fresh interpreter with that tree first on
     built couples, so that audit witnesses found off the exact row compare
     are compared too;
   - ``check-couple`` in every format, at the default tol and at ``--tol 0``,
-    on the gallery pair e1.json with e1_lagrangian.json, and on copies of
-    the built couples at n = 16 and 64 with one entry of R or of L raised
+    on the gallery pair e1.json with e1_lagrangian.json, on e1.json with a
+    copy of e1_lagrangian.json whose coupling has one entry raised by 0.5
+    (a domain error at both tols, and an audit at ``--tol 1``), and on
+    copies of the built couples at n = 16 and 64 with one entry of R or of L raised
     in a middle row (the ``raise`` step below), so that minimality and
     row-item witnesses beyond the first decision are compared, and with an
     entry of R raised in row n/4 and one of L in row 3n/4, so that item
@@ -56,7 +58,8 @@ against each tree, in a fresh interpreter with that tree first on
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
     off-grid value families F, each also with ``--tol 0`` (the integer
-    family for s = 0..3), so that every family runs at both tols;
+    family for s = 0..3), so that every family runs at both tols, and
+    ``fuzz --count 300 --grid=-2:2`` at both tols;
   - ``tools/make_gallery.py``, writing into the work directory.
 
 It compares, command by command, the exit code, stdout, stderr (minus the
@@ -267,6 +270,13 @@ def write_inputs(root):
         bad.write_text(text, encoding="utf-8")
         commands.append([command, str(bad.relative_to(root))])
     commands += _audits("gallery/e1.json", "gallery/e1_lagrangian.json")
+    doc = json.loads(e1_lagrangian)
+    doc["coupling"][0][0] += 0.5
+    (root / "bad/coupling_raised.json").write_text(json.dumps(doc, indent=2) + "\n",
+                                                   encoding="utf-8")
+    pair = ("gallery/e1.json", "bad/coupling_raised.json")
+    commands += _audits(*pair)
+    commands += [["check-couple", *pair, "--tol", "1", "--format", fmt] for fmt in FORMATS]
 
     rng = random.Random(20260101)
     for n in SIZES:
@@ -387,6 +397,8 @@ def write_inputs(root):
     commands += [["fuzz", "--count", "300", "--max-set-size", "4", "--seed", "7",
                   "--values", family, "--tol", "0", "--output", f"repro/{family}-tol0"]
                  for family in OFF_GRID_FAMILIES]
+    commands += [["fuzz", "--count", "300", "--grid=-2:2", *tol, "--output", "repro/grid"]
+                 for tol in ((), ("--tol", "0"))]
     return commands
 
 
