@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -74,7 +75,14 @@ def _tolerance(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 2 with one diagnostic line, like every other error."""
+    """Usage errors exit 2 with one diagnostic line, like every other error.
+    No option starts with "-" and a digit, so an argument that does is a
+    value, as in ``--grid -2:2``; argparse's own pattern, an internal that
+    tests/test_cli.py pins, admits only plain negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_FORMAT, f"{self.prog}: error: {message}\n")

@@ -19,7 +19,8 @@ turns an infimum into a supremum but not vice versa.
 The weak-duality report evaluates, at a chosen perturbation point, the primal
 value phi(x) against the dual value sup_y [c(x, y) lower-add psi(y)]; the
 dual value never exceeds the primal one.  ``weak_duality_reports`` gives the
-report at every base point from one phi^c.
+report at every base point from one phi^c, through the one-point report's
+body over every row of the coupling.
 
 Both transforms and the dual value are c-conjugates, computed by the kernel
 of ``extreal``, ``conjugate_product``; phi and psi are column minima.  The
@@ -115,16 +116,15 @@ def weak_duality_report(
     primal = phi(base_point); dual = phi^{cc'}(base_point) =
     sup_y [c(base_point, y) lower-add -phi^c(y)], where -phi^c is psi, the
     dual function of ``lagrangian_of(r, c)``, bit for bit: O(|U||X| + |X||Y|).
-    The dual value reads a view of the coupling's row at ``base_point``
-    alone, and leaves ``c.sorted_rows`` unbuilt.  It can never exceed the
-    primal one; a violation means a broken arithmetic kernel or rounding at
-    large magnitudes, and raises ArithmeticError instead of reporting.
+    The body it shares with ``weak_duality_reports`` reads a view of the
+    coupling's row at ``base_point`` alone, and leaves ``c.sorted_rows``
+    unbuilt.  The dual value can never exceed the primal one; a violation
+    means a broken arithmetic kernel or rounding at large magnitudes, and
+    raises ArithmeticError instead of reporting.
     """
     _require_primal(r, c, "weak_duality_report")
     ix = c.primal.index(base_point)
-    phi = perturbation_function(r).values
-    phi_c = conjugate_product((phi,), c.sorted_cols)[0]
-    dual = conjugate_product((phi_c,), descending((c.rows[ix],)))[0][0]
+    phi, (dual,) = _phi_and_duals(r, c, descending((c.rows[ix],)))
     report = _report(base_point, phi[ix], dual, tol)
     if isinstance(report, ArithmeticError):
         raise report
@@ -135,18 +135,24 @@ def weak_duality_reports(
     r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> list[WeakDualityReport | ArithmeticError]:
     """``weak_duality_report`` at every base point, in the order of
-    ``c.primal``: one phi^c and one kernel row over ``c.sorted_rows`` give
-    every dual value, each the same double as the one-point report's (the
-    kernel scans a line of the coupling in the same order in either view).
+    ``c.primal``: its body, run over ``c.sorted_rows``, gives every dual
+    value, each the same double as the one-point report's (the kernel scans
+    a line of the coupling in the same order in either view).
     A base point where weak duality is violated gives, in place of its
     report, the ArithmeticError that ``weak_duality_report`` raises there,
     so that the other points still report."""
     _require_primal(r, c, "weak_duality_reports")
-    phi = perturbation_function(r).values
-    phi_c = conjugate_product((phi,), c.sorted_cols)[0]
-    duals = conjugate_product((phi_c,), c.sorted_rows)[0]
+    phi, duals = _phi_and_duals(r, c, c.sorted_rows)
     return [_report(x, primal, dual, tol)
             for x, primal, dual in zip(c.primal.labels, phi, duals)]
+
+
+def _phi_and_duals(r, c, rows_view):
+    """phi's values, and the dual values phi^{cc'} over ``rows_view``, a
+    ``descending`` view of coupling rows: one phi^c and one kernel row."""
+    phi = perturbation_function(r).values
+    phi_c = conjugate_product((phi,), c.sorted_cols)[0]
+    return phi, conjugate_product((phi_c,), rows_view)[0]
 
 
 def _require_primal(r, c, name):

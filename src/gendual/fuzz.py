@@ -10,7 +10,9 @@ the reals; they report how far the laws hold there.  Each instance runs
 the conjugacy laws, both transform propositions, the round trip, weak
 duality at every base point, and the couple theorem (a constructed couple
 must pass all items; a single-entry perturbation of it must keep items (ii)
-through (v) in agreement).
+through (v) in agreement).  An instance records the grid, infinity share
+and value family it was drawn with, and the perturbed entry is drawn with
+them.
 
 Each instance builds the transforms that several checks read once (see
 ``FuzzInstance``), and row convexity is read off whole-table transforms,
@@ -77,11 +79,11 @@ _INF = math.inf
 
 
 class FuzzInstance(namedtuple("FuzzInstance", (
-        "index", "coupling", "rockafellian", "lagrangian", "extra_primal",
-        "extra_dual"))):
-    """One random instance: its index, the ``Coupling``, the
-    ``Rockafellian`` and ``Lagrangian`` tables, and two spare
-    ``SetFunction``s, one on each side.
+        "coupling", "rockafellian", "lagrangian", "extra_primal", "extra_dual",
+        "grid", "inf_prob", "values"))):
+    """One random instance: the ``Coupling``, the ``Rockafellian`` and
+    ``Lagrangian`` tables, two spare ``SetFunction``s, one on each side,
+    and the grid, infinity share and value family its entries came from.
 
     The transforms that several checks read are attributes built on first
     read and then kept, each through the ``duality`` module object."""
@@ -146,13 +148,13 @@ def _random_rows(rng, n, m, grid, inf_prob, draw):
 
 def random_instance(
     rng: random.Random,
-    index: int = 0,
     max_set_size: int = 5,
     grid: tuple[int, int] = DEFAULT_GRID,
     inf_prob: float = DEFAULT_INF_PROB,
     values: str = "integer",
 ) -> FuzzInstance:
-    """One instance whose entries come from the value family ``values``."""
+    """One instance whose entries come from the value family ``values``,
+    which it records with ``grid`` and ``inf_prob``."""
     draw = VALUE_FAMILIES[values]
     nu = rng.randint(1, max_set_size)
     nx = rng.randint(1, max_set_size)
@@ -161,7 +163,6 @@ def random_instance(
     primal = FiniteSet([f"x{i}" for i in range(nx)])
     dual = FiniteSet([f"y{i}" for i in range(ny)])
     return FuzzInstance(
-        index=index,
         coupling=Coupling(
             primal, dual, _random_rows(rng, nx, ny, grid, inf_prob, draw)
         ),
@@ -177,6 +178,9 @@ def random_instance(
         extra_dual=SetFunction(
             dual, [draw(rng, grid, inf_prob) for _ in range(ny)]
         ),
+        grid=grid,
+        inf_prob=inf_prob,
+        values=values,
     )
 
 
@@ -324,17 +328,16 @@ def _replace_entry(table_rows, iu, j, value):
 
 
 def check_couple_theorem(
-    inst: FuzzInstance, rng: random.Random, tol: float = DEFAULT_TOL,
-    grid: tuple[int, int] = DEFAULT_GRID, inf_prob: float = DEFAULT_INF_PROB,
-    values: str = "integer",
+    inst: FuzzInstance, rng: random.Random, tol: float = DEFAULT_TOL
 ) -> list[str]:
     """A constructed couple audits true on every item; a single-entry
     perturbation and an unrelated random pair keep items (ii)-(v) in
     agreement and consistent with item (i), the inequality plus minimality.
     The constructed couple is (L, R'), which ``couple.make_couple`` returns
-    for R."""
+    for R.  The perturbed entry is drawn as the instance's own entries
+    were, from its value family, grid and infinity share."""
     fails = []
-    draw = VALUE_FAMILIES[values]
+    draw = VALUE_FAMILIES[inst.values]
     c = inst.coupling
     lag1, r1 = inst.built_lagrangian, inst.rebuilt_rockafellian
     # every item holds, and the items agree, iff no item has a witness
@@ -346,11 +349,11 @@ def check_couple_theorem(
     iu = rng.randrange(len(decisions))
     if rng.random() < 0.5:
         ix = rng.randrange(len(c.primal))
-        rows = _replace_entry(r1.rows, iu, ix, draw(rng, grid, inf_prob))
+        rows = _replace_entry(r1.rows, iu, ix, draw(rng, inst.grid, inst.inf_prob))
         lag2, r2 = lag1, Rockafellian(decisions, c.primal, rows)
     else:
         iy = rng.randrange(len(c.dual))
-        rows = _replace_entry(lag1.rows, iu, iy, draw(rng, grid, inf_prob))
+        rows = _replace_entry(lag1.rows, iu, iy, draw(rng, inst.grid, inst.inf_prob))
         lag2, r2 = Lagrangian(decisions, c.dual, rows), r1
 
     for label, lg, rk in (
@@ -428,7 +431,7 @@ def run_fuzz(
     first_failure: Problem | None = None
 
     for i in range(count):
-        inst = random_instance(rng, i, max_set_size, grid, inf_prob, values)
+        inst = random_instance(rng, max_set_size, grid, inf_prob, values)
         ineq_fails, strict = check_transform_inequality(inst, tol)
         if strict:
             strict_instances += 1
@@ -438,8 +441,7 @@ def run_fuzz(
             ("transform_inequality", ineq_fails),
             ("roundtrips", check_roundtrips(inst, tol)),
             ("weak_duality", check_weak_duality(inst, tol)),
-            ("couple_theorem",
-             check_couple_theorem(inst, rng, tol, grid, inf_prob, values)),
+            ("couple_theorem", check_couple_theorem(inst, rng, tol)),
         ]
         for name, details in outcomes:
             if details:

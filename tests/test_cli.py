@@ -39,9 +39,10 @@ def test_conjugate_all_inf(problems_dir, capsys):
 
 
 def test_conjugate_dual_side(problems_dir, capsys):
-    # values starting with '-' need the --function=... spelling
-    code, out, _ = run_cli(capsys, "conjugate", str(problems_dir / "e1.json"),
-                           "--side", "dual", "--function=-2,-1")
+    # a value that starts with "-" and a digit reads the same with or without "="
+    argv = ("conjugate", str(problems_dir / "e1.json"), "--side", "dual")
+    code, out, _ = run_cli(capsys, *argv, "--function", "-2,-1")
+    assert (code, out) == run_cli(capsys, *argv, "--function=-2,-1")[:2]
     assert code == 0
     assert out.splitlines() == ["x0  2.0", "x1  3.0"]
 
@@ -418,9 +419,10 @@ def test_fuzz_rejects_count_zero(capsys):
 
 
 def test_fuzz_reads_a_grid(capsys, tmp_path):
-    # a grid with a negative low end needs the --grid=LO:HI spelling
-    code, out, _ = run_cli(capsys, "fuzz", "--count", "3", "--grid=-2:2",
-                           "--output", str(tmp_path))
+    # a value that starts with "-" and a digit reads the same with or without "="
+    argv = ("fuzz", "--count", "3", "--output", str(tmp_path))
+    code, out, _ = run_cli(capsys, *argv, "--grid", "-2:2")
+    assert (code, out) == run_cli(capsys, *argv, "--grid=-2:2")[:2]
     assert code == 0
     assert " grid=-2:2 " in out.splitlines()[0]
     assert "result: PASS" in out
@@ -869,3 +871,36 @@ def test_random_argv_gives_one_line_and_no_internal_error(argv):
         err = "".join(line for line in err.splitlines(True)
                       if not line.startswith("elapsed: "))
     assert_one_line_diagnostic(code, out, err)
+
+
+SETS_1X2 = '"sets": {"U": ["u0"], "X": ["a", "b"], "Y": ["c"]}, "rockafellian": [[0, 0]]'
+
+
+@pytest.mark.parametrize("argv, body, message", [
+    (["to-lagrangian", "bad.json"], "{" + SETS_1X2 + ', "coupling": [[0]]}',
+     "error: coupling: expected 2 rows"),
+    (["to-lagrangian", "bad.json"], "[1, 2]",
+     "error: bad.json: top level must be an object"),
+    (["to-lagrangian", "bad.json"],
+     '{"sets": {"U": ["u0"], "X": ["a", "b", "c", "d", "e", "f", "g"], "Y": ["y"]}, '
+     '"rockafellian": [[0, 0, 0, 0, 0, 0, 0]], '
+     '"embedding": {"X": [[1], [1], [1], [1], [1], [1]], "Y": [[1]]}}',
+     "error: embedding.X: expected 7 points (one per label)"),
+    (["to-lagrangian", "bad.json"],
+     "{" + SETS_1X2 + ', "embedding": {"X": [[], [1]], "Y": [[1]]}}',
+     "error: embedding.X point 0: empty point"),
+    (["to-lagrangian", "bad.json"],
+     "{" + SETS_1X2 + ', "embedding": {"X": [[1], [1, 2]], "Y": [[1]]}}',
+     "error: embedding.X: mixed point dimensions"),
+    (["conjugate", "e1.json", "--function", "bad.json"], "[[1], 2]",
+     "error: function entry 0: expected a number or 'inf'/'-inf'"),
+    (["fuzz", "--count", "2", "--grid", "3:-3"], None,
+     "gendual fuzz: error: argument --grid: grid low end exceeds high end"),
+    (["fuzz", "--count", "2", "--inf-prob", "0.5"], None,
+     "error: --inf-prob must lie in [0, 0.4]"),
+], ids=["coupling-rows", "top-level", "embedding-points", "empty-point",
+        "mixed-dimensions", "function-entry", "fuzz-grid", "fuzz-inf-prob"])
+def test_malformed_input_exits_2_on_one_line(argv, body, message):
+    code, out, err = run_in_fresh_dir(argv, body and {"bad.json": body})
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message]

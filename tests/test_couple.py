@@ -339,6 +339,25 @@ def test_couple_checks_reject_bad_tolerance(e1, check, tol):
         check(e1["L"], e1["R2"], e1["c"], tol=tol)
 
 
+@pytest.mark.parametrize("side, message", [
+    ("primal", "couple check: Rockafellian primal set differs from the coupling's"),
+    ("dual", "couple check: Lagrangian dual set differs from the coupling's"),
+])
+@pytest.mark.parametrize("check", [
+    audit, inequality_holds, minimality_probe,
+    check_item_ii, check_item_iii, check_item_iv, check_item_v,
+])
+def test_couple_checks_reject_mismatched_sets(e1, check, side, message):
+    other = FiniteSet(["a", "b"])
+    if side == "primal":
+        c = Coupling(other, e1["Y"], e1["c"].rows)
+    else:
+        c = Coupling(e1["X"], other, e1["c"].rows)
+    with pytest.raises(DomainMismatchError) as exc:
+        check(e1["L"], e1["R2"], c)
+    assert str(exc.value) == message
+
+
 # --- audit and make_couple ------------------------------------------------------
 
 def test_audit_e1_couple(e1):

@@ -204,8 +204,8 @@ def test_reports_at_every_base_point_are_the_one_point_reports(values):
     # for bit, and a violating point its error, while the others report
     rng = random.Random(21)
     violations = 0
-    for i in range(300):
-        inst = fuzz_instance(rng, i, values=values)
+    for _ in range(300):
+        inst = fuzz_instance(rng, values=values)
         r, c = inst.rockafellian, inst.coupling
         for tol in (0.0, 1e-9):
             reports = weak_duality_reports(r, c, tol)

@@ -54,8 +54,8 @@ def test_run_fuzz_integer_family_is_the_default():
 
 def test_random_instance_shapes():
     rng = random.Random(1)
-    for i in range(50):
-        inst = random_instance(rng, i, max_set_size=5)
+    for _ in range(50):
+        inst = random_instance(rng, max_set_size=5)
         nu, nx, ny = (
             len(inst.rockafellian.decisions),
             len(inst.coupling.primal),
@@ -68,8 +68,8 @@ def test_random_instance_shapes():
 
 
 def test_generator_deterministic():
-    a = random_instance(random.Random(42), 0)
-    b = random_instance(random.Random(42), 0)
+    a = random_instance(random.Random(42))
+    b = random_instance(random.Random(42))
     assert a.coupling == b.coupling
     assert a.rockafellian == b.rockafellian
     assert a.lagrangian == b.lagrangian
@@ -77,8 +77,8 @@ def test_generator_deterministic():
 
 def test_individual_checks_pass_on_sample():
     rng = random.Random(8)
-    for i in range(60):
-        inst = random_instance(rng, i)
+    for _ in range(60):
+        inst = random_instance(rng)
         assert check_conjugacy_laws(inst) == []
         assert check_transform_identity(inst) == []
         fails, _ = check_transform_inequality(inst)
@@ -86,6 +86,36 @@ def test_individual_checks_pass_on_sample():
         assert check_roundtrips(inst) == []
         assert check_weak_duality(inst) == []
         assert check_couple_theorem(inst, rng) == []
+
+
+@pytest.mark.parametrize("settings, drawn", [
+    ({"values": "wide"}, lambda v: 1e10 <= abs(v) <= 1e15),
+    ({"grid": (0, 0)}, lambda v: v == 0.0),
+], ids=["wide", "grid-0"])
+def test_couple_theorem_perturbs_with_the_instance_draw(monkeypatch, settings, drawn):
+    # the perturbed couple, the second audit, differs from the constructed
+    # one in an entry drawn as the instance's own entries were
+    from gendual import couple
+
+    audited = []
+
+    def recorded(lag, r, c, tol, audit=couple.audit):
+        audited.append((lag, r))
+        return audit(lag, r, c, tol=tol)
+
+    monkeypatch.setattr(couple, "audit", recorded)
+    rng = random.Random(5)
+    changed = []
+    for _ in range(20):
+        inst = random_instance(rng, **settings)
+        audited.clear()
+        check_couple_theorem(inst, rng)
+        (lag1, r1), (lag2, r2) = audited[:2]
+        changed += [v for t1, t2 in ((lag1, lag2), (r1, r2))
+                    for row1, row2 in zip(t1.rows, t2.rows)
+                    for old, v in zip(row1, row2) if old != v]
+    assert any(math.isfinite(v) for v in changed)
+    assert all(drawn(v) for v in changed if math.isfinite(v))
 
 
 def test_run_fuzz_small():

@@ -9,11 +9,14 @@ against each tree, in a fresh interpreter with that tree first on
 ``sys.path``, calling ``gendual.cli.main`` in-process for each command:
 
   - ``gendual -h``, ``-h`` of each command, and usage errors: no command,
-    an unknown one, and one bad or missing argument per command;
+    an unknown one, one bad or missing argument per command, and a fuzz
+    grid and infinity share out of range;
   - every command in the text, csv and structured formats on the gallery
     under problems/ and on seeded random R, L and couple files at
     n = 4, 16, 64 and 256, with integer literals, fractional, signed-zero
-    and wide entries, each family with 10% of each infinity;
+    and wide entries, each family with 10% of each infinity; on the
+    gallery, ``conjugate --side dual`` also runs on a function whose first
+    entry is -2, spelled ``--function -2,...``;
   - the transforms again with ``--output``, and a canonical couple built
     from their output files;
   - ``check-couple`` at ``--tol 0`` on the random couple files and the
@@ -52,14 +55,18 @@ against each tree, in a fresh interpreter with that tree first on
     on R with an L whose row 3n/4 has a finite entry raised to 40, so that
     the inequality fails there, after minimality fails at the first
     decision;
-  - malformed variants of a gallery file, one fault each, and variants of
+  - malformed variants of a gallery file, one fault each (among them a
+    top level that is not an object, a coupling with a row too few, and
+    embeddings with a point too few, an empty point and mixed dimensions),
+    a ``--function`` file with an entry that is not a number, and variants of
     e1.json and e1_lagrangian.json with an overflowing literal in a row
     that also holds a word ("inf" or "-inf"), in each of the three tables;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
     off-grid value families F, each also with ``--tol 0`` (the integer
     family for s = 0..3), so that every family runs at both tols, and
-    ``fuzz --count 300 --grid=-2:2`` at both tols;
+    ``fuzz --count 300`` at both tols with the grid -2:2, spelled
+    ``--grid=-2:2`` and ``--grid -2:2``;
   - ``tools/make_gallery.py``, writing into the work directory.
 
 It compares, command by command, the exit code, stdout, stderr (minus the
@@ -102,7 +109,8 @@ FUZZ_TOL0_SEEDS = range(4)
 OFF_GRID_FAMILIES = ("fractional", "tiny", "wide", "near-overflow")
 COMMANDS = ("conjugate", "to-lagrangian", "to-rockafellian", "check-couple",
             "weak-duality", "fuzz")
-# one usage error per command, and two without a valid command
+# one usage error per command, two without a valid command, and the two
+# fuzz settings that are checked for range
 USAGE_ERRORS = (
     [],
     ["bogus"],
@@ -112,6 +120,8 @@ USAGE_ERRORS = (
     ["check-couple", "gallery/e1_couple.json", "--tol", "-1"],
     ["weak-duality", "gallery/e1.json", "--tol", "nan"],
     ["fuzz", "--values", "bogus"],
+    ["fuzz", "--grid", "3:-3"],
+    ["fuzz", "--inf-prob", "0.5"],
 )
 
 
@@ -196,6 +206,13 @@ def _malformed(text):
     out["no sets"] = text.replace('"sets"', '"sots"', 1)
     for cut in (1, 40, 200, len(text) // 2, len(text) - 3):
         out[f"truncated at {cut}"] = text[:cut]
+    out["top level array"] = "[" + text + "]"
+    doc = json.loads(text)
+    out["short coupling"] = json.dumps({**doc, "coupling": doc["coupling"][:1]})
+    del doc["coupling"]
+    for label, points in (("few points", [[1.0]]), ("empty point", [[], [1.0]]),
+                          ("mixed dimensions", [[1.0], [1.0, 2.0]])):
+        out[label] = json.dumps({**doc, "embedding": {"X": points, "Y": [[1.0], [2.0]]}})
     return out
 
 
@@ -254,6 +271,8 @@ def write_inputs(root):
             ["weak-duality", name], ["check-couple", name],
             ["conjugate", name, "--function", ",".join((["1", "inf", "-2.5"] * n_x)[:n_x])],
             ["conjugate", name, "--side", "dual", "--function", ",".join(["0"] * n_y)],
+            ["conjugate", name, "--side", "dual", "--function",
+             ",".join((["-2", "inf", "0.5"] * n_y)[:n_y])],
         ]
         commands += [cmd + ["--format", fmt] for cmd in base for fmt in FORMATS]
         commands += [[c, name, "--output", f"out/{c}-{path.name}"]
@@ -264,6 +283,8 @@ def write_inputs(root):
         bad.parent.mkdir(exist_ok=True)
         bad.write_text(text, encoding="utf-8")
         commands.append(["to-lagrangian", str(bad.relative_to(root))])
+    (root / "bad/function_entry.json").write_text("[[1], 2]", encoding="utf-8")
+    commands.append(["conjugate", "gallery/e1.json", "--function", "bad/function_entry.json"])
     e1_lagrangian = (GALLERY / "e1_lagrangian.json").read_text(encoding="utf-8")
     for label, (command, text) in _overflows_among_words(e1, e1_lagrangian).items():
         bad = root / f"bad/{label.replace(' ', '_')}.json"
@@ -397,7 +418,8 @@ def write_inputs(root):
     commands += [["fuzz", "--count", "300", "--max-set-size", "4", "--seed", "7",
                   "--values", family, "--tol", "0", "--output", f"repro/{family}-tol0"]
                  for family in OFF_GRID_FAMILIES]
-    commands += [["fuzz", "--count", "300", "--grid=-2:2", *tol, "--output", "repro/grid"]
+    commands += [["fuzz", "--count", "300", *grid, *tol, "--output", "repro/grid"]
+                 for grid in (["--grid=-2:2"], ["--grid", "-2:2"])
                  for tol in ((), ("--tol", "0"))]
     return commands
 
