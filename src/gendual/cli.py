@@ -64,14 +64,21 @@ def _grid(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a number") from None
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError("must be finite and nonnegative")
-    return value
+def _number(within, rule: str):
+    """Option type: a number for which ``within`` holds, else the error ``rule``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected a number") from None
+        if not within(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    return parse
+
+
+_tolerance = _number(lambda v: 0.0 <= v < float("inf"), "must be finite and nonnegative")
+_inf_prob = _number(lambda v: 0.0 <= v <= 0.4, "must lie in [0, 0.4]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--grid", type=_grid, default=DEFAULT_GRID,
                    help="integer value grid LO:HI (default -10:10)")
-    p.add_argument("--inf-prob", type=float, default=DEFAULT_INF_PROB,
+    p.add_argument("--inf-prob", type=_inf_prob, default=DEFAULT_INF_PROB,
                    help="probability of each infinity per entry (default 0.1)")
     p.add_argument("--values", choices=VALUE_FAMILY_NAMES, default="integer",
                    help="family of the finite entries (default integer, on the "
@@ -232,11 +239,17 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _write_json(payload) -> None:
+    import json
+
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def _load_function(spec: str, domain, what: str) -> SetFunction:
-    from .extreal import ExtReal, parse_extreal
+    from .extreal import parse_extreal
     from .problems import finite_number, read_json, read_text
     from .spaces import SetFunction
 
@@ -252,7 +265,7 @@ def _load_function(spec: str, domain, what: str) -> SetFunction:
     for i, item in enumerate(items):
         if isinstance(item, str):
             try:
-                values.append(parse_extreal(item))
+                values.append(float(parse_extreal(item)))
             except ValueError as exc:
                 raise ProblemFormatError(f"{what} entry {i}: {exc}") from None
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
@@ -260,12 +273,12 @@ def _load_function(spec: str, domain, what: str) -> SetFunction:
                 f"{what} entry {i}: expected a number or 'inf'/'-inf'"
             )
         else:
-            values.append(ExtReal(finite_number(item, f"{what} entry {i}")))
+            values.append(finite_number(item, f"{what} entry {i}"))
     if len(values) != len(domain):
         raise DomainMismatchError(
             f"{what} has {len(values)} entries but the set has {len(domain)} labels"
         )
-    return SetFunction(domain, values)
+    return SetFunction._unchecked(domain, tuple(values))
 
 
 def cmd_conjugate(args) -> int:
@@ -349,13 +362,11 @@ def cmd_check_couple(args) -> int:
 
     result = audit(lag, r, c, tol=args.tol)
     if args.format == "structured":
-        import json
-
         payload = result._asdict()
         payload["is_couple"] = result.is_couple
         # after is_couple
         payload["witnesses"] = [w._asdict() for w in payload.pop("witnesses")]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     else:
         sys.stdout.write(_render_pairs([
             ("inequality (-L upper-add R >= c)", _yesno(result.item_i_inequality)),
@@ -391,13 +402,10 @@ def cmd_weak_duality(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ALARM
     if args.format == "structured":
-        import json
-
-        payload = {
+        _write_json({
             k: extreal_to_jsonable(v) if isinstance(v, float) else v
             for k, v in report._asdict().items()
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        })
     else:
         gap = report.gap
         sys.stdout.write(_render_pairs([
@@ -416,8 +424,6 @@ def cmd_fuzz(args) -> int:
     from .fuzz import run_fuzz, values_note
     from .problems import save_problem
 
-    if not 0.0 <= args.inf_prob <= 0.4:
-        raise ProblemFormatError("--inf-prob must lie in [0, 0.4]")
     started = time.perf_counter()
     report = run_fuzz(
         count=args.count,
@@ -437,8 +443,6 @@ def cmd_fuzz(args) -> int:
         save_problem(report.first_failure, repro_path)
 
     if args.format == "structured":
-        import json
-
         payload = {
             "count": report.count,
             "max_set_size": report.max_set_size,
@@ -457,7 +461,7 @@ def cmd_fuzz(args) -> int:
         }
         if values_note(report.values):
             payload["values"] = report.values
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload)
     else:
         lines = [
             f"fuzz count={report.count} max-set-size={report.max_set_size} "
@@ -484,24 +488,22 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if report.passed else EXIT_NOT_COUPLE
 
 
+# the input errors and their exit codes; anything else is a fault in this package
+_INPUT_ERRORS = (
+    (ProblemFormatError, EXIT_FORMAT), ((DomainMismatchError, UnknownLabelError), EXIT_DOMAIN),
+    (MissingTableError, EXIT_MISSING_TABLE), (OSError, EXIT_FORMAT))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (DomainMismatchError, UnknownLabelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except MissingTableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_TABLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except Exception as exc:  # a fault in this package, not in the input
+    except Exception as exc:
+        for kinds, code in _INPUT_ERRORS:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
         import traceback
 
         where = traceback.extract_tb(exc.__traceback__)[-1]

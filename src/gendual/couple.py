@@ -72,7 +72,7 @@ from collections import namedtuple
 
 from .errors import DomainMismatchError
 from .extreal import (
-    DEFAULT_TOL, approx_eq, approx_le, exceeds, lazy, mismatch, upp_add)
+    DEFAULT_TOL, approx_eq, approx_le, check_tol, exceeds, lazy, mismatch, upp_add)
 from .spaces import Coupling, Lagrangian, Rockafellian
 from .conjugacy import conjugate_row
 from .duality import lagrangian_of, rockafellian_of
@@ -115,6 +115,7 @@ class CoupleAudit(namedtuple("CoupleAudit", (
 
 
 def _require_valid(lag, r, c, tol: float) -> None:
+    check_tol(tol)
     if lag.decisions != r.decisions:
         raise DomainMismatchError(
             "couple check: Lagrangian and Rockafellian decision sets differ"
@@ -127,9 +128,6 @@ def _require_valid(lag, r, c, tol: float) -> None:
         raise DomainMismatchError(
             "couple check: Lagrangian dual set differs from the coupling's"
         )
-    # extreal.exceeds, the inequality scan of item (i), needs a finite tol >= 0
-    if not 0.0 <= tol < _INF:
-        raise ValueError("tolerance must be finite and nonnegative")
 
 
 class _Rows:

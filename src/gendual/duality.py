@@ -43,6 +43,7 @@ from .extreal import (
     ExtReal,
     approx_eq,
     approx_le,
+    check_tol,
     conjugate_product,
     descending,
 )
@@ -122,7 +123,7 @@ def weak_duality_report(
     means a broken arithmetic kernel or rounding at large magnitudes, and
     raises ArithmeticError instead of reporting.
     """
-    _require_primal(r, c, "weak_duality_report")
+    _require_primal(r, c, tol, "weak_duality_report")
     ix = c.primal.index(base_point)
     phi, (dual,) = _phi_and_duals(r, c, descending((c.rows[ix],)))
     report = _report(base_point, phi[ix], dual, tol)
@@ -141,7 +142,7 @@ def weak_duality_reports(
     A base point where weak duality is violated gives, in place of its
     report, the ArithmeticError that ``weak_duality_report`` raises there,
     so that the other points still report."""
-    _require_primal(r, c, "weak_duality_reports")
+    _require_primal(r, c, tol, "weak_duality_reports")
     phi, duals = _phi_and_duals(r, c, c.sorted_rows)
     return [_report(x, primal, dual, tol)
             for x, primal, dual in zip(c.primal.labels, phi, duals)]
@@ -155,7 +156,8 @@ def _phi_and_duals(r, c, rows_view):
     return phi, conjugate_product((phi_c,), rows_view)[0]
 
 
-def _require_primal(r, c, name):
+def _require_primal(r, c, tol, name):
+    check_tol(tol)
     if r.primal != c.primal:
         raise DomainMismatchError(
             f"{name}: Rockafellian primal set differs from the coupling's"

@@ -58,7 +58,9 @@ Every test of an upper Moreau sum against a coupling value is one scan,
 inequality of the audit's row pass and the Young check.
 
 Comparisons against an infinity are always exact; tolerances apply only
-between two finite values.
+between two finite values.  A comparison of tables or functions checks its
+tol first, before any domain test or kernel call, by ``check_tol``: finite,
+as ``exceeds`` needs, and >= 0.  ``approx_eq`` and ``approx_le`` admit +inf.
 """
 
 from __future__ import annotations
@@ -296,6 +298,12 @@ def approx_le(a: ExtReal, b: ExtReal, tol: float = DEFAULT_TOL) -> bool:
     if -_INF < a < _INF and -_INF < b < _INF:
         return a - b <= tol
     return a <= b
+
+
+def check_tol(tol: float) -> None:
+    """The tol rule of every comparison of tables or functions: finite and >= 0."""
+    if not 0.0 <= tol < _INF:
+        raise ValueError("tolerance must be finite and nonnegative")
 
 
 def mismatch(have, want, tol, holds) -> int | None:

@@ -34,7 +34,8 @@ from collections.abc import Callable
 
 from . import conjugacy, couple, duality
 from .defaults import DEFAULT_GRID, DEFAULT_INF_PROB, VALUE_FAMILY_NAMES
-from .extreal import DEFAULT_TOL, approx_eq, approx_le, exceeds, lazy, low_add, mismatch
+from .extreal import (
+    DEFAULT_TOL, approx_eq, approx_le, check_tol, exceeds, lazy, low_add, mismatch)
 from .problems import Problem
 from .spaces import (
     Coupling,
@@ -142,10 +143,6 @@ VALUE_FAMILIES = dict(zip(VALUE_FAMILY_NAMES, (
 ), strict=True))
 
 
-def _random_rows(rng, n, m, grid, inf_prob, draw):
-    return [[draw(rng, grid, inf_prob) for _ in range(m)] for _ in range(n)]
-
-
 def random_instance(
     rng: random.Random,
     max_set_size: int = 5,
@@ -154,8 +151,13 @@ def random_instance(
     values: str = "integer",
 ) -> FuzzInstance:
     """One instance whose entries come from the value family ``values``,
-    which it records with ``grid`` and ``inf_prob``."""
+    which it records with ``grid`` and ``inf_prob``.  The draws are plain
+    doubles, so its tables hold them unchecked (see ``spaces``)."""
     draw = VALUE_FAMILIES[values]
+
+    def rows(n, m):
+        return tuple([tuple([draw(rng, grid, inf_prob) for _ in range(m)]) for _ in range(n)])
+
     nu = rng.randint(1, max_set_size)
     nx = rng.randint(1, max_set_size)
     ny = rng.randint(1, max_set_size)
@@ -163,21 +165,11 @@ def random_instance(
     primal = FiniteSet([f"x{i}" for i in range(nx)])
     dual = FiniteSet([f"y{i}" for i in range(ny)])
     return FuzzInstance(
-        coupling=Coupling(
-            primal, dual, _random_rows(rng, nx, ny, grid, inf_prob, draw)
-        ),
-        rockafellian=Rockafellian(
-            decisions, primal, _random_rows(rng, nu, nx, grid, inf_prob, draw)
-        ),
-        lagrangian=Lagrangian(
-            decisions, dual, _random_rows(rng, nu, ny, grid, inf_prob, draw)
-        ),
-        extra_primal=SetFunction(
-            primal, [draw(rng, grid, inf_prob) for _ in range(nx)]
-        ),
-        extra_dual=SetFunction(
-            dual, [draw(rng, grid, inf_prob) for _ in range(ny)]
-        ),
+        coupling=Coupling._unchecked(primal, dual, rows(nx, ny)),
+        rockafellian=Rockafellian._unchecked(decisions, primal, rows(nu, nx)),
+        lagrangian=Lagrangian._unchecked(decisions, dual, rows(nu, ny)),
+        extra_primal=SetFunction._unchecked(primal, rows(1, nx)[0]),
+        extra_dual=SetFunction._unchecked(dual, rows(1, ny)[0]),
         grid=grid,
         inf_prob=inf_prob,
         values=values,
@@ -321,10 +313,10 @@ def check_weak_duality(inst: FuzzInstance, tol: float = DEFAULT_TOL) -> list[str
     return fails
 
 
-def _replace_entry(table_rows, iu, j, value):
-    rows = [list(row) for row in table_rows]
-    rows[iu][j] = value
-    return rows
+def _replace_entry(table, iu, j, value):
+    rows = list(table.rows)
+    rows[iu] = rows[iu][:j] + (value,) + rows[iu][j + 1:]
+    return type(table)._unchecked(table.row_set, table.col_set, tuple(rows))
 
 
 def check_couple_theorem(
@@ -345,16 +337,13 @@ def check_couple_theorem(
         fails.append("constructed couple does not audit true on every item")
 
     # single-entry perturbation of the couple
-    decisions = lag1.decisions
-    iu = rng.randrange(len(decisions))
+    iu = rng.randrange(len(lag1.decisions))
     if rng.random() < 0.5:
         ix = rng.randrange(len(c.primal))
-        rows = _replace_entry(r1.rows, iu, ix, draw(rng, inst.grid, inst.inf_prob))
-        lag2, r2 = lag1, Rockafellian(decisions, c.primal, rows)
+        lag2, r2 = lag1, _replace_entry(r1, iu, ix, draw(rng, inst.grid, inst.inf_prob))
     else:
         iy = rng.randrange(len(c.dual))
-        rows = _replace_entry(lag1.rows, iu, iy, draw(rng, inst.grid, inst.inf_prob))
-        lag2, r2 = Lagrangian(decisions, c.dual, rows), r1
+        lag2, r2 = _replace_entry(lag1, iu, iy, draw(rng, inst.grid, inst.inf_prob)), r1
 
     for label, lg, rk in (
         ("perturbed couple", lag2, r2),
@@ -406,6 +395,7 @@ def run_fuzz(
 ) -> FuzzReport:
     """Generate ``count`` instances, entries drawn from the value family
     ``values``, and run the whole invariant suite."""
+    check_tol(tol)
     if count < 1:
         raise ValueError("count must be at least 1")
     if max_set_size < 1:
@@ -420,9 +410,6 @@ def run_fuzz(
         raise ValueError("inf_prob must lie in [0, 0.4]")
     if values not in VALUE_FAMILIES:
         raise ValueError(f"unknown value family {values!r}")
-    # the checks compare through extreal.mismatch, which leaves tol to its caller
-    if not 0.0 <= tol < _INF:
-        raise ValueError("tolerance must be finite and nonnegative")
 
     rng = random.Random(seed)
     failures_by_check = {name: 0 for name in CHECK_NAMES}

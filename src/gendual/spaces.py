@@ -4,7 +4,8 @@ Everything downstream works on four table shapes: univariate functions on a
 finite set (used for both primal- and dual-side functions), couplings over
 primal x dual, Rockafellians over decisions x primal, and Lagrangians over
 decisions x dual.  Tables are total and immutable after construction, and
-domains are compared by label sequence, never coerced.
+domains are compared by label sequence, never coerced.  ``isclose`` checks
+its tol first, by ``extreal.check_tol``, the rule of every comparison.
 
 Every entry of a table or function is a plain ``float`` that is never NaN,
 so CPython's float fast paths apply wherever entries are compared or added.
@@ -14,12 +15,13 @@ An entry is checked where it enters the package, and nowhere else, and
   - the public constructors check every row they are given, in
     whole-row passes (``_doubles``);
   - the problem-file parser checks each row once as it reads it, then
-    builds its tables through ``_unchecked``;
+    builds its tables through ``_unchecked``, and so does ``cli``;
   - the package's own producers build their results through ``_unchecked``
     too, since their output is plain non-NaN doubles by construction: the
     conjugates and transforms are products of the ``extreal`` kernel, which
-    never returns NaN or -0.0, and the rest negate (as 0.0 - v), take the
-    min or max of, or slice entries that were checked already.
+    never returns NaN or -0.0, ``fuzz`` draws its entries as plain doubles
+    with -0.0 read as 0.0, and the rest negate (as 0.0 - v), take the min
+    or max of, or slice entries that were checked already.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import mul
 
 from .errors import DomainMismatchError, UnknownLabelError
 from .extreal import (
-    DEFAULT_TOL, ExtReal, approx_eq, as_extreal, descending, lazy, mismatch)
+    DEFAULT_TOL, ExtReal, approx_eq, as_extreal, check_tol, descending, lazy, mismatch)
 
 __all__ = [
     "Coupling",
@@ -165,9 +167,9 @@ class SetFunction:
     def isclose(self, other: "SetFunction", tol: float = DEFAULT_TOL) -> bool:
         """Same domain, infinities matching exactly, finite entries within tol.
         Equal values are done in one C-level test (see ``extreal.mismatch``)."""
+        check_tol(tol)
         if self.domain != other.domain:
             return False
-        _check_tol(tol)
         return mismatch(self.values, other.values, tol, approx_eq) is None
 
     def __eq__(self, other):
@@ -199,13 +201,6 @@ def pointwise_max(f: SetFunction, g: SetFunction) -> SetFunction:
     return SetFunction._unchecked(
         f.domain, tuple([a if a > b else b for a, b in zip(f.values, g.values)])
     )
-
-
-def _check_tol(tol: float) -> None:
-    """The tol check of ``isclose``, made before any entry is compared;
-    a NaN tol is rejected too."""
-    if not tol >= 0.0:
-        raise ValueError("tolerance must be nonnegative")
 
 
 class _Table:
@@ -245,11 +240,11 @@ class _Table:
         return self.rows[self.row_set.index(row_label)][self.col_set.index(col_label)]
 
     def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
+        check_tol(tol)
         if type(self) is not type(other):
             return False
         if self.row_set != other.row_set or self.col_set != other.col_set:
             return False
-        _check_tol(tol)
         return self.rows == other.rows or all(
             mismatch(a, b, tol, approx_eq) is None
             for a, b in zip(self.rows, other.rows))
@@ -352,10 +347,12 @@ def bilinear_coupling(
 ) -> Coupling:
     """Coupling given by dot products of embedded real vectors.
 
-    Points may be scalars (treated as 1-D) or same-length vectors.  A NaN
-    coordinate is a ValueError.  A dot product that overflows becomes an
-    infinity; one that meets inf * 0 or inf + (-inf) is a ValueError naming
-    that fault.  Labels default to the rendered coordinates.
+    Points may be scalars (treated as 1-D) or same-length sequences.  A
+    coordinate that is not an int or a float, or is a bool, is a TypeError,
+    and a NaN or an int beyond the double range a ValueError, each naming
+    the point.  A dot product that overflows becomes an infinity; one that
+    meets inf * 0 or inf + (-inf) is a ValueError naming that fault.  Labels
+    default to the rendered coordinates.
     """
     xs = [_as_vector(p, "X", i) for i, p in enumerate(primal_points)]
     ys = [_as_vector(p, "Y", i) for i, p in enumerate(dual_points)]
@@ -391,14 +388,19 @@ def bilinear_coupling(
 
 def _as_vector(point, side: str, i: int) -> tuple[float, ...]:
     """The coordinates of point ``i`` on ``side`` as doubles, -0.0 read as
-    0.0; a NaN coordinate is a ValueError naming the point."""
-    if isinstance(point, (int, float)) and not isinstance(point, bool):
-        point = (point,)
-    vector = tuple(float(x) + 0.0 for x in point)
+    0.0, checked by the rule ``bilinear_coupling`` states."""
+    if isinstance(point, (str, bytes)) or not isinstance(point, Sequence):
+        point = (point,)  # one coordinate
+    where = f"bilinear_coupling: {side} point {i}"
+    for x in point:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"{where} has a coordinate {x!r} that is not a number")
+    try:
+        vector = tuple([float(x) + 0.0 for x in point])
+    except OverflowError:
+        raise ValueError(f"{where} has a coordinate outside the double range") from None
     if any(map(_isnan, vector)):
-        raise ValueError(
-            f"bilinear_coupling: {side} point {i} {vector!r} has a NaN coordinate"
-        )
+        raise ValueError(f"{where} {vector!r} has a NaN coordinate")
     return vector
 
 

@@ -897,7 +897,7 @@ SETS_1X2 = '"sets": {"U": ["u0"], "X": ["a", "b"], "Y": ["c"]}, "rockafellian": 
     (["fuzz", "--count", "2", "--grid", "3:-3"], None,
      "gendual fuzz: error: argument --grid: grid low end exceeds high end"),
     (["fuzz", "--count", "2", "--inf-prob", "0.5"], None,
-     "error: --inf-prob must lie in [0, 0.4]"),
+     "gendual fuzz: error: argument --inf-prob: must lie in [0, 0.4]"),
 ], ids=["coupling-rows", "top-level", "embedding-points", "empty-point",
         "mixed-dimensions", "function-entry", "fuzz-grid", "fuzz-inf-prob"])
 def test_malformed_input_exits_2_on_one_line(argv, body, message):

@@ -36,6 +36,15 @@ def as_floats(fn):
     return [float(v) for v in fn.values]
 
 
+@pytest.mark.parametrize("tol", [-1.0, INF, math.nan])
+def test_convexity_tests_reject_a_bad_tol(e1, tol):
+    f = SetFunction(e1["X"], [0.0, 1.0])
+    g = SetFunction(e1["Y"], [0.0, 1.0])
+    for test, h in ((is_c_convex, f), (is_cprime_convex, g)):
+        with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative$"):
+            test(h, e1["c"], tol)
+
+
 # --- worked examples --------------------------------------------------------
 
 def test_conjugate_of_plus_inf_is_minus_inf(e1):

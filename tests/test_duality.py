@@ -227,6 +227,18 @@ def test_weak_duality_reports_check_the_domain(e1):
         weak_duality_reports(Rockafellian(e1["U"], FiniteSet(["a", "b"]), e1["R"].rows), c)
 
 
+@pytest.mark.parametrize("tol", [-1.0, INF, math.nan])
+def test_weak_duality_reports_check_tol_before_anything_else(e1, count_kernel_calls, tol):
+    # the tol rule runs before the domain check and before any kernel call
+    other = Rockafellian(e1["U"], FiniteSet(["a", "b"]), e1["R"].rows)
+    for r in (e1["R"], other):
+        with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative$"):
+            weak_duality_report(r, e1["c"], "x0", tol)
+        with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative$"):
+            weak_duality_reports(r, e1["c"], tol)
+    assert count_kernel_calls == []
+
+
 def test_weak_duality_unknown_base_point(e1):
     with pytest.raises(UnknownLabelError):
         weak_duality_report(e1["R"], e1["c"], "x9")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gendual import NEG_INF, POS_INF, SetFunction
+from gendual import Coupling, Lagrangian, NEG_INF, POS_INF, Rockafellian, SetFunction
 from gendual.fuzz import (
     CHECK_NAMES,
     VALUE_FAMILIES,
@@ -27,6 +27,27 @@ def test_random_extreal_distribution():
     finite = [v for v in draws if math.isfinite(v)]
     assert 250 < n_neg < 550 and 250 < n_pos < 550
     assert all(float(v).is_integer() and -10 <= v <= 10 for v in finite)
+
+
+@pytest.mark.parametrize("values", sorted(VALUE_FAMILIES))
+def test_random_instance_tables_are_the_constructor_built_ones(values):
+    # the draws are built unchecked: they must be tuples of plain floats,
+    # none -0.0, which the public constructors would hold bit for bit
+    def bits(rows):
+        assert type(rows) is tuple
+        assert all(type(row) is tuple for row in rows)
+        assert all(type(v) is float for row in rows for v in row)
+        return [[v.hex() for v in row] for row in rows]
+
+    rng = random.Random(3)
+    for _ in range(50):
+        inst = random_instance(rng, 4, values=values)
+        for table, make in ((inst.coupling, Coupling), (inst.rockafellian, Rockafellian),
+                            (inst.lagrangian, Lagrangian)):
+            built = make(table.row_set, table.col_set, table.rows)
+            assert bits(table.rows) == bits(built.rows)
+        for fn in (inst.extra_primal, inst.extra_dual):
+            assert bits((fn.values,)) == bits((SetFunction(fn.domain, fn.values).values,))
 
 
 @pytest.mark.parametrize("values, low, high", [

@@ -165,6 +165,22 @@ def test_bilinear_coupling_nan_coordinate_names_the_point():
         bilinear_coupling([math.nan], [1.0])
 
 
+@pytest.mark.parametrize("xs, ys, error, message", [
+    (["12"], [1.0], TypeError, "X point 0 has a coordinate '12' that is not a number"),
+    ([True], [1.0], TypeError, "X point 0 has a coordinate True that is not a number"),
+    ([1.0], [(1.0,), (True,)], TypeError,
+     "Y point 1 has a coordinate True that is not a number"),
+    ([1.0], [None], TypeError, "Y point 0 has a coordinate None that is not a number"),
+    ([(1.0, 10 ** 400)], [(1.0, 2.0)], ValueError,
+     "X point 0 has a coordinate outside the double range"),
+], ids=["str", "bool", "bool-in-vector", "none", "int-overflow"])
+def test_bilinear_coupling_checks_each_coordinate(xs, ys, error, message):
+    # the value rule of the tables, with the point named
+    with pytest.raises(error) as info:
+        bilinear_coupling(xs, ys)
+    assert str(info.value) == f"bilinear_coupling: {message}"
+
+
 @pytest.mark.parametrize("xs, ys, fault", [
     # a coordinate product inf * 0 is NaN
     ([math.inf], [0.0], "X point 'inf' and Y point '0.0' is inf * 0"),
@@ -228,6 +244,18 @@ def test_isclose_rejects_a_negative_tol(e1, tol):
     f = SetFunction(e1["X"], [1.0, -math.inf])
     for a, b in ((f, f), (f, f.negated()), (e1["R"], e1["R"]), (e1["R"], e1["R2"])):
         with pytest.raises(ValueError):
+            a.isclose(b, tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_isclose_checks_tol_before_the_domains(e1, tol):
+    # one tol rule for every comparison of tables or functions, applied
+    # first: a bad tol fails even where the domains alone answer False
+    f = SetFunction(e1["X"], [1.0, -math.inf])
+    g = SetFunction(e1["Y"], [1.0, -math.inf])
+    c = e1["c"]
+    for a, b in ((f, f), (f, g), (c, c), (c, reverse_coupling(c)), (e1["R"], e1["L"])):
+        with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative$"):
             a.isclose(b, tol)
 
 

@@ -73,11 +73,7 @@ It compares, command by command, the exit code, stdout, stderr (minus the
 ``elapsed:`` line that fuzz prints) and the bytes of every file the command
 wrote, prints the number of differing commands, each of them and its first
 difference (for a text, the number of its first differing line and that line
-on each side), and exits 1 if there is any, else 0.  It also lists every
-command whose input holds -0.0 in the first tree's run (a JSON file
-argument with a -0.0 entry, or an inline function with a -0.0 entry: the
-signed-zero family and the files built from it), and marks those among the
-differing commands, since gendual reads -0.0 as 0.0.  A command that starts
+on each side), and exits 1 if there is any, else 0.  A command that starts
 with ``raise`` is a step of this script, not of gendual: it copies a file
 the tree wrote, with one table entry raised from a given row on.  Needs no numpy.
 """
@@ -86,7 +82,6 @@ import contextlib
 import io
 import itertools
 import json
-import math
 import os
 import random
 import shutil
@@ -431,41 +426,6 @@ def _snapshot(root):
     }
 
 
-def _negative_zero(value):
-    """True iff the JSON value holds a -0.0 anywhere."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return any(map(_negative_zero, value))
-    return isinstance(value, float) and value == 0 and math.copysign(1.0, value) < 0
-
-
-def _reads_negative_zero(argv, work, seen):
-    """True iff a file argument of ``argv`` or the inline function of
-    ``--function`` holds a -0.0 entry; ``seen`` caches each file's answer by
-    its modification time."""
-    for i, arg in enumerate(argv):
-        path = Path(work) / arg
-        if os.path.isfile(path):  # False, not an error, for a long inline list
-            key = (arg, path.stat().st_mtime_ns)
-            if key not in seen:
-                try:
-                    doc = json.loads(path.read_text(encoding="utf-8"))
-                except ValueError:  # a malformed input
-                    doc = None
-                seen[key] = _negative_zero(doc)
-            if seen[key]:
-                return True
-        elif i and argv[i - 1] == "--function" or arg.startswith("--function="):
-            try:
-                values = arg.removeprefix("--function=").split(",")
-                if any(_negative_zero(float(t)) for t in values):
-                    return True
-            except ValueError:
-                pass
-    return False
-
-
 def worker(src, work, commands_path, result_path):
     """Run every command against the tree at ``src``; write the records."""
     sys.path.insert(0, src)
@@ -474,9 +434,7 @@ def worker(src, work, commands_path, result_path):
     os.chdir(work)
     (Path(work) / "out").mkdir(exist_ok=True)
     records = []
-    seen = {}
     for argv in json.loads(Path(commands_path).read_text(encoding="utf-8")):
-        negative_zero = _reads_negative_zero(argv, work, seen)
         before = _snapshot(Path(work))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -489,8 +447,7 @@ def worker(src, work, commands_path, result_path):
         stderr = "".join(line for line in err.getvalue().splitlines(True)
                          if not line.startswith("elapsed: "))
         records.append({
-            "argv": argv, "negative_zero": negative_zero,
-            "exit": code, "stdout": out.getvalue(), "stderr": stderr,
+            "argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": stderr,
             "files": {k: (Path(work) / k).read_text(encoding="utf-8") for k in written},
         })
     sys.path.insert(0, str(TOOLS))
@@ -564,16 +521,10 @@ def main(argv):
             differing.append((a, diff))
     files = sum(len(r["files"]) for r in old)
     print(f"{len(old)} commands, {files} written files compared")
-    zero = [a["argv"] for a in old if a.get("negative_zero")]
-    print(f"{len(zero)} commands read an input holding -0.0:")
-    for argv in zero:
-        print(f"  {' '.join(argv)[:200]}")
     if differing:
-        marked = sum(bool(a.get("negative_zero")) for a, _ in differing)
-        print(f"{len(differing)} commands differ, {marked} of them reading -0.0:")
+        print(f"{len(differing)} commands differ:")
         for a, diff in differing:
-            mark = " [reads -0.0]" if a.get("negative_zero") else ""
-            print(f"{' '.join(a['argv'])[:200]}{mark}\n  {diff}")
+            print(f"{' '.join(a['argv'])[:200]}\n  {diff}")
         return 1
     print("identical")
     return 0
