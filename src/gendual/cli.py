@@ -44,7 +44,10 @@ FORMATS = ("text", "csv", "structured")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value

@@ -137,8 +137,8 @@ def weak_duality_reports(
 ) -> list[WeakDualityReport | ArithmeticError]:
     """``weak_duality_report`` at every base point, in the order of
     ``c.primal``: its body, run over ``c.sorted_rows``, gives every dual
-    value, each the same double as the one-point report's (the kernel scans
-    a line of the coupling in the same order in either view).
+    value, each the same double as the one-point report's (the kernel is
+    exact: either view gives the largest of the same rounded differences).
     A base point where weak duality is violated gives, in place of its
     report, the ArithmeticError that ``weak_duality_report`` raises there,
     so that the other points still report."""

@@ -41,11 +41,19 @@ only what a row of the product reads:
   - a row f of -inf everywhere gives the view's ``reach`` row, +inf on each
     line with an entry above -inf and -inf on the rest, built once per
     view: no scan and no sort;
-  - any other row scans the view's ``pairs``: per line, the indices of the
-    entries above -inf, largest entry first, sorted once per view on the
-    first row that scans.  A scan visits k in that order and stops once
-    c[k] - min(f) cannot beat the best difference so far, so the coupling's
-    -inf entries are never visited.
+  - on a view of more than ``_SCAN_WIDTH`` lines, a row with some -inf
+    entries among others ORs the view's ``above`` bitsets of those
+    entries, one int per index k with bit j set where line j has
+    c[k] > -inf, built once per view.  Each line reached is +inf, since
+    c[k] lower-add -f(k) is +inf there; a row that reaches every line
+    costs no scan and no sort;
+  - every other line scans the view's ``pairs``: per line, the indices of
+    the entries above -inf, largest entry first, sorted once per view on
+    the first row that scans.  A scan visits k in that order and stops
+    once c[k] - low cannot beat the best difference so far, so the
+    coupling's -inf entries are never visited.  low is min(f), or the
+    least entry of f above -inf after the bitsets: a line they do not
+    reach is -inf at every -inf of f, so no such k is in its order.
 The kernel is exact and returns plain doubles that are never NaN:
   - a difference is NaN only for two equal infinities, which the
     comparisons never select, just as the -inf that the lower addition
@@ -67,8 +75,9 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import compress
-from operator import ne
+from functools import reduce
+from itertools import compress, repeat
+from operator import eq, ne, or_
 
 from .defaults import DEFAULT_TOL
 
@@ -132,14 +141,17 @@ def _ext(v: float) -> ExtReal:
 
 
 def as_extreal(value) -> ExtReal:
-    """Coerce an int, float, or ExtReal to ExtReal; NaN and bool are rejected,
-    and -0.0 is read as 0.0."""
+    """Coerce an int, float, or ExtReal to ExtReal; NaN, bool and an int
+    beyond the double range are rejected, and -0.0 is read as 0.0."""
     if isinstance(value, ExtReal):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"cannot interpret {value!r} as an extended real")
     # ExtReal(value) without the cost of a Python-level constructor call
-    value = _new(ExtReal, value)
+    try:
+        value = _new(ExtReal, value)
+    except OverflowError:
+        raise ValueError(f"number outside the double range: {value!r}") from None
     if value != value:
         raise ValueError("extended real cannot hold NaN")
     return value or _ZERO
@@ -186,8 +198,8 @@ class lazy:
 class descending:
     """The kernel's view of a coupling's rows or columns.  Building it costs
     nothing: it holds the tuple of ``lines`` and their number ``width``, and
-    ``conjugate_product`` reads ``reach`` or ``pairs`` only for a row that
-    needs them, each built on first read and then kept."""
+    ``conjugate_product`` reads ``reach``, ``above`` or ``pairs`` only for a
+    row that needs them, each built on first read and then kept."""
 
     def __init__(self, lines: tuple):
         self.lines = lines
@@ -214,6 +226,28 @@ class descending:
         is +inf for every v > -inf and -inf for v = -inf."""
         return tuple([_INF if max(b) > -_INF else -_INF for b in self.lines])
 
+    @lazy
+    def above(self) -> list:
+        """Per index k, the bitset of the lines j with b_j[k] > -inf, as one
+        int with bit j set: the lines whose conjugate a row with f(k) = -inf
+        sends to +inf.  Built from the lines themselves, all bits set and
+        then each line's bit cleared at its -inf entries, which
+        ``tuple.index`` finds."""
+        sets = [(1 << self.width) - 1] * len(self.lines[0])
+        for j, b in enumerate(self.lines):
+            k = -1
+            for _ in range(b.count(-_INF)):
+                k = b.index(-_INF, k + 1)
+                sets[k] ^= 1 << j
+        return sets
+
+
+# A view of at most this many lines answers a row's -inf entries by its
+# scan.  On tables with 10% of each infinity, building ``above`` costs more
+# than the scans it saves up to about 12 lines, and on couplings dense in
+# -inf up to more; the sweep is in CHANGES.md.
+_SCAN_WIDTH = 16
+
 
 def conjugate_product(f_rows, view) -> list[list[float]]:
     """P[i][j] = sup_k [b_j[k] lower-add -f_i[k]], computed as
@@ -222,10 +256,15 @@ def conjugate_product(f_rows, view) -> list[list[float]]:
 
     A row f that is +inf everywhere gives -inf on every line, and one that
     is -inf everywhere a copy of the view's ``reach``: neither scans nor
-    sorts.  Any other row scans the view's ``pairs``, fetched once per call
-    and sorted once per view.  Each scan visits k in the line's order and
-    stops once the bound b_j[k] - min(f) is at most the best difference so
-    far, or at +inf.  The module docstring says why the result is exact."""
+    sorts.  On a view of more than ``_SCAN_WIDTH`` lines, any other row with
+    -inf entries ORs the ``above`` bitsets of those entries: each line it
+    reaches is +inf, and a row that reaches every line neither scans nor
+    sorts.  Every other line scans the view's ``pairs``, fetched once per
+    call and sorted once per view.  Each scan visits k in the line's order
+    and stops once the bound b_j[k] - low is at most the best difference so
+    far, or at +inf, where low is the least entry of f above -inf if f's
+    -inf entries were answered by ``above``, and min(f) if not.  The module
+    docstring says why the result is exact."""
     out = []
     pairs = None
     for f in f_rows:
@@ -233,27 +272,62 @@ def conjugate_product(f_rows, view) -> list[list[float]]:
         if low == _INF:
             out.append([-_INF] * view.width)
             continue
-        # f[0] first, so that a mixed row rarely pays the pass of max(f)
-        if f[0] == -_INF and max(f) == -_INF:
-            out.append(list(view.reach))
-            continue
+        if low == -_INF:
+            # f[0] first, so that a mixed row rarely pays the pass of max(f)
+            if f[0] == -_INF and max(f) == -_INF:
+                out.append(list(view.reach))
+                continue
+            if view.width > _SCAN_WIDTH:
+                out.append(_reached_row(f, view))
+                continue
         if pairs is None:
             pairs = view.pairs
-        row = []
-        for b, order in pairs:
-            best = -_INF
-            for k in order:
-                v = b[k]
-                if v - low <= best:
-                    break
-                s = v - f[k]
-                if s > best:
-                    best = s
-                    if s == _INF:
-                        break
-            row.append(best)
-        out.append(row)
+        out.append(_scan(pairs, f, low))
     return out
+
+
+def _scan(pairs, f, low) -> list[float]:
+    """The conjugate of f over the lines of ``pairs``: each line's scan in
+    its order, stopped by the bound b[k] - low, where low is at most every
+    f[k] that the order visits."""
+    row = []
+    for b, order in pairs:
+        best = -_INF
+        for k in order:
+            v = b[k]
+            if v - low <= best:
+                break
+            s = v - f[k]
+            if s > best:
+                best = s
+                if s == _INF:
+                    break
+        row.append(best)
+    return row
+
+
+def _reached_row(f, view) -> list[float]:
+    """The conjugate of a row f with some -inf entries among others, over a
+    view of more than ``_SCAN_WIDTH`` lines.  The lines that the ``above``
+    bitsets of f's -inf entries reach are +inf.  A line they do not reach
+    is -inf at every -inf entry of f, so none of those is in its order,
+    and its scan is bounded by the least entry of f above -inf."""
+    reached = reduce(or_, compress(view.above, map(eq, f, repeat(-_INF))))
+    width = view.width
+    row = [_INF] * width
+    rest = ((1 << width) - 1) ^ reached
+    if not rest:
+        return row
+    unreached = []  # the indices of the bits of rest, lowest first
+    while rest:
+        bit = rest & -rest
+        unreached.append(bit.bit_length() - 1)
+        rest ^= bit
+    pairs = view.pairs
+    low = min(filter((-_INF).__lt__, f))
+    for j, v in zip(unreached, _scan([pairs[j] for j in unreached], f, low)):
+        row[j] = v
+    return row
 
 
 def exceeds(c_rows, f, g, tol: float) -> tuple[int, int] | None:

@@ -16,7 +16,9 @@ with an indent would encode entry by entry in pure Python.  Each row read
 is checked once, in ``_row``, and the tables are built from the checked
 rows without a second check (see ``spaces``).  A row that fails the fast
 read, as one with a literal beyond the double range does, is read again
-entry by entry, to name the bad entry.
+entry by entry, to name the bad entry.  Embedding coordinates are checked
+once too, in ``_points``, and their dot products are taken without the
+coordinate checks of ``bilinear_coupling``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _string
 
 from .errors import MissingTableError, ProblemFormatError
 from .extreal import ExtReal, render_extreal
-from .spaces import Coupling, FiniteSet, Lagrangian, Rockafellian, bilinear_coupling
+from .spaces import Coupling, FiniteSet, Lagrangian, Rockafellian, _dot_products
 
 __all__ = [
     "Problem",
@@ -297,8 +299,11 @@ def parse_problem(
             raise ProblemFormatError(
                 f"{source}: embedding X and Y point dimensions differ"
             )
+        # the points are checked finite doubles of one dimension, so the
+        # dot products need none of bilinear_coupling's checks
         try:
-            coupling = bilinear_coupling(xs, ys, primal.labels, dual.labels)
+            coupling = Coupling._unchecked(primal, dual, _dot_products(
+                xs, ys, primal.labels, dual.labels))
         except ValueError as exc:
             raise ProblemFormatError(f"{source}: embedding: {exc}") from None
         embedding = {"X": [list(p) for p in xs], "Y": [list(p) for p in ys]}

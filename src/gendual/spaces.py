@@ -14,8 +14,9 @@ An entry is checked where it enters the package, and nowhere else, and
 
   - the public constructors check every row they are given, in
     whole-row passes (``_doubles``);
-  - the problem-file parser checks each row once as it reads it, then
-    builds its tables through ``_unchecked``, and so does ``cli``;
+  - the problem-file parser checks each row and each embedding coordinate
+    once as it reads it, then builds its tables through ``_unchecked``, an
+    embedded coupling from ``_dot_products``, and so does ``cli``;
   - the package's own producers build their results through ``_unchecked``
     too, since their output is plain non-NaN doubles by construction: the
     conjugates and transforms are products of the ``extreal`` kernel, which
@@ -114,17 +115,22 @@ def _doubles(values) -> tuple[float, ...]:
     package.  A row of ints, floats and ExtReals is checked in three
     passes: its set of types, the conversion to float as v + 0.0, which
     reads -0.0 as 0.0 and leaves every other double alone (only a row of
-    floats that holds a zero is converted), and a NaN scan.  Any other row
-    goes through ``as_extreal`` entry by entry, which converts the int and
-    float subclasses and raises its TypeError or ValueError on the rest."""
+    floats that holds a zero is converted), and a NaN scan.  Any other row,
+    and one with an int beyond the double range, goes through
+    ``as_extreal`` entry by entry, which converts the int and float
+    subclasses and raises its TypeError or ValueError on the rest."""
     values = tuple(values)
     types = set(map(type, values))
     if types <= _DOUBLE_TYPES:
         doubles = values
-        if types != _FLOAT or 0.0 in values:
-            doubles = tuple([v + 0.0 for v in values])
-        if not any(map(_isnan, doubles)):
-            return doubles
+        try:
+            if types != _FLOAT or 0.0 in values:
+                doubles = tuple([v + 0.0 for v in values])
+        except OverflowError:  # an int beyond the double range
+            pass
+        else:
+            if not any(map(_isnan, doubles)):
+                return doubles
     return tuple(map(float, map(as_extreal, values)))
 
 
@@ -370,7 +376,18 @@ def bilinear_coupling(
         primal_labels = [_point_label(p) for p in xs]
     if dual_labels is None:
         dual_labels = [_point_label(p) for p in ys]
-    entries = [[sum(a * b for a, b in zip(x, y)) for y in ys] for x in xs]
+    entries = _dot_products(xs, ys, primal_labels, dual_labels)
+    return Coupling(FiniteSet(primal_labels), FiniteSet(dual_labels), entries)
+
+
+def _dot_products(xs, ys, primal_labels, dual_labels) -> tuple:
+    """The rows of dot products of the checked vectors ``xs`` and ``ys``, all
+    of one dimension: plain doubles, none of them NaN or -0.0 (a sum starts
+    at the int 0, and 0 + -0.0 is 0.0).  A product that overflows becomes an
+    infinity; one that is NaN is the ValueError ``bilinear_coupling``
+    states, naming the two points by their labels.  The problem-file
+    parser, which checks its points as it reads them, calls this directly."""
+    entries = tuple([tuple([sum(a * b for a, b in zip(x, y)) for y in ys]) for x in xs])
     for i, row in enumerate(entries):
         for j, v in enumerate(row):
             if math.isnan(v):
@@ -383,7 +400,7 @@ def bilinear_coupling(
                     f"the dot product of X point {primal_labels[i]!r} and Y point "
                     f"{dual_labels[j]!r} is {fault}"
                 )
-    return Coupling(FiniteSet(primal_labels), FiniteSet(dual_labels), entries)
+    return entries
 
 
 def _as_vector(point, side: str, i: int) -> tuple[float, ...]:

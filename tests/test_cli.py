@@ -898,8 +898,13 @@ SETS_1X2 = '"sets": {"U": ["u0"], "X": ["a", "b"], "Y": ["c"]}, "rockafellian": 
      "gendual fuzz: error: argument --grid: grid low end exceeds high end"),
     (["fuzz", "--count", "2", "--inf-prob", "0.5"], None,
      "gendual fuzz: error: argument --inf-prob: must lie in [0, 0.4]"),
+    (["fuzz", "--count", "x"], None,
+     "gendual fuzz: error: argument --count: expected an integer"),
+    (["fuzz", "--count", "2", "--max-set-size", "2.5"], None,
+     "gendual fuzz: error: argument --max-set-size: expected an integer"),
 ], ids=["coupling-rows", "top-level", "embedding-points", "empty-point",
-        "mixed-dimensions", "function-entry", "fuzz-grid", "fuzz-inf-prob"])
+        "mixed-dimensions", "function-entry", "fuzz-grid", "fuzz-inf-prob",
+        "fuzz-count", "fuzz-max-set-size"])
 def test_malformed_input_exits_2_on_one_line(argv, body, message):
     code, out, err = run_in_fresh_dir(argv, body and {"bad.json": body})
     assert (code, out) == (2, "")

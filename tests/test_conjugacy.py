@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -410,11 +411,95 @@ def test_rows_fixed_at_an_infinity_match_oracle(data):
             bf.weak_duality(c_rows, r_rows, ix))
 
 
+@st.composite
+def rows_with_a_few_minus_infinities(draw):
+    """(c, R, L) rows whose table rows hold a few -inf, and L rows also a few
+    +inf, among finite and +inf entries, over widths on both sides of
+    ``extreal._SCAN_WIDTH``: the kernel rows that the view's ``above``
+    bitsets answer on a wide view and a scan answers on a narrow one.
+
+    The coupling's entries are integers, fractions, tiny ones and ones near
+    DBL_MAX, whose differences overflow.  Some lines of the coupling are
+    made -inf at every -inf index of a kernel row (R's and L's -inf for the
+    conjugates and the Lagrangian, L's +inf for the Rockafellian, which
+    negates L), so that the row reaches only some lines and the others
+    scan."""
+    rng = draw(st.randoms(use_true_random=True))
+    width = lambda: rng.choice([rng.randint(1, 16), rng.randint(17, 40)])
+    nu, nx, ny = rng.randint(1, 4), width(), width()
+    p_inf = rng.choice([0.0, 0.05, 0.1])
+    kind = rng.choice(["integer", "fraction", "near-overflow", "tiny"])
+
+    def finite():
+        if kind == "integer":
+            return float(rng.randint(-10, 10))
+        if kind == "fraction":
+            return rng.uniform(-10.0, 10.0)
+        if kind == "near-overflow":
+            return rng.choice([1.0, -1.0]) * sys.float_info.max * rng.uniform(0.5, 1.0)
+        return rng.choice([1.0, -1.0]) * 5e-324 * rng.randint(0, 1000)
+
+    def entry():
+        t = rng.random()
+        return -INF if t < p_inf else INF if t < 2 * p_inf else finite() + 0.0
+
+    def row(m, infinities):
+        out = [INF if rng.random() < 0.1 else finite() + 0.0 for _ in range(m)]
+        for v in infinities:
+            for k in rng.sample(range(m), rng.randint(0, min(3, m))):
+                out[k] = v
+        return out
+
+    c_rows = [[entry() for _ in range(ny)] for _ in range(nx)]
+    r_rows = [row(nx, (-INF,)) for _ in range(nu)]
+    l_rows = [row(ny, (-INF, INF)) for _ in range(nu)]
+    # half the kernel rows kill no line, and so reach every line of c that
+    # has an entry above -inf at their -inf indices
+    kills = lambda n: rng.sample(range(n), rng.choice([0, rng.randint(1, n)]))
+    for f in r_rows:  # columns of c, the lines of the conjugate's view
+        for y in kills(ny):
+            for x, v in enumerate(f):
+                if v == -INF:
+                    c_rows[x][y] = -INF
+    for g in l_rows:  # rows of c, the lines of the reverse view
+        for x in kills(nx):
+            dead = rng.choice([-INF, INF])
+            for y, v in enumerate(g):
+                if v == dead:
+                    c_rows[x][y] = -INF
+    return c_rows, r_rows, l_rows
+
+
+# no shrink phase: tables drawn from a seeded generator do not shrink
+@given(rows_with_a_few_minus_infinities())
+@settings(max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_rows_with_a_few_minus_infinities_match_oracle(data):
+    c_rows, r_rows, l_rows = data
+    U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
+    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
+    Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
+    c = Coupling(X, Y, c_rows)
+    for f_vals in r_rows:
+        assert hexes(conjugate(SetFunction(X, f_vals), c).values) == hexes(
+            bf.conjugate(c_rows, f_vals))
+    for g_vals in l_rows:
+        assert hexes(reverse_conjugate(SetFunction(Y, g_vals), c).values) == hexes(
+            bf.reverse_conjugate(c_rows, g_vals))
+    for have, want in zip(lagrangian_of(Rockafellian(U, X, r_rows), c).rows,
+                          bf.lagrangian(c_rows, r_rows)):
+        assert hexes(have) == hexes(want)
+    for have, want in zip(rockafellian_of(Lagrangian(U, Y, l_rows), c).rows,
+                          bf.rockafellian(c_rows, l_rows)):
+        assert hexes(have) == hexes(want)
+
+
 def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
     # a row of +inf (an empty domain) reads the view's width and a row of
     # -inf its reach row, so a call of only such rows sorts nothing; the
-    # first row that scans sorts the view once, for every later call too
-    from gendual.extreal import conjugate_product, descending
+    # first row that scans sorts the view once, for every later call too.
+    # On a view of at most _SCAN_WIDTH lines, a mixed row always scans
+    from gendual.extreal import _SCAN_WIDTH, conjugate_product, descending
 
     sorts = []
     build = descending.pairs.func
@@ -432,6 +517,21 @@ def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
         [-INF, -INF, -INF], [1.0, -INF, INF], [INF, -INF, INF], [3.0, -INF, INF]]
     assert conjugate_product([[-1.0, -1.0, -1.0]], view) == [[3.0, -INF, INF]]
     assert sorts == [view]
+    # on a view of more lines than the cut-off, a row's -inf entries answer
+    # the lines they reach by the view's ``above`` bitsets: a row that
+    # reaches every line sorts nothing, and one that reaches only some
+    # scans the others, sorting the view once
+    n = _SCAN_WIDTH + 1
+    wide = descending(tuple((float(j) if j % 2 else -INF, 2.0, -INF) for j in range(n)))
+    assert conjugate_product([[-INF, -INF, 0.0], [INF, -INF, 3.0]], wide) == [[INF] * n] * 2
+    assert sorts == [view] and "pairs" not in vars(wide)
+    # the odd lines are reached at index 0; the even ones are -inf there,
+    # and their scan is bounded by the least entry of f above -inf
+    once = [INF if j % 2 else 1.0 for j in range(n)]
+    assert conjugate_product([[-INF, 1.0, 5.0]], wide) == [once]
+    assert conjugate_product([[-INF, 1.0, 5.0], [-INF, INF, 0.0]], wide) == [
+        once, [INF if j % 2 else -INF for j in range(n)]]
+    assert sorts == [view, wide]
 
 
 def test_infinity_exactness_in_identities():

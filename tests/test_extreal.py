@@ -131,6 +131,13 @@ def test_as_extreal():
         as_extreal(True)
     with pytest.raises(TypeError):
         as_extreal("3")
+    # a ValueError naming the value, not the OverflowError of float(value)
+    for value in (10 ** 400, -10 ** 400, 2 ** 1024):
+        with pytest.raises(ValueError) as info:
+            as_extreal(value)
+        assert str(info.value) == f"number outside the double range: {value!r}"
+    # the largest double is in range, as an int too
+    assert as_extreal(int(sys.float_info.max)) == sys.float_info.max
 
 
 PARSE_CASES = [

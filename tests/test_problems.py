@@ -81,6 +81,27 @@ def test_embedding_builds_bilinear_coupling(problems_dir):
     assert p.coupling("0", "3") == ExtReal(0.0)
 
 
+def test_embedding_points_are_checked_once(problems_dir, monkeypatch):
+    # the parser's checked points reach the dot products without the
+    # coordinate check of bilinear_coupling, and give the coupling that
+    # bilinear_coupling builds from the same points, bit for bit
+    import gendual.spaces
+
+    path = problems_dir / "fenchel_quadratic.json"
+    p = load_problem(path)
+    want = bilinear_coupling(p.embedding["X"], p.embedding["Y"],
+                             p.coupling.primal.labels, p.coupling.dual.labels)
+
+    def second_check(*args):
+        raise AssertionError("a coordinate was checked twice")
+
+    monkeypatch.setattr(gendual.spaces, "_as_vector", second_check)
+    have = load_problem(path).coupling
+    assert type(have) is Coupling and have == want
+    assert [[v.hex() for v in row] for row in have.rows] == [
+        [v.hex() for v in row] for row in want.rows]
+
+
 def test_invalid_json_reports_position():
     with pytest.raises(ProblemFormatError, match=r"line \d+ column \d+"):
         parse_problem("{\n  \"sets\": }")

@@ -76,8 +76,11 @@ _PUBLIC_CONSTRUCTORS = {
 }
 
 
-@pytest.mark.parametrize("entry, error", [(math.nan, ValueError), (True, TypeError),
-                                          ("1", TypeError)], ids=["nan", "bool", "str"])
+@pytest.mark.parametrize("entry, error", [
+    (math.nan, ValueError), (True, TypeError), ("1", TypeError),
+    # as_extreal's ValueError, which names the value (test_extreal)
+    (10 ** 400, ValueError),
+], ids=["nan", "bool", "str", "int-overflow"])
 @pytest.mark.parametrize("name", list(_PUBLIC_CONSTRUCTORS))
 def test_public_constructors_check_every_entry(name, entry, error):
     make = _PUBLIC_CONSTRUCTORS[name]
