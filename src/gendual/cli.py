@@ -127,15 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_conjugate)
 
-    p = sub.add_parser("to-lagrangian", help="Lagrangian of the file's Rockafellian")
-    p.add_argument("problem")
-    common(p, output=True)
-    p.set_defaults(func=cmd_to_lagrangian)
-
-    p = sub.add_parser("to-rockafellian", help="Rockafellian of the file's Lagrangian")
-    p.add_argument("problem")
-    common(p, output=True)
-    p.set_defaults(func=cmd_to_rockafellian)
+    for name, help_text in (("to-lagrangian", "Lagrangian of the file's Rockafellian"),
+                            ("to-rockafellian", "Rockafellian of the file's Lagrangian")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("problem")
+        common(p, output=True)
+        p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("check-couple",
                        help="audit a (Lagrangian, Rockafellian) pair")
@@ -285,30 +282,35 @@ def _load_function(spec: str, domain, what: str) -> SetFunction:
 
 
 def cmd_conjugate(args) -> int:
-    from .conjugacy import conjugate, reverse_conjugate
+    from .conjugacy import conjugate
     from .problems import load_problem
 
-    problem = load_problem(args.problem, allow_both=True)
-    c = problem.coupling
-    if args.side == "primal":
-        f = _load_function(args.function, c.primal, "function")
-        result = conjugate(f, c)
-    else:
-        g = _load_function(args.function, c.dual, "function")
-        result = reverse_conjugate(g, c)
+    c = load_problem(args.problem, allow_both=True).coupling
+    if args.side == "dual":  # g^{c'} is the conjugate of g through c^T
+        c = c.transposed
+    result = conjugate(_load_function(args.function, c.primal, "function"), c)
     sys.stdout.write(
         _render_function(result.domain.labels, result.values, args.format)
     )
     return EXIT_OK
 
 
-def _write_table(args, table, problem, key) -> None:
-    """Render the result table of a transform to stdout and, with
-    ``--output``, save ``problem`` with it.  One formatting pass serves
-    both: the file's table block is built from the same tokens, which are
-    dropped before the file is assembled."""
-    from .problems import save_problem, table_block, table_tokens
+def cmd_transform(args) -> int:
+    """``to-lagrangian`` and ``to-rockafellian``: render the transform of the
+    file's table to stdout and, with ``--output``, save the file with the
+    result in that table's place.  One formatting pass serves both: the
+    file's table block is built from the same tokens, which are dropped
+    before the file is assembled."""
+    from . import duality
+    from .problems import load_problem, save_problem, table_block, table_tokens
 
+    problem = load_problem(args.problem)
+    if args.command == "to-lagrangian":
+        key = "lagrangian"
+        table = duality.lagrangian_of(problem.require_rockafellian(), problem.coupling)
+    else:
+        key = "rockafellian"
+        table = duality.rockafellian_of(problem.require_lagrangian(), problem.coupling)
     tokens = table_tokens(table.rows)
     sys.stdout.write(
         _render_matrix(table.row_set.labels, table.col_set.labels, tokens, args.format)
@@ -316,30 +318,8 @@ def _write_table(args, table, problem, key) -> None:
     if args.output:
         block = table_block(tokens)
         del tokens
-        save_problem(problem, args.output, blocks={key: block})
-
-
-def cmd_to_lagrangian(args) -> int:
-    from .duality import lagrangian_of
-    from .problems import load_problem
-
-    problem = load_problem(args.problem)
-    r = problem.require_rockafellian()
-    lag = lagrangian_of(r, problem.coupling)
-    _write_table(args, lag, problem._replace(rockafellian=None, lagrangian=lag),
-                 "lagrangian")
-    return EXIT_OK
-
-
-def cmd_to_rockafellian(args) -> int:
-    from .duality import rockafellian_of
-    from .problems import load_problem
-
-    problem = load_problem(args.problem)
-    lag = problem.require_lagrangian()
-    r = rockafellian_of(lag, problem.coupling)
-    _write_table(args, r, problem._replace(rockafellian=r, lagrangian=None),
-                 "rockafellian")
+        save_problem(problem._replace(**{"rockafellian": None, "lagrangian": None, key: table}),
+                     args.output, blocks={key: block})
     return EXIT_OK
 
 

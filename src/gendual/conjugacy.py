@@ -4,8 +4,9 @@ For a coupling c over X x Y, the conjugate of f: X -> [-inf,+inf] is
 
     f^c(y) = sup over x of  c(x,y) (lower-add) -f(x)
 
-and the reverse conjugate of g: Y -> [-inf,+inf] swaps the roles of the two
-sides through the reversed coupling.  Biconjugation composes the two and
+and the reverse conjugate of g: Y -> [-inf,+inf] is the conjugate through
+the transposed coupling ``c.transposed``, so the reverse functions reach
+the kernel through ``conjugate``.  Biconjugation composes the two and
 yields the largest c-convex function below the input; a function equal to
 its biconjugate is called c-convex (respectively c'-convex on the dual
 side).  Both conjugates are one-row calls of the kernel in ``extreal``,
@@ -43,25 +44,25 @@ def conjugate_row(f, view) -> list[float]:
 
 
 def conjugate(f: SetFunction, c: Coupling) -> SetFunction:
-    """f^c(y) = sup_x [c(x,y) lower-add -f(x)], a function on the dual set."""
-    if f.domain != c.primal:
+    """f^c(y) = sup_x [c(x,y) lower-add -f(x)], a function on the dual set.
+    Both directions run here, so it reads ``c.row_set`` and ``c.col_set``,
+    not the properties ``c.primal`` and ``c.dual``: a call less each."""
+    if f.domain != c.row_set:
         raise DomainMismatchError(
             "conjugate: function domain differs from the coupling's primal set"
         )
     return SetFunction._unchecked(
-        c.dual, tuple(conjugate_row(f.values, c.sorted_cols))
+        c.col_set, tuple(conjugate_row(f.values, c.sorted_cols))
     )
 
 
 def reverse_conjugate(g: SetFunction, c: Coupling) -> SetFunction:
-    """g^{c'}(x) = sup_y [c(x,y) lower-add -g(y)], a function on the primal set."""
+    """g^{c'}(x) = sup_y [c(x,y) lower-add -g(y)], the conjugate of g through c^T."""
     if g.domain != c.dual:
         raise DomainMismatchError(
             "reverse_conjugate: function domain differs from the coupling's dual set"
         )
-    return SetFunction._unchecked(
-        c.primal, tuple(conjugate_row(g.values, c.sorted_rows))
-    )
+    return conjugate(g, c.transposed)
 
 
 def biconjugate(f: SetFunction, c: Coupling) -> SetFunction:

@@ -20,16 +20,15 @@ where, for every decision u,
   E1: -L_u = (R_u)^c             E2: R_u = (-L_u)^{c'}
   E3:  R_u = (R_u)^{cc'}         E4: -L_u = (-L_u)^{c'c}.
 
-Both halves of item (i) and items (ii)-(v) are row tests, and one pass
-over the decisions decides the whole audit.  For each u it holds R_u and
--L_u, the one negated row, builds sigma_u = (R_u)^c, rho_u = (-L_u)^{c'}
-and their biconjugates at most once each, each as
-``conjugacy.conjugate_row`` of its function, and runs every still-open
-test on them.  No row holds -0.0, so rows equal in value are the same
-doubles: a conjugate row equal to its held row is shared as that row, and
-a biconjugate whose argument is a row already held is not rebuilt.  So
-wherever item (iii) holds exactly a decision costs two conjugate rows, not
-four.  Each row comparison names the first entry where its two rows fail
+The paper's map (L, R, c) -> (-R, -L, c^T) keeps the inequality and swaps
+the two sides of each decision: R_u over X and -L_u over Y, each with its
+least feasible value, the other side's row conjugated (see below).  It
+sends E1 to E2 and E3 to E4, and so swaps items (iv) and (v).  So each
+row law is stated once and runs on both sides, and one pass over the
+decisions decides the whole audit: for each u it holds both sides' rows,
+builds sigma_u = (R_u)^c, rho_u = (-L_u)^{c'} and their biconjugates at
+most once each (see ``_Rows``), and runs every still-open test on them.
+Each row comparison names the first entry where its two rows fail
 ``approx_eq`` (or ``approx_le``).
 
 In IEEE arithmetic items (ii) and (iii) are one comparison.  Item (ii)'s
@@ -133,19 +132,20 @@ def _require_valid(lag, r, c, tol: float) -> None:
 class _Rows:
     """The rows of one decision u that the row tests compare, each a list
     built on first use and shared by every test that reads it: ``l`` and
-    ``r`` are L_u and R_u, and ``nl`` is -L_u, the one negated row.  Each
-    conjugate row is ``conjugate_row`` of its function, as in the paper:
-    sigma_u = (R_u)^c, rho_u = (-L_u)^{c'}, which is also the sup-transform
-    row ``rockafellian_of`` gives, bit for bit, (R_u)^{cc'} = (sigma_u)^{c'}
-    and (-L_u)^{c'c} = (rho_u)^c.  The inf-transform row is 0.0 - sigma_u
-    (see the module docstring) and is not built.
+    ``r`` are L_u and R_u, ``nl`` is -L_u, the one negated row, and each
+    conjugate row is ``conjugate_row`` of its function, as in the paper.
+    rho_u is also the sup-transform row ``rockafellian_of`` gives, bit for
+    bit; the inf-transform row, 0.0 - sigma_u, is not built (see the module
+    docstring).
 
     No row holds -0.0, so rows equal in value are the same doubles and give
     the same conjugate bit for bit.  So sigma_u is the list -L_u where the
     two are equal, and rho_u is R_u where they are; a later compare of
     such a pair meets each float by identity.  And a biconjugate is not
     rebuilt when its argument is a row already held: (R_u)^{cc'} is rho_u
-    where sigma_u is -L_u, and (-L_u)^{c'c} is sigma_u where rho_u is R_u."""
+    where sigma_u is -L_u, and (-L_u)^{c'c} is sigma_u where rho_u is R_u.
+    So wherever item (iii) holds exactly a decision costs two conjugate
+    rows, not four."""
 
     def __init__(self, l_row, r_row, c):
         self.l, self.r, self.c = list(l_row), list(r_row), c
@@ -177,32 +177,40 @@ class _Rows:
         return conjugate_row(self.rho, self.c.sorted_cols)
 
 
-# The row comparisons of items (i)-(v), each stated once: the side of the
-# row's labels, the ``_Rows`` row and the row it is compared with, the
-# comparison, and the witness text.  Minimality (M1, M2) compares the rows
-# of E2 and E1 with ``approx_le``: each entry at most its least feasible
-# value.  Item (ii) is two entries, its L half T1 and its R half T2: an L
-# witness at any u comes before every R witness, so it closes the R half.
-# T1 compares the rows of E1 (see the module docstring); its witness names
-# L(u,y) and the inf-transform entry 0.0 - sigma_u(y) instead of -L(u,y)
-# and sigma_u(y).  The inequality, the pass's one entry that is not a row
-# comparison, is ``_inequality_at``.  Where it fails it closes minimality
-# and replaces its result with ``_NOT_PROBED``, even where minimality
-# failed at an earlier u.
-_E1 = ("y", "nl", "sigma", approx_eq, "-L({u},{lab}) = {a} but (R_u)^c({lab}) = {b}")
-_E2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but (-L_u)^c'({lab}) = {b}")
-_E3 = ("x", "r", "r_bi", approx_eq,
-       "R({u},{lab}) = {a} is not c-convex: biconjugate gives {b}")
-_E4 = ("y", "nl", "nl_bi", approx_eq,
-       "-L({u},{lab}) = {a} is not c'-convex: reverse biconjugate gives {b}")
-_M1 = ("x", "r", "rho", approx_le,
-       "R({u},{lab}) = {a} is above its least feasible value (-L_u)^c'({lab}) = {b}")
-_M2 = ("y", "nl", "sigma", approx_le,
-       "-L({u},{lab}) = {a} is above its least feasible value (R_u)^c({lab}) = {b}")
-_T1 = ("y", "nl", "sigma", approx_eq, "L({u},{lab}) = {a} but the inf-transform gives {b}")
-_T2 = ("x", "r", "rho", approx_eq, "R({u},{lab}) = {a} but the sup-transform gives {b}")
-_ROW_TESTS = {"i-minimality": (_M1, _M2), "ii-L": (_T1,), "ii-R": (_T2,),
-              "iii": (_E1, _E2), "iv": (_E1, _E3), "v": (_E2, _E4)}
+# The row laws, each stated once and run on both sides of a decision u.  A
+# side is the key of its labels, the ``_Rows`` attributes of its row, of
+# its least feasible value and of its biconjugate, and the names that fill
+# a witness template.  A law is the row it compares the side's row with,
+# the comparison and the template: equality (E1, E2) and minimality compare
+# with the least feasible value, convexity (E3, E4) with the biconjugate,
+# and item (ii)'s transform half compares the rows of equality.
+_Side = namedtuple("_Side", "key row least bi names")
+_R_SIDE = _Side("x", "r", "rho", "r_bi", dict(
+    own="R", least="(-L_u)^c'", convex="c", bi="biconjugate", shown="R", transform="sup"))
+_L_SIDE = _Side("y", "nl", "sigma", "nl_bi", dict(
+    own="-L", least="(R_u)^c", convex="c'", bi="reverse biconjugate", shown="L",
+    transform="inf"))
+_E = ("least", approx_eq, "%(own)s({u},{lab}) = {a} but %(least)s({lab}) = {b}")
+_M = ("least", approx_le,
+      "%(own)s({u},{lab}) = {a} is above its least feasible value %(least)s({lab}) = {b}")
+_C = ("bi", approx_eq, "%(own)s({u},{lab}) = {a} is not %(convex)s-convex: %(bi)s gives {b}")
+_T = ("least", approx_eq,
+      "%(shown)s({u},{lab}) = {a} but the %(transform)s-transform gives {b}")
+
+# Each entry's laws, in the order it runs them at each u.  Item (ii) is two
+# entries, its L half and its R half: an L witness at any u comes before
+# every R witness, so it closes the R half.  The inequality, the pass's one
+# entry that is not a row comparison, is ``_inequality_at``.  Where it
+# fails it closes minimality and replaces its result with ``_NOT_PROBED``,
+# even where minimality failed at an earlier u.
+_ROW_TESTS = {
+    entry: tuple((side.key, side.row, getattr(side, want), holds, text % side.names)
+                 for (want, holds, text), side in laws)
+    for entry, laws in (("i-minimality", ((_M, _R_SIDE), (_M, _L_SIDE))),
+                        ("ii-L", ((_T, _L_SIDE),)), ("ii-R", ((_T, _R_SIDE),)),
+                        ("iii", ((_E, _L_SIDE), (_E, _R_SIDE))),
+                        ("iv", ((_E, _L_SIDE), (_C, _R_SIDE))),
+                        ("v", ((_E, _R_SIDE), (_C, _L_SIDE))))}
 _ITEM_II = ("ii-L", "ii-R")
 _CLOSES = {"i-inequality": ("i-inequality", "i-minimality"), "ii-L": _ITEM_II}
 _NOT_PROBED = Witness(item="i-minimality", u=None, x=None, y=None,
@@ -244,9 +252,8 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
     One pass over the decisions: for each u, every still-open entry runs its
     test on one ``_Rows``.  An entry leaves the pass at its first witness,
     so that witness is the one the entry finds alone, and takes the others
-    of its ``_CLOSES`` along.  The rows hold the values ``conjugate``,
-    ``reverse_conjugate`` and the sup-transform give, bit for bit: they are
-    the same kernel calls behind a domain check."""
+    of its ``_CLOSES`` along.  The rows hold the values ``conjugate`` and
+    ``reverse_conjugate`` give, bit for bit: the same kernel calls."""
     found = dict.fromkeys(entries)
     open_entries = list(entries)
     labels = {"x": c.primal.labels, "y": c.dual.labels}

@@ -275,9 +275,9 @@ class _Table:
 
 
 class Coupling(_Table):
-    """Pairing table c over primal x dual; entries may be +/-inf.  Its
-    columns, and the product kernel's views ``sorted_rows`` and
-    ``sorted_cols``, are each built on first use and then kept, and so is
+    """Pairing table c over primal x dual; entries may be +/-inf.  The
+    product kernel's views ``sorted_rows`` and ``sorted_cols``, and
+    ``transposed``, are each built on first use and then kept, and so is
     what a view builds: the audit runs a conjugate once per row of a table,
     and sorting the coupling on each call would cost more than the scan.
     A view sorts its lines only when a product row scans them (see
@@ -287,19 +287,25 @@ class Coupling(_Table):
         super().__init__(primal, dual, entries)
 
     @lazy
-    def cols(self) -> tuple:
-        """The columns, one tuple per y."""
-        return tuple(zip(*self.rows))
-
-    @lazy
-    def sorted_rows(self) -> tuple:
+    def sorted_rows(self) -> descending:
         """``extreal.descending`` view of the rows, one line per x."""
         return descending(self.rows)
 
     @lazy
-    def sorted_cols(self) -> tuple:
+    def sorted_cols(self) -> descending:
         """``extreal.descending`` view of the columns, one line per y."""
-        return descending(self.cols)
+        return descending(tuple(zip(*self.rows)))
+
+    @lazy
+    def transposed(self) -> "Coupling":
+        """c^T(y, x) = c(x, y), through which the reverse conjugate is the
+        conjugate.  Its rows are the lines of ``sorted_cols`` and its views
+        are c's, crosswise, so neither it nor its own transpose sorts
+        anything new.  It holds no reference back to c: dropping c frees
+        both without the cyclic garbage collector."""
+        t = Coupling._unchecked(self.col_set, self.row_set, self.sorted_cols.lines)
+        t.sorted_rows, t.sorted_cols = self.sorted_cols, self.sorted_rows
+        return t
 
     @property
     def primal(self) -> FiniteSet:
@@ -341,8 +347,8 @@ class Lagrangian(_Table):
 
 
 def reverse_coupling(c: Coupling) -> Coupling:
-    """Swap the two arguments: c'(y, x) = c(x, y).  Involutive."""
-    return Coupling._unchecked(c.dual, c.primal, c.cols)
+    """Swap the two arguments: c'(y, x) = c(x, y), ``c.transposed``.  Involutive."""
+    return c.transposed
 
 
 def bilinear_coupling(

@@ -232,13 +232,15 @@ def _broken_dual_values(reports_of, breaks):
 # The checks of ``run_fuzz(20, 4, 11)`` that catch each broken copy, a sign
 # flip of every value or one finite value off by 1: the same checks for
 # both breaks.  A broken transform reaches the couple theorem through the
-# constructed couple (L, R'), which is built through it.
+# constructed couple (L, R'), which is built through it.  The reverse
+# conjugate is the conjugate through the transpose, so a broken conjugate
+# breaks it too, and the transform inequality, which reads it, catches that.
 _CAUGHT_BY = {
     "lagrangian_of": {"transform_identity", "transform_inequality", "roundtrips",
                       "weak_duality", "couple_theorem"},
     "rockafellian_of": {"transform_identity", "transform_inequality", "roundtrips",
                         "couple_theorem"},
-    "conjugate": {"conjugacy", "transform_identity"},
+    "conjugate": {"conjugacy", "transform_identity", "transform_inequality"},
     "reverse_conjugate": {"conjugacy", "transform_inequality"},
     "weak_duality_reports": {"weak_duality"},
 }

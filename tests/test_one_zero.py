@@ -88,7 +88,7 @@ def test_public_constructors():
         assert hexes(Lagrangian(U, Y, [row]).rows[0]) == [ZERO] * 2
         c = Coupling(X, Y, [row, row])
         assert hexes(v for line in c.rows for v in line) == [ZERO] * 4
-        assert hexes(v for line in c.cols for v in line) == [ZERO] * 4
+        assert hexes(v for line in c.transposed.rows for v in line) == [ZERO] * 4
     c = bilinear_coupling([-0.0, 1.0], [-0.0, -2.0])
     assert c.primal.labels == ("0.0", "1.0")
     assert hexes(c.rows[0]) == [ZERO] * 2

@@ -14,14 +14,18 @@ from gendual import (
     Rockafellian,
     SetFunction,
     UnknownLabelError,
+    biconjugate,
     bilinear_coupling,
     conjugate,
     dual_function,
+    is_c_convex,
+    is_cprime_convex,
     partial_lagrangian,
     partial_rockafellian,
     perturbation_function,
     pointwise_max,
     pointwise_min,
+    reverse_biconjugate,
     reverse_conjugate,
     reverse_coupling,
 )
@@ -128,6 +132,63 @@ def test_reverse_coupling_transposes_and_involutes(e1):
         for y in e1["Y"]:
             assert rc(y, x) == c(x, y)
     assert reverse_coupling(rc) == c
+
+
+def _sorts(monkeypatch):
+    """Counts the sorts of ``descending`` views: each build of ``pairs``."""
+    import gendual.extreal as extreal
+
+    lazy_pairs = extreal.descending.__dict__["pairs"]
+    calls = []
+
+    def counted(view, sort=lazy_pairs.func):
+        calls.append(view)
+        return sort(view)
+
+    monkeypatch.setattr(lazy_pairs, "func", counted)
+    return calls
+
+
+def test_the_transpose_shares_the_views_crosswise(e1, monkeypatch):
+    sorts = _sorts(monkeypatch)
+    c = Coupling(e1["X"], e1["Y"], e1["c"].rows)
+    t = c.transposed
+    assert reverse_coupling(c) is t and t.rows == tuple(zip(*c.rows))
+    assert t.sorted_rows is c.sorted_cols and t.sorted_cols is c.sorted_rows
+    # and so does the transpose of the transpose, over c's own rows
+    assert t.transposed.rows is c.rows
+    assert t.transposed.sorted_rows is c.sorted_rows
+    assert t.transposed.sorted_cols is c.sorted_cols
+    # a reverse conjugate after the conjugate through c^T sorts nothing new,
+    # and each view is sorted once, whichever direction reads it
+    g = SetFunction(e1["Y"], [-2.0, 1.0])
+    want = conjugate(g, t)
+    assert sorts == [c.sorted_rows]
+    assert reverse_conjugate(g, c) == want
+    assert reverse_biconjugate(g, c) == biconjugate(g, t)
+    assert is_cprime_convex(g, c) == is_c_convex(g, t)
+    assert conjugate(SetFunction(e1["X"], [1.0, -1.0]), c) == reverse_conjugate(
+        SetFunction(e1["X"], [1.0, -1.0]), t)
+    assert sorts == [c.sorted_rows, c.sorted_cols]
+
+
+def test_a_dropped_coupling_is_freed_without_the_cyclic_collector(e1):
+    # the transpose holds c's views, not c: no reference cycle keeps the
+    # pair alive until a full collection
+    import gc
+    import weakref
+
+    c = Coupling(e1["X"], e1["Y"], e1["c"].rows)
+    reverse_biconjugate(SetFunction(e1["Y"], [-2.0, 1.0]), c)
+    refs = [weakref.ref(obj) for obj in (c, c.transposed, c.transposed.transposed)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del c
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_reverse_coupling_one_by_one():

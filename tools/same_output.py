@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Check that two source trees of gendual behave byte for byte alike.
+"""Check that two source trees of gendual behave byte for byte alike, or
+that one tree behaves as the record in tests/same_output.json says.
 
     python3 tools/same_output.py PARENT_SRC CHANGE_SRC
+    python3 tools/same_output.py --record SRC
 
-Each argument is a ``src`` directory holding a ``gendual`` package.  The
-script writes one set of input files, then runs the same command list
+Each SRC argument is a ``src`` directory holding a ``gendual`` package.
+The script writes one set of input files, then runs the same command list
 against each tree, in a fresh interpreter with that tree first on
 ``sys.path``, calling ``gendual.cli.main`` in-process for each command:
 
@@ -75,14 +77,24 @@ wrote, prints the number of differing commands, each of them and its first
 difference (for a text, the number of its first differing line and that line
 on each side), and exits 1 if there is any, else 0.  A command that starts
 with ``raise`` is a step of this script, not of gendual: it copies a file
-the tree wrote, with one table entry raised from a given row on.  Needs no numpy.
+the tree wrote, with one table entry raised from a given row on.
+
+``--record`` runs the list on one tree and writes tests/same_output.json:
+the Python version, and per command its argv and one sha256 digest of its
+exit code, stdout, stderr (minus ``elapsed:``) and written files.
+``changed_commands``, which tests/test_same_output.py calls, runs the list
+on a tree and names every command whose digest differs from the record.
+argparse's help and usage text changes between Python minor versions, so
+the record holds for the minor version it was made with.  Needs no numpy.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
+import platform
 import random
 import shutil
 import subprocess
@@ -92,6 +104,7 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 GALLERY = TOOLS.parent / "problems"
+RECORD = TOOLS.parent / "tests" / "same_output.json"
 FORMATS = ("text", "csv", "structured")
 SIZES = (4, 16, 64, 256)
 RAISED_SIZES = (16, 64)
@@ -498,13 +511,9 @@ def _first_difference(a, b):
     return None
 
 
-def main(argv):
-    if argv[:1] == ["--worker"]:
-        worker(*argv[1:])
-        return 0
-    if len(argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
+def run_trees(*srcs):
+    """The records of each tree in ``srcs``, every tree run on one set of
+    inputs."""
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         inputs = scratch / "inputs"
@@ -512,8 +521,49 @@ def main(argv):
         commands = write_inputs(inputs)
         commands_path = scratch / "commands.json"
         commands_path.write_text(json.dumps(commands), encoding="utf-8")
-        old = run_tree(argv[0], inputs, scratch, commands_path, "parent")
-        new = run_tree(argv[1], inputs, scratch, commands_path, "change")
+        return [run_tree(src, inputs, scratch, commands_path, f"tree{i}")
+                for i, src in enumerate(srcs)]
+
+
+def digest(record):
+    """The sha256 of one command's exit code, stdout, stderr and written
+    files."""
+    body = {key: record.get(key) for key in ("exit", "stdout", "stderr", "files")}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def record(src):
+    """Write the record of the tree at ``src`` to ``RECORD``, one command a
+    line."""
+    (records,) = run_trees(src)
+    lines = ",\n".join(json.dumps([r["argv"], digest(r)]) for r in records)
+    version = platform.python_version()
+    RECORD.write_text(f'{{"python": "{version}", "commands": [\n{lines}\n]}}\n',
+                      encoding="utf-8")
+    print(f"{len(records)} commands recorded in {RECORD}")
+
+
+def changed_commands(src):
+    """The argv, as one string, of every command whose run on the tree at
+    ``src`` differs from ``RECORD``: in its digest, or in the command list
+    itself."""
+    want = json.loads(RECORD.read_text(encoding="utf-8"))["commands"]
+    (records,) = run_trees(src)
+    have = [[r["argv"], digest(r)] for r in records]
+    return [" ".join((a or b)[0]) for a, b in itertools.zip_longest(have, want) if a != b]
+
+
+def main(argv):
+    if argv[:1] == ["--worker"]:
+        worker(*argv[1:])
+        return 0
+    if len(argv) == 2 and argv[0] == "--record":
+        record(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old, new = run_trees(*argv)
     differing = []
     for a, b in zip(old, new):
         diff = _first_difference(a, b)
