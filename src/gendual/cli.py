@@ -327,21 +327,23 @@ def cmd_check_couple(args) -> int:
     from .couple import audit
     from .problems import load_problem
 
-    # one file holding both tables is the pair of files (it, it)
+    # one file holding both tables is the pair of files (it, it), which
+    # agrees with itself on the sets and the coupling
     problem_r = load_problem(args.problem_r, allow_both=True)
     problem_l = (problem_r if args.problem_l is None
                  else load_problem(args.problem_l, allow_both=True))
     r = problem_r.require_rockafellian()
     lag = problem_l.require_lagrangian()
     c = problem_r.coupling
-    if (
-        problem_l.decisions != problem_r.decisions
-        or problem_l.primal != problem_r.primal
-        or problem_l.dual != problem_r.dual
-    ):
-        raise DomainMismatchError("the two problem files index different sets")
-    if not problem_l.coupling.isclose(c, args.tol):
-        raise DomainMismatchError("the two problem files carry different couplings")
+    if problem_l is not problem_r:
+        if (
+            problem_l.decisions != problem_r.decisions
+            or problem_l.primal != problem_r.primal
+            or problem_l.dual != problem_r.dual
+        ):
+            raise DomainMismatchError("the two problem files index different sets")
+        if not problem_l.coupling.isclose(c, args.tol):
+            raise DomainMismatchError("the two problem files carry different couplings")
 
     result = audit(lag, r, c, tol=args.tol)
     if args.format == "structured":

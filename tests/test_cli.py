@@ -241,6 +241,26 @@ def test_check_couple_combined_file(problems_dir, capsys):
     assert "verdict:" in out and "couple" in out
 
 
+def test_check_couple_of_one_file_compares_nothing_with_itself(problems_dir, capsys, monkeypatch):
+    # one file holding both tables agrees with itself, so its coupling is
+    # not compared with itself; two files still compare theirs once
+    from gendual.spaces import Coupling
+
+    compares = []
+    isclose = Coupling.isclose
+
+    def counted(c, other, tol):
+        compares.append(c is other)
+        return isclose(c, other, tol)
+
+    monkeypatch.setattr(Coupling, "isclose", counted)
+    assert run_cli(capsys, "check-couple", str(problems_dir / "e1_couple.json"))[0] == 0
+    assert compares == []
+    assert run_cli(capsys, "check-couple", str(problems_dir / "e1.json"),
+                   str(problems_dir / "e1_lagrangian.json"))[0] == 1
+    assert compares == [False]
+
+
 @pytest.mark.parametrize("files", [["e1.json", "e1_lagrangian.json"], ["quoted.json"]],
                          ids=["e1-pair", "quoted-labels"])
 def test_check_couple_csv_witnesses_read_back(problems_dir, tmp_path, capsys, files):

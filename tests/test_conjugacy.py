@@ -411,6 +411,45 @@ def test_rows_fixed_at_an_infinity_match_oracle(data):
             bf.weak_duality(c_rows, r_rows, ix))
 
 
+def _finite_draw(rng):
+    """A draw of finite entries of one kind, chosen by ``rng``: integers,
+    fractions, ones near DBL_MAX, whose differences overflow, or tiny ones,
+    subnormal or zero, never -0.0."""
+    kind = rng.choice(["integer", "fraction", "near-overflow", "tiny"])
+
+    def finite():
+        if kind == "integer":
+            return float(rng.randint(-10, 10))
+        if kind == "fraction":
+            return rng.uniform(-10.0, 10.0) + 0.0
+        if kind == "near-overflow":
+            return rng.choice([1.0, -1.0]) * sys.float_info.max * rng.uniform(0.5, 1.0)
+        return rng.choice([1.0, -1.0]) * 5e-324 * rng.randint(0, 1000) + 0.0
+
+    return finite
+
+
+def _assert_kernel_rows_match_oracle(c_rows, r_rows, g_rows, l_rows):
+    """The conjugate of each row of R, the reverse conjugate of each row of
+    G, and both transforms, against the brute-force oracle by float.hex."""
+    U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
+    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
+    Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
+    c = Coupling(X, Y, c_rows)
+    for f_vals in r_rows:
+        assert hexes(conjugate(SetFunction(X, f_vals), c).values) == hexes(
+            bf.conjugate(c_rows, f_vals))
+    for g_vals in g_rows:
+        assert hexes(reverse_conjugate(SetFunction(Y, g_vals), c).values) == hexes(
+            bf.reverse_conjugate(c_rows, g_vals))
+    for have, want in zip(lagrangian_of(Rockafellian(U, X, r_rows), c).rows,
+                          bf.lagrangian(c_rows, r_rows)):
+        assert hexes(have) == hexes(want)
+    for have, want in zip(rockafellian_of(Lagrangian(U, Y, l_rows), c).rows,
+                          bf.rockafellian(c_rows, l_rows)):
+        assert hexes(have) == hexes(want)
+
+
 @st.composite
 def rows_with_a_few_minus_infinities(draw):
     """(c, R, L) rows whose table rows hold a few -inf, and L rows also a few
@@ -428,23 +467,14 @@ def rows_with_a_few_minus_infinities(draw):
     width = lambda: rng.choice([rng.randint(1, 16), rng.randint(17, 40)])
     nu, nx, ny = rng.randint(1, 4), width(), width()
     p_inf = rng.choice([0.0, 0.05, 0.1])
-    kind = rng.choice(["integer", "fraction", "near-overflow", "tiny"])
-
-    def finite():
-        if kind == "integer":
-            return float(rng.randint(-10, 10))
-        if kind == "fraction":
-            return rng.uniform(-10.0, 10.0)
-        if kind == "near-overflow":
-            return rng.choice([1.0, -1.0]) * sys.float_info.max * rng.uniform(0.5, 1.0)
-        return rng.choice([1.0, -1.0]) * 5e-324 * rng.randint(0, 1000)
+    finite = _finite_draw(rng)
 
     def entry():
         t = rng.random()
-        return -INF if t < p_inf else INF if t < 2 * p_inf else finite() + 0.0
+        return -INF if t < p_inf else INF if t < 2 * p_inf else finite()
 
     def row(m, infinities):
-        out = [INF if rng.random() < 0.1 else finite() + 0.0 for _ in range(m)]
+        out = [INF if rng.random() < 0.1 else finite() for _ in range(m)]
         for v in infinities:
             for k in rng.sample(range(m), rng.randint(0, min(3, m))):
                 out[k] = v
@@ -476,22 +506,65 @@ def rows_with_a_few_minus_infinities(draw):
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_rows_with_a_few_minus_infinities_match_oracle(data):
     c_rows, r_rows, l_rows = data
-    U = FiniteSet([f"u{i}" for i in range(len(r_rows))])
-    X = FiniteSet([f"x{i}" for i in range(len(c_rows))])
-    Y = FiniteSet([f"y{j}" for j in range(len(c_rows[0]))])
-    c = Coupling(X, Y, c_rows)
-    for f_vals in r_rows:
-        assert hexes(conjugate(SetFunction(X, f_vals), c).values) == hexes(
-            bf.conjugate(c_rows, f_vals))
-    for g_vals in l_rows:
-        assert hexes(reverse_conjugate(SetFunction(Y, g_vals), c).values) == hexes(
-            bf.reverse_conjugate(c_rows, g_vals))
-    for have, want in zip(lagrangian_of(Rockafellian(U, X, r_rows), c).rows,
-                          bf.lagrangian(c_rows, r_rows)):
-        assert hexes(have) == hexes(want)
-    for have, want in zip(rockafellian_of(Lagrangian(U, Y, l_rows), c).rows,
-                          bf.rockafellian(c_rows, l_rows)):
-        assert hexes(have) == hexes(want)
+    _assert_kernel_rows_match_oracle(c_rows, r_rows, l_rows, l_rows)
+
+
+@st.composite
+def rows_mostly_plus_infinity(draw):
+    """(c, R, G, L) rows whose kernel rows are +inf but for a few entries,
+    some of them -inf: R's rows for the conjugate and the Lagrangian, G's
+    for the reverse conjugate, and -L's for the Rockafellian, so L's rows
+    are -inf but for a few entries, some of them +inf.  A row keeps 0, 1,
+    2, ``extreal._FEW`` or ``_FEW + 1`` entries, on both sides of the
+    cut-off of the kernel's direct path, over widths on both sides of
+    ``extreal._SCAN_WIDTH``.
+
+    The coupling holds both infinities among finite entries of one kind (see
+    ``_finite_draw``).  Some lines of the coupling are made -inf at every
+    -inf index of a kernel row, so that its ``above`` bitsets leave them to
+    the direct path or the scan."""
+    from gendual.extreal import _FEW
+
+    rng = draw(st.randoms(use_true_random=True))
+    width = lambda: rng.choice([rng.randint(1, 16), rng.randint(17, 64)])
+    nu, nx, ny = rng.randint(1, 4), width(), width()
+    p_inf = rng.choice([0.05, 0.1, 0.3])
+    finite = _finite_draw(rng)
+
+    def entry():
+        t = rng.random()
+        return -INF if t < p_inf else INF if t < 2 * p_inf else finite()
+
+    def row(m, rest, other):
+        out = [rest] * m
+        for k in rng.sample(range(m), min(m, rng.choice([0, 1, 2, _FEW, _FEW + 1]))):
+            out[k] = other if rng.random() < 0.2 else finite()
+        return out
+
+    c_rows = [[entry() for _ in range(ny)] for _ in range(nx)]
+    r_rows = [row(nx, INF, -INF) for _ in range(nu)]
+    g_rows = [row(ny, INF, -INF) for _ in range(nu)]
+    l_rows = [row(ny, -INF, INF) for _ in range(nu)]
+    kills = lambda n: rng.sample(range(n), rng.choice([0, rng.randint(1, n)]))
+    for f in r_rows:  # columns of c, the lines of the conjugate's view
+        for y in kills(ny):
+            for x, v in enumerate(f):
+                if v == -INF:
+                    c_rows[x][y] = -INF
+    for g, dead in [(g, -INF) for g in g_rows] + [(g, INF) for g in l_rows]:
+        for x in kills(nx):  # rows of c, the lines of the reverse view
+            for y, v in enumerate(g):
+                if v == dead:
+                    c_rows[x][y] = -INF
+    return c_rows, r_rows, g_rows, l_rows
+
+
+# no shrink phase: tables drawn from a seeded generator do not shrink
+@given(rows_mostly_plus_infinity())
+@settings(max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+def test_rows_mostly_plus_infinity_match_oracle(data):
+    _assert_kernel_rows_match_oracle(*data)
 
 
 def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
@@ -499,7 +572,7 @@ def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
     # -inf its reach row, so a call of only such rows sorts nothing; the
     # first row that scans sorts the view once, for every later call too.
     # On a view of at most _SCAN_WIDTH lines, a mixed row always scans
-    from gendual.extreal import _SCAN_WIDTH, conjugate_product, descending
+    from gendual.extreal import _FEW, _SCAN_WIDTH, conjugate_product, descending
 
     sorts = []
     build = descending.pairs.func
@@ -519,18 +592,25 @@ def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
     assert sorts == [view]
     # on a view of more lines than the cut-off, a row's -inf entries answer
     # the lines they reach by the view's ``above`` bitsets: a row that
-    # reaches every line sorts nothing, and one that reaches only some
-    # scans the others, sorting the view once
+    # reaches every line sorts nothing.  A row with at most _FEW entries
+    # strictly between the infinities takes the max of their terms on each
+    # line it leaves, or on every line if it has no -inf, and sorts nothing
+    # either; one with more scans, sorting the view once
     n = _SCAN_WIDTH + 1
-    wide = descending(tuple((float(j) if j % 2 else -INF, 2.0, -INF) for j in range(n)))
-    assert conjugate_product([[-INF, -INF, 0.0], [INF, -INF, 3.0]], wide) == [[INF] * n] * 2
-    assert sorts == [view] and "pairs" not in vars(wide)
-    # the odd lines are reached at index 0; the even ones are -inf there,
-    # and their scan is bounded by the least entry of f above -inf
+    pad = (0.0,) * _FEW
+    wide = descending(tuple((float(j) if j % 2 else -INF, 2.0, -INF, *pad) for j in range(n)))
+    plus_pad = [INF] * _FEW
+    assert conjugate_product([[-INF, -INF, 0.0, *plus_pad], [INF, -INF, 3.0, *plus_pad]],
+                             wide) == [[INF] * n] * 2
+    assert conjugate_product([[INF, 1.0, INF, *plus_pad]], wide) == [[1.0] * n]
+    # the odd lines are reached at index 0; the even ones are -inf there
     once = [INF if j % 2 else 1.0 for j in range(n)]
-    assert conjugate_product([[-INF, 1.0, 5.0]], wide) == [once]
-    assert conjugate_product([[-INF, 1.0, 5.0], [-INF, INF, 0.0]], wide) == [
-        once, [INF if j % 2 else -INF for j in range(n)]]
+    assert conjugate_product([[-INF, 1.0, 5.0, *plus_pad], [-INF, INF, 0.0, *plus_pad]],
+                             wide) == [once, [INF if j % 2 else -INF for j in range(n)]]
+    assert sorts == [view] and "pairs" not in vars(wide)
+    # with more than _FEW such entries the even lines scan, bounded by the
+    # least entry of f above -inf
+    assert conjugate_product([[-INF, 1.0, 5.0, *[9.0] * _FEW]], wide) == [once]
     assert sorts == [view, wide]
 
 

@@ -691,6 +691,29 @@ def test_unbounded_decisions_audit_without_a_sort():
     assert "pairs" in vars(c.sorted_cols) and "pairs" not in vars(c.sorted_rows)
 
 
+@pytest.mark.parametrize("value", [3.0, INF])
+def test_a_raised_entry_of_an_unbounded_couple_audits_without_a_sort(value):
+    # the couple of an R that is -inf everywhere has L = -inf everywhere, and
+    # one L entry raised from -inf makes -L_u +inf but for that entry, so
+    # rho_u = (-L_u)^{c'} is one term per line for a finite raise, and for a
+    # raise to +inf is +inf on the lines above -inf at that entry and -inf on
+    # the rest.  On views wider than _SCAN_WIDTH neither sorts
+    from gendual.extreal import _SCAN_WIDTH
+
+    n = _SCAN_WIDTH + 1
+    rng = random.Random(17)
+    U, X, Y = (FiniteSet([f"{k}{i}" for i in range(n)]) for k in "uxy")
+    table = [[float(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+    table[0][n // 2] = -INF  # a line that a raise to +inf at y = n/2 leaves
+    lag, r = make_couple(Rockafellian(U, X, [[-INF] * n] * n), Coupling(X, Y, table))
+    assert {v for row in lag.rows + r.rows for v in row} == {-INF}
+    raised = Lagrangian(U, Y, [[value if (u, y) == (2, n // 2) else -INF for y in range(n)]
+                               for u in range(n)])
+    c = Coupling(X, Y, table)
+    assert not audit(raised, r, c).is_couple
+    assert "pairs" not in vars(c.sorted_cols) and "pairs" not in vars(c.sorted_rows)
+
+
 def test_biconjugate_is_reused_from_equal_rows(count_conjugate_rows):
     # the coupling's -0.0 entries read as 0.0, so at u0 -L_u = [0.0] and
     # sigma_u = [0.0] are the same double: (R_u)^{cc'} is rho_u, not built

@@ -57,6 +57,16 @@ against each tree, in a fresh interpreter with that tree first on
     on R with an L whose row 3n/4 has a finite entry raised to 40, so that
     the inequality fails there, after minimality fails at the first
     decision;
+  - at n = 16, 64 and 128, indicator tables: rows of R that are +inf
+    but for k finite entries, and rows of L that are -inf but for k
+    entries, a tenth of them +inf, over an integer coupling with 10% of
+    each infinity, for k = 1, 2 and one value on each side of the kernel's
+    cut-off for few such entries (``extreal._FEW``, 6).  They go through
+    both transforms with ``--output``, ``conjugate`` on each side of a
+    function that is +inf but for k finite entries (on the dual side also
+    one -inf), and ``check-couple`` of the couple built from R, of R's
+    transform of L with L itself, and of each with one L entry raised in
+    row n/2 (in L itself, a -inf raised to 0);
   - malformed variants of a gallery file, one fault each (among them a
     top level that is not an object, a coupling with a row too few, and
     embeddings with a point too few, an empty point and mixed dimensions),
@@ -111,6 +121,8 @@ RAISED_SIZES = (16, 64)
 FIXED_ROW_SIZES = (4, 16)
 NEAR_OVERFLOW_SIZES = (4, 16)
 MIXED_SIZES = (16, 128)
+INDICATOR_SIZES = (16, 64, 128)
+INDICATOR_KS = (1, 2, 6, 7)
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 FUZZ_TOL0_SEEDS = range(4)
@@ -196,6 +208,15 @@ def _mixed_rows(rng, n):
     row = raised[3 * n // 4]
     row[next(j for j, v in enumerate(row) if v != "-inf")] = 40
     return c, lag, raised
+
+
+def _indicator(rng, n, k, rest, p_plus=0.0):
+    """A row that is ``rest`` but for k entries, integers or, with
+    probability ``p_plus``, +inf."""
+    row = [rest] * n
+    for j in rng.sample(range(n), k):
+        row[j] = "inf" if rng.random() < p_plus else rng.randint(-10, 10)
+    return row
 
 
 def _function(rng, family, n):
@@ -412,6 +433,30 @@ def write_inputs(root):
         commands.append(["to-rockafellian", f"{tag}l.json", "--output", f"out/mixed{n}r.json"])
         commands += _audits(f"out/mixed{n}r.json", f"{tag}l.json")
         commands += _audits(f"out/mixed{n}r.json", f"{tag}l_raised.json")
+    for n, k in itertools.product(INDICATOR_SIZES, INDICATOR_KS):
+        tag, out = f"rand/indicator{n}k{k}", f"out/indicator{n}k{k}"
+        c = _table(rng, "integer", n)
+        r = [_indicator(rng, n, k, "inf") for _ in range(n)]
+        lag = [_indicator(rng, n, k, "-inf", INF_SHARE) for _ in range(n)]
+        for suffix, text in (("r", _problem(n, c, rockafellian=r)),
+                             ("l", _problem(n, c, lagrangian=lag))):
+            (root / f"{tag}{suffix}.json").write_text(text, encoding="utf-8")
+        f_x = ",".join(map(str, _indicator(rng, n, k, "inf")))
+        g_y = _indicator(rng, n, k, "inf")
+        g_y[next(j for j, v in enumerate(g_y) if v == "inf")] = "-inf"
+        commands += [
+            ["to-lagrangian", f"{tag}r.json", "--output", f"{out}l1.json"],
+            ["to-rockafellian", f"{out}l1.json", "--output", f"{out}r1.json"],
+            ["to-rockafellian", f"{tag}l.json", "--output", f"{out}r2.json"],
+            ["conjugate", f"{tag}r.json", f"--function={f_x}"],
+            ["conjugate", f"{tag}l.json", "--side", "dual",
+             f"--function={','.join(map(str, g_y))}"],
+        ]
+        for pair, raised in (((f"{out}r1.json", f"{out}l1.json"), f"{out}l1_raised.json"),
+                             ((f"{out}r2.json", f"{tag}l.json"), f"{out}l_raised.json")):
+            commands += [["check-couple", *pair],
+                         ["raise", pair[1], raised, "lagrangian", str(n // 2)],
+                         ["check-couple", pair[0], raised]]
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
