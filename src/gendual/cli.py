@@ -180,9 +180,9 @@ def _csv_field(text: str) -> str:
 
 
 def _render_function(labels, values, fmt: str) -> str:
-    from .problems import _array, _object, _row_block, _string
+    from .problems import _array, _object, _row_block, _string, table_tokens
 
-    rendered = list(map(float.__repr__, values))
+    (rendered,) = table_tokens((values,))
     if fmt == "csv":
         lines = ["label,value"]
         lines += [f"{_csv_field(lab)},{val}" for lab, val in zip(labels, rendered)]

@@ -49,7 +49,8 @@ only what a row of the product reads:
     costs no scan and no sort;
   - on such a view, a line that the bitsets leave, and every line of a
     row without -inf entries, is answered directly when the set K of f's
-    entries strictly between the infinities has at most ``_FEW`` members:
+    entries strictly between the infinities has at most ``_few(m)``
+    members, the largest k with k * k <= 1.25 * m for lines of m entries:
     max over k in K of c[k] - f(k), or -inf when K is empty.  A +inf entry
     of f never wins a sup, since c[k] lower-add (-inf) is -inf, and a line
     the bitsets leave is -inf at every -inf entry of f.  No sort;
@@ -256,14 +257,19 @@ class descending:
 # ``above`` costs more than the scans it saves up to about 12 lines, and on
 # couplings dense in -inf up to more; the sweep is in CHANGES.md.
 _SCAN_WIDTH = 16
-# On a view of more than _SCAN_WIDTH lines, a row with at most this many
-# entries strictly between the infinities takes the max of those entries'
-# terms on each line instead of the scan.  That costs width * |K| C-level
-# steps against one sort and about width * n / |K| Python steps of the
-# scan.  On views already sorted the two cost the same near |K|^2 = 1.5 *
-# width, and at 6 the direct path is at most 1.7x the scan at 17 lines and
-# 1.14x at 24; the sweep at widths 17-256 is in CHANGES.md.
-_FEW = 6
+
+
+def _few(length: int) -> int:
+    """On a view of more than ``_SCAN_WIDTH`` lines of ``length`` entries,
+    the most entries strictly between the infinities that a row may have to
+    take the max of those entries' terms on each line instead of the scan:
+    the largest k with k * k <= 1.25 * length.  That costs |K| C-level
+    steps per line against one sort per view and about length / |K| Python
+    steps per line of the scan, so the break-even follows the length of the
+    lines, not their number.  On views already sorted the two cost the same
+    near |K|^2 = 1.13 * length (0.94-1.33 at lengths 17-256 and 64 or 256
+    lines); the sweep is in CHANGES.md."""
+    return math.isqrt(5 * length // 4)
 
 
 def conjugate_product(f_rows, view) -> list[list[float]]:
@@ -278,14 +284,15 @@ def conjugate_product(f_rows, view) -> list[list[float]]:
     reaches is +inf, and a row that reaches every line neither scans nor
     sorts.  On such a view, each line the bitsets leave, and every line of
     a row without -inf entries, is answered by ``_direct`` when the set K
-    of f's entries strictly between the infinities has at most ``_FEW``
-    members: max over k in K of b_j[k] - f[k], or -inf when K is empty,
-    with no sort.  Every other line scans the view's ``pairs``, fetched once per
-    call and sorted once per view.  Each scan visits k in the line's order
-    and stops once the bound b_j[k] - low is at most the best difference so
-    far, or at +inf, where low is the least entry of f above -inf if f's
-    -inf entries were answered by ``above``, and min(f) if not.  The module
-    docstring says why the result is exact."""
+    of f's entries strictly between the infinities has at most ``_few(m)``
+    members, for lines of m entries: max over k in K of b_j[k] - f[k], or
+    -inf when K is empty, with no sort.  Every other line scans the view's
+    ``pairs``, fetched once per call and sorted once per view.  Each scan
+    visits k in the line's order and stops once the bound b_j[k] - low is
+    at most the best difference so far, or at +inf, where low is the least
+    entry of f above -inf if f's -inf entries were answered by ``above``,
+    and min(f) if not.  The module docstring says why the result is
+    exact."""
     if view.width > _SCAN_WIDTH:
         return _wide_product(f_rows, view)
     out = []
@@ -310,6 +317,7 @@ def _wide_product(f_rows, view) -> list[list[float]]:
     width once per call, not once per row."""
     out = []
     pairs = None
+    few = _few(len(view.lines[0]))
     for f in f_rows:
         low = min(f)
         if low == _INF:
@@ -318,8 +326,8 @@ def _wide_product(f_rows, view) -> list[list[float]]:
             if f[0] == -_INF and max(f) == -_INF:
                 out.append(list(view.reach))
             else:
-                out.append(_reached_row(f, view))
-        elif len(f) - f.count(_INF) <= _FEW:
+                out.append(_reached_row(f, view, few))
+        elif len(f) - f.count(_INF) <= few:
             out.append(_direct(f, view.lines))
         else:
             if pairs is None:
@@ -364,12 +372,12 @@ def _direct(f, lines) -> list[float]:
     return list(cols[0]) if len(cols) == 1 else list(map(max, *cols))
 
 
-def _reached_row(f, view) -> list[float]:
+def _reached_row(f, view, few) -> list[float]:
     """The conjugate of a row f with some -inf entries among others, over a
     view of more than ``_SCAN_WIDTH`` lines.  The lines that the ``above``
     bitsets of f's -inf entries reach are +inf.  A line they do not reach
     is -inf at every -inf entry of f, so none of those is in its order:
-    ``_direct`` answers it if f has at most ``_FEW`` entries strictly
+    ``_direct`` answers it if f has at most ``few`` entries strictly
     between the infinities, and otherwise its scan is bounded by the least
     entry of f above -inf."""
     reached = reduce(or_, compress(view.above, map(eq, f, repeat(-_INF))))
@@ -383,7 +391,7 @@ def _reached_row(f, view) -> list[float]:
         bit = rest & -rest
         unreached.append(bit.bit_length() - 1)
         rest ^= bit
-    if len(f) - f.count(_INF) - f.count(-_INF) <= _FEW:
+    if len(f) - f.count(_INF) - f.count(-_INF) <= few:
         lines = view.lines
         values = _direct(f, [lines[j] for j in unreached])
     else:

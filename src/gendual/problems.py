@@ -19,6 +19,15 @@ read, as one with a literal beyond the double range does, is read again
 entry by entry, to name the bad entry.  Embedding coordinates are checked
 once too, in ``_points``, and their dot products are taken without the
 coordinate checks of ``bilinear_coupling``.
+
+Tables are written, and rendered by the CLI, from their ``table_tokens``:
+``float.__repr__`` of each entry.  A table with few distinct doubles takes
+one ``float.__repr__`` per distinct double and maps each row through that
+memo; one whose first row, or the whole table, has more than a quarter of
+its entries distinct is formatted entry by entry, from the row where the
+share is passed.  A table holding -0.0 beside 0.0 is formatted entry by
+entry too, since a dict keys the two zeros as one, so its -0.0 is written
+as -0.0.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, filterfalse, repeat
 from operator import is_
 
 from json.encoder import encode_basestring_ascii as _string
@@ -378,16 +387,62 @@ def _object(members, depth: int) -> str:
     ) + f"{pad}}}"
 
 
+# A table is formatted through a memo of its distinct doubles while at most
+# 1/_MEMO_SHARE of its entries are distinct.  At n = 256 the memo's lookups
+# and its one call per distinct double cost as much as one
+# ``float.__repr__`` per entry near a distinct share of 0.55 for 17-digit
+# fractions and near 0.3 for short tokens such as "3.0"; the sweep is in
+# CHANGES.md.
+_MEMO_SHARE = 4
+
+
+class _Tokens(dict):
+    """``float.__repr__`` of each double looked up, made on its first
+    lookup: ``__getitem__`` calls ``__missing__`` only for a key not held
+    yet."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        token = self[value] = float.__repr__(value)
+        return token
+
+
 def table_tokens(rows) -> list[list[str]]:
-    """The rows of a table as text, one ``float.__repr__`` per entry (which
-    is ``render_extreal`` on every double that is not NaN).  The CLI makes
-    this one pass per result table and builds both its stdout rendering and
-    the table's ``table_block`` from it."""
-    return list(map(_tokens, rows))
+    """The rows of a table (a sequence of rows of doubles) as text:
+    ``float.__repr__`` of each entry, which is ``render_extreal`` on every
+    double that is not NaN.  The CLI makes this one pass per result table
+    and builds both its stdout rendering and the table's ``table_block``
+    from it.
+
+    Each row is mapped in one C-level ``map`` through a ``_Tokens`` memo,
+    which calls ``float.__repr__`` once per distinct double, while at most
+    1/_MEMO_SHARE of the entries are distinct.  That is tested on the first
+    row, at the cost of its set, and then on the memo before each row, so
+    a table of distinct doubles under a repeated first row takes about
+    1/_MEMO_SHARE of its entries through the memo and the rest entry by
+    entry.  A table holding -0.0 beside the memo's zero is formatted entry
+    by entry, since a dict keys the two zeros as one; the pass that looks
+    for it runs only when the memo holds a zero."""
+    first = rows[0] if rows else ()
+    if len(set(first)) * _MEMO_SHARE > len(first):
+        return _reprs(rows)
+    memo = _Tokens()
+    get = memo.__getitem__
+    limit = len(rows) * len(first) // _MEMO_SHARE
+    tokens = []
+    for row in rows:
+        if len(memo) > limit:
+            break
+        tokens.append(list(map(get, row)))
+    if 0.0 in memo and -1.0 in map(
+            math.copysign, repeat(1.0), filterfalse(None, chain.from_iterable(rows))):
+        return _reprs(rows)
+    return tokens + _reprs(rows[len(tokens):])
 
 
-def _tokens(row) -> list[str]:
-    return list(map(float.__repr__, row))
+def _reprs(rows) -> list[list[str]]:
+    return [list(map(float.__repr__, row)) for row in rows]
 
 
 def _row_block(tokens, depth: int = 2) -> str:
@@ -427,7 +482,7 @@ def serialize_problem(problem: Problem, *, blocks=None) -> str:
         tables.append(("coupling", problem.coupling))
     for key, table in tables:
         if table is not None:
-            parts[key] = made.get(key) or table_block(map(_tokens, table.rows))
+            parts[key] = made.get(key) or table_block(table_tokens(table.rows))
     return _object(
         [(key, parts[key]) for key in _TOP_KEYS if key in parts], 0
     ) + "\n"

@@ -514,16 +514,17 @@ def rows_mostly_plus_infinity(draw):
     """(c, R, G, L) rows whose kernel rows are +inf but for a few entries,
     some of them -inf: R's rows for the conjugate and the Lagrangian, G's
     for the reverse conjugate, and -L's for the Rockafellian, so L's rows
-    are -inf but for a few entries, some of them +inf.  A row keeps 0, 1,
-    2, ``extreal._FEW`` or ``_FEW + 1`` entries, on both sides of the
-    cut-off of the kernel's direct path, over widths on both sides of
+    are -inf but for a few entries, some of them +inf.  A row of m entries
+    keeps 0, 1, 2, ``extreal._few(m)`` - 1, ``_few(m)`` or ``_few(m)`` + 1
+    entries, just below, at and just above the cut-off of the kernel's
+    direct path for lines of m entries, over widths on both sides of
     ``extreal._SCAN_WIDTH``.
 
     The coupling holds both infinities among finite entries of one kind (see
     ``_finite_draw``).  Some lines of the coupling are made -inf at every
     -inf index of a kernel row, so that its ``above`` bitsets leave them to
     the direct path or the scan."""
-    from gendual.extreal import _FEW
+    from gendual.extreal import _few
 
     rng = draw(st.randoms(use_true_random=True))
     width = lambda: rng.choice([rng.randint(1, 16), rng.randint(17, 64)])
@@ -537,7 +538,8 @@ def rows_mostly_plus_infinity(draw):
 
     def row(m, rest, other):
         out = [rest] * m
-        for k in rng.sample(range(m), min(m, rng.choice([0, 1, 2, _FEW, _FEW + 1]))):
+        few = _few(m)
+        for k in rng.sample(range(m), min(m, rng.choice([0, 1, 2, few - 1, few, few + 1]))):
             out[k] = other if rng.random() < 0.2 else finite()
         return out
 
@@ -572,7 +574,7 @@ def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
     # -inf its reach row, so a call of only such rows sorts nothing; the
     # first row that scans sorts the view once, for every later call too.
     # On a view of at most _SCAN_WIDTH lines, a mixed row always scans
-    from gendual.extreal import _FEW, _SCAN_WIDTH, conjugate_product, descending
+    from gendual.extreal import _SCAN_WIDTH, _few, conjugate_product, descending
 
     sorts = []
     build = descending.pairs.func
@@ -592,14 +594,17 @@ def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
     assert sorts == [view]
     # on a view of more lines than the cut-off, a row's -inf entries answer
     # the lines they reach by the view's ``above`` bitsets: a row that
-    # reaches every line sorts nothing.  A row with at most _FEW entries
-    # strictly between the infinities takes the max of their terms on each
-    # line it leaves, or on every line if it has no -inf, and sorts nothing
-    # either; one with more scans, sorting the view once
+    # reaches every line sorts nothing.  A row with at most _few(m) entries
+    # strictly between the infinities, for lines of m entries, takes the
+    # max of their terms on each line it leaves, or on every line if it has
+    # no -inf, and sorts nothing either; one with more scans, sorting the
+    # view once
     n = _SCAN_WIDTH + 1
-    pad = (0.0,) * _FEW
+    pad = (0.0,) * 6
     wide = descending(tuple((float(j) if j % 2 else -INF, 2.0, -INF, *pad) for j in range(n)))
-    plus_pad = [INF] * _FEW
+    few = _few(len(pad) + 3)
+    assert 2 <= few <= len(pad)
+    plus_pad = [INF] * len(pad)
     assert conjugate_product([[-INF, -INF, 0.0, *plus_pad], [INF, -INF, 3.0, *plus_pad]],
                              wide) == [[INF] * n] * 2
     assert conjugate_product([[INF, 1.0, INF, *plus_pad]], wide) == [[1.0] * n]
@@ -608,9 +613,11 @@ def test_rows_fixed_at_an_infinity_leave_the_view_unsorted(monkeypatch):
     assert conjugate_product([[-INF, 1.0, 5.0, *plus_pad], [-INF, INF, 0.0, *plus_pad]],
                              wide) == [once, [INF if j % 2 else -INF for j in range(n)]]
     assert sorts == [view] and "pairs" not in vars(wide)
-    # with more than _FEW such entries the even lines scan, bounded by the
+    # with _few(m) + 1 such entries the even lines scan, bounded by the
     # least entry of f above -inf
-    assert conjugate_product([[-INF, 1.0, 5.0, *[9.0] * _FEW]], wide) == [once]
+    scans = [-INF, 1.0, 5.0, *plus_pad]
+    scans[3:few + 2] = [9.0] * (few - 1)
+    assert conjugate_product([scans], wide) == [once]
     assert sorts == [view, wide]
 
 

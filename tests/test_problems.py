@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gendual import (
     Coupling,
@@ -434,3 +434,35 @@ def test_structured_output_is_json_dumps_with_indent_2(row_labels, col_labels, d
     payload = {"labels": col_labels, "values": payload["entries"][0]}
     got = _render_function(col_labels, rows[0], "structured")
     assert got == json.dumps(payload, indent=2) + "\n"
+
+
+@st.composite
+def token_tables(draw):
+    """Tables on both sides of ``table_tokens``' memo rule: entries from a
+    pool of at most four doubles, from one that mixes 0.0 and -0.0 with
+    them, or distinct ones, and a first row of one double over rows of
+    distinct ones, or the reverse.  The entries hold both infinities,
+    subnormals and +-DBL_MAX."""
+    n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 40))
+    pool = draw(st.lists(entries, min_size=1, max_size=4))
+    shape = draw(st.sampled_from(
+        ["grid", "signed zeros", "distinct", "constant first", "constant rest"]))
+    if shape in ("grid", "signed zeros"):
+        values = st.sampled_from(pool + [0.0, -0.0] if shape == "signed zeros" else pool)
+        return [draw(st.lists(values, min_size=n_cols, max_size=n_cols))
+                for _ in range(n_rows)]
+    distinct = lambda: draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
+    constant = lambda: [draw(entries)] * n_cols
+    if shape == "distinct":
+        return [distinct() for _ in range(n_rows)]
+    first, rest = (constant, distinct) if shape == "constant first" else (distinct, constant)
+    return [first()] + [rest() for _ in range(n_rows - 1)]
+
+
+@given(token_tables())
+@example([[0.0, -0.0, 0.0, 0.0]] * 3)
+@settings(max_examples=300)
+def test_table_tokens_are_each_entry_repr(rows):
+    # a memo of the table's distinct doubles keys 0.0 and -0.0 as one, so
+    # a table holding both takes one repr per entry
+    assert table_tokens(rows) == [[float.__repr__(v) for v in row] for row in rows]

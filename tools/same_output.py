@@ -60,13 +60,23 @@ against each tree, in a fresh interpreter with that tree first on
   - at n = 16, 64 and 128, indicator tables: rows of R that are +inf
     but for k finite entries, and rows of L that are -inf but for k
     entries, a tenth of them +inf, over an integer coupling with 10% of
-    each infinity, for k = 1, 2 and one value on each side of the kernel's
-    cut-off for few such entries (``extreal._FEW``, 6).  They go through
-    both transforms with ``--output``, ``conjugate`` on each side of a
-    function that is +inf but for k finite entries (on the dual side also
-    one -inf), and ``check-couple`` of the couple built from R, of R's
-    transform of L with L itself, and of each with one L entry raised in
-    row n/2 (in L itself, a -inf raised to 0);
+    each infinity, for k = 1, 2, 6 and 7, and, after the family below, at
+    n = 64 and 128 for k at the kernel's cut-off for few such entries on
+    lines of n entries (``extreal._few``: 8 and 12) and one above it.
+    They go through both transforms with ``--output``, ``conjugate`` on
+    each side of a function that is +inf but for k finite entries (on the
+    dual side also one -inf), and ``check-couple`` of the couple built
+    from R, of R's transform of L with L itself, and of each with one L
+    entry raised in row n/2 (in L itself, a -inf raised to 0);
+  - at n = 64, tables on the boundary of the formatting memo, which takes
+    one ``float.__repr__`` per distinct double of a table only when its
+    first row and the table hold few distinct values: a coupling whose
+    first row is one fractional value over fractional rows, with an R
+    whose first row is +inf everywhere over fractional rows, and the
+    reverse, a fractional first row over rows that are each one value
+    (coupling) or +inf everywhere (R).  They go through ``to-lagrangian``
+    with ``--output`` in every format, ``to-rockafellian`` of that file
+    with ``--output``, and ``check-couple`` of the two files written;
   - malformed variants of a gallery file, one fault each (among them a
     top level that is not an object, a coupling with a row too few, and
     embeddings with a point too few, an empty point and mixed dimensions),
@@ -123,6 +133,10 @@ NEAR_OVERFLOW_SIZES = (4, 16)
 MIXED_SIZES = (16, 128)
 INDICATOR_SIZES = (16, 64, 128)
 INDICATOR_KS = (1, 2, 6, 7)
+BOUNDARY_SIZE = 64
+# the kernel's cut-off for few entries off the infinities on lines of 64
+# and of 128 entries (``extreal._few``), and one more
+CUT_OFF_INDICATORS = ((64, 8), (64, 9), (128, 12), (128, 13))
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 FUZZ_TOL0_SEEDS = range(4)
@@ -219,6 +233,19 @@ def _indicator(rng, n, k, rest, p_plus=0.0):
     return row
 
 
+def _boundary(rng, n, constant_first):
+    """A coupling and an R table of fractional rows with 10% of each
+    infinity, except, with ``constant_first``, their first rows: one
+    fractional value in the coupling and +inf in R; without it, every row
+    but the first: one value per row in the coupling and +inf in R."""
+    c, r = _table(rng, "fractional", n), _table(rng, "fractional", n)
+    rows = [0] if constant_first else range(1, n)
+    for i in rows:
+        c[i] = [rng.randint(-100, 100) / 10 + rng.random()] * n
+        r[i] = ["inf"] * n
+    return c, r
+
+
 def _function(rng, family, n):
     return ",".join(str(_value(rng, family)) for _ in range(n))
 
@@ -283,6 +310,35 @@ def raise_entry(src, dst, table, row, zero=""):
                 row[j] = 0.0 if v == "-inf" else v + 1.0
                 Path(dst).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
                 return
+
+
+def _indicator_commands(root, rng, n, k):
+    """Write the indicator tables of size n with k entries per row off
+    their infinity under ``root``; return their commands."""
+    tag, out = f"rand/indicator{n}k{k}", f"out/indicator{n}k{k}"
+    c = _table(rng, "integer", n)
+    r = [_indicator(rng, n, k, "inf") for _ in range(n)]
+    lag = [_indicator(rng, n, k, "-inf", INF_SHARE) for _ in range(n)]
+    for suffix, text in (("r", _problem(n, c, rockafellian=r)),
+                         ("l", _problem(n, c, lagrangian=lag))):
+        (root / f"{tag}{suffix}.json").write_text(text, encoding="utf-8")
+    f_x = ",".join(map(str, _indicator(rng, n, k, "inf")))
+    g_y = _indicator(rng, n, k, "inf")
+    g_y[next(j for j, v in enumerate(g_y) if v == "inf")] = "-inf"
+    commands = [
+        ["to-lagrangian", f"{tag}r.json", "--output", f"{out}l1.json"],
+        ["to-rockafellian", f"{out}l1.json", "--output", f"{out}r1.json"],
+        ["to-rockafellian", f"{tag}l.json", "--output", f"{out}r2.json"],
+        ["conjugate", f"{tag}r.json", f"--function={f_x}"],
+        ["conjugate", f"{tag}l.json", "--side", "dual",
+         f"--function={','.join(map(str, g_y))}"],
+    ]
+    for pair, raised in (((f"{out}r1.json", f"{out}l1.json"), f"{out}l1_raised.json"),
+                         ((f"{out}r2.json", f"{tag}l.json"), f"{out}l_raised.json")):
+        commands += [["check-couple", *pair],
+                     ["raise", pair[1], raised, "lagrangian", str(n // 2)],
+                     ["check-couple", pair[0], raised]]
+    return commands
 
 
 def write_inputs(root):
@@ -434,29 +490,20 @@ def write_inputs(root):
         commands += _audits(f"out/mixed{n}r.json", f"{tag}l.json")
         commands += _audits(f"out/mixed{n}r.json", f"{tag}l_raised.json")
     for n, k in itertools.product(INDICATOR_SIZES, INDICATOR_KS):
-        tag, out = f"rand/indicator{n}k{k}", f"out/indicator{n}k{k}"
-        c = _table(rng, "integer", n)
-        r = [_indicator(rng, n, k, "inf") for _ in range(n)]
-        lag = [_indicator(rng, n, k, "-inf", INF_SHARE) for _ in range(n)]
-        for suffix, text in (("r", _problem(n, c, rockafellian=r)),
-                             ("l", _problem(n, c, lagrangian=lag))):
-            (root / f"{tag}{suffix}.json").write_text(text, encoding="utf-8")
-        f_x = ",".join(map(str, _indicator(rng, n, k, "inf")))
-        g_y = _indicator(rng, n, k, "inf")
-        g_y[next(j for j, v in enumerate(g_y) if v == "inf")] = "-inf"
+        commands += _indicator_commands(root, rng, n, k)
+    for name, constant_first in (("first", True), ("rest", False)):
+        tag = f"boundary{BOUNDARY_SIZE}{name}"
+        c, r = _boundary(rng, BOUNDARY_SIZE, constant_first)
+        (root / f"rand/{tag}r.json").write_text(
+            _problem(BOUNDARY_SIZE, c, rockafellian=r), encoding="utf-8")
+        commands += [["to-lagrangian", f"rand/{tag}r.json", "--output", f"out/{tag}l1.json",
+                      "--format", fmt] for fmt in FORMATS]
         commands += [
-            ["to-lagrangian", f"{tag}r.json", "--output", f"{out}l1.json"],
-            ["to-rockafellian", f"{out}l1.json", "--output", f"{out}r1.json"],
-            ["to-rockafellian", f"{tag}l.json", "--output", f"{out}r2.json"],
-            ["conjugate", f"{tag}r.json", f"--function={f_x}"],
-            ["conjugate", f"{tag}l.json", "--side", "dual",
-             f"--function={','.join(map(str, g_y))}"],
+            ["to-rockafellian", f"out/{tag}l1.json", "--output", f"out/{tag}r1.json"],
+            ["check-couple", f"out/{tag}r1.json", f"out/{tag}l1.json"],
         ]
-        for pair, raised in (((f"{out}r1.json", f"{out}l1.json"), f"{out}l1_raised.json"),
-                             ((f"{out}r2.json", f"{tag}l.json"), f"{out}l_raised.json")):
-            commands += [["check-couple", *pair],
-                         ["raise", pair[1], raised, "lagrangian", str(n // 2)],
-                         ["check-couple", pair[0], raised]]
+    for n, k in CUT_OFF_INDICATORS:
+        commands += _indicator_commands(root, rng, n, k)
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
