@@ -34,33 +34,32 @@ Lagrangian's inf_x [R(u,x) upper-add -c(x,y)] is 0.0 - (R_u)^c(y),
 exactly, since negation is exact, rounding is sign-symmetric and the two
 additions send the opposite-infinity pair to opposite infinities.  One
 side of the product is always a coupling, read through its ``descending``
-view, a lazy object that holds the coupling's lines and builds on first use
-only what a row of the product reads:
-  - a row f of +inf everywhere (an empty domain) gives -inf on every line:
-    no scan and no sort;
-  - a row f of -inf everywhere gives the view's ``reach`` row, +inf on each
-    line with an entry above -inf and -inf on the rest, built once per
-    view: no scan and no sort;
-  - on a view of more than ``_SCAN_WIDTH`` lines, a row with some -inf
-    entries among others ORs the view's ``above`` bitsets of those
-    entries, one int per index k with bit j set where line j has
-    c[k] > -inf, built once per view.  Each line reached is +inf, since
-    c[k] lower-add -f(k) is +inf there; a row that reaches every line
-    costs no scan and no sort;
-  - on such a view, a line that the bitsets leave, and every line of a
-    row without -inf entries, is answered directly when the set K of f's
-    entries strictly between the infinities has at most ``_few(m)``
-    members, the largest k with k * k <= 1.25 * m for lines of m entries:
-    max over k in K of c[k] - f(k), or -inf when K is empty.  A +inf entry
-    of f never wins a sup, since c[k] lower-add (-inf) is -inf, and a line
-    the bitsets leave is -inf at every -inf entry of f.  No sort;
-  - every other line scans the view's ``pairs``: per line, the indices of
-    the entries above -inf, largest entry first, sorted once per view on
-    the first row that scans.  A scan visits k in that order and stops
-    once c[k] - low cannot beat the best difference so far, so the
-    coupling's -inf entries are never visited.  low is min(f), or the
-    least entry of f above -inf after the bitsets: a line they do not
-    reach is -inf at every -inf of f, so no such k is in its order.
+view, whose lines b are the coupling's columns or its rows.
+
+The kernel is one rule, per row f and line b.  The line is +inf where f's
+-inf entries reach it: f(k) = -inf and b[k] > -inf for some k, as
+b[k] lower-add (+inf) is +inf.  Every other line is ``_direct``'s max of
+b[k] - f(k) over the set K of f's entries strictly between the
+infinities, or -inf when K is empty: there a +inf entry of f has the term
+b[k] lower-add (-inf) = -inf, and a -inf entry has b[k] = -inf.  The
+view builds three devices, each on first read and then kept, that answer
+the rule with less work:
+  - ``reach``, per line +inf if it has an entry above -inf, else -inf: the
+    answer to a row of -inf everywhere, on every view.  A row of +inf
+    everywhere (an empty domain) is -inf on every line and reads nothing;
+  - ``above``, per index k one int with bit j set where line j has
+    b[k] > -inf.  On a view of more than ``_SCAN_WIDTH`` lines, any other
+    row ORs the bitsets of its -inf entries, if it has some: the lines
+    reached are +inf, and a row that reaches every line reads nothing
+    else.  ``_direct`` answers the lines left when |K| <= ``_few(m)``, for
+    lines of m entries, and the scan when not;
+  - ``pairs``, per line the indices of its entries above -inf, largest
+    entry first, sorted once per view: the order of the scan, which also
+    answers every other row of a view of at most ``_SCAN_WIDTH`` lines.  A
+    scan visits k in that order and stops once b[k] - low cannot beat the
+    best difference so far, so the line's -inf entries are never visited.
+    low is min(f), or the least entry of f above -inf once ``above`` has
+    answered f's -inf entries, since every line left is -inf at each.
 The kernel is exact and returns plain doubles that are never NaN:
   - a difference is NaN only for two equal infinities, which the
     comparisons never select, just as the -inf that the lower addition
@@ -252,58 +251,44 @@ class descending:
         return sets
 
 
-# A view of at most this many lines answers every row not fixed at an
-# infinity by its scan.  On tables with 10% of each infinity, building
-# ``above`` costs more than the scans it saves up to about 12 lines, and on
-# couplings dense in -inf up to more; the sweep is in CHANGES.md.
+# A view of at most this many lines scans every row not fixed at an
+# infinity.  On tables with 10% of each infinity, building ``above`` costs
+# more than the scans it saves up to about 12 lines, and on couplings dense
+# in -inf up to more; the sweep is in CHANGES.md.
 _SCAN_WIDTH = 16
 
 
 def _few(length: int) -> int:
-    """On a view of more than ``_SCAN_WIDTH`` lines of ``length`` entries,
-    the most entries strictly between the infinities that a row may have to
-    take the max of those entries' terms on each line instead of the scan:
-    the largest k with k * k <= 1.25 * length.  That costs |K| C-level
-    steps per line against one sort per view and about length / |K| Python
-    steps per line of the scan, so the break-even follows the length of the
-    lines, not their number.  On views already sorted the two cost the same
+    """The most entries strictly between the infinities for which a row
+    answers the lines of a wide view by ``_direct``, on lines of ``length``
+    entries: the largest k with k * k <= 1.25 * length.  ``_direct`` costs
+    |K| C-level steps per line, against one sort per view and about
+    length / |K| Python steps per line of the scan, so the break-even
+    follows the lines' length, not their number: on sorted views it is
     near |K|^2 = 1.13 * length (0.94-1.33 at lengths 17-256 and 64 or 256
-    lines); the sweep is in CHANGES.md."""
+    lines).  The sweep is in CHANGES.md."""
     return math.isqrt(5 * length // 4)
 
 
 def conjugate_product(f_rows, view) -> list[list[float]]:
     """P[i][j] = sup_k [b_j[k] lower-add -f_i[k]], computed as
     b_j[k] - f_i[k], over the lines b_j of a ``descending`` view: row i is
-    the c-conjugate of the row f_i.
-
-    A row f that is +inf everywhere gives -inf on every line, and one that
-    is -inf everywhere a copy of the view's ``reach``: neither scans nor
-    sorts.  On a view of more than ``_SCAN_WIDTH`` lines, any other row with
-    -inf entries ORs the ``above`` bitsets of those entries: each line it
-    reaches is +inf, and a row that reaches every line neither scans nor
-    sorts.  On such a view, each line the bitsets leave, and every line of
-    a row without -inf entries, is answered by ``_direct`` when the set K
-    of f's entries strictly between the infinities has at most ``_few(m)``
-    members, for lines of m entries: max over k in K of b_j[k] - f[k], or
-    -inf when K is empty, with no sort.  Every other line scans the view's
-    ``pairs``, fetched once per call and sorted once per view.  Each scan
-    visits k in the line's order and stops once the bound b_j[k] - low is
-    at most the best difference so far, or at +inf, where low is the least
-    entry of f above -inf if f's -inf entries were answered by ``above``,
-    and min(f) if not.  The module docstring says why the result is
-    exact."""
-    if view.width > _SCAN_WIDTH:
-        return _wide_product(f_rows, view)
+    the c-conjugate of the row f_i.  The module docstring states the rule
+    of each row, the view's devices that answer it, and its exactness."""
+    width = view.width
+    wide = width > _SCAN_WIDTH
+    few = _few(len(view.lines[0])) if wide else 0
     out = []
     pairs = None
     for f in f_rows:
         low = min(f)
         if low == _INF:
-            out.append([-_INF] * view.width)
+            out.append([-_INF] * width)
         # f[0] first, so that a mixed row rarely pays the pass of max(f)
         elif low == -_INF and f[0] == -_INF and max(f) == -_INF:
             out.append(list(view.reach))
+        elif wide:
+            out.append(_wide_row(f, low, view, few))
         else:
             if pairs is None:
                 pairs = view.pairs
@@ -311,29 +296,38 @@ def conjugate_product(f_rows, view) -> list[list[float]]:
     return out
 
 
-def _wide_product(f_rows, view) -> list[list[float]]:
-    """``conjugate_product`` on a view of more than ``_SCAN_WIDTH`` lines.
-    A separate loop, so that the narrow views of small instances test the
-    width once per call, not once per row."""
-    out = []
-    pairs = None
-    few = _few(len(view.lines[0]))
-    for f in f_rows:
-        low = min(f)
-        if low == _INF:
-            out.append([-_INF] * view.width)
-        elif low == -_INF:
-            if f[0] == -_INF and max(f) == -_INF:
-                out.append(list(view.reach))
-            else:
-                out.append(_reached_row(f, view, few))
-        elif len(f) - f.count(_INF) <= few:
-            out.append(_direct(f, view.lines))
-        else:
-            if pairs is None:
-                pairs = view.pairs
-            out.append(_scan(pairs, f, low))
-    return out
+def _wide_row(f, low, view, few) -> list[float]:
+    """Row f of ``conjugate_product``, with low = min(f), not fixed at an
+    infinity, on a view of more than ``_SCAN_WIDTH`` lines: the module
+    docstring's rule through ``above``, then through ``_direct`` if f has
+    at most ``few`` entries strictly between the infinities, else the scan."""
+    width = view.width
+    left = None  # the lines that f's -inf entries do not reach, if it has any
+    if low == -_INF:
+        rest = ((1 << width) - 1) ^ reduce(
+            or_, compress(view.above, map(eq, f, repeat(-_INF))))
+        if not rest:
+            return [_INF] * width
+        left = []  # the indices of the bits of rest, lowest first
+        while rest:
+            bit = rest & -rest
+            left.append(bit.bit_length() - 1)
+            rest ^= bit
+    if len(f) - f.count(_INF) - f.count(-_INF) <= few:
+        lines = view.lines
+        values = _direct(f, lines if left is None else [lines[j] for j in left])
+    else:
+        pairs = view.pairs
+        if left is not None:
+            pairs = [pairs[j] for j in left]
+            low = min(filter((-_INF).__lt__, f))
+        values = _scan(pairs, f, low)
+    if left is None:
+        return values
+    row = [_INF] * width
+    for j, v in zip(left, values):
+        row[j] = v
+    return row
 
 
 def _scan(pairs, f, low) -> list[float]:
@@ -357,50 +351,15 @@ def _scan(pairs, f, low) -> list[float]:
 
 
 def _direct(f, lines) -> list[float]:
-    """On each line b, the max over the k in K, f's entries strictly
-    between the infinities, of b[k] - f[k], or -inf on every line when K is
-    empty, for a row f whose other entries are +inf, or -inf at indices
-    where b is -inf too.  Those entries' terms are -inf or NaN and never
-    win the sup.  Each term is the scan's IEEE difference, never NaN with
-    f[k] finite, and a max of doubles that are never NaN is exact, so the
-    row is the scan's bit for bit.  One column of terms per k, each and
-    their max built by C-level maps."""
+    """The rule's max on each line b of ``lines``, none of which f's -inf
+    entries reach: over the k in K, f's entries strictly between the
+    infinities, of b[k] - f[k], or -inf on every line when K is empty.  One
+    column of terms per k, each and their max built by C-level maps."""
     cols = [map(sub, map(itemgetter(k), lines), repeat(f[k]))
             for k in compress(range(len(f)), map(math.isfinite, f))]
     if not cols:
         return [-_INF] * len(lines)
     return list(cols[0]) if len(cols) == 1 else list(map(max, *cols))
-
-
-def _reached_row(f, view, few) -> list[float]:
-    """The conjugate of a row f with some -inf entries among others, over a
-    view of more than ``_SCAN_WIDTH`` lines.  The lines that the ``above``
-    bitsets of f's -inf entries reach are +inf.  A line they do not reach
-    is -inf at every -inf entry of f, so none of those is in its order:
-    ``_direct`` answers it if f has at most ``few`` entries strictly
-    between the infinities, and otherwise its scan is bounded by the least
-    entry of f above -inf."""
-    reached = reduce(or_, compress(view.above, map(eq, f, repeat(-_INF))))
-    width = view.width
-    row = [_INF] * width
-    rest = ((1 << width) - 1) ^ reached
-    if not rest:
-        return row
-    unreached = []  # the indices of the bits of rest, lowest first
-    while rest:
-        bit = rest & -rest
-        unreached.append(bit.bit_length() - 1)
-        rest ^= bit
-    if len(f) - f.count(_INF) - f.count(-_INF) <= few:
-        lines = view.lines
-        values = _direct(f, [lines[j] for j in unreached])
-    else:
-        pairs = view.pairs
-        low = min(filter((-_INF).__lt__, f))
-        values = _scan([pairs[j] for j in unreached], f, low)
-    for j, v in zip(unreached, values):
-        row[j] = v
-    return row
 
 
 def exceeds(c_rows, f, g, tol: float) -> tuple[int, int] | None:

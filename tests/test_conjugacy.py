@@ -462,21 +462,29 @@ def rows_with_a_few_minus_infinities(draw):
     made -inf at every -inf index of a kernel row (R's and L's -inf for the
     conjugates and the Lagrangian, L's +inf for the Rockafellian, which
     negates L), so that the row reaches only some lines and the others
-    scan."""
+    scan.
+
+    A quarter of the draws have a coupling dense in -inf: 30% or 50% -inf
+    and 5% +inf, with one or two of each infinity per table row, so that
+    most lines are left to the scan, bounded by the least entry of the
+    kernel row above -inf."""
     rng = draw(st.randoms(use_true_random=True))
     width = lambda: rng.choice([rng.randint(1, 16), rng.randint(17, 40)])
     nu, nx, ny = rng.randint(1, 4), width(), width()
+    dense = rng.random() < 0.25
     p_inf = rng.choice([0.0, 0.05, 0.1])
+    p_minus, p_plus = (rng.choice([0.3, 0.5]), 0.05) if dense else (p_inf, p_inf)
     finite = _finite_draw(rng)
 
     def entry():
         t = rng.random()
-        return -INF if t < p_inf else INF if t < 2 * p_inf else finite()
+        return -INF if t < p_minus else INF if t < p_minus + p_plus else finite()
 
     def row(m, infinities):
         out = [INF if rng.random() < 0.1 else finite() for _ in range(m)]
         for v in infinities:
-            for k in rng.sample(range(m), rng.randint(0, min(3, m))):
+            count = rng.randint(1, min(2, m)) if dense else rng.randint(0, min(3, m))
+            for k in rng.sample(range(m), count):
                 out[k] = v
         return out
 
@@ -523,8 +531,11 @@ def rows_mostly_plus_infinity(draw):
     The coupling holds both infinities among finite entries of one kind (see
     ``_finite_draw``).  Some lines of the coupling are made -inf at every
     -inf index of a kernel row, so that its ``above`` bitsets leave them to
-    the direct path or the scan."""
-    from gendual.extreal import _few
+    the direct path or the scan.  When both sides have more than
+    ``_SCAN_WIDTH`` members, a fifth of the rows of R and G are -inf
+    everywhere and a fifth of L's +inf everywhere: kernel rows answered by
+    a wide view's ``reach``."""
+    from gendual.extreal import _SCAN_WIDTH, _few
 
     rng = draw(st.randoms(use_true_random=True))
     width = lambda: rng.choice([rng.randint(1, 16), rng.randint(17, 64)])
@@ -537,6 +548,8 @@ def rows_mostly_plus_infinity(draw):
         return -INF if t < p_inf else INF if t < 2 * p_inf else finite()
 
     def row(m, rest, other):
+        if min(nx, ny) > _SCAN_WIDTH and rng.random() < 0.2:
+            return [other] * m
         out = [rest] * m
         few = _few(m)
         for k in rng.sample(range(m), min(m, rng.choice([0, 1, 2, few - 1, few, few + 1]))):
