@@ -37,10 +37,11 @@ R half compares R_u with the sup-transform row, which is rho_u bit for bit
 inf-transform row, which ``lagrangian_of`` computes as 0.0 - sigma_u, so it
 is E1 with both rows negated.  ``approx_eq`` is sign-symmetric, so the L
 half runs as E1, with the same verdict and first y, and its witness prints
-L(u,y) and 0.0 - sigma_u(y).  An L witness at any u comes before every R
-witness.  So ``items_agree``, the audit's alarm for disagreeing verdicts
-among (ii)-(v), cannot separate (ii) from (iii), and (iv) and (v) read the
-same rows: the independent check is the brute-force reference in
+L(u,y) and 0.0 - sigma_u(y).  At each u item (ii) runs its L half, then
+its R half, as item (iii) runs E1, then E2, so the two items' witnesses
+name the same entry.  So ``items_agree``, the audit's alarm for
+disagreeing verdicts among (ii)-(v), cannot separate (ii) from (iii), and
+(iv) and (v) read the same rows: the independent check is the brute-force reference in
 ``tests/bruteforce.py``, which shares no code with the package.
 
 Minimality is decided exactly, from least feasible values.  Given L, the
@@ -183,7 +184,7 @@ class _Rows:
 # a witness template.  A law is the row it compares the side's row with,
 # the comparison and the template: equality (E1, E2) and minimality compare
 # with the least feasible value, convexity (E3, E4) with the biconjugate,
-# and item (ii)'s transform half compares the rows of equality.
+# and item (ii)'s two transform halves compare the rows of equality.
 _Side = namedtuple("_Side", "key row least bi names")
 _R_SIDE = _Side("x", "r", "rho", "r_bi", dict(
     own="R", least="(-L_u)^c'", convex="c", bi="biconjugate", shown="R", transform="sup"))
@@ -197,22 +198,18 @@ _C = ("bi", approx_eq, "%(own)s({u},{lab}) = {a} is not %(convex)s-convex: %(bi)
 _T = ("least", approx_eq,
       "%(shown)s({u},{lab}) = {a} but the %(transform)s-transform gives {b}")
 
-# Each entry's laws, in the order it runs them at each u.  Item (ii) is two
-# entries, its L half and its R half: an L witness at any u comes before
-# every R witness, so it closes the R half.  The inequality, the pass's one
-# entry that is not a row comparison, is ``_inequality_at``.  Where it
-# fails it closes minimality and replaces its result with ``_NOT_PROBED``,
-# even where minimality failed at an earlier u.
+# Each entry's laws, in the order it runs them at each u.  The inequality,
+# the pass's one entry that is not a row comparison, is ``_inequality_at``.
+# Where it fails it closes minimality and replaces its result with
+# ``_NOT_PROBED``, even where minimality failed at an earlier u.
 _ROW_TESTS = {
     entry: tuple((side.key, side.row, getattr(side, want), holds, text % side.names)
                  for (want, holds, text), side in laws)
     for entry, laws in (("i-minimality", ((_M, _R_SIDE), (_M, _L_SIDE))),
-                        ("ii-L", ((_T, _L_SIDE),)), ("ii-R", ((_T, _R_SIDE),)),
+                        ("ii", ((_T, _L_SIDE), (_T, _R_SIDE))),
                         ("iii", ((_E, _L_SIDE), (_E, _R_SIDE))),
                         ("iv", ((_E, _L_SIDE), (_C, _R_SIDE))),
                         ("v", ((_E, _R_SIDE), (_C, _L_SIDE))))}
-_ITEM_II = ("ii-L", "ii-R")
-_CLOSES = {"i-inequality": ("i-inequality", "i-minimality"), "ii-L": _ITEM_II}
 _NOT_PROBED = Witness(item="i-minimality", u=None, x=None, y=None,
                       description="not probed: the inequality itself fails")
 
@@ -236,12 +233,11 @@ def _row_tests_at(entry, u, rows, labels, tol) -> Witness | None:
         if k is None:
             continue
         a, b = have[k], want[k]
-        if entry == "ii-L":  # compared as E1, shown as L and the inf-transform
+        if entry == "ii" and side == "y":  # compared as E1, shown as L and the inf-transform
             a, b = rows.l[k], 0.0 - b
         lab = labels[side][k]  # of X or of Y by side: the two may share labels
         x, y = (lab, None) if side == "x" else (None, lab)
-        return Witness("ii" if entry in _ITEM_II else entry, u, x, y,
-                       text.format(u=u, lab=lab, a=a, b=b))
+        return Witness(entry, u, x, y, text.format(u=u, lab=lab, a=a, b=b))
     return None
 
 
@@ -251,8 +247,8 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
 
     One pass over the decisions: for each u, every still-open entry runs its
     test on one ``_Rows``.  An entry leaves the pass at its first witness,
-    so that witness is the one the entry finds alone, and takes the others
-    of its ``_CLOSES`` along.  The rows hold the values ``conjugate`` and
+    so that witness is the one the entry finds alone; the inequality's
+    takes minimality along.  The rows hold the values ``conjugate`` and
     ``reverse_conjugate`` give, bit for bit: the same kernel calls."""
     found = dict.fromkeys(entries)
     open_entries = list(entries)
@@ -260,17 +256,17 @@ def _row_witnesses(entries, lag, r, c, tol) -> dict[str, Witness | None]:
     for u, l_row, r_row in zip(lag.decisions.labels, lag.rows, r.rows):
         rows = _Rows(l_row, r_row, c)
         for entry in tuple(open_entries):
-            if entry not in open_entries:  # closed by this u's inequality or L half
+            if entry not in open_entries:  # minimality, closed by this u's inequality
                 continue
             witness = (_inequality_at(u, rows, labels, tol) if entry == "i-inequality"
                        else _row_tests_at(entry, u, rows, labels, tol))
             if witness is None:
                 continue
             found[entry] = witness
+            open_entries.remove(entry)
             if entry == "i-inequality" and "i-minimality" in found:
                 found["i-minimality"] = _NOT_PROBED
-            closed = _CLOSES.get(entry, (entry,))
-            open_entries = [e for e in open_entries if e not in closed]
+                open_entries = [e for e in open_entries if e != "i-minimality"]
         if not open_entries:
             break
     return found
@@ -294,7 +290,7 @@ def check_item_ii(
     lag: Lagrangian, r: Rockafellian, c: Coupling, tol: float = DEFAULT_TOL
 ) -> bool:
     """L equals the Lagrangian of R and R equals the Rockafellian of L."""
-    return _holds(lag, r, c, tol, "ii-L", "ii-R")
+    return _holds(lag, r, c, tol, "ii")
 
 
 def check_item_iii(
@@ -345,10 +341,8 @@ def audit(
     itself is inconsistent, not merely that the input fails to be a couple.
     """
     _require_valid(lag, r, c, tol)
-    w_ineq, w_probe, w_l, w_r, *rows = _row_witnesses(
-        ("i-inequality", "i-minimality", "ii-L", "ii-R", "iii", "iv", "v"),
-        lag, r, c, tol).values()
-    found = [w_l or w_r, *rows]
+    w_ineq, w_probe, *found = _row_witnesses(
+        ("i-inequality", "i-minimality", "ii", "iii", "iv", "v"), lag, r, c, tol).values()
     ii, iii, iv, v = (w is None for w in found)
     return CoupleAudit(
         item_i_inequality=w_ineq is None,

@@ -232,8 +232,10 @@ class descending:
     def reach(self) -> tuple:
         """Per line, +inf if it has an entry above -inf, else -inf: the
         conjugate of a row that is -inf everywhere, since v lower-add (+inf)
-        is +inf for every v > -inf and -inf for v = -inf."""
-        return tuple([_INF if max(b) > -_INF else -_INF for b in self.lines])
+        is +inf for every v > -inf and -inf for v = -inf.  A count of -inf
+        entries makes no rich compare per entry, and with no NaN in a line
+        it agrees with max(b) > -inf."""
+        return tuple([_INF if b.count(-_INF) < len(b) else -_INF for b in self.lines])
 
     @lazy
     def above(self) -> list:

@@ -449,14 +449,20 @@ def test_fuzz_reads_a_grid(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("values", ["integer", "fractional"])
-@pytest.mark.parametrize("grid", ["-1" + "0" * 330 + ":1", "-1:1" + "0" * 330])
-def test_fuzz_grid_beyond_the_double_range_is_a_usage_error(grid, values):
-    # an end that float() cannot convert is an input fault, not an internal one
-    code, out, err = run_in_fresh_dir(["fuzz", "--count", "2", f"--grid={grid}",
+@pytest.mark.parametrize("option, value, rule", [
+    *(pytest.param("--grid", grid, "grid ends must lie within the double range", id=grid)
+      for grid in ("-1" + "0" * 330 + ":1", "-1:1" + "0" * 330)),
+    pytest.param("--grid", "3", "expected LO:HI, e.g. -10:10", id="grid-3"),
+    pytest.param("--grid", "a:b", "expected LO:HI, e.g. -10:10", id="grid-a:b"),
+    pytest.param("--inf-prob", "x", "expected a number", id="inf-prob-x"),
+])
+def test_fuzz_grid_beyond_the_double_range_is_a_usage_error(option, value, rule, values):
+    # an end that float() cannot convert is an input fault, not an internal
+    # one, and so is a malformed grid or infinity share
+    code, out, err = run_in_fresh_dir(["fuzz", "--count", "2", f"{option}={value}",
                                        "--values", values])
     assert code == 2 and out == ""
-    assert err.splitlines() == [
-        "gendual fuzz: error: argument --grid: grid ends must lie within the double range"]
+    assert err.splitlines() == [f"gendual fuzz: error: argument {option}: {rule}"]
 
 
 def test_fuzz_sign_flip_writes_reproduction(capsys, tmp_path, monkeypatch):
@@ -674,17 +680,18 @@ def test_overflowing_literal_among_words_is_located(tmp_path, capsys, table, lit
     assert err == f"error: {table} row 2 column 2: number outside the double range\n"
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "x"])
 @pytest.mark.parametrize("command, problem", [
     ("check-couple", "e1_couple.json"),
     ("weak-duality", "e1.json"),
 ])
 def test_tol_must_be_finite_and_nonnegative(problems_dir, capsys, command, problem, tol):
+    rule = "expected a number" if tol == "x" else "must be finite and nonnegative"
     with pytest.raises(SystemExit) as exc:
         main([command, str(problems_dir / problem), f"--tol={tol}"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"gendual {command}: error: argument --tol: must be finite and nonnegative"
+        f"gendual {command}: error: argument --tol: {rule}"
     ]
 
 

@@ -448,14 +448,15 @@ def _reference_item_witnesses(lag, r, c, tol):
         return None
 
     def item_ii():
-        for side, have, want, text in (
+        halves = (
             ("y", lag, lagrangian_of(r, c),
              "L({u},{lab}) = {a} but the inf-transform gives {b}"),
             ("x", r, rockafellian_of(lag, c),
              "R({u},{lab}) = {a} but the sup-transform gives {b}"),
-        ):
-            for u, have_row, want_row in zip(have.decisions.labels, have.rows, want.rows):
-                w = first("ii", u, side, have.col_set.labels, have_row, want_row, text)
+        )
+        for i, u in enumerate(lag.decisions.labels):
+            for side, have, want, text in halves:
+                w = first("ii", u, side, have.col_set.labels, have.rows[i], want.rows[i], text)
                 if w:
                     return w
         return None
@@ -533,10 +534,10 @@ def items_instance(draw):
         lag, r = Lagrangian(U, Y, tables["L"]), Rockafellian(U, X, tables["R"])
     if kind == "broken":
         # one entry of L and one of R moved by more than tol, in two
-        # different rows u >= 1, so that the items' first witnesses can fall
-        # on different u: item (ii) scans all of L before R, and within tol
-        # the row items need not fail on the same row; a row without finite
-        # entries has an infinity set to 0
+        # different rows u >= 1, so that an item's first witness can fall on
+        # either of its two row comparisons, and within tol the row items
+        # need not fail on the same row; a row without finite entries has
+        # an infinity set to 0
         step = draw(st.sampled_from([-1.0, 1.0])) * (2 * tol + 0.5)
         u_l, u_r = draw(st.permutations(range(1, nu)))[:2]
         tables = {"L": [list(row) for row in lag.rows], "R": [list(row) for row in r.rows]}
@@ -643,8 +644,8 @@ def _views(calls, c):
 
 def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
         problems_dir, count_kernel_calls, count_conjugate_rows):
-    # item (ii) compares the rows of E1 and E2: alone, it makes |U| sigma
-    # rows and then |U| rho rows, while a passing audit adds none to the
+    # item (ii) compares the rows of E1 and E2: alone, it makes a sigma row
+    # and then a rho row at each u, while a passing audit adds none to the
     # conjugate rows of the row pass; the product kernel has no mirror
     import gendual.extreal as extreal
 
@@ -658,7 +659,7 @@ def test_item_ii_reuses_the_rho_rows_of_the_row_pass(
         count_conjugate_rows.clear()
         assert check_item_ii(lag, r, c)
         assert count_kernel_calls == [call] * (2 * n)
-        assert _views(count_conjugate_rows, c) == ["sigma"] * n + ["rho"] * n
+        assert _views(count_conjugate_rows, c) == ["sigma", "rho"] * n
         count_kernel_calls.clear()
         count_conjugate_rows.clear()
         assert audit(lag, r, c).is_couple
@@ -843,10 +844,11 @@ def test_minimality_probe_stops_at_the_first_raised_row(
     assert _views(count_conjugate_rows, c) == ["rho"]
 
 
-def test_item_ii_names_an_l_witness_after_an_r_witness():
+def test_item_ii_names_an_r_witness_before_a_later_l_witness():
     # R raised in row u0 where no inf of the Lagrangian is attained, so that
-    # only item (ii)'s R half fails there, and L raised in row u2: the L
-    # witness at u2 comes before the R witness at u0, as in the reference
+    # only item (ii)'s R half fails there, and L raised in row u2: item (ii)
+    # runs both halves at each u, so its witness is the R one at u0, as in
+    # the reference, and names the entry item (iii) names
     lag, r, c = _canonical_couple(4, seed=8)
     r_rows = [list(row) for row in r.rows]
     for i in range(len(r_rows[0])):
@@ -863,9 +865,10 @@ def test_item_ii_names_an_l_witness_after_an_r_witness():
     lag = Lagrangian(lag.decisions, lag.dual, l_rows)
     assert rockafellian_of(lag, c).rows[0] != raised.rows[0]
     want = [w for w in _reference_item_witnesses(lag, raised, c, DEFAULT_TOL) if w[0] == "ii"]
-    assert want[0][1:4] == ("u2", None, f"y{j}")
-    assert [(w.item, w.u, w.x, w.y, w.description)
-            for w in audit(lag, raised, c).witnesses if w.item == "ii"] == want
+    assert want[0][1:4] == ("u0", f"x{i}", None)
+    a = audit(lag, raised, c)
+    assert [(w.item, w.u, w.x, w.y, w.description) for w in a.witnesses if w.item == "ii"] == want
+    assert [w[1:4] for w in a.witnesses if w.item == "iii"] == [want[0][1:4]]
     assert not check_item_ii(lag, raised, c)
 
 

@@ -58,15 +58,14 @@ def _check_mirror(lag, r, c):
     # where the witnesses map: item (iv) runs E1 then E3 at each u, and item
     # (v) of the mirror runs the same two comparisons in the same order, so
     # it names the same u and label, on the other side; the inequality,
-    # minimality and item (iii) scan each u in another order, so they name
-    # the same u; item (ii) reports its L half first, which is the R half
-    # on the other side, so only its verdict maps
+    # minimality and items (ii) and (iii) scan each u in another order, so
+    # they name the same u
     w, mw = _by_item(a), _by_item(m)
     for item, mirrored in (("iv", "v"), ("v", "iv")):
         if item in w:
             assert (mw[mirrored].u, mw[mirrored].x, mw[mirrored].y) == (w[item].u, w[item].y,
                                                                         w[item].x)
-    for item in ("i-inequality", "i-minimality", "iii"):
+    for item in ("i-inequality", "i-minimality", "ii", "iii"):
         assert (item in mw) == (item in w)
         if item in w:
             assert mw[item].u == w[item].u

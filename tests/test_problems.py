@@ -295,6 +295,9 @@ def problem_texts(draw):
 
 
 @given(problem_texts())
+# a row whose one fault is a JSON false, which the row lookup alone reads as 0.0
+@example('{"sets": {"U": ["u0"], "X": ["x0"], "Y": ["y0", "y1"]}, '
+         '"coupling": [[1.0, false]], "rockafellian": [[0.0]]}')
 @settings(max_examples=400)
 def test_parse_matches_per_entry_reference(text):
     raw = json.loads(text)

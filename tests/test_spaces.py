@@ -124,6 +124,33 @@ def test_table_shapes_validated():
         Rockafellian(["u0", "u1"], ["x0"], [[1.0]])
 
 
+def test_public_dunders_and_mismatches():
+    # equal objects hash alike, each repr names its labels, and each
+    # mismatch returns NotImplemented or False, or raises as documented
+    s = FiniteSet(["a", "b"])
+    f = SetFunction(s, [1.0, math.inf])
+    assert hash(s) == hash(FiniteSet(["a", "b"])) and repr(s) == "FiniteSet(['a', 'b'])"
+    assert f == SetFunction(["a", "b"], [1.0, math.inf])
+    assert hash(f) == hash(SetFunction(["a", "b"], [1.0, math.inf]))
+    assert list(f.items()) == [("a", 1.0), ("b", math.inf)]
+    assert repr(f) == "SetFunction({a: 1.0, b: inf})"
+    assert s.__eq__(["a", "b"]) is NotImplemented and f.__eq__(s) is NotImplemented
+    with pytest.raises(DomainMismatchError, match="^pointwise_max: domains differ$"):
+        pointwise_max(f, SetFunction(["a"], [0.0]))
+    for kind in (Coupling, Rockafellian, Lagrangian):
+        t = kind(s, ["y"], [[0.0], [1.0]])
+        same = kind(["a", "b"], ["y"], [[0.0], [1.0]])
+        assert t == same and hash(t) == hash(same)
+        assert repr(t) == f"{kind.__name__}(rows=['a', 'b'], cols=['y'])"
+        assert t.__eq__(f) is NotImplemented
+        other = Lagrangian if kind is Rockafellian else Rockafellian
+        assert not t.isclose(other(s, ["y"], [[0.0], [1.0]]))
+        assert not t.isclose(kind(["a", "z"], ["y"], [[0.0], [1.0]]))
+        assert not t.isclose(kind(s, ["z"], [[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="^bilinear_coupling: points must have at least one"):
+        bilinear_coupling([()], [()])
+
+
 def test_reverse_coupling_transposes_and_involutes(e1):
     c = e1["c"]
     rc = reverse_coupling(c)

@@ -32,7 +32,7 @@ against each tree, in a fresh interpreter with that tree first on
     in a middle row (the ``raise`` step below), so that minimality and
     row-item witnesses beyond the first decision are compared, and with an
     entry of R raised in row n/4 and one of L in row 3n/4, so that item
-    (ii)'s R half can fail at an earlier decision than its L half, and at
+    (ii)'s witness is its first failing decision, n/4, and names R, and at
     n = 4 on the signed-zero couple with an L entry of 0 raised, so that an
     item (ii) witness prints an inf-transform entry of 0.0;
   - at n = 4 and 16, tables with rows fixed at an infinity: an infeasible
