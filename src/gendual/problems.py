@@ -13,12 +13,40 @@ written by this module round-trip byte-identically.
 
 Table rows are read and written whole, in C-level passes: ``json.dumps``
 with an indent would encode entry by entry in pure Python.  Each row read
-is checked once, in ``_row``, and the tables are built from the checked
-rows without a second check (see ``spaces``).  A row that fails the fast
-read, as one with a literal beyond the double range does, is read again
-entry by entry, to name the bad entry.  Embedding coordinates are checked
-once too, in ``_points``, and their dot products are taken without the
+is checked once, and the tables are built from the checked rows without a
+second check (see ``spaces``).  Embedding coordinates are checked once
+too, in ``_points``, and their dot products are taken without the
 coordinate checks of ``bilinear_coupling``.
+
+A text of at least 16 KiB (``_READ_CHARS``) goes first to the table
+reader, ``_read_tables``.  It reads the top-level "coupling",
+"rockafellian" and "lagrangian" tables straight from the text, and every
+other value with ``read_json``'s scanner and hooks.  A row is the text
+between its brackets, split at its commas.  Each token, with the
+whitespace around it, maps through one memo per file to its double, and a
+token not in the memo yet is checked and converted once, in one batch per
+row.  A token is a JSON number in ASCII digits, read by ``float`` (which
+rounds as json's ``int`` then ``float`` does), or exactly "inf" or
+"-inf", between JSON whitespace only.  The reader leaves a table to the
+scanner, to be checked as on the json path below, on anything else:
+another token, a nested array, a number beyond the double range, a row of
+fewer than 32 entries (``_READ_WIDTH``) or of another length than the
+first, or a row more than half of whose entries are new to the memo
+(``_READ_SHARE``).  It hands the whole text to ``read_json`` on a
+duplicate top-level key or on any text json would refuse.  So every text
+parses to the same doubles, and fails with the same message, on both
+paths.  The gate is where the reader pays, in a sweep of
+``tools/bench_parse.py``'s files over n: from 32-48 entries a row on
+integer tables, in the indent and compact layouts.  The size bound keeps
+small files off the reader.  A table the reader gives up costs what it
+read before it gave up, on top of the scanner's read.  A table of
+distinct doubles, such as a fractional one, is given up at its first row,
+which costs about 1% of the parse on ``bench_parse``'s fractional files
+at n = 64 to 256.
+
+The json path is ``read_json``, then ``_row`` on each row, in C-level
+passes.  A row that fails that fast read, as one with a literal beyond the
+double range does, is read again entry by entry, to name the bad entry.
 
 Tables are written, and rendered by the CLI, from their ``table_tokens``:
 ``float.__repr__`` of each entry.  A table with few distinct doubles takes
@@ -34,10 +62,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import namedtuple
 from itertools import chain, filterfalse, repeat
 from operator import is_
 
+from json.decoder import scanstring as _scanstring
 from json.encoder import encode_basestring_ascii as _string
 
 from .errors import MissingTableError, ProblemFormatError
@@ -129,6 +159,13 @@ def read_json(text: str, source: str):
     raise ProblemFormatError(f"{source}: {msg}") from None
 
 
+# the scanner ``read_json`` runs, for the values the table reader leaves
+# to json: ``scan_once(text, i)`` reads the JSON value at text[i] and
+# returns it with the index after it
+_SCAN_ONCE = json.JSONDecoder(
+    parse_constant=_reject_constant, object_pairs_hook=_unique_keys).scan_once
+
+
 def read_text(path) -> str:
     """The text of an input file; one that is not UTF-8 is a
     ProblemFormatError naming the file."""
@@ -214,10 +251,13 @@ def _entry(raw, name: str, i: int, j: int) -> float:
 def _table(
     raw, name: str, n_rows: int, n_cols: int, falses: bool
 ) -> tuple[tuple[float, ...], ...]:
-    """The rows of table ``name``, each checked once: by ``_row``, or entry
+    """The rows of table ``name``, each checked once: by the table reader,
+    whose rows are tuples of doubles of one length, by ``_row``, or entry
     by entry to name the first bad entry."""
     if not isinstance(raw, list) or len(raw) != n_rows:
         raise ProblemFormatError(f"{name}: expected {n_rows} rows")
+    if type(raw[0]) is tuple and len(raw[0]) == n_cols:
+        return tuple(raw)
     rows = []
     for i, raw_row in enumerate(raw):
         if not isinstance(raw_row, list) or len(raw_row) != n_cols:
@@ -231,6 +271,131 @@ def _table(
     return tuple(rows)
 
 
+# The table reader (see the module docstring).  A token keeps the
+# whitespace around it, which repeats from row to row in any layout, so a
+# row's tokens need no strip unless they are new.  json's scanner reads
+# ASCII digits only, hence [0-9] and not \d, which matches any digit
+# ``float`` reads; JSON whitespace is " \t\n\r", hence no plain strip().
+_READ_CHARS = 16384
+_READ_WIDTH = 32
+_READ_SHARE = 2
+_TABLE_KEYS = frozenset(("coupling", "rockafellian", "lagrangian"))
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_TOKEN = r'(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|"-?inf")'
+_TOKENS = re.compile(_TOKEN + r"(?:\x00" + _TOKEN + ")*")
+
+
+def _learn(memo: dict, tokens: list) -> bool:
+    """Add a row's new tokens to ``memo``, each mapped to its double, in
+    passes over them all: one regex over the tokens, stripped and joined,
+    then ``float`` on each, -0.0 read as 0.0.  False, with the memo
+    unchanged, if more than 1/_READ_SHARE of the row's entries are new,
+    which is decided before any is converted, if a token breaks the rule
+    or holds the NUL the tokens are joined with, or if a number reads as an
+    infinity (json reads 1e400 so too)."""
+    new = list(set(tokens).difference(memo))
+    if len(new) * _READ_SHARE > len(tokens):
+        return False
+    joined = "\x00".join([token.strip(" \t\n\r") for token in new])
+    # a NUL within a token, which json refuses, would split it in two
+    if joined.count("\x00") != len(new) - 1 or _TOKENS.fullmatch(joined) is None:
+        return False
+    values = [float(word) + 0.0 for word in joined.replace('"', "").split("\x00")]
+    if values.count(_INF) + values.count(-_INF) != joined.count("inf"):
+        return False
+    memo.update(zip(new, values))
+    return True
+
+
+def _read_table(text: str, pos: int, memo: dict) -> tuple[list, int] | None:
+    """The table whose text starts at text[pos], as a list of rows, each a
+    tuple of doubles, and the index after it; None unless it is an array
+    of rows of one length, at least ``_READ_WIDTH``, that ``_learn``
+    accepts."""
+    if not text.startswith("[", pos):
+        return None
+    rows = []
+    width = None
+    double = memo.__getitem__
+    space = _WHITESPACE.match
+    pos = space(text, pos + 1).end()
+    while text.startswith("[", pos):
+        end = text.find("]", pos)
+        body = text[pos + 1:end]
+        if end < 0 or "[" in body:  # unclosed, or a nested array
+            return None
+        tokens = body.split(",")
+        if width is None:
+            width = len(tokens)
+        if len(tokens) != width or width < _READ_WIDTH:  # ragged, or narrow
+            return None
+        try:
+            rows.append(tuple(map(double, tokens)))
+        except KeyError:
+            if not _learn(memo, tokens):
+                return None
+            rows.append(tuple(map(double, tokens)))
+        pos = space(text, end + 1).end()
+        if not text.startswith(",", pos):
+            break
+        pos = space(text, pos + 1).end()
+    else:
+        return None
+    if not text.startswith("]", pos):
+        return None
+    return rows, pos + 1
+
+
+def _read_tables(text: str) -> tuple[dict, bool] | None:
+    """The top-level object of problem-file text, each table read by
+    ``_read_table`` as a list of tuples of doubles, or by ``read_json``'s
+    scanner if that refuses it, like every other value, and whether a
+    table json read holds the word false; None unless the text is large
+    enough to pay for it and json would accept it.  json reads the same
+    object, with its tables as lists of rows that ``_row`` reads as the
+    same doubles."""
+    if len(text) < _READ_CHARS:
+        return None
+    space = _WHITESPACE.match
+    pos = space(text).end()
+    if not text.startswith("{", pos):
+        return None
+    doc = {}
+    memo = {}
+    falses = False
+    try:
+        while True:
+            pos = space(text, pos + 1).end()
+            if not text.startswith('"', pos):
+                return None
+            key, pos = _scanstring(text, pos + 1)
+            pos = space(text, pos).end()
+            if key in doc or not text.startswith(":", pos):
+                return None
+            pos = space(text, pos + 1).end()
+            read = _read_table(text, pos, memo) if key in _TABLE_KEYS else None
+            if read is None:
+                start = pos
+                doc[key], pos = _SCAN_ONCE(text, pos)
+                # JSON false can hide in a table only if its text holds the word
+                falses = falses or (
+                    key in _TABLE_KEYS and text.find("false", start, pos) >= 0)
+            else:
+                doc[key], pos = read
+            pos = space(text, pos).end()
+            if not text.startswith(",", pos):
+                break
+    # what json would refuse, or a hook reject: the json path names it
+    except (StopIteration, ValueError, ProblemFormatError, RecursionError):
+        return None
+    if not text.startswith("}", pos) or space(text, pos + 1).end() != len(text):
+        return None
+    return doc, falses
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _labels(raw, name: str) -> FiniteSet:
     if (
         not isinstance(raw, list)
@@ -238,6 +403,12 @@ def _labels(raw, name: str) -> FiniteSet:
         or not all(isinstance(s, str) for s in raw)
     ):
         raise ProblemFormatError(f"sets.{name}: expected a nonempty list of strings")
+    try:
+        "".join(raw).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which json reads from "\ud800"
+        bad = next(filter(_SURROGATE.search, raw))
+        raise ProblemFormatError(
+            f"sets.{name}: label {bad!r} does not encode as UTF-8") from None
     try:
         return FiniteSet(raw)
     except ValueError as exc:
@@ -273,9 +444,13 @@ def parse_problem(
 ) -> Problem:
     """Parse problem-file text; ``allow_both`` admits combined couple files
     that carry a Rockafellian and a Lagrangian at once."""
-    raw = read_json(text, source)
-    # JSON false can hide in a table only if the text holds the word
-    falses = "false" in text
+    read = _read_tables(text)
+    if read is None:
+        raw = read_json(text, source)
+        # JSON false can hide in a table only if the text holds the word
+        falses = "false" in text
+    else:
+        raw, falses = read
     if not isinstance(raw, dict):
         raise ProblemFormatError(f"{source}: top level must be an object")
     unknown = set(raw) - set(_TOP_KEYS)

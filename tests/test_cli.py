@@ -608,6 +608,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [("--format", "text"), ("--format", "csv"),
+                                  ("--format", "structured"), ("--output", "out.json")])
+@pytest.mark.parametrize("key", ["U", "X", "Y"])
+def test_label_with_a_lone_surrogate_exits_2(problems_dir, tmp_path, capsys, argv, key):
+    # json reads the escape "\ud800" as a lone surrogate, which no output
+    # can encode as UTF-8: every format refuses the file, as --output does
+    doc = json.loads((problems_dir / "e1.json").read_text(encoding="utf-8"))
+    doc["sets"][key][1] = "\ud800"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="ascii")
+    argv = [a.replace("out.json", str(tmp_path / "out.json")) for a in argv]
+    code, out, err = run_cli(capsys, "to-lagrangian", str(bad), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: sets.{key}: label '\\ud800' does not encode as UTF-8\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 SETS_1X1 = '"sets": {"U": ["u0"], "X": ["a"], "Y": ["b"]}, "rockafellian": [[0.0]]'
 
 

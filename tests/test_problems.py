@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -15,6 +16,7 @@ from gendual import (
     Rockafellian,
     bilinear_coupling,
 )
+from gendual import problems
 from gendual.problems import (
     Problem,
     load_problem,
@@ -469,3 +471,175 @@ def test_table_tokens_are_each_entry_repr(rows):
     # a memo of the table's distinct doubles keys 0.0 and -0.0 as one, so
     # a table holding both takes one repr per entry
     assert table_tokens(rows) == [[float.__repr__(v) for v in row] for row in rows]
+
+
+# --- parsing: the table reader against the json path --------------------------
+
+# tokens the reader leaves to the json path: valid JSON it does not read as
+# a table entry, invalid JSON (among them a non-ASCII digit, which float
+# reads, and a NUL, which the reader joins new tokens with), numbers beyond
+# the double range, and strings holding a comma or a bracket; then tokens
+# both paths read, in spellings float.__repr__ does not write
+FALLBACK_TOKENS = [
+    "false", "true", "null", "01", "+1", ".5", "5.", "1_0", '"\\u0069nf"', "1e400",
+    "1" + "0" * 400, "1" * 4301, "[1]", '"a,b"', '"a]"', "\u0661", "1\u0660", "1\x002",
+]
+ACCEPTED_TOKENS = [
+    "-0", "-0.0", "-1e-400", "1E2", "2.5e-3", "-7E+1", "1e308", "-5e-324",
+    "123456789012345678901234567890", '"inf"', '"-inf"',
+]
+# (newline, indent unit, comma, colon): indent-2, tab, CRLF, compact and
+# the one-line json.dumps layout
+LAYOUTS = {
+    "indent": ("\n", "  ", ",", ": "), "tab": ("\n", "\t", ",", ": "),
+    "crlf": ("\r\n", "  ", ",", ": "), "compact": ("", "", ",", ":"),
+    "spaced": ("", "", ", ", ": "),
+}
+
+
+def layout_text(members, layout):
+    """Problem-file text of (key, value) pairs in ``layout``: a table is a
+    list of rows of token strings, any other value is JSON-dumped."""
+    nl, unit, comma, colon = LAYOUTS[layout]
+
+    def array(items, depth):
+        pad = nl + unit * (depth + 1)
+        return "[" + pad + (comma + pad).join(items) + nl + unit * depth + "]"
+
+    def value(v):
+        if isinstance(v, list) and v and isinstance(v[0], list):
+            return array([array(row, 2) for row in v], 1)
+        return json.dumps(v)
+    pad = nl + unit
+    return ("{" + pad + (comma + pad).join(f"{json.dumps(k)}{colon}{value(v)}"
+                                           for k, v in members) + nl + "}")
+
+
+def reader_outcome(text):
+    """The doubles of every table ``parse_problem`` reads, by ``float.hex``,
+    or its exception's type and message."""
+    try:
+        p = parse_problem(text, allow_both=True)
+    except ProblemFormatError as exc:
+        return type(exc), str(exc)
+    return [[v.hex() for v in row] for table in (p.coupling, p.rockafellian, p.lagrangian)
+            if table is not None for row in table.rows]
+
+
+def json_path_outcome(text):
+    """``reader_outcome`` with the table reader switched off."""
+    reader = problems._read_tables
+    problems._read_tables = lambda text: None
+    try:
+        return reader_outcome(text)
+    finally:
+        problems._read_tables = reader
+
+
+def wide_text(rows, layout="indent", fault=None, n_cols=None):
+    """Text of a problem whose coupling and Rockafellian are ``rows`` (rows
+    of tokens), its comment padded so that the text is large enough for
+    the reader, with at most one ``fault`` that is not an entry."""
+    n = n_cols or len(rows[0])
+    sets = {key: [f"{key.lower()}{i}" for i in range(len(rows) if key == "U" else n)]
+            for key in "UXY"}
+    members = [("comment", ""), ("sets", sets), ("coupling", [list(r) for r in rows[:n]]),
+               ("rockafellian", rows)]
+    if fault == "duplicate key":
+        members.append(("comment", ""))
+    text = layout_text(members, layout)
+    short = problems._READ_CHARS - len(text)
+    text = text.replace('""', json.dumps("x" * max(short, 0)), 1)
+    if fault == "bom":
+        text = "\ufeff" + text
+    return text
+
+
+def grid_rows(n, token=None):
+    """n rows of n integer tokens, ``token`` at row n // 2, column 5."""
+    rows = [[str((i * 7 + j * 3) % 21 - 10) + ".0" for j in range(n)] for i in range(n)]
+    if token is not None:
+        rows[n // 2][5] = token
+    return rows
+
+
+@st.composite
+def wide_problem_texts(draw):
+    """Problem texts the reader's gate admits: rows of at least
+    ``_READ_WIDTH`` entries, from a pool of a few tokens (the reader
+    takes them) or distinct doubles (it leaves them to json), in one of
+    the layouts, with at most one fault or unusual spelling."""
+    n = draw(st.sampled_from([problems._READ_WIDTH, problems._READ_WIDTH + 9]))
+    pool = draw(st.lists(st.sampled_from(
+        ["0.0", "-3.0", "7.0", "2.5", '"inf"', '"-inf"', "-0", "1e2"]),
+        min_size=1, max_size=5))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    distinct = lambda: repr(rng.uniform(-10, 10))
+    kind = draw(st.sampled_from(["grid", "grid", "distinct", "mixed"]))
+    # the coupling is the first n rows of R: in "mixed", the grid rows
+    rows = [[rng.choice(pool) if kind == "grid" or (kind == "mixed" and i < n)
+             else distinct() for _ in range(n)] for i in range(2 * n)]
+    fault = draw(st.sampled_from(
+        ["none", "none", "token", "accepted", "space", "empty row", "trailing comma",
+         "short row", "long row", "duplicate key", "bom", "truncated"]))
+    i, j = draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, n - 1))
+    if fault == "token":
+        rows[i][j] = draw(st.sampled_from(FALLBACK_TOKENS))
+    elif fault == "accepted":
+        rows[i][j] = draw(st.sampled_from(ACCEPTED_TOKENS))
+    elif fault == "space":
+        rows[i][j] = draw(st.sampled_from(["\f", "\u00a0", " \t", "\r\n "])) + rows[i][j]
+    elif fault == "empty row":
+        rows[i] = []
+    elif fault == "trailing comma":
+        rows[i][-1] += ","
+    elif fault in ("short row", "long row"):
+        rows[i] = rows[i][:-1] if fault == "short row" else rows[i] + rows[i][:1]
+    text = wide_text(rows, draw(st.sampled_from(sorted(LAYOUTS))), fault, n_cols=n)
+    if fault == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def with_examples(texts):
+    def decorate(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+    return decorate
+
+
+@given(wide_problem_texts())
+@with_examples([wide_text(grid_rows(problems._READ_WIDTH, token))
+                for token in FALLBACK_TOKENS + ACCEPTED_TOKENS + ["\f3.0", "\u00a03.0"]]
+               + [wide_text(grid_rows(problems._READ_WIDTH), fault=fault)
+                  for fault in ("duplicate key", "bom")])
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_json_path(text):
+    assert reader_outcome(text) == json_path_outcome(text)
+
+
+def test_reader_takes_wide_grids_in_every_layout():
+    # a fault-free table of few distinct tokens passes the reader's gate in
+    # every layout, so the test above compares the reader, not json twice
+    rows = grid_rows(problems._READ_WIDTH)
+    for layout in LAYOUTS:
+        text = wide_text(rows, layout)
+        assert problems._read_tables(text) is not None, layout
+        assert reader_outcome(text) == json_path_outcome(text)
+
+
+@pytest.mark.parametrize("token", [None, "false", "1e400", "[1]"])
+def test_reader_leaves_a_refused_table_to_json(token):
+    # a grid coupling over an R of distinct doubles: the reader takes the
+    # coupling and leaves R, with any bad token in it, to json's scanner
+    n = problems._READ_WIDTH
+    rng = random.Random(n)
+    rows = grid_rows(n) + [[repr(rng.uniform(-10, 10)) for _ in range(n)] for _ in range(n)]
+    if token is not None:
+        rows[n + 3][7] = token
+    text = wide_text(rows, n_cols=n)
+    doc, falses = problems._read_tables(text)
+    assert type(doc["coupling"][0]) is tuple and type(doc["rockafellian"][0]) is list
+    assert falses == (token == "false")
+    assert reader_outcome(text) == json_path_outcome(text)

@@ -83,6 +83,22 @@ against each tree, in a fresh interpreter with that tree first on
     a ``--function`` file with an entry that is not a number, and variants of
     e1.json and e1_lagrangian.json with an overflowing literal in a row
     that also holds a word ("inf" or "-inf"), in each of the three tables;
+  - at n = 64, the boundary of the problem-file reader, which reads wide
+    tables token by token and leaves any table it refuses to json: the
+    integer R file with one entry of its middle row replaced by each token
+    the reader refuses (``READER_FALLBACK_ENTRIES``: words, numbers json
+    refuses, numbers beyond the double range, an escaped "inf", a nested
+    array, strings holding a comma or a bracket, a form feed or no-break
+    space before a number, an Arabic-Indic digit, and a NUL between two
+    digits) or spells differently from ``float.__repr__``
+    (``READER_ACCEPTED_ENTRIES``), with that row empty, with a trailing
+    comma, with a duplicate top-level key and with a byte order mark, each
+    through ``to-lagrangian``; the file in the compact and tab layouts,
+    also with ``--output``; an integer coupling, which the reader takes,
+    with a fractional R, which it leaves to json, with ``--output``; and
+    e1.json and the n = 64 file with a label spelled as a lone surrogate
+    escape, through ``to-lagrangian`` in every format and with
+    ``--output``;
   - ``fuzz --count 1000 --max-set-size 5 --seed s`` for s = 0..9, and
     ``fuzz --count 300 --max-set-size 4 --seed 7 --values F`` for the four
     off-grid value families F, each also with ``--tol 0`` (the integer
@@ -137,6 +153,7 @@ BOUNDARY_SIZE = 64
 # the kernel's cut-off for few entries off the infinities on lines of 64
 # and of 128 entries (``extreal._few``), and one more
 CUT_OFF_INDICATORS = ((64, 8), (64, 9), (128, 12), (128, 13))
+READER_SIZE = 64
 INF_SHARE = 0.1
 FUZZ_SEEDS = range(10)
 FUZZ_TOL0_SEEDS = range(4)
@@ -289,6 +306,76 @@ def _overflows_among_words(e1, e1_lagrangian):
         "L -1e400 by inf": ("to-rockafellian", head + tail.replace(
             "0.0,\n      0.0", '-1e400,\n      "inf"', 1)),
     }
+
+
+# Entries of a wide file that the problem-file reader hands to the json
+# path: each is valid JSON read as something other than a plain number or
+# an infinity word, invalid JSON (among them a non-ASCII digit, which
+# ``float`` reads, and a NUL, which the reader joins a row's new tokens
+# with), or a number beyond the double range.  The accepted
+# entries read as a table entry on either path.
+READER_FALLBACK_ENTRIES = (
+    "false", "true", "null", "01", "+1", ".5", "5.", "1_0", '"\\u0069nf"', "1e400",
+    "1" + "0" * 400, "1" * 4301, "[1]", '"a,b"', '"a]"', "\f3", "\u00a03",
+    "\u0661", "1\x002",
+)  # the last is 1, a NUL character and 2
+READER_ACCEPTED_ENTRIES = ("-0", "-0.0", "-1e-400", "1E2", "2.5e-3",
+                           "-1.7976931348623157e308")
+
+
+def _reader_variants(text):
+    """Variants of an integer problem file wide enough for the table
+    reader, one fault or one spelling each: an entry of R's middle row
+    replaced, the row's other entries set to +inf so that the Lagrangian's
+    middle row shows the entry; that row empty; a trailing comma after its last entry; a
+    duplicate top-level key; a byte order mark; and the compact and tab
+    layouts of the file.  (A CRLF layout cannot reach the parser from a
+    file: ``read_text`` reads it with universal newlines.)"""
+    doc = json.loads(text)
+    middle = len(doc["rockafellian"]) // 2
+    doc["rockafellian"][middle] = ["inf"] * len(doc["rockafellian"][middle])
+    doc["rockafellian"][middle][5] = "@@"
+    marked = json.dumps(doc, indent=2) + "\n"
+    out = {f"entry{i:02d}": marked.replace('"@@"', bad)
+           for i, bad in enumerate(READER_FALLBACK_ENTRIES + READER_ACCEPTED_ENTRIES)}
+    doc = json.loads(text)
+    doc["rockafellian"][middle] = []
+    out["empty_row"] = json.dumps(doc, indent=2) + "\n"
+    doc = json.loads(text)
+    doc["rockafellian"][middle][-1] = "@@"
+    out["trailing_comma"] = json.dumps(doc, indent=2).replace('"@@"', "5,") + "\n"
+    out["duplicate_key"] = text.replace('"comment": ', '"comment": "x",\n  "comment": ', 1)
+    out["bom"] = "\ufeff" + text
+    doc = json.loads(text)
+    out["compact"] = json.dumps(doc, separators=(",", ":"))
+    out["tab"] = json.dumps(doc, indent="\t") + "\n"
+    return out
+
+
+def _reader_commands(root, rng):
+    """Write the reader family under ``root``; return its commands."""
+    (root / "reader").mkdir()
+    wide = (root / f"rand/integer{READER_SIZE}r.json").read_text(encoding="utf-8")
+    commands = []
+    for label, text in _reader_variants(wide).items():
+        name = f"reader/{label}.json"
+        (root / name).write_text(text, encoding="utf-8")
+        commands.append(["to-lagrangian", name])
+        if label in ("compact", "tab"):
+            commands.append(["to-lagrangian", name, "--output", f"out/reader_{label}l.json"])
+    doc = json.loads(wide)
+    (root / "reader/mixed.json").write_text(_problem(
+        READER_SIZE, doc["coupling"], rockafellian=_table(rng, "fractional", READER_SIZE)),
+        encoding="utf-8")
+    commands += [["to-lagrangian", "reader/mixed.json", "--output", "out/reader_mixedl.json"]]
+    e1 = json.loads((GALLERY / "e1.json").read_text(encoding="utf-8"))
+    for tag, doc in (("e1", e1), ("wide", doc)):
+        doc["sets"]["U"][1] = "\ud800"  # a lone surrogate, written as its JSON escape
+        name = f"reader/surrogate_{tag}.json"
+        (root / name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        commands += [["to-lagrangian", name, "--format", fmt] for fmt in FORMATS]
+        commands.append(["to-lagrangian", name, "--output", f"out/surrogate_{tag}l.json"])
+    return commands
 
 
 def _audits(*files):
@@ -504,6 +591,7 @@ def write_inputs(root):
         ]
     for n, k in CUT_OFF_INDICATORS:
         commands += _indicator_commands(root, rng, n, k)
+    commands += _reader_commands(root, rng)
     for seed in FUZZ_SEEDS:
         fmts = FORMATS if seed < 2 else ("text",)
         commands += [["fuzz", "--count", "1000", "--max-set-size", "5", "--seed",
